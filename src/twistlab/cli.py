@@ -39,13 +39,11 @@ from .logfun import (
     REGIONS,
     Segment,
     continue_along,
-    designated_triple,
     eval_branch2,
     expand_region,
     normalize,
-    winding_profile,
 )
-from .models import AbelianScenario, oracle_continue
+from .models import AbelianScenario
 from .transforms import (
     AutomorphismAction,
     CorrelationFamily,
@@ -86,11 +84,14 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
 
 def _as_complex(v, path: str) -> complex:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(float(v), 0.0)
-    if (isinstance(v, list) and len(v) == 2
+        v = [v, 0.0]
+    if not (isinstance(v, list) and len(v) == 2
             and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
-        return complex(float(v[0]), float(v[1]))
-    raise ScenarioError(f"{path}: expected a number or [re, im]")
+        raise ScenarioError(f"{path}: expected a number or [re, im]")
+    z = complex(float(v[0]), float(v[1]))
+    if not cmath.isfinite(z):
+        raise ScenarioError(f"{path}: expected finite numbers")
+    return z
 
 
 def _as_fraction(v, path: str) -> Fraction:
@@ -167,6 +168,8 @@ def _parse_move(obj, path: str):
         turns = obj["turns"]
         if isinstance(turns, bool) or not isinstance(turns, (int, float)):
             raise ScenarioError(f"{path}.turns: expected a number")
+        if not math.isfinite(turns):
+            raise ScenarioError(f"{path}.turns: expected a finite number")
         about = obj.get("about", "origin")
         if about not in ("origin", "other", "point"):
             raise ScenarioError(f"{path}.about: must be origin, other or point")
@@ -384,13 +387,13 @@ def serialize_scenario(sf: ScenarioFile) -> dict:
 def _parse_complex_flag(s: str) -> complex:
     parts = s.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            z = complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0)
+            if cmath.isfinite(z):
+                return z
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {s!r}")
+    raise argparse.ArgumentTypeError(f"expected finite RE or RE,IM, got {s!r}")
 
 
 def _triple_from_args(args, default: BranchTriple) -> BranchTriple:
@@ -410,7 +413,7 @@ def _label_index(args, dim: int) -> int:
 
 def _emit(doc: dict, as_json: bool):
     if as_json:
-        sys.stdout.write(json.dumps(doc, sort_keys=True,
+        sys.stdout.write(json.dumps(doc, sort_keys=True, allow_nan=False,
                                     separators=(",", ":")) + "\n")
     else:
         for k in sorted(doc):
@@ -475,13 +478,11 @@ def cmd_continue(args) -> int:
     i = _label_index(args, sf.fam.dim)
     f = sf.fam.functions[i]
     res = continue_along(f, bt, path, tol=args.tol)
-    oracle = oracle_continue(f, bt, path)
-    windings = winding_profile(path)
     doc = {"command": "continue", "scenario": sf.name, "label": args.label,
            "path": args.path, "start": list(bt), "end": list(res.end_triple),
            "value": _c(res.end_value), "certificate": res.certificate,
-           "samples": res.samples, "windings": list(windings),
-           "oracleGap": abs(oracle - res.end_value)}
+           "samples": res.samples, "windings": list(res.crossings),
+           "oracleGap": abs(res.oracle_value - res.end_value)}
     _emit(doc, args.json)
     return 0
 
@@ -569,9 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--path", required=True, help="path name from the scenario")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--steps", type=int, default=None,
-                   help="unused densities are chosen adaptively; accepted "
-                        "for compatibility")
     p.set_defaults(fn=cmd_continue)
 
     p = sub.add_parser("transform", help="exchange or contragredient rewrite")

@@ -24,22 +24,24 @@ The windows are exactly the conditions under which the auxiliary ratio
 (z2/z1, z1/z2 or (z1-z2)/z2) has its principal log consistent with the
 indexed logs above, so each group series converges to the right branch.
 
-continue_along transports a branch triple along a piecewise path of
-segments and arcs by counting signed crossings of the positive real axis
-for each of z1, z2, z1 - z2, and certifies the result against an internal
-unwrapped-phase evaluation.
+winding_profile counts how the sheet indices of z1, z2 and z1 - z2 change
+along a path (paths.PathSpec), in closed form for each segment and arc.
+continue_along adds the counts to a branch triple and certifies the end
+value against the sampled oracle, paths.oracle_continue.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, NamedTuple, Union
-
-import numpy as np
+from typing import Iterable, Literal, NamedTuple
 
 from .branchcalc import TWO_PI, lp, principal_arg
+from .paths import (  # noqa: F401  (the path names stay importable from logfun)
+    Arc, Move, PathSpec, Segment, _oracle, _Step, _walk_moves, path_end, sample_path,
+    validate_path)
 
 _COEFF_DROP = 1e-15
 
@@ -69,7 +71,12 @@ class LogMonomial:
     n: int = 0
 
     def __post_init__(self):
-        if self.l < 0 or self.m < 0 or self.n < 0:
+        try:  # operator.index refuses floats, 1.5 and 2.0 alike
+            bad = (operator.index(self.l) < 0 or operator.index(self.m) < 0
+                   or operator.index(self.n) < 0)
+        except TypeError:
+            bad = True
+        if bad:
             raise ValueError("log powers must be non-negative integers")
 
     def key(self) -> tuple:
@@ -294,16 +301,6 @@ def designated_triple(region: str, bt: BranchTriple) -> BranchTriple:
     raise ValueError(f"unknown region {region!r}")
 
 
-def _wrap_pi(x: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    y = math.fmod(x, TWO_PI)
-    if y > math.pi:
-        y -= TWO_PI
-    elif y <= -math.pi:
-        y += TWO_PI
-    return y
-
-
 def in_region(region: str, z1: complex, z2: complex, margin: float = 0.0) -> bool:
     """Membership in a region's modulus ordering and argument window.
 
@@ -480,236 +477,69 @@ def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> 
 
 
 # ---------------------------------------------------------------------------
-# Paths and continuation
+# Continuation by closed-form crossing counts
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Straight move of one variable to the point `to`."""
+def _arg_change(step: _Step, a: complex, b: complex) -> float:
+    """Continuous change of arg(a + b e^{i phi}) over the arc of step.
 
-    var: str
-    to: complex
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Circular move of one variable about a center.
-
-    about selects the center: "origin" (0), "other" (the current position
-    of the non-moving variable), or "point" (the explicit `center` value).
-    turns is the signed number of full revolutions; positive is
-    counterclockwise.  The radius is the distance from the variable's
-    current position to the resolved center.
+    Factoring out the larger of a and b e^{i phi} leaves 1 + k e^{+-i phi}
+    with |k| <= 1, which stays in the right half plane wherever the arc
+    misses 0, so its principal argument is continuous along the arc.
     """
+    phi0 = step.theta0
+    phi1 = step.theta0 + step.sweep
+    if abs(a) < abs(b):
+        k = a / b
+        return (step.sweep + cmath.phase(1.0 + k * cmath.exp(-1j * phi1))
+                - cmath.phase(1.0 + k * cmath.exp(-1j * phi0)))
+    k = b / a
+    return cmath.phase(1.0 + k * cmath.exp(1j * phi1)) - cmath.phase(1.0 + k * cmath.exp(1j * phi0))
 
-    var: str
-    turns: float
-    about: str = "origin"
-    center: complex = 0.0
+
+def _index_change(q0: complex, q1: complex, delta: float) -> int:
+    """Sheet index change of q from q0 to q1 when arg q moves continuously
+    by delta (which need only be right to well within pi)."""
+    return round((principal_arg(q0) + delta - principal_arg(q1)) / TWO_PI)
 
 
-Move = Union[Segment, Arc]
+def _move_crossings(step: _Step) -> tuple[int, int, int]:
+    """Sheet index changes of (z1, z2, z1 - z2) over one move."""
+    s, e, o = step.start, step.end, step.other
+    if step.var == "z1":
+        w0, w1 = s - o, e - o
+    else:
+        w0, w1 = o - s, o - e
+    if step.center is None:
+        # A segment that misses 0 turns by less than pi.
+        dv = cmath.phase(e / s)
+        dw = cmath.phase(w1 / w0)
+    else:
+        c, radius = step.center, step.radius
+        dv = _arg_change(step, c, radius)
+        if step.var == "z1":
+            dw = _arg_change(step, c - o, radius)
+        else:
+            dw = _arg_change(step, o - c, -radius)
+    kv = _index_change(s, e, dv)
+    kw = _index_change(w0, w1, dw)
+    return (kv, 0, kw) if step.var == "z1" else (0, kv, kw)
 
 
-@dataclass(frozen=True)
-class PathSpec:
-    """Piecewise path of both variables: a start point and a move list.
+def winding_profile(path: PathSpec) -> tuple[int, int, int]:
+    """Net sheet index changes of (z1, z2, z1 - z2) along the path.
 
-    Moves execute in order; during each move the other variable stays
-    fixed.  The path is valid if neither variable ever reaches 0 and the
-    two variables never collide (so z1 - z2 stays nonzero).
+    For a closed loop these are the winding numbers of the three
+    quantities around 0.  Each move's change is counted in closed form
+    from its geometry, so the cost is O(moves) and nothing is sampled.
     """
-
-    z1: complex
-    z2: complex
-    moves: tuple[Move, ...]
-
-    def __init__(self, z1: complex, z2: complex, moves: Iterable[Move] = ()):
-        object.__setattr__(self, "z1", complex(z1))
-        object.__setattr__(self, "z2", complex(z2))
-        object.__setattr__(self, "moves", tuple(moves))
-
-
-def _resolve_center(move: Arc, other: complex) -> complex:
-    if move.about == "origin":
-        return 0.0 + 0.0j
-    if move.about == "other":
-        return other
-    if move.about == "point":
-        return complex(move.center)
-    raise ValueError(f"unknown arc center kind {move.about!r}")
-
-
-def _seg_point_dist(a: complex, b: complex, c: complex) -> float:
-    """Distance from point c to segment [a, b]."""
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(c - a)
-    u = ((c - a) * ab.conjugate()).real / denom
-    u = min(1.0, max(0.0, u))
-    return abs(c - (a + u * ab))
-
-
-def _arc_point_dist(center: complex, radius: float, theta0: float,
-                    sweep: float, c: complex) -> float:
-    """Distance from point c to the arc center+radius*e^{i theta}, theta
-    from theta0 through theta0+sweep."""
-    d = c - center
-    if abs(d) == 0.0:
-        return radius
-    if abs(sweep) >= TWO_PI:
-        return abs(abs(d) - radius)
-    phi = cmath.phase(d)
-    rel = math.fmod((phi - theta0) * math.copysign(1.0, sweep), TWO_PI)
-    if rel < 0.0:
-        rel += TWO_PI
-    if rel <= abs(sweep):
-        return abs(abs(d) - radius)
-    e0 = center + radius * cmath.exp(1j * theta0)
-    e1 = center + radius * cmath.exp(1j * (theta0 + sweep))
-    return min(abs(c - e0), abs(c - e1))
-
-
-_MIN_CLEARANCE = 1e-9
-
-
-def validate_path(path: PathSpec) -> float:
-    """Check the path avoids all singular points; return the min clearance.
-
-    Raises ValueError if any move touches (within 1e-9) a point where z1,
-    z2 or z1 - z2 vanishes.
-    """
-    z1, z2 = complex(path.z1), complex(path.z2)
-    if z1 == 0 or z2 == 0 or z1 == z2:
-        raise ValueError("path start must have z1, z2, z1 - z2 nonzero")
-    clearance = math.inf
-    for idx, move in enumerate(path.moves):
-        if move.var not in ("z1", "z2"):
-            raise ValueError(f"move {idx}: var must be 'z1' or 'z2'")
-        moving = z1 if move.var == "z1" else z2
-        other = z2 if move.var == "z1" else z1
-        forbidden = (0.0 + 0.0j, other)
-        if isinstance(move, Segment):
-            end = complex(move.to)
-            for c in forbidden:
-                clearance = min(clearance, _seg_point_dist(moving, end, c))
-        elif isinstance(move, Arc):
-            center = _resolve_center(move, other)
-            radius = abs(moving - center)
-            if radius == 0.0 and move.turns != 0.0:
-                raise ValueError(f"move {idx}: arc of zero radius")
-            theta0 = cmath.phase(moving - center)
-            sweep = TWO_PI * move.turns
-            end = center + radius * cmath.exp(1j * (theta0 + sweep))
-            if move.turns != 0.0:
-                for c in forbidden:
-                    clearance = min(
-                        clearance,
-                        _arc_point_dist(center, radius, theta0, sweep, c))
-        else:
-            raise ValueError(f"move {idx}: unknown move type {type(move).__name__}")
-        if clearance < _MIN_CLEARANCE:
-            raise ValueError(
-                f"move {idx} passes within {clearance:.3e} of a singular point")
-        if move.var == "z1":
-            z1 = end
-        else:
-            z2 = end
-    return clearance
-
-
-def _move_base_samples(move: Move, moving: complex, other: complex) -> int:
-    if isinstance(move, Segment):
-        return 64
-    center = _resolve_center(move, other)
-    radius = abs(moving - center)
-    theta0 = cmath.phase(moving - center) if radius > 0 else 0.0
-    sweep = TWO_PI * move.turns
-    clear = min(_arc_point_dist(center, radius, theta0, sweep, 0.0 + 0.0j),
-                _arc_point_dist(center, radius, theta0, sweep, other))
-    quality = radius / clear if clear > 0 else 1.0
-    n = max(64, math.ceil(64 * abs(move.turns)),
-            math.ceil(32 * abs(move.turns) * quality))
-    return min(n, 1 << 16)
-
-
-def sample_path(path: PathSpec, scale: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled positions (z1 array, z2 array) along the path, joint-deduped."""
-    z1, z2 = complex(path.z1), complex(path.z2)
-    zs1: list[np.ndarray] = [np.array([z1])]
-    zs2: list[np.ndarray] = [np.array([z2])]
-    for move in path.moves:
-        moving = z1 if move.var == "z1" else z2
-        other = z2 if move.var == "z1" else z1
-        n = _move_base_samples(move, moving, other) * scale
-        if isinstance(move, Segment):
-            end = complex(move.to)
-            ts = np.linspace(0.0, 1.0, n + 1)[1:]
-            pos = moving + ts * (end - moving)
-        else:
-            center = _resolve_center(move, other)
-            radius = abs(moving - center)
-            theta0 = cmath.phase(moving - center) if radius > 0 else 0.0
-            sweep = TWO_PI * move.turns
-            ts = np.linspace(0.0, 1.0, n + 1)[1:]
-            pos = center + radius * np.exp(1j * (theta0 + sweep * ts))
-            end = center + radius * cmath.exp(1j * (theta0 + sweep))
-            if len(pos):
-                pos[-1] = end  # exact endpoint, no trig rounding
-        if move.var == "z1":
-            zs1.append(pos)
-            zs2.append(np.full(len(pos), z2))
-            z1 = end
-        else:
-            zs1.append(np.full(len(pos), z1))
-            zs2.append(pos)
-            z2 = end
-    return np.concatenate(zs1), np.concatenate(zs2)
-
-
-def _rep_array(z: np.ndarray) -> np.ndarray:
-    """Principal arguments in [0, 2*pi) with the positive-axis snap."""
-    rep = np.angle(z)
-    rep = np.where(rep < 0.0, rep + TWO_PI, rep)
-    near = (z.real > 0.0) & (np.abs(z.imag) <= 1e-14 * np.maximum(1.0, z.real))
-    rep = np.where(near, 0.0, rep)
-    rep = np.where(rep >= TWO_PI, 0.0, rep)
-    return rep
-
-
-def _crossings_and_reps(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Per-sample branch offsets from signed cut crossings.
-
-    Returns (reps, offsets, wrapped deltas, max |wrapped delta|).  A jump
-    of the principal representative by -2*pi between samples means the
-    continuous argument passed up through the cut (counterclockwise), so
-    the branch index rises by one; +2*pi lowers it.
-    """
-    rep = _rep_array(z)
-    d = np.diff(rep)
-    wrapped = np.mod(d + math.pi, TWO_PI) - math.pi
-    jumps = np.rint((d - wrapped) / TWO_PI).astype(int)
-    offsets = np.concatenate([[0], np.cumsum(-jumps)])
-    worst = float(np.max(np.abs(wrapped))) if len(wrapped) else 0.0
-    return rep, offsets, wrapped, worst
-
-
-def _family_eval_logs(f: LogFunction, log1: np.ndarray, log2: np.ndarray,
-                      log12: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation given arrays of log values for the three slots."""
-    total = np.zeros(len(log1), dtype=complex)
-    for u in f.terms:
-        v = u.coeff * np.exp(u.r * log1 + u.s * log2 + u.t * log12)
-        if u.l:
-            v = v * log1 ** u.l
-        if u.m:
-            v = v * log2 ** u.m
-        if u.n:
-            v = v * log12 ** u.n
-        total += v
-    return total
+    validate_path(path)
+    k1 = k2 = k12 = 0
+    for step in _walk_moves(path):
+        d1, d2, d12 = _move_crossings(step)
+        k1, k2, k12 = k1 + d1, k2 + d2, k12 + d12
+    return k1, k2, k12
 
 
 @dataclass(frozen=True)
@@ -722,84 +552,36 @@ class ContinuationResult:
     certificate: float
     samples: int
     crossings: tuple[int, int, int]
+    oracle_value: complex
 
 
 def continue_along(f: LogFunction, bt: BranchTriple, path: PathSpec,
-                   tol: float = 1e-9, max_refine: int = 12) -> ContinuationResult:
+                   tol: float = 1e-9) -> ContinuationResult:
     """Transport the branch triple along the path and certify the result.
 
-    Branch indices update by signed counting of positive-real-axis
-    crossings of z1, z2 and z1 - z2.  As a certificate, the evaluation of
-    f at the tracked integer triple is compared pointwise against an
-    internal continuous-phase evaluation anchored at the start; their max
-    gap, measured relative to the larger of 1 and the peak magnitude of f
-    along the path, must fall below tol (sampling doubles adaptively until
-    it does, and until no principal argument moves more than pi/4 per
-    step).
+    The end triple is the start triple plus winding_profile(path), an
+    exact count.  The certificate is the gap between f on that triple at
+    the path's end and the independent oracle_continue value, relative to
+    the larger of 1 and their sizes; samples is the number of points the
+    oracle accepted.  Raises ArithmeticError when the certificate is not
+    below tol.
     """
-    validate_path(path)
     bt = BranchTriple(*bt)
-    scale = 1
-    for attempt in range(max_refine + 1):
-        a1, a2 = sample_path(path, scale)
-        a12 = a1 - a2
-        rep1, off1, wr1, w1 = _crossings_and_reps(a1)
-        rep2, off2, wr2, w2 = _crossings_and_reps(a2)
-        rep12, off12, wr12, w12 = _crossings_and_reps(a12)
-        angle_ok = max(w1, w2, w12) < math.pi / 4.0
-
-        # Branch-formula route: integer indices from crossing counts.
-        lf1 = np.log(np.abs(a1)) + 1j * (rep1 + TWO_PI * (bt.p1 + off1))
-        lf2 = np.log(np.abs(a2)) + 1j * (rep2 + TWO_PI * (bt.p2 + off2))
-        lf12 = np.log(np.abs(a12)) + 1j * (rep12 + TWO_PI * (bt.p12 + off12))
-        v_form = _family_eval_logs(f, lf1, lf2, lf12)
-
-        # Continuous route: unwrapped phases anchored at the start triple.
-        th1 = rep1[0] + TWO_PI * bt.p1 + np.concatenate([[0.0], np.cumsum(wr1)])
-        th2 = rep2[0] + TWO_PI * bt.p2 + np.concatenate([[0.0], np.cumsum(wr2)])
-        th12 = rep12[0] + TWO_PI * bt.p12 + np.concatenate([[0.0], np.cumsum(wr12)])
-        lu1 = np.log(np.abs(a1)) + 1j * th1
-        lu2 = np.log(np.abs(a2)) + 1j * th2
-        lu12 = np.log(np.abs(a12)) + 1j * th12
-        v_unwrap = _family_eval_logs(f, lu1, lu2, lu12)
-
-        peak = max(1.0, float(np.max(np.abs(v_form))))
-        certificate = float(np.max(np.abs(v_form - v_unwrap))) / peak
-        if angle_ok and certificate < tol:
-            end_triple = BranchTriple(bt.p1 + int(off1[-1]),
-                                      bt.p2 + int(off2[-1]),
-                                      bt.p12 + int(off12[-1]))
-            end_value = eval_branch2(f, end_triple, complex(a1[-1]), complex(a2[-1]))
-            start_value = eval_branch2(f, bt, complex(a1[0]), complex(a2[0]))
-            return ContinuationResult(
-                end_triple=end_triple,
-                end_value=end_value,
-                start_value=start_value,
-                certificate=certificate,
-                samples=len(a1),
-                crossings=(int(off1[-1]), int(off2[-1]), int(off12[-1])),
-            )
-        scale *= 2
-    raise ArithmeticError(
-        f"continuation failed to certify below {tol:g} after {max_refine} refinements "
-        f"(last certificate {certificate:.3e})")
-
-
-def winding_profile(path: PathSpec) -> tuple[int, int, int]:
-    """Net signed cut crossings of (z1, z2, z1 - z2) along the path.
-
-    For a closed loop these are the winding numbers of the three
-    quantities around 0.  Sampling doubles until no principal argument
-    moves more than pi/4 per step.
-    """
-    validate_path(path)
-    scale = 1
-    for _ in range(13):
-        a1, a2 = sample_path(path, scale)
-        _, off1, _, w1 = _crossings_and_reps(a1)
-        _, off2, _, w2 = _crossings_and_reps(a2)
-        _, off12, _, w12 = _crossings_and_reps(a1 - a2)
-        if max(w1, w2, w12) < math.pi / 4.0:
-            return int(off1[-1]), int(off2[-1]), int(off12[-1])
-        scale *= 2
-    raise ArithmeticError("path sampling failed to resolve windings")
+    crossings = winding_profile(path)
+    end_triple = BranchTriple(*(p + k for p, k in zip(bt, crossings)))
+    end_value = eval_branch2(f, end_triple, *path_end(path))
+    oracle, samples = _oracle(f, bt, path)
+    certificate = abs(end_value - oracle) / max(1.0, abs(end_value), abs(oracle))
+    if not certificate < tol:
+        raise ArithmeticError(
+            f"continuation end value differs from the oracle by {certificate:.3e} "
+            f"(relative), not below {tol:g}")
+    return ContinuationResult(
+        end_triple=end_triple,
+        end_value=end_value,
+        start_value=eval_branch2(f, bt, path.z1, path.z2),
+        certificate=certificate,
+        samples=samples,
+        crossings=crossings,
+        oracle_value=oracle,
+    )

@@ -12,11 +12,9 @@ under an index shift.
 Rational exponents get an exact phase side channel (Fractions, multiples
 of a full turn), making composition checks exact where possible.
 
-oracle_continue re-derives analytic continuation with none of the branch
-index machinery: it unwraps phases stepwise along the sampled path as
-plain floats and evaluates the monomials from those accumulated logs.  It
-deliberately shares no code with continue_along beyond the path geometry,
-so agreement between the two is evidence, not tautology.
+make_random_loop draws closed test paths.  The independent continuation
+oracle, oracle_continue, lives in paths (so that continue_along can use
+it for its certificate) and stays importable from here.
 """
 
 from __future__ import annotations
@@ -28,16 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .logfun import (
-    Arc,
-    BranchTriple,
-    LogFunction,
-    LogMonomial,
-    PathSpec,
-    Segment,
-    sample_path,
-    validate_path,
-)
+from .logfun import BranchTriple, LogFunction, LogMonomial
+from .paths import (  # noqa: F401  (the oracle stays importable from models)
+    Arc, PathSpec, Segment, oracle_continue, sample_path, validate_path)
 from .transforms import (
     AutomorphismAction,
     CorrelationFamily,
@@ -184,66 +175,6 @@ def make_random(seed: int, bounds: RandomBounds | None = None) -> AbelianScenari
                       int(rng.integers(-p, p + 1)))
     return AbelianScenario(name=f"random-{seed}", fam=CorrelationFamily(tuple(functions), action),
                            qp=qp, bt=bt, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# Independent continuation oracle
-# ---------------------------------------------------------------------------
-
-
-def _anchor_log(z: complex, p: int) -> complex:
-    """log|z| + i*(arg in [0, 2*pi) + 2*pi*p), from cmath.phase directly."""
-    ph = cmath.phase(z)
-    if ph < 0.0:
-        ph += TWO_PI
-    if z.real > 0.0 and abs(z.imag) <= 1e-14 * max(1.0, z.real):
-        ph = 0.0
-    return complex(math.log(abs(z)), ph + TWO_PI * p)
-
-
-def _unwrapped_end_log(arr: np.ndarray, anchor: complex) -> complex:
-    """Accumulate phase increments along arr starting from the anchor log."""
-    steps = np.angle(arr[1:] / arr[:-1])
-    theta = anchor.imag + float(np.sum(steps))
-    return complex(math.log(abs(complex(arr[-1]))), theta)
-
-
-def oracle_continue(f: LogFunction, bt: BranchTriple, path: PathSpec,
-                    tol: float = 1e-10, max_refine: int = 12) -> complex:
-    """End value of f continued along the path, by stepwise phase unwrapping.
-
-    No branch indices are formed along the way: the three logs are carried
-    as accumulated floats and the monomials are evaluated from them at the
-    endpoint.  Sampling is doubled until two successive refinements agree
-    within tol relative to the larger of 1 and the end magnitude
-    (step-doubling acceptance).
-    """
-    validate_path(path)
-    bt = BranchTriple(*bt)
-    prev = None
-    scale = 1
-    for _ in range(max_refine + 1):
-        a1, a2 = sample_path(path, scale)
-        a12 = a1 - a2
-        L1 = _unwrapped_end_log(a1, _anchor_log(complex(a1[0]), bt.p1))
-        L2 = _unwrapped_end_log(a2, _anchor_log(complex(a2[0]), bt.p2))
-        L12 = _unwrapped_end_log(a12, _anchor_log(complex(a12[0]), bt.p12))
-        total = 0.0 + 0.0j
-        for u in f.terms:
-            v = complex(u.coeff) * cmath.exp(u.r * L1 + u.s * L2 + u.t * L12)
-            if u.l:
-                v *= L1 ** u.l
-            if u.m:
-                v *= L2 ** u.m
-            if u.n:
-                v *= L12 ** u.n
-            total += v
-        if prev is not None and abs(total - prev) < tol * max(1.0, abs(total)):
-            return total
-        prev = total
-        scale *= 2
-    raise ArithmeticError(
-        f"oracle continuation did not settle below {tol:g} after {max_refine} doublings")
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .branchcalc import (
 from .logfun import (
     Arc,
     BranchTriple,
-    LogFunction,
     PathSpec,
     REGIONS,
     Segment,
@@ -59,7 +58,8 @@ from .logfun import (
     normalize,
     term_distance,
 )
-from .models import AbelianScenario, default_scenarios, oracle_continue
+from .models import AbelianScenario, default_scenarios
+from .paths import path_end
 from .transforms import (
     a_transform,
     a_eval_relation,
@@ -363,21 +363,21 @@ def check_region_swap(sc: AbelianScenario, config: VerifyConfig) -> CheckReport:
         if not in_region("reversed", path.z1, path.z2, 0.04):
             tr.add(math.inf, (path.z1, path.z2))
             continue
+        a1_end, _ = path_end(path)
         for f in sc.fam.functions:
             res = continue_along(f, start_bt, path, tol=config.tol_series)
             if res.end_triple != lowered:
                 tr.add(math.inf, (path.z1, path.z2))
                 continue
-            a1_end = _path_end(path)
-            oracle = oracle_continue(f, start_bt, path)
-            target = eval_branch2(f, lowered, a1_end, path.z2)
-            tr.add(_rel(oracle, target), (a1_end, path.z2))
+            # The certificate is the gap between the oracle and f on the
+            # lowered triple at the end point.
+            target = res.end_value
             tr.add(res.certificate, (a1_end, path.z2))
             series = expand_region(f, "reversed", sc.bt,
                                    max(config.order, 100))
             tr.add(_rel(series.eval(a1_end, path.z2), target), (a1_end, path.z2))
             wrong = eval_branch2(f, start_bt, a1_end, path.z2)
-            gap = _rel(oracle, wrong)
+            gap = _rel(res.oracle_value, wrong)
             expected = _rel(target, wrong)
             if expected > 10.0 * config.tol_series:
                 neg_applicable += 1
@@ -389,27 +389,6 @@ def check_region_swap(sc: AbelianScenario, config: VerifyConfig) -> CheckReport:
                        tr.samples, config.seed, tr.worst,
                        extras={"negativeGap": neg_gap,
                                "negativeApplicable": neg_applicable})
-
-
-def _path_end(path: PathSpec) -> complex:
-    """End position of z1 (single z1-arc paths used by the swap check)."""
-    z1, z2 = complex(path.z1), complex(path.z2)
-    for move in path.moves:
-        other = z2 if move.var == "z1" else z1
-        cur = z1 if move.var == "z1" else z2
-        if isinstance(move, Segment):
-            end = complex(move.to)
-        else:
-            center = 0.0 + 0.0j if move.about == "origin" else (
-                other if move.about == "other" else complex(move.center))
-            radius = abs(cur - center)
-            theta0 = cmath.phase(cur - center)
-            end = center + radius * cmath.exp(1j * (theta0 + TWO_PI * move.turns))
-        if move.var == "z1":
-            z1 = end
-        else:
-            z2 = end
-    return z1
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +444,9 @@ def check_monodromy_composition(sc: AbelianScenario, config: VerifyConfig) -> Ch
         if res_a.end_triple != expected or res_b.end_triple != expected:
             tr.add(math.inf, start)
             continue
-        ora = oracle_continue(f, sc.bt, loop_a)
-        orb = oracle_continue(f, sc.bt, loop_b)
-        tr.add(_rel(ora, orb), start)
-        tr.add(_rel(ora, res_a.end_value), start)
+        # Each certificate is the gap between the tracked end value and the
+        # oracle on that loop.
+        tr.add(_rel(res_a.oracle_value, res_b.oracle_value), start)
         tr.add(max(res_a.certificate, res_b.certificate), start)
         # Loop effect = composed automorphism on the probe label.
         lowered_val = eval_branch2(f, expected, *start)

@@ -229,6 +229,34 @@ def test_unknown_term_field_has_path(capsys, tmp_path):
     assert "terms[0][0].weight: unknown field" in err
 
 
+def test_non_finite_numbers_rejected_with_path(capsys, tmp_path):
+    doc = json.loads(Path(SQRT).read_text())
+    doc["terms"][0][0]["coeff"] = [math.nan, 0.0]
+    doc["paths"]["difference-loop"]["moves"][0]["turns"] = math.inf
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))  # writes the NaN and Infinity literals
+    code, out, err = run_cli(capsys, "eval", "--scenario", str(bad),
+                             "--z1", "2.5,0", "--z2", "1,0")
+    assert code == 2 and out == ""
+    assert "terms[0][0].coeff" in err
+    doc["terms"][0][0]["coeff"] = [1.0, 0.0]
+    with pytest.raises(ScenarioError, match=r"moves\[0\]\.turns"):
+        parse_scenario(doc)
+
+
+def test_overflowing_value_is_not_printed(capsys, tmp_path):
+    doc = json.loads(Path(SQRT).read_text())
+    doc["terms"][0][0]["coeff"] = [1e308, 0.0]
+    doc["terms"][0][0]["r"] = [2.0, 0.0]
+    del doc["terms"][0][0]["rExact"]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "eval", "--scenario", str(big),
+                             "--z1", "1e10,0", "--z2", "1,0")
+    assert code == 2 and out == ""
+    assert "JSON" in err
+
+
 def test_wrong_version_rejected(tmp_path):
     doc = json.loads(Path(SQRT).read_text())
     doc["version"] = "twistlab/2"
@@ -283,6 +311,19 @@ def test_bad_complex_flag_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "eval", "--scenario", SQRT,
                          "--z1", "nope", "--z2", "1,0")
     assert code == 2
+
+
+def test_non_finite_complex_flag_is_usage_error(capsys):
+    for z1 in ("nan,0", "2.5,inf"):
+        code, out, _ = run_cli(capsys, "eval", "--scenario", SQRT,
+                               "--z1", z1, "--z2", "1,0")
+        assert code == 2 and out == ""
+
+
+def test_continue_has_no_steps_flag(capsys):
+    code, out, _ = run_cli(capsys, "continue", "--scenario", SQRT,
+                           "--path", "difference-loop", "--steps", "5")
+    assert code == 2 and out == ""
 
 
 def test_label_out_of_range(capsys):

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from twistlab import (
@@ -28,6 +29,8 @@ from twistlab import (
     validate_path,
     winding_profile,
 )
+
+from twistlab import logfun, paths
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,6 +81,12 @@ def test_monomial_rejects_negative_log_powers():
         LogMonomial(1.0, l=-1)
     with pytest.raises(ValueError):
         LogMonomial(1.0, n=-2)
+
+
+def test_monomial_rejects_non_integer_log_powers():
+    for powers in ({"l": 1.5}, {"m": 2.0}, {"n": 0.5 + 0j}):
+        with pytest.raises(ValueError):
+            LogMonomial(1.0, **powers)
 
 
 def test_term_distance_detects_changes():
@@ -407,3 +416,90 @@ def test_winding_profile_frozen():
         Segment("z2", 1.0),
     ])
     assert winding_profile(there_and_back) == (0, 0, 0)
+
+
+# Hand-worked index changes of (z1, z2, z1 - z2).  Principal arguments lie
+# in [0, 2*pi), so a point on the positive real axis has argument 0 and
+# leaving it clockwise drops the index at once.
+@pytest.mark.parametrize("path, want", [
+    # Quarter turns of z1 about 0 with z2 = -0.5, starting on the axis:
+    # counterclockwise stays on the sheet, clockwise crosses the cut.
+    (PathSpec(2.0, -0.5, [Arc("z1", turns=0.25)]), (0, 0, 0)),
+    (PathSpec(2.0, -0.5, [Arc("z1", turns=-0.25)]), (-1, 0, -1)),
+    # Quarter turns ending on the axis: from above nothing changes, from
+    # below (argument 3*pi/2 rising to 2*pi) the index rises.
+    (PathSpec(2j, -0.5, [Arc("z1", turns=-0.25)]), (0, 0, 0)),
+    (PathSpec(-2j, -0.5, [Arc("z1", turns=0.25)]), (1, 0, 1)),
+    # Three full turns, the count a coarse sampling gets wrong.
+    (PathSpec(2.0, -0.5, [Arc("z1", turns=3.0)]), (3, 0, 3)),
+    # z2 circles z1 = 1 on radius 2, which encloses 0; z1 - z2 = -2e^{i phi}.
+    # A full turn winds both; half a turn takes z1 - z2 from -2 up through
+    # -2i to the axis at 2 (+1) and z2 from 3 over the top to -1 (0); the
+    # other way z2 passes below 0 (-1) and z1 - z2 comes down to 2 (0).
+    (PathSpec(1.0, 3.0, [Arc("z2", turns=1.0, about="other")]), (0, 1, 1)),
+    (PathSpec(1.0, 3.0, [Arc("z2", turns=0.5, about="other")]), (0, 0, 1)),
+    (PathSpec(1.0, 3.0, [Arc("z2", turns=-0.5, about="other")]), (0, -1, 0)),
+    # z1 about the point 2.5 on radius 0.5 from the axis at 3: the circle
+    # excludes 0 (and z2 = -1), and it crosses the axis at 2 downwards and
+    # at 3 upwards.  After 1.75 turns it ends below the axis: one more
+    # downward crossing than upward.
+    (PathSpec(3.0, -1.0, [Arc("z1", turns=1.75, about="point", center=2.5)]), (-1, 0, -1)),
+    (PathSpec(3.0, -1.0, [Arc("z1", turns=2.0, about="point", center=2.5)]), (0, 0, 0)),
+    # z1 about 0.5 on radius 1.5 encloses 0 but not z2 = 5.
+    (PathSpec(2.0, 5.0, [Arc("z1", turns=1.0, about="point", center=0.5)]), (1, 0, 0)),
+    # Segments ending on or leaving the axis.
+    (PathSpec(1 - 1j, -1.0, [Segment("z1", 2.0)]), (1, 0, 1)),
+    (PathSpec(1 + 1j, -1.0, [Segment("z1", 2.0)]), (0, 0, 0)),
+    (PathSpec(2.0, -1.0, [Segment("z1", 1 - 1j)]), (-1, 0, -1)),
+    (PathSpec(3.0, 1 - 1j, [Segment("z2", 2.0)]), (0, 1, 0)),
+])
+def test_winding_profile_hand_worked(path, want):
+    assert winding_profile(path) == want
+    assert continue_along(LogFunction([LogMonomial(1.0, r=0.5, s=0.25, t=1 / 3)]),
+                          BranchTriple(0, 0, 0), path).crossings == want
+
+
+@pytest.mark.parametrize("var, about", [("z1", "origin"), ("z1", "other"), ("z1", "point"),
+                                        ("z2", "origin"), ("z2", "other"), ("z2", "point")])
+def test_arg_change_matches_dense_unwrap(var, about):
+    # Circles chosen so that a + b e^{i phi} has |a| < |b| for some of the
+    # three quantities and |a| > |b| for others, including b = -R (z2 moves).
+    path = PathSpec(1.7 + 0.4j, -0.6 + 0.9j,
+                    [Arc(var, turns=-1.6, about=about, center=0.9 + 0.2j)])
+    step = next(paths._walk_moves(path))
+    c, o = step.center, step.other
+    phi = step.theta0 + step.sweep * np.linspace(0.0, 1.0, 20001)
+    track = c + step.radius * np.exp(1j * phi)
+    if var == "z1":
+        diff = (c - o, step.radius, track - o)
+    else:
+        diff = (o - c, -step.radius, o - track)
+    for a, b, q in ((c, step.radius, track), diff):
+        want = np.unwrap(np.angle(q))
+        assert abs(logfun._arg_change(step, a, b) - (want[-1] - want[0])) < 1e-9
+
+
+def test_winding_profile_samples_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("winding_profile sampled the path")
+    monkeypatch.setattr(paths, "sample_path", refuse)
+    path = PathSpec(2.0, 0.5, [Arc("z1", turns=1e7)])
+    assert winding_profile(path) == (10 ** 7, 0, 10 ** 7)
+
+
+def test_continue_beyond_sample_budget_raises():
+    path = PathSpec(2.0, 0.5, [Arc("z1", turns=1e7)])
+    with pytest.raises(ArithmeticError, match="budget"):
+        continue_along(LogFunction([LogMonomial(1.0, t=0.5)]), BranchTriple(0, 0, 0), path)
+
+
+def test_continue_certificate_is_gap_to_oracle():
+    f = LogFunction([LogMonomial(1.0, r=0.5, t=1.0 / 3.0, n=1), LogMonomial(0.25j, s=-0.5)])
+    path = PathSpec(2.5, 1.0, [Segment("z2", 0.5 + 0.2j), Arc("z1", turns=-2.0, about="other")])
+    bt = BranchTriple(1, 0, -1)
+    res = continue_along(f, bt, path)
+    assert res.oracle_value == paths.oracle_continue(f, bt, path)
+    assert res.certificate == rel_gap(res.end_value, res.oracle_value)
+    assert res.certificate < 1e-12
+    with pytest.raises(ArithmeticError, match="oracle"):
+        continue_along(f, bt, path, tol=res.certificate)
