@@ -38,6 +38,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, NamedTuple
 
+import numpy as np
+
 from .branchcalc import TWO_PI, lp, principal_arg
 from .paths import (  # noqa: F401  (the path names stay importable from logfun)
     Arc, Move, PathSpec, Segment, _oracle, _Step, _walk_moves, path_end, sample_path,
@@ -78,6 +80,9 @@ class LogMonomial:
             bad = True
         if bad:
             raise ValueError("log powers must be non-negative integers")
+        if not (cmath.isfinite(self.coeff) and cmath.isfinite(self.r)
+                and cmath.isfinite(self.s) and cmath.isfinite(self.t)):
+            raise ValueError("coefficient and exponents must be finite")
 
     def key(self) -> tuple:
         """Exponent signature used for merging and ordering."""
@@ -216,6 +221,8 @@ def eval_branch2(f: LogFunction, bt: BranchTriple, z1: complex, z2: complex) -> 
     z1 = complex(z1)
     z2 = complex(z2)
     w = z1 - z2
+    if not (cmath.isfinite(z1) and cmath.isfinite(z2)):
+        raise ValueError("z1 and z2 must be finite")
     if z1 == 0 or z2 == 0 or w == 0:
         raise ValueError("z1, z2 and z1 - z2 must all be nonzero")
     L1 = lp(p1, z1)
@@ -240,6 +247,8 @@ def eval_branch2(f: LogFunction, bt: BranchTriple, z1: complex, z2: complex) -> 
 def eval_branch1(series: OneVarLogSeries, p: int, z: complex) -> complex:
     """Evaluate a one-variable log series at z on branch p."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError("z must be finite")
     if z == 0:
         raise ValueError("z must be nonzero")
     L = lp(p, z)
@@ -301,6 +310,22 @@ def designated_triple(region: str, bt: BranchTriple) -> BranchTriple:
     raise ValueError(f"unknown region {region!r}")
 
 
+_MODULUS_ORDERING = {"product": "|z2| < |z1|", "reversed": "|z1| < |z2|",
+                     "iterate": "|z1 - z2| < |z2|"}
+
+
+def _inner_outer(region: str, z1: complex, z2: complex) -> tuple[complex, complex]:
+    """The region's inner and outer quantities: its modulus ordering is
+    |inner| < |outer|, and its series diverge where that fails."""
+    if region == "product":
+        return z2, z1
+    if region == "reversed":
+        return z1, z2
+    if region == "iterate":
+        return z1 - z2, z2
+    raise ValueError(f"unknown region {region!r}")
+
+
 def in_region(region: str, z1: complex, z2: complex, margin: float = 0.0) -> bool:
     """Membership in a region's modulus ordering and argument window.
 
@@ -312,67 +337,43 @@ def in_region(region: str, z1: complex, z2: complex, margin: float = 0.0) -> boo
     w = z1 - z2
     if z1 == 0 or z2 == 0 or w == 0:
         return False
+    inner, outer = _inner_outer(region, z1, z2)
+    if not abs(outer) * (1.0 - margin) > abs(inner):
+        return False
     half_pi = math.pi / 2.0
     if region == "product":
-        if not abs(z1) * (1.0 - margin) > abs(z2):
-            return False
         d = principal_arg(w) - principal_arg(z1)
         return -half_pi + margin < d < half_pi - margin
     if region == "reversed":
-        if not abs(z2) * (1.0 - margin) > abs(z1):
-            return False
         d = principal_arg(w) - principal_arg(z2)
         return -3.0 * half_pi + margin < d < -half_pi - margin
-    if region == "iterate":
-        if not abs(z2) * (1.0 - margin) > abs(w):
-            return False
-        d = principal_arg(z1) - principal_arg(z2)
-        return -half_pi + margin < d < half_pi - margin
-    raise ValueError(f"unknown region {region!r}")
+    d = principal_arg(z1) - principal_arg(z2)
+    return -half_pi + margin < d < half_pi - margin
 
 
-def _binom_coeffs(c: complex, order: int, sign: float) -> list[complex]:
-    """Coefficients of (1 + sign*x)^c up to x^order."""
-    out = [1.0 + 0.0j]
-    cur = 1.0 + 0.0j
-    for k in range(1, order + 1):
-        cur = cur * (c - (k - 1)) / k * sign
-        out.append(cur)
+def _binom_coeffs(c: complex, order: int, sign: float) -> np.ndarray:
+    """Coefficients of (1 + sign*x)^c up to x^order, as a cumulative product."""
+    k = np.arange(1, order + 1)
+    out = np.ones(order + 1, dtype=complex)
+    out[1:] = np.cumprod((c - (k - 1)) / k * sign)
     return out
 
 
-def _log1_series(order: int, sign: float) -> list[complex]:
+def _log1_series(order: int, sign: float) -> np.ndarray:
     """Coefficients of log(1 + sign*x) up to x^order (zero constant term)."""
-    out = [0.0 + 0.0j]
-    for k in range(1, order + 1):
-        out.append(complex((sign ** k) * (-1.0) ** (k + 1) / k))
+    k = np.arange(1, order + 1)
+    out = np.zeros(order + 1, dtype=complex)
+    out[1:] = sign ** k * (-1.0) ** (k + 1) / k
     return out
 
 
-def _poly_mul(a: list[complex], b: list[complex], order: int) -> list[complex]:
-    out = [0.0 + 0.0j] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > order:
-            continue
-        top = min(order - i, len(b) - 1)
-        for j in range(top + 1):
-            bj = b[j]
-            if bj != 0:
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_powers(base: list[complex], max_pow: int, order: int) -> list[list[complex]]:
-    """[base^0, base^1, ..., base^max_pow] truncated at order."""
-    powers = [[1.0 + 0.0j] + [0.0 + 0.0j] * order]
-    for _ in range(max_pow):
-        powers.append(_poly_mul(powers[-1], base, order))
+def _poly_powers(base: np.ndarray, max_pow: int, order: int) -> np.ndarray:
+    """Rows base^0, base^1, ..., base^max_pow, truncated at order."""
+    powers = np.zeros((max_pow + 1, order + 1), dtype=complex)
+    powers[0, 0] = 1.0
+    for p in range(1, max_pow + 1):
+        powers[p] = np.convolve(powers[p - 1], base)[:order + 1]
     return powers
-
-
-def _key_c(c: complex) -> complex:
-    c = complex(c)
-    return complex(c.real + 0.0, c.imag + 0.0)
 
 
 @dataclass
@@ -395,6 +396,18 @@ class RegionExpansion:
         return sorted(self.groups, key=lambda c: (c.real, c.imag))
 
     def eval(self, z1: complex, z2: complex) -> complex:
+        """Sum of the groups at (z1, z2) on the designated triple.
+
+        Raises ValueError where the region's modulus ordering fails, since
+        the series diverges there.  The argument window is not checked: a
+        series may be evaluated past it on purpose, to show it then sums
+        to another branch.
+        """
+        inner, outer = _inner_outer(self.region, complex(z1), complex(z2))
+        if not abs(inner) < abs(outer):
+            raise ValueError(
+                f"z1 = {z1}, z2 = {z2} is outside the {self.region} region: its series "
+                f"needs {_MODULUS_ORDERING[self.region]}")
         total = 0.0 + 0.0j
         for k in self.group_keys():
             total += eval_branch2(self.groups[k], self.designated, z1, z2)
@@ -408,17 +421,24 @@ def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> 
     eval_branch2(f, designated_triple(region, bt), z1, z2).  Group keys
     follow the inner variable: z2-exponent (product), z1-exponent
     (reversed), (z1-z2)-exponent (iterate).
+
+    Each input term and log-power split contributes one block of
+    order + 1 candidate monomials, one per power k of the auxiliary ratio.
+    All blocks are merged at once: exact zeros of the series are dropped,
+    equal exponent signatures summed in order of appearance, coefficients
+    below 1e-15 dropped, and the survivors kept in normalize's order.
     """
     if region not in REGIONS:
         raise ValueError(f"unknown region {region!r}")
     if order < 0:
         raise ValueError("order must be non-negative")
     bt = BranchTriple(*bt)
-    groups: dict[complex, list[LogMonomial]] = {}
-
-    def put(key: complex, mono: LogMonomial):
-        groups.setdefault(_key_c(key), []).append(mono)
-
+    k = np.arange(order + 1)
+    zero = np.zeros(order + 1, dtype=complex)
+    # One entry per block: (scale, series, r, s, t, (l, m, n)); the
+    # block's coefficients are scale * series.  Exponents keep Python's
+    # association, (r + t) - k and so on, so signatures match bit for bit.
+    blocks = []
     minus_pi_i = complex(0.0, -math.pi)
 
     for u in f.terms:
@@ -431,13 +451,9 @@ def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> 
             binom = _binom_coeffs(t, order, -1.0)
             logs = _poly_powers(_log1_series(order, -1.0), n, order)
             for j in range(n + 1):
-                cnj = math.comb(n, j)
-                ser = _poly_mul(binom, logs[j], order)
-                for k, c in enumerate(ser):
-                    if c == 0:
-                        continue
-                    put(s + k, LogMonomial(a * cnj * c, r + t - k, s + k, 0.0,
-                                           l + n - j, m, 0))
+                ser = np.convolve(binom, logs[j])[:order + 1]
+                blocks.append((a * math.comb(n, j), ser, (r + t) - k, s + k, zero,
+                               (l + n - j, m, 0)))
         elif region == "reversed":
             # (z1-z2)^t = exp(t (lp(p2,z2) - pi*i)) (1-u)^t, u = z1/z2; the
             # window is exactly where negation lands past the cut, so the
@@ -446,34 +462,53 @@ def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> 
             logs = _poly_powers(_log1_series(order, -1.0), n, order)
             phase = cmath.exp(t * minus_pi_i)
             for j in range(n + 1):
+                ser = np.convolve(binom, logs[j])[:order + 1]
                 for i in range(n - j + 1):
                     const = (math.comb(n, j) * math.comb(n - j, i)
                              * minus_pi_i ** (n - j - i)) * phase
-                    ser = _poly_mul(binom, logs[j], order)
-                    for k, c in enumerate(ser):
-                        if c == 0:
-                            continue
-                        put(r + k, LogMonomial(a * const * c, r + k, s + t - k,
-                                               0.0, l, m + i, 0))
+                    blocks.append((a * const, ser, r + k, (s + t) - k, zero,
+                                   (l, m + i, 0)))
         else:  # iterate
             # z1^r = z2^r (1+v)^r and log z1 = log z2 + log(1+v),
             # v = (z1-z2)/z2.
             binom = _binom_coeffs(r, order, 1.0)
             logs = _poly_powers(_log1_series(order, 1.0), l, order)
             for j in range(l + 1):
-                clj = math.comb(l, j)
-                ser = _poly_mul(binom, logs[j], order)
-                for k, c in enumerate(ser):
-                    if c == 0:
-                        continue
-                    put(t + k, LogMonomial(a * clj * c, 0.0, r + s - k, t + k,
-                                           0, m + l - j, n))
+                ser = np.convolve(binom, logs[j])[:order + 1]
+                blocks.append((a * math.comb(l, j), ser, zero, (r + s) - k, t + k,
+                               (0, m + l - j, n)))
 
-    packed = {k: normalize(LogFunction(v)) for k, v in groups.items()}
-    packed = {k: g for k, g in packed.items() if g.terms}
-    return RegionExpansion(region=region, bt=bt,
-                           designated=designated_triple(region, bt),
-                           order=order, groups=packed)
+    expansion = RegionExpansion(region=region, bt=bt,
+                                designated=designated_triple(region, bt), order=order)
+    if not blocks:
+        return expansion
+    scale, ser, r, s, t, lmn = zip(*blocks)
+    ser = np.concatenate(ser)
+    live = ser != 0  # never empty: each term's k = 0 coefficient is 1
+    coeff = (np.repeat(scale, order + 1) * ser)[live]
+    r, s, t = (np.concatenate(x)[live] for x in (r, s, t))
+    l, m, n = np.repeat(np.array(lmn), order + 1, axis=0)[live].T
+    # The signature of LogMonomial.key, with -0.0 made +0.0.
+    sig = (r.real + 0.0, r.imag + 0.0, s.real + 0.0, s.imag + 0.0,
+           t.real + 0.0, t.imag + 0.0, l, m, n)
+    perm = np.lexsort(sig[::-1])  # stable: equal signatures keep their order
+    same = np.ones(perm.size - 1, dtype=bool)
+    for col in sig:
+        c = col[perm]
+        same &= c[1:] == c[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    total = np.add.reduceat(coeff[perm], starts)
+    keep = ~(np.abs(total) < _COEFF_DROP)
+    # Exponents come from each signature's first term, as in normalize.
+    rep = perm[starts[keep]]
+    inner = {"product": s, "reversed": r, "iterate": t}[region]
+    groups: dict[complex, list[LogMonomial]] = {}
+    for key, *mono in zip((inner[rep] + 0.0).tolist(), total[keep].tolist(),
+                          r[rep].tolist(), s[rep].tolist(), t[rep].tolist(),
+                          l[rep].tolist(), m[rep].tolist(), n[rep].tolist()):
+        groups.setdefault(key, []).append(LogMonomial(*mono))
+    expansion.groups = {key: LogFunction(g) for key, g in groups.items()}
+    return expansion
 
 
 # ---------------------------------------------------------------------------

@@ -317,42 +317,35 @@ def contragredient_family(fam: CorrelationFamily, qp: QuasiPrimaryData, sign) ->
     )
 
 
-def check_g1_shift(fam: CorrelationFamily, bt: BranchTriple,
-                   points: Sequence[tuple[complex, complex]]) -> float:
-    """Max defect of eval(f(g1 u), p12+1) = eval(f(u), p12) over points and labels.
+def _shift_defect(fam: CorrelationFamily, bt: BranchTriple, shifted: BranchTriple,
+                  g, points: Sequence[tuple[complex, complex]]) -> float:
+    """Max defect of eval(f(g u), shifted) = eval(f(u), bt) over points and labels.
 
     Each pointwise gap is measured relative to the larger of 1 and the two
     compared magnitudes, so the figure stays meaningful at any value scale.
     """
-    bt = BranchTriple(*bt)
-    shifted = BranchTriple(bt.p1, bt.p2, bt.p12 + 1)
     worst = 0.0
     for i in range(fam.dim):
-        moved = fam.apply(fam.action.g1, i)
+        moved = fam.apply(g, i)
         for z1, z2 in points:
             a = eval_branch2(moved, shifted, z1, z2)
             b = eval_branch2(fam.functions[i], bt, z1, z2)
             worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
     return worst
+
+
+def check_g1_shift(fam: CorrelationFamily, bt: BranchTriple,
+                   points: Sequence[tuple[complex, complex]]) -> float:
+    """Max relative defect of eval(f(g1 u), p12+1) = eval(f(u), p12)."""
+    p1, p2, p12 = bt
+    return _shift_defect(fam, bt, BranchTriple(p1, p2, p12 + 1), fam.action.g1, points)
 
 
 def check_g2_shift(fam: CorrelationFamily, bt: BranchTriple,
                    points: Sequence[tuple[complex, complex]]) -> float:
-    """Max defect of eval(f(g2 u), p1+1) = eval(f(u), p1) over points and labels.
-
-    Each pointwise gap is measured relative to the larger of 1 and the two
-    compared magnitudes.
-    """
-    bt = BranchTriple(*bt)
-    shifted = BranchTriple(bt.p1 + 1, bt.p2, bt.p12)
-    worst = 0.0
-    for i in range(fam.dim):
-        moved = fam.apply(fam.action.g2, i)
-        for z1, z2 in points:
-            a = eval_branch2(moved, shifted, z1, z2)
-            b = eval_branch2(fam.functions[i], bt, z1, z2)
-            worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
-    return worst
+    """Max relative defect of eval(f(g2 u), p1+1) = eval(f(u), p1)."""
+    p1, p2, p12 = bt
+    return _shift_defect(fam, bt, BranchTriple(p1 + 1, p2, p12), fam.action.g2, points)
 
 
 def one_var_shadow(f: LogFunction) -> OneVarLogSeries:

@@ -358,13 +358,15 @@ def check_region_swap(sc: AbelianScenario, config: VerifyConfig) -> CheckReport:
     neg_applicable = 0
     start_bt = designated_triple("reversed", sc.bt)
     lowered = BranchTriple(start_bt.p1, start_bt.p2, start_bt.p12 - 1)
+    series = [expand_region(f, "reversed", sc.bt, max(config.order, 100))
+              for f in sc.fam.functions]
     for _ in range(config.swap_paths):
         path, _ = _swap_path(rng)
         if not in_region("reversed", path.z1, path.z2, 0.04):
             tr.add(math.inf, (path.z1, path.z2))
             continue
         a1_end, _ = path_end(path)
-        for f in sc.fam.functions:
+        for f, f_series in zip(sc.fam.functions, series):
             res = continue_along(f, start_bt, path, tol=config.tol_series)
             if res.end_triple != lowered:
                 tr.add(math.inf, (path.z1, path.z2))
@@ -373,9 +375,7 @@ def check_region_swap(sc: AbelianScenario, config: VerifyConfig) -> CheckReport:
             # lowered triple at the end point.
             target = res.end_value
             tr.add(res.certificate, (a1_end, path.z2))
-            series = expand_region(f, "reversed", sc.bt,
-                                   max(config.order, 100))
-            tr.add(_rel(series.eval(a1_end, path.z2), target), (a1_end, path.z2))
+            tr.add(_rel(f_series.eval(a1_end, path.z2), target), (a1_end, path.z2))
             wrong = eval_branch2(f, start_bt, a1_end, path.z2)
             gap = _rel(res.oracle_value, wrong)
             expected = _rel(target, wrong)

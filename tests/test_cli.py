@@ -88,6 +88,20 @@ def test_expand_without_point_skips_value(capsys):
     assert doc["groups"] >= 1
 
 
+def test_expand_frozen_group_keys(capsys):
+    doc = run_json(capsys, "expand", "--scenario", LOG_PAIR, "--region", "product",
+                   "--order", "5", "--z1", "2.5,0", "--z2", "0.8,0")
+    assert doc["groupKeys"] == [[k + 0.75, 0.1] for k in range(6)]
+
+
+def test_expand_outside_region_is_error(capsys):
+    code, out, err = run_cli(capsys, "expand", "--scenario", LOG_PAIR,
+                             "--region", "product", "--order", "5",
+                             "--z1", "0.5,0", "--z2", "2.0,0")
+    assert code == 2 and out == ""
+    assert "outside the product region" in err
+
+
 # ---------------------------------------------------------------------------
 # continue
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +90,14 @@ def test_monomial_rejects_non_integer_log_powers():
             LogMonomial(1.0, **powers)
 
 
+def test_monomial_rejects_non_finite_numbers():
+    nan, inf = math.nan, math.inf
+    for kwargs in ({"coeff": complex(nan, 0.0)}, {"coeff": 1.0, "r": inf},
+                   {"coeff": 1.0, "s": complex(0.5, nan)}, {"coeff": 1.0, "t": -inf}):
+        with pytest.raises(ValueError, match="finite"):
+            LogMonomial(**kwargs)
+
+
 def test_term_distance_detects_changes():
     f = LogFunction([LogMonomial(1.0, r=0.5), LogMonomial(2.0j, t=1.5, n=1)])
     assert term_distance(f, f) == 0.0
@@ -147,6 +156,20 @@ def test_eval_rejects_singular_points():
         eval_branch2(f, BranchTriple(0, 0, 0), 0.0, 1.0)
     with pytest.raises(ValueError):
         eval_branch2(f, BranchTriple(0, 0, 0), 1.0, 0.0)
+
+
+def test_eval_branch2_rejects_non_finite_points():
+    f = LogFunction([LogMonomial(1.0, t=0.5)])
+    for z1, z2 in ((complex(math.nan, 0.0), 1.0), (2.0, complex(0.0, math.inf))):
+        with pytest.raises(ValueError, match="finite"):
+            eval_branch2(f, BranchTriple(0, 0, 0), z1, z2)
+
+
+def test_eval_branch1_rejects_non_finite_points():
+    series = OneVarLogSeries([(1.0, 0.5, 1)])
+    for z in (math.nan, complex(-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            eval_branch1(series, 0, z)
 
 
 def test_eval_respects_sum_and_product():
@@ -318,6 +341,143 @@ def test_expand_region_polynomial_is_exact():
         got = expand_region(f, region, bt, 6).eval(z1, z2)
         want = z1 ** 2 * (z1 - z2)
         assert rel_gap(got, want) < 1e-13
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_region_series_refuses_points_outside_modulus_ordering(region):
+    exp = expand_region(MIXED, region, BranchTriple(0, 0, 0), 5)
+    z1, z2 = EXP_POINTS[region]
+    exp.eval(z1, z2)
+    # Make the inner quantity the larger one in modulus.
+    outside = {"product": (z2, z1), "reversed": (z2, z1),
+               "iterate": (z2 + 5.0 * (z1 - z2), z2)}[region]
+    with pytest.raises(ValueError, match="outside the " + region):
+        exp.eval(*outside)
+
+
+@pytest.mark.parametrize("c, terminates", [
+    (Fraction(1, 2), False), (Fraction(-1, 3), False), (Fraction(2), True)])
+def test_binom_coeffs_match_exact_products(c, terminates):
+    order = 30
+    for sign in (1, -1):
+        got = logfun._binom_coeffs(complex(c), order, float(sign))
+        want, cur = [], Fraction(1)
+        for k in range(order + 1):
+            want.append(cur)
+            cur = cur * (c - k) / (k + 1) * sign
+        for g, w in zip(got, want):
+            assert abs(g - float(w)) <= 1e-15 * max(1.0, abs(float(w)))
+        if terminates:
+            assert not got[3:].any()
+
+
+def _naive_poly_mul(a, b, order):
+    out = [0j] * (order + 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if i + j <= order:
+                out[i + j] += ai * bj
+    return out
+
+
+def test_poly_powers_match_repeated_multiplication():
+    order, max_pow = 12, 4
+    base = logfun._log1_series(order, -1.0)
+    got = logfun._poly_powers(base, max_pow, order)
+    assert got.shape == (max_pow + 1, order + 1)
+    want = [1.0 + 0j] + [0j] * order
+    for p in range(max_pow + 1):
+        np.testing.assert_allclose(got[p], want, rtol=1e-14, atol=1e-16)
+        want = _naive_poly_mul(want, list(base), order)
+
+
+def _reference_expand(f, region, order):
+    """The loop construction the numpy one replaced: every monomial put in
+    its group, then each group normalized.  Also returns, per exponent
+    signature, the sum of the moduli of every product that went into its
+    coefficient, which bounds the rounding error of any summation order."""
+    def binom(c, sign):
+        out, cur = [1.0 + 0j], 1.0 + 0j
+        for k in range(1, order + 1):
+            cur = cur * (c - (k - 1)) / k * sign
+            out.append(cur)
+        return out
+
+    def log1(sign):
+        return [0j] + [complex(sign ** k * (-1.0) ** (k + 1) / k) for k in range(1, order + 1)]
+
+    def powers(base, n):
+        out = [[1.0 + 0j] + [0j] * order]
+        for _ in range(n):
+            out.append(_naive_poly_mul(out[-1], base, order))
+        return out
+
+    groups, sizes = {}, {}
+
+    def put(key, scale, b, logs, absb, abslogs, *exps):
+        ser = _naive_poly_mul(b, logs, order)
+        size = _naive_poly_mul(absb, abslogs, order)
+        for k in range(order + 1):
+            mono = LogMonomial(scale * ser[k], *(e(k) if callable(e) else e for e in exps))
+            groups.setdefault(key(k), []).append(mono)
+            sizes[mono.key()] = sizes.get(mono.key(), 0.0) + abs(scale) * size[k].real
+
+    minus_pi_i = complex(0.0, -math.pi)
+    for u in f.terms:
+        a, r, s, t, l, m, n = (complex(u.coeff), complex(u.r), complex(u.s),
+                               complex(u.t), u.l, u.m, u.n)
+        c, sign, p = {"product": (t, -1.0, n), "reversed": (t, -1.0, n),
+                      "iterate": (r, 1.0, l)}[region]
+        b, logs = binom(c, sign), powers(log1(sign), p)
+        absb = [abs(x) + 0j for x in b]
+        abslogs = powers([abs(x) + 0j for x in log1(sign)], p)
+        for j in range(p + 1):
+            if region == "product":
+                put(lambda k: s + k, a * math.comb(n, j), b, logs[j], absb, abslogs[j],
+                    lambda k: r + t - k, lambda k: s + k, 0.0, l + n - j, m, 0)
+            elif region == "reversed":
+                for i in range(n - j + 1):
+                    const = (math.comb(n, j) * math.comb(n - j, i) * minus_pi_i ** (n - j - i)
+                             * cmath.exp(t * minus_pi_i))
+                    put(lambda k: r + k, a * const, b, logs[j], absb, abslogs[j],
+                        lambda k: r + k, lambda k: s + t - k, 0.0, l, m + i, 0)
+            else:
+                put(lambda k: t + k, a * math.comb(l, j), b, logs[j], absb, abslogs[j],
+                    0.0, lambda k: r + s - k, lambda k: t + k, 0, m + l - j, n)
+    out = {}
+    for key, terms in groups.items():
+        g = normalize(LogFunction(terms))
+        if g.terms:
+            out[complex(key.real + 0.0, key.imag + 0.0)] = g
+    return out, sizes
+
+
+# The first and last terms merge.  The two plain terms share groups with
+# the second term in every region, in an order that sorting by log powers
+# first would reverse.
+LOG_HEAVY = LogFunction([
+    LogMonomial(1.0 - 0.5j, r=0.5 + 0.1j, s=-0.25, t=2.0, l=1, m=0, n=2),
+    LogMonomial(0.75, r=-1.0, s=0.5, t=1.0 / 3.0, l=2, m=1, n=1),
+    LogMonomial(0.3, r=1.25, s=0.5, t=0.5),
+    LogMonomial(0.2j, r=-1.0, s=2.0, t=1.0 / 3.0),
+    LogMonomial(-0.5j, r=0.5 + 0.1j, s=-0.25, t=2.0, l=1, m=0, n=2),
+])
+
+
+@pytest.mark.parametrize("region", REGIONS)
+@pytest.mark.parametrize("f", [MIXED, LOG_HEAVY], ids=["mixed", "log-heavy"])
+def test_expand_region_matches_loop_construction(f, region):
+    order = 25
+    got = expand_region(f, region, BranchTriple(0, 0, 0), order).groups
+    want, sizes = _reference_expand(f, region, order)
+    assert list(sorted(got, key=lambda c: (c.real, c.imag))) == \
+        list(sorted(want, key=lambda c: (c.real, c.imag)))
+    for key, g in want.items():
+        assert [u.key() for u in got[key].terms] == [u.key() for u in g.terms]
+        for u, v in zip(got[key].terms, g.terms):
+            # Either summation order rounds by at most a few ulps per
+            # product summed, relative to the sum of their moduli.
+            assert abs(u.coeff - v.coeff) <= 4 * (order + 1) * 2.0 ** -53 * sizes[v.key()]
 
 
 # ---------------------------------------------------------------------------

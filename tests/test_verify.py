@@ -17,6 +17,7 @@ from twistlab import (
     check_region_swap,
     check_shift_identities,
     default_scenarios,
+    expand_region,
     make_abelian,
     make_random,
     monodromy_loops,
@@ -105,6 +106,21 @@ def test_region_swap_negative_control_engages():
     assert rep.passed
     assert rep.extras["negativeApplicable"] >= 1
     assert rep.extras["negativeGap"] > 10.0 * LIGHT.tol_series
+
+
+def test_region_swap_builds_one_series_per_function(monkeypatch):
+    from twistlab import verify
+    built = []
+
+    def counting_expand(f, *args):
+        built.append(f)
+        return expand_region(f, *args)
+
+    monkeypatch.setattr(verify, "expand_region", counting_expand)
+    sc = curated_scenario()
+    rep = check_region_swap(sc, replace(LIGHT, swap_paths=3))
+    assert rep.passed
+    assert built == list(sc.fam.functions)
 
 
 def test_monodromy_composition_details():
