@@ -47,6 +47,10 @@ from .paths import (  # noqa: F401  (the path names stay importable from logfun)
 
 _COEFF_DROP = 1e-15
 
+# Most candidate monomials expand_region builds before merging (order + 1
+# per block), so a hostile order or log power cannot exhaust memory.
+SERIES_BUDGET = 1 << 20
+
 Region = Literal["product", "reversed", "iterate"]
 
 REGIONS: tuple[str, ...] = ("product", "reversed", "iterate")
@@ -60,10 +64,8 @@ class BranchTriple(NamedTuple):
     p12: int
 
 
-@dataclass(frozen=True)
-class LogMonomial:
-    """One monomial a * z1^r z2^s (z1-z2)^t (log z1)^l (log z2)^m (log(z1-z2))^n."""
-
+class _MonomialFields(NamedTuple):
+    # LogMonomial's fields; a NamedTuple body may not define __new__ or _make.
     coeff: complex
     r: complex = 0.0
     s: complex = 0.0
@@ -72,17 +74,35 @@ class LogMonomial:
     m: int = 0
     n: int = 0
 
-    def __post_init__(self):
+
+class LogMonomial(_MonomialFields):
+    """One monomial a * z1^r z2^s (z1-z2)^t (log z1)^l (log z2)^m (log(z1-z2))^n.
+
+    An immutable tuple (coeff, r, s, t, l, m, n).  Every way of making one
+    (the constructor, _make, _replace, unpickling) checks that the log
+    powers are non-negative integers and the coefficient and exponents are
+    finite, raising ValueError otherwise.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, coeff: complex, r: complex = 0.0, s: complex = 0.0, t: complex = 0.0,
+                l: int = 0, m: int = 0, n: int = 0):
         try:  # operator.index refuses floats, 1.5 and 2.0 alike
-            bad = (operator.index(self.l) < 0 or operator.index(self.m) < 0
-                   or operator.index(self.n) < 0)
+            bad = operator.index(l) < 0 or operator.index(m) < 0 or operator.index(n) < 0
         except TypeError:
             bad = True
         if bad:
             raise ValueError("log powers must be non-negative integers")
-        if not (cmath.isfinite(self.coeff) and cmath.isfinite(self.r)
-                and cmath.isfinite(self.s) and cmath.isfinite(self.t)):
+        if not (cmath.isfinite(coeff) and cmath.isfinite(r)
+                and cmath.isfinite(s) and cmath.isfinite(t)):
             raise ValueError("coefficient and exponents must be finite")
+        return tuple.__new__(cls, (coeff, r, s, t, l, m, n))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "LogMonomial":
+        # The inherited _make (and _replace, which calls it) would skip __new__.
+        return cls(*iterable)
 
     def key(self) -> tuple:
         """Exponent signature used for merging and ordering."""
@@ -196,11 +216,6 @@ def term_distance(f: LogFunction, g: LogFunction, key_tol: float = 1e-12) -> flo
     return worst
 
 
-def _is_int(c: complex) -> bool:
-    c = complex(c)
-    return c.imag == 0.0 and c.real == int(c.real)
-
-
 def _power(z: complex, c: complex, logz: complex) -> complex:
     """z^c on the branch determined by logz = some value of log z.
 
@@ -210,13 +225,14 @@ def _power(z: complex, c: complex, logz: complex) -> complex:
     c = complex(c)
     if c == 0:
         return 1.0 + 0.0j
-    if _is_int(c):
+    if c.imag == 0.0 and c.real == int(c.real):
         return complex(z) ** int(c.real)
     return cmath.exp(c * logz)
 
 
-def eval_branch2(f: LogFunction, bt: BranchTriple, z1: complex, z2: complex) -> complex:
-    """Evaluate f at (z1, z2) on the branch triple bt."""
+def _point_logs(bt: BranchTriple, z1: complex, z2: complex) -> tuple[complex, ...]:
+    """(z1, z2, z1 - z2) and their logs on bt, for _sum_terms; raises
+    ValueError unless all three are finite and nonzero."""
     p1, p2, p12 = bt
     z1 = complex(z1)
     z2 = complex(z2)
@@ -225,23 +241,31 @@ def eval_branch2(f: LogFunction, bt: BranchTriple, z1: complex, z2: complex) -> 
         raise ValueError("z1 and z2 must be finite")
     if z1 == 0 or z2 == 0 or w == 0:
         raise ValueError("z1, z2 and z1 - z2 must all be nonzero")
-    L1 = lp(p1, z1)
-    L2 = lp(p2, z2)
-    L12 = lp(p12, w)
+    return z1, z2, w, lp(p1, z1), lp(p2, z2), lp(p12, w)
+
+
+def _sum_terms(terms: Iterable[LogMonomial], z1: complex, z2: complex, w: complex,
+               L1: complex, L2: complex, L12: complex) -> complex:
+    """Sum of the monomials at one point, given its logs (_point_logs)."""
     total = 0.0 + 0.0j
-    for u in f.terms:
-        v = complex(u.coeff)
-        v *= _power(z1, u.r, L1)
-        v *= _power(z2, u.s, L2)
-        v *= _power(w, u.t, L12)
-        if u.l:
-            v *= L1 ** u.l
-        if u.m:
-            v *= L2 ** u.m
-        if u.n:
-            v *= L12 ** u.n
+    for a, r, s, t, l, m, n in terms:
+        v = complex(a)
+        v *= _power(z1, r, L1)
+        v *= _power(z2, s, L2)
+        v *= _power(w, t, L12)
+        if l:
+            v *= L1 ** l
+        if m:
+            v *= L2 ** m
+        if n:
+            v *= L12 ** n
         total += v
     return total
+
+
+def eval_branch2(f: LogFunction, bt: BranchTriple, z1: complex, z2: complex) -> complex:
+    """Evaluate f at (z1, z2) on the branch triple bt."""
+    return _sum_terms(f.terms, *_point_logs(bt, z1, z2))
 
 
 def eval_branch1(series: OneVarLogSeries, p: int, z: complex) -> complex:
@@ -401,16 +425,18 @@ class RegionExpansion:
         Raises ValueError where the region's modulus ordering fails, since
         the series diverges there.  The argument window is not checked: a
         series may be evaluated past it on purpose, to show it then sums
-        to another branch.
+        to another branch.  The point's logs are computed once; each
+        group's subtotal is what eval_branch2 gives for that group.
         """
         inner, outer = _inner_outer(self.region, complex(z1), complex(z2))
         if not abs(inner) < abs(outer):
             raise ValueError(
                 f"z1 = {z1}, z2 = {z2} is outside the {self.region} region: its series "
                 f"needs {_MODULUS_ORDERING[self.region]}")
+        point = _point_logs(self.designated, z1, z2)
         total = 0.0 + 0.0j
         for k in self.group_keys():
-            total += eval_branch2(self.groups[k], self.designated, z1, z2)
+            total += _sum_terms(self.groups[k].terms, *point)
         return total
 
 
@@ -427,11 +453,24 @@ def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> 
     All blocks are merged at once: exact zeros of the series are dropped,
     equal exponent signatures summed in order of appearance, coefficients
     below 1e-15 dropped, and the survivors kept in normalize's order.
+    Raises ValueError, before allocating, when that makes more than
+    SERIES_BUDGET candidate monomials.
     """
     if region not in REGIONS:
         raise ValueError(f"unknown region {region!r}")
     if order < 0:
         raise ValueError("order must be non-negative")
+    # Blocks per term: one per log-power split of the expanded log.
+    blocks_per_order = sum(
+        u.n + 1 if region == "product"
+        else (u.n + 1) * (u.n + 2) // 2 if region == "reversed"
+        else u.l + 1
+        for u in f.terms)
+    candidates = (order + 1) * blocks_per_order
+    if candidates > SERIES_BUDGET:
+        raise ValueError(
+            f"{region} series of order {order} needs {candidates} candidate monomials, "
+            f"over the series budget (SERIES_BUDGET = {SERIES_BUDGET})")
     bt = BranchTriple(*bt)
     k = np.arange(order + 1)
     zero = np.zeros(order + 1, dtype=complex)

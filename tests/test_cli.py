@@ -102,6 +102,14 @@ def test_expand_outside_region_is_error(capsys):
     assert "outside the product region" in err
 
 
+def test_expand_over_series_budget_is_error(capsys):
+    code, out, err = run_cli(capsys, "expand", "--scenario", LOG_PAIR,
+                             "--region", "product", "--order", "100000000",
+                             "--z1", "2,0", "--z2", "0.5,0")
+    assert code == 2 and out == ""
+    assert "SERIES_BUDGET" in err
+
+
 # ---------------------------------------------------------------------------
 # continue
 # ---------------------------------------------------------------------------

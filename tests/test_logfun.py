@@ -1,7 +1,9 @@
 """Tests for two-variable log functions: evaluation, series, continuation."""
 
 import cmath
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +98,37 @@ def test_monomial_rejects_non_finite_numbers():
                    {"coeff": 1.0, "s": complex(0.5, nan)}, {"coeff": 1.0, "t": -inf}):
         with pytest.raises(ValueError, match="finite"):
             LogMonomial(**kwargs)
+
+
+def test_monomial_is_an_immutable_tuple():
+    u = LogMonomial(1.0 - 0.5j, r=0.5, s=0.25 + 0.1j, t=complex(-0.0, -0.0), l=1, n=2)
+    assert len(u) == 7 and u == (1.0 - 0.5j, 0.5, 0.25 + 0.1j, 0j, 1, 0, 2)
+    with pytest.raises(AttributeError):
+        u.l = 3
+    v = LogMonomial(1.0 - 0.5j, 0.5, 0.25 + 0.1j, -0.0, 1, 0, 2)
+    assert v == u and hash(v) == hash(u)
+    for w in (pickle.loads(pickle.dumps(u)), copy.deepcopy(u)):
+        assert type(w) is LogMonomial and w == u
+    key = u.key()
+    assert key == (0.5, 0.0, 0.25, 0.1, 0.0, 0.0, 1, 0, 2)
+    assert all(math.copysign(1.0, x) == 1.0 for x in key[4:6])
+
+
+@pytest.mark.parametrize("bad", [{"l": 1.5}, {"l": -1}, {"coeff": complex(math.nan, 0.0)}],
+                         ids=["fractional-power", "negative-power", "nan-coeff"])
+def test_every_monomial_construction_route_validates(bad):
+    good = LogMonomial(1.0, r=0.5, l=1)
+    fields = dict(good._asdict(), **bad)
+    routes = {
+        "positional": lambda: LogMonomial(*fields.values()),
+        "keyword": lambda: LogMonomial(**fields),
+        "_make": lambda: LogMonomial._make(fields.values()),
+        "_replace": lambda: good._replace(**bad),
+    }
+    for route, make in routes.items():
+        with pytest.raises(ValueError):
+            make()
+            pytest.fail(f"{route} construction accepted {bad}")
 
 
 def test_term_distance_detects_changes():
@@ -478,6 +511,55 @@ def test_expand_region_matches_loop_construction(f, region):
             # Either summation order rounds by at most a few ulps per
             # product summed, relative to the sum of their moduli.
             assert abs(u.coeff - v.coeff) <= 4 * (order + 1) * 2.0 ** -53 * sizes[v.key()]
+
+
+# Integer exponents take _power's repeated-multiplication path.
+INTEGER_EXPONENTS = LogFunction([
+    LogMonomial(0.5 - 1.0j, r=2.0, s=-1.0, t=1.0, m=1),
+    LogMonomial(2.0, r=-1.0, t=3.0, n=1),
+    LogMonomial(0.25j, s=2.0, l=2),
+])
+
+
+@pytest.mark.parametrize("region", REGIONS)
+@pytest.mark.parametrize("f", [MIXED, LOG_HEAVY, INTEGER_EXPONENTS],
+                         ids=["mixed", "log-heavy", "integer-exponents"])
+def test_region_series_eval_matches_groupwise_eval_branch2(f, region):
+    # The group-by-group evaluation RegionExpansion.eval used to run: the
+    # shared term loop must give the same bits.
+    exp = expand_region(f, region, BranchTriple(1, -1, 0), 30)
+    rng = np.random.default_rng(REGIONS.index(region))
+    checked = 0
+    while checked < 8:
+        z1, z2 = (complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(2))
+        if not in_region(region, z1, z2, margin=0.05):
+            continue
+        want = sum(eval_branch2(exp.groups[k], exp.designated, z1, z2)
+                   for k in exp.group_keys())
+        assert exp.eval(z1, z2) == want
+        checked += 1
+
+
+@pytest.mark.parametrize("region, blocks", [("product", 4 + 1), ("reversed", 10 + 1),
+                                            ("iterate", 2 + 1)])
+def test_expand_region_counts_candidates_against_budget(region, blocks, monkeypatch):
+    # Per order: n + 1 blocks a term (product), (n + 1)(n + 2) / 2
+    # (reversed) or l + 1 (iterate); the plain term adds one.
+    f = LogFunction([LogMonomial(1.0, r=0.5, t=0.5, l=1, n=3), LogMonomial(1.0, s=0.5)])
+    monkeypatch.setattr(logfun, "SERIES_BUDGET", 10 * blocks)
+    expand_region(f, region, BranchTriple(0, 0, 0), 9)
+    with pytest.raises(ValueError, match=f"needs {11 * blocks} candidate"):
+        expand_region(f, region, BranchTriple(0, 0, 0), 10)
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_expand_region_refuses_hostile_sizes_before_allocating(region):
+    budget = f"SERIES_BUDGET = {1 << 20}"
+    with pytest.raises(ValueError, match=budget):
+        expand_region(MIXED, region, BranchTriple(0, 0, 0), 10 ** 8)
+    huge_power = LogFunction([LogMonomial(1.0, r=0.5, l=10 ** 7, n=10 ** 7)])
+    with pytest.raises(ValueError, match=budget):
+        expand_region(huge_power, region, BranchTriple(0, 0, 0), 1)
 
 
 # ---------------------------------------------------------------------------
