@@ -456,7 +456,7 @@ def cmd_expand(args) -> int:
     doc = {"command": "expand", "scenario": sf.name, "label": args.label,
            "region": args.region, "order": args.order, "branch": list(bt),
            "designated": list(exp_f.designated),
-           "groups": len(exp_f.groups),
+           "groups": len(exp_f.group_keys()),
            "groupKeys": [_c(k) for k in exp_f.group_keys()]}
     if args.z1 is not None and args.z2 is not None:
         value = exp_f.eval(args.z1, args.z2)

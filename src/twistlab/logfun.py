@@ -36,6 +36,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Literal, NamedTuple
 
 import numpy as np
@@ -216,18 +217,19 @@ def term_distance(f: LogFunction, g: LogFunction, key_tol: float = 1e-12) -> flo
     return worst
 
 
-def _power(z: complex, c: complex, logz: complex) -> complex:
-    """z^c on the branch determined by logz = some value of log z.
-
-    Exact integer exponents use repeated multiplication (single valued, so
-    the branch is irrelevant), avoiding exp/log rounding on the axis.
-    """
+def _exponent(c) -> int | complex:
+    """c as an int where it is a real integer, for the exact z ** k (single
+    valued, and exactly 1 + 0j for k = 0); as a complex otherwise."""
     c = complex(c)
-    if c == 0:
-        return 1.0 + 0.0j
-    if c.imag == 0.0 and c.real == int(c.real):
-        return complex(z) ** int(c.real)
-    return cmath.exp(c * logz)
+    return int(c.real) if c.imag == 0.0 and c.real == int(c.real) else c
+
+
+def _exponents(x: np.ndarray) -> list[int | complex]:
+    """_exponent of each entry of a complex array of finite numbers."""
+    out = x.tolist()
+    for i in np.flatnonzero((x.imag == 0.0) & (x.real == np.trunc(x.real))).tolist():
+        out[i] = int(out[i].real)
+    return out
 
 
 def _point_logs(bt: BranchTriple, z1: complex, z2: complex) -> tuple[complex, ...]:
@@ -244,28 +246,38 @@ def _point_logs(bt: BranchTriple, z1: complex, z2: complex) -> tuple[complex, ..
     return z1, z2, w, lp(p1, z1), lp(p2, z2), lp(p12, w)
 
 
-def _sum_terms(terms: Iterable[LogMonomial], z1: complex, z2: complex, w: complex,
-               L1: complex, L2: complex, L12: complex) -> complex:
-    """Sum of the monomials at one point, given its logs (_point_logs)."""
-    total = 0.0 + 0.0j
-    for a, r, s, t, l, m, n in terms:
-        v = complex(a)
-        v *= _power(z1, r, L1)
-        v *= _power(z2, s, L2)
-        v *= _power(w, t, L12)
+def _sum_terms(rows: list[tuple], starts: Iterable[int], z1: complex, z2: complex,
+               w: complex, L1: complex, L2: complex, L12: complex) -> complex:
+    """Sum at a point, given its logs (_point_logs), of rows (a, r, s, t, l, m, n)
+    with r, s, t classified by _exponent: each row adds to its group's subtotal and
+    each subtotal to the total.  starts lists where each group but the first begins."""
+    total = sub = 0.0 + 0.0j
+    starts = iter(starts)
+    start = next(starts, None)
+    for i, (a, r, s, t, l, m, n) in enumerate(rows):
+        if i == start:
+            total += sub
+            sub = 0.0 + 0.0j
+            start = next(starts, None)
+        v = a
+        v *= z1 ** r if r.__class__ is int else cmath.exp(r * L1)
+        v *= z2 ** s if s.__class__ is int else cmath.exp(s * L2)
+        v *= w ** t if t.__class__ is int else cmath.exp(t * L12)
         if l:
             v *= L1 ** l
         if m:
             v *= L2 ** m
         if n:
             v *= L12 ** n
-        total += v
-    return total
+        sub += v
+    return total + sub
 
 
 def eval_branch2(f: LogFunction, bt: BranchTriple, z1: complex, z2: complex) -> complex:
     """Evaluate f at (z1, z2) on the branch triple bt."""
-    return _sum_terms(f.terms, *_point_logs(bt, z1, z2))
+    rows = [(complex(a), _exponent(r), _exponent(s), _exponent(t), l, m, n)
+            for a, r, s, t, l, m, n in f.terms]
+    return _sum_terms(rows, (), *_point_logs(bt, z1, z2))
 
 
 def eval_branch1(series: OneVarLogSeries, p: int, z: complex) -> complex:
@@ -276,13 +288,9 @@ def eval_branch1(series: OneVarLogSeries, p: int, z: complex) -> complex:
     if z == 0:
         raise ValueError("z must be nonzero")
     L = lp(p, z)
-    total = 0.0 + 0.0j
-    for a, s, m in series.terms:
-        v = a * _power(z, s, L)
-        if m:
-            v *= L ** m
-        total += v
-    return total
+    # Rows (a, s, 0, 0, m, 0, 0): their z ** 0 = 1 + 0j factors change at most a zero's sign.
+    rows = [(a, _exponent(s), 0, 0, m, 0, 0) for a, s, m in series.terms]
+    return _sum_terms(rows, (), z, z, z, L, L, L)
 
 
 def differentiate(f: LogFunction, var: str) -> LogFunction:
@@ -404,40 +412,49 @@ def _poly_powers(base: np.ndarray, max_pow: int, order: int) -> np.ndarray:
 class RegionExpansion:
     """Truncated region series, grouped by inner-variable total exponent.
 
-    groups maps the total exponent of the region's inner quantity (z2 for
-    product, z1 for reversed, z1 - z2 for iterate) to the partial sum for
-    that exponent, itself a LogFunction.  Evaluation sums the groups in
-    order of increasing real part of the key, on the designated triple.
+    A group's key is the total exponent of the region's inner quantity (z2
+    for product, z1 for reversed, z1 - z2 for iterate).  rows packs the
+    terms for _sum_terms, group by group in (real, imag) key order and each
+    group in normalize's order; keys lists the keys, starts the row where
+    each group but the first begins.  eval adds each group's subtotal, what
+    eval_branch2 gives for it, in that order.  groups, each key's LogFunction
+    in the order expand_region met them, is built on first use and kept.
     """
 
     region: str
     bt: BranchTriple
     designated: BranchTriple
     order: int
-    groups: dict[complex, LogFunction] = field(default_factory=dict)
+    rows: list[tuple] = field(default_factory=list, repr=False)
+    starts: list[int] = field(default_factory=list, repr=False)
+    keys: list[complex] = field(default_factory=list)
 
     def group_keys(self) -> list[complex]:
-        return sorted(self.groups, key=lambda c: (c.real, c.imag))
+        return list(self.keys)
+
+    @cached_property
+    def groups(self) -> dict[complex, LogFunction]:
+        groups = [(key, LogFunction(LogMonomial(a, complex(r), complex(s), complex(t), *lmn)
+                                    for a, r, s, t, *lmn in self.rows[lo:hi]))
+                  for key, lo, hi in zip(self.keys, [0, *self.starts],
+                                         [*self.starts, len(self.rows)])]
+        # expand_region met each group at its first term, the least by key().
+        return dict(sorted(groups, key=lambda kg: kg[1].terms[0].key()))
 
     def eval(self, z1: complex, z2: complex) -> complex:
-        """Sum of the groups at (z1, z2) on the designated triple.
+        """Sum of the series at (z1, z2) on the designated triple.
 
         Raises ValueError where the region's modulus ordering fails, since
         the series diverges there.  The argument window is not checked: a
         series may be evaluated past it on purpose, to show it then sums
-        to another branch.  The point's logs are computed once; each
-        group's subtotal is what eval_branch2 gives for that group.
+        to another branch.
         """
         inner, outer = _inner_outer(self.region, complex(z1), complex(z2))
         if not abs(inner) < abs(outer):
             raise ValueError(
                 f"z1 = {z1}, z2 = {z2} is outside the {self.region} region: its series "
                 f"needs {_MODULUS_ORDERING[self.region]}")
-        point = _point_logs(self.designated, z1, z2)
-        total = 0.0 + 0.0j
-        for k in self.group_keys():
-            total += _sum_terms(self.groups[k].terms, *point)
-        return total
+        return _sum_terms(self.rows, self.starts, *_point_logs(self.designated, z1, z2))
 
 
 def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> RegionExpansion:
@@ -517,8 +534,7 @@ def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> 
                 blocks.append((a * math.comb(l, j), ser, zero, (r + s) - k, t + k,
                                (0, m + l - j, n)))
 
-    expansion = RegionExpansion(region=region, bt=bt,
-                                designated=designated_triple(region, bt), order=order)
+    expansion = RegionExpansion(region, bt, designated_triple(region, bt), order)
     if not blocks:
         return expansion
     scale, ser, r, s, t, lmn = zip(*blocks)
@@ -540,13 +556,17 @@ def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> 
     keep = ~(np.abs(total) < _COEFF_DROP)
     # Exponents come from each signature's first term, as in normalize.
     rep = perm[starts[keep]]
-    inner = {"product": s, "reversed": r, "iterate": t}[region]
-    groups: dict[complex, list[LogMonomial]] = {}
-    for key, *mono in zip((inner[rep] + 0.0).tolist(), total[keep].tolist(),
-                          r[rep].tolist(), s[rep].tolist(), t[rep].tolist(),
-                          l[rep].tolist(), m[rep].tolist(), n[rep].tolist()):
-        groups.setdefault(key, []).append(LogMonomial(*mono))
-    expansion.groups = {key: LogFunction(g) for key, g in groups.items()}
+    if not all(np.isfinite(x).all() for x in (total[keep], r[rep], s[rep], t[rep])):
+        raise ValueError("coefficient and exponents must be finite")
+    key = {"product": s, "reversed": r, "iterate": t}[region][rep] + 0.0
+    # Sort by group key, stably, so each group keeps normalize's order.
+    by_key = np.lexsort((key.imag, key.real))
+    rep, total, key = rep[by_key], total[keep][by_key], key[by_key]
+    group_starts = np.flatnonzero(key[1:] != key[:-1]) + 1
+    expansion.rows = list(zip(total.tolist(), *(_exponents(x[rep]) for x in (r, s, t)),
+                              l[rep].tolist(), m[rep].tolist(), n[rep].tolist()))
+    expansion.starts = group_starts.tolist()
+    expansion.keys = key[np.concatenate(([0], group_starts))].tolist()
     return expansion
 
 

@@ -1,4 +1,4 @@
-"""Scenario generators and the independent continuation oracle.
+"""Scenario generators: the abelian model, random scenarios and loops, the shipped set.
 
 The scalar ("abelian") model realizes a correlation family from exponent
 data alone: a label with exponents (r, s, t) carries the diagonal

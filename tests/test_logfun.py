@@ -513,31 +513,103 @@ def test_expand_region_matches_loop_construction(f, region):
             assert abs(u.coeff - v.coeff) <= 4 * (order + 1) * 2.0 ** -53 * sizes[v.key()]
 
 
-# Integer exponents take _power's repeated-multiplication path.
+# Integer exponents take the exact z ** k power.
 INTEGER_EXPONENTS = LogFunction([
     LogMonomial(0.5 - 1.0j, r=2.0, s=-1.0, t=1.0, m=1),
     LogMonomial(2.0, r=-1.0, t=3.0, n=1),
     LogMonomial(0.25j, s=2.0, l=2),
 ])
 
+# Every log power at once: the reversed region splits log(z1 - z2) into
+# log z2, -pi*i and a series, so its blocks multiply.
+ALL_LOG_POWERS = LogFunction([
+    LogMonomial(0.8 - 0.3j, r=0.25 + 0.05j, s=-0.5, t=0.75, l=1, m=2, n=1),
+    LogMonomial(0.4, r=-0.5, s=1.25, t=1.0 / 3.0, l=2, m=1, n=2),
+])
+
 
 @pytest.mark.parametrize("region", REGIONS)
-@pytest.mark.parametrize("f", [MIXED, LOG_HEAVY, INTEGER_EXPONENTS],
-                         ids=["mixed", "log-heavy", "integer-exponents"])
+@pytest.mark.parametrize("f", [MIXED, LOG_HEAVY, INTEGER_EXPONENTS, ALL_LOG_POWERS],
+                         ids=["mixed", "log-heavy", "integer-exponents", "all-log-powers"])
 def test_region_series_eval_matches_groupwise_eval_branch2(f, region):
     # The group-by-group evaluation RegionExpansion.eval used to run: the
-    # shared term loop must give the same bits.
-    exp = expand_region(f, region, BranchTriple(1, -1, 0), 30)
-    rng = np.random.default_rng(REGIONS.index(region))
-    checked = 0
-    while checked < 8:
+    # packed rows must give the same bits.
+    for order in (30, 60, 200):
+        exp = expand_region(f, region, BranchTriple(1, -1, 0), order)
+        rng = np.random.default_rng(REGIONS.index(region))
+        checked = 0
+        while checked < 8:
+            z1, z2 = (complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(2))
+            if not in_region(region, z1, z2, margin=0.05):
+                continue
+            want = sum(eval_branch2(exp.groups[k], exp.designated, z1, z2)
+                       for k in exp.group_keys())
+            assert exp.eval(z1, z2) == want
+            checked += 1
+
+
+def test_region_series_builds_no_monomial_until_groups_is_read(monkeypatch):
+    made = []
+    new = LogMonomial.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(LogMonomial, "__new__", counting_new)
+    exp = expand_region(LOG_HEAVY, "product", BranchTriple(0, 0, 0), 60)
+    rng = np.random.default_rng(3)
+    points = 0
+    while points < 32:
         z1, z2 = (complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(2))
-        if not in_region(region, z1, z2, margin=0.05):
-            continue
-        want = sum(eval_branch2(exp.groups[k], exp.designated, z1, z2)
-                   for k in exp.group_keys())
-        assert exp.eval(z1, z2) == want
-        checked += 1
+        if in_region("product", z1, z2, margin=0.05):
+            exp.eval(z1, z2)
+            points += 1
+    assert len(exp.group_keys()) > 1
+    assert made == []
+    groups = exp.groups
+    assert len(made) == len(exp.rows) == sum(len(g.terms) for g in groups.values())
+    assert exp.groups is groups
+    assert len(made) == len(exp.rows)  # the second read built nothing
+    assert list(groups) != exp.group_keys()  # met in normalize's order, not key order
+    assert sorted(groups, key=lambda c: (c.real, c.imag)) == exp.group_keys()
+
+
+@pytest.mark.parametrize("f, region", [
+    (LogFunction([LogMonomial(1.0, r=1e308, t=1e308)]), "product"),  # r + t overflows
+    (LogFunction([LogMonomial(1e308, r=0.5, t=-60.5)]), "product"),  # coefficients do
+    (LogFunction([LogMonomial(1e308, r=0.5, t=-60.5, n=2)]), "reversed"),
+])
+def test_expand_region_refuses_non_finite_series_terms(f, region):
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="must be finite"):
+        expand_region(f, region, BranchTriple(0, 0, 0), 200)
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def _outcome(fn):
+    try:
+        return _bits(fn())
+    except Exception as exc:  # the exception's type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("c", [-0.0, complex(3.0, -0.0), 1e20], ids=["-0.0", "3-0j", "1e20"])
+@pytest.mark.parametrize("z", [1.5 - 0.5j, 0.3 + 0.4j, -2.0 + 0.0j])
+def test_integer_exponent_classification_edges(c, z):
+    k = logfun._exponent(c)
+    assert type(k) is int and k == int(complex(c).real)
+    [packed] = logfun._exponents(np.array([c], dtype=complex))
+    assert type(packed) is int and packed == k
+    want = _outcome(lambda: complex(z) ** int(complex(c).real))
+    assert _outcome(lambda: z ** k) == want
+    # Through eval_branch2 and eval_branch1, whose sums start at 0j.
+    want = _outcome(lambda: complex(z) ** int(complex(c).real) + 0j)
+    f = LogFunction([LogMonomial(1.0, r=c)])
+    assert _outcome(lambda: eval_branch2(f, BranchTriple(0, 0, 0), z, 7.0) + 0j) == want
+    assert _outcome(lambda: eval_branch1(OneVarLogSeries([(1.0, c, 0)]), 0, z) + 0j) == want
 
 
 @pytest.mark.parametrize("region, blocks", [("product", 4 + 1), ("reversed", 10 + 1),
