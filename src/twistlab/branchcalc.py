@@ -29,15 +29,8 @@ TWO_PI = 2.0 * math.pi
 _AXIS_SNAP = 1e-14
 
 
-def principal_arg(z: complex) -> float:
-    """Principal argument of z in [0, 2*pi).
-
-    Raises ValueError for z = 0.  Points within 1e-14 (relative) of the
-    positive real axis are snapped to argument exactly 0.0.
-    """
-    z = complex(z)
-    if z == 0:
-        raise ValueError("argument of zero is undefined")
+def _arg(z: complex) -> float:
+    """principal_arg of a nonzero complex z, with the axis snap."""
     if z.real > 0.0 and abs(z.imag) <= _AXIS_SNAP * max(1.0, z.real):
         return 0.0
     a = cmath.phase(z)  # (-pi, pi]
@@ -49,6 +42,18 @@ def principal_arg(z: complex) -> float:
     return a
 
 
+def principal_arg(z: complex) -> float:
+    """Principal argument of z in [0, 2*pi).
+
+    Raises ValueError for z = 0.  Points within 1e-14 (relative) of the
+    positive real axis are snapped to argument exactly 0.0.
+    """
+    z = complex(z)
+    if z == 0:
+        raise ValueError("argument of zero is undefined")
+    return _arg(z)
+
+
 def lp(p: int, z: complex) -> complex:
     """Value of the p-th branch of log at z.
 
@@ -58,7 +63,7 @@ def lp(p: int, z: complex) -> complex:
     z = complex(z)
     if z == 0:
         raise ValueError("log of zero is undefined")
-    return complex(math.log(abs(z)), principal_arg(z) + TWO_PI * p)
+    return complex(math.log(abs(z)), _arg(z) + TWO_PI * p)
 
 
 def neg_branch(p: int, z: complex) -> tuple[int, int]:

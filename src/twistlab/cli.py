@@ -396,6 +396,26 @@ def _parse_complex_flag(s: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected finite RE or RE,IM, got {s!r}")
 
 
+def _positive_tol(s: str) -> float:
+    try:
+        tol = float(s)
+    except ValueError:
+        tol = math.nan
+    if math.isfinite(tol) and tol > 0.0:
+        return tol
+    raise argparse.ArgumentTypeError(f"expected a finite number above 0, got {s!r}")
+
+
+def _seed(s: str) -> int:
+    try:
+        seed = int(s)
+    except ValueError:
+        seed = -1
+    if seed >= 0:
+        return seed
+    raise argparse.ArgumentTypeError(f"expected an integer 0 or more, got {s!r}")
+
+
 def _triple_from_args(args, default: BranchTriple) -> BranchTriple:
     return BranchTriple(
         default.p1 if args.p1 is None else args.p1,
@@ -569,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("continue", help="continue a branch triple along a path")
     _add_common(p)
     p.add_argument("--path", required=True, help="path name from the scenario")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive_tol, default=1e-9)
     p.set_defaults(fn=cmd_continue)
 
     p = sub.add_parser("transform", help="exchange or contragredient rewrite")
@@ -583,8 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, scenario_required=False)
     p.add_argument("--check", default="all",
                    help="check name or 'all' (default)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--tol", type=_positive_tol, default=None,
                    help="override the series tolerance")
     p.add_argument("--order", type=int, default=60)
     p.set_defaults(fn=cmd_verify)

@@ -118,12 +118,24 @@ class LogMonomial(_MonomialFields):
 
 @dataclass(frozen=True)
 class LogFunction:
-    """Finite sum of LogMonomial terms (not automatically normalized)."""
+    """Finite sum of LogMonomial terms (not automatically normalized).
+
+    rows, the terms packed for _sum_terms, is made on first evaluation and
+    kept; equality, hashing, copies and pickles see only terms.
+    """
 
     terms: tuple[LogMonomial, ...]
 
     def __init__(self, terms: Iterable[LogMonomial] = ()):
         object.__setattr__(self, "terms", tuple(terms))
+
+    def __getstate__(self) -> dict:
+        return {"terms": self.terms}
+
+    @cached_property
+    def rows(self) -> list[tuple]:
+        return [(complex(a), _exponent(r), _exponent(s), _exponent(t), l, m, n)
+                for a, r, s, t, l, m, n in self.terms]
 
     def __add__(self, other: "LogFunction") -> "LogFunction":
         return LogFunction(self.terms + other.terms)
@@ -224,11 +236,14 @@ def _exponent(c) -> int | complex:
     return int(c.real) if c.imag == 0.0 and c.real == int(c.real) else c
 
 
-def _exponents(x: np.ndarray) -> list[int | complex]:
-    """_exponent of each entry of a complex array of finite numbers."""
-    out = x.tolist()
-    for i in np.flatnonzero((x.imag == 0.0) & (x.real == np.trunc(x.real))).tolist():
-        out[i] = int(out[i].real)
+def _exponents(x: np.ndarray) -> np.ndarray:
+    """_exponent of each entry of a complex array of finite numbers, as an
+    object array; an int exponent is exact at any size, as int(float) is."""
+    out = x.astype(object)
+    whole = (x.imag == 0.0) & (x.real == np.trunc(x.real))
+    k = x.real[whole]
+    out[whole] = (k.astype(np.int64) if (np.abs(k) < 2.0 ** 63).all()
+                  else [int(v) for v in k.tolist()])
     return out
 
 
@@ -246,7 +261,7 @@ def _point_logs(bt: BranchTriple, z1: complex, z2: complex) -> tuple[complex, ..
     return z1, z2, w, lp(p1, z1), lp(p2, z2), lp(p12, w)
 
 
-def _sum_terms(rows: list[tuple], starts: Iterable[int], z1: complex, z2: complex,
+def _sum_terms(rows: list, starts: Iterable[int], z1: complex, z2: complex,
                w: complex, L1: complex, L2: complex, L12: complex) -> complex:
     """Sum at a point, given its logs (_point_logs), of rows (a, r, s, t, l, m, n)
     with r, s, t classified by _exponent: each row adds to its group's subtotal and
@@ -275,9 +290,7 @@ def _sum_terms(rows: list[tuple], starts: Iterable[int], z1: complex, z2: comple
 
 def eval_branch2(f: LogFunction, bt: BranchTriple, z1: complex, z2: complex) -> complex:
     """Evaluate f at (z1, z2) on the branch triple bt."""
-    rows = [(complex(a), _exponent(r), _exponent(s), _exponent(t), l, m, n)
-            for a, r, s, t, l, m, n in f.terms]
-    return _sum_terms(rows, (), *_point_logs(bt, z1, z2))
+    return _sum_terms(f.rows, (), *_point_logs(bt, z1, z2))
 
 
 def eval_branch1(series: OneVarLogSeries, p: int, z: complex) -> complex:
@@ -383,11 +396,13 @@ def in_region(region: str, z1: complex, z2: complex, margin: float = 0.0) -> boo
     return -half_pi + margin < d < half_pi - margin
 
 
-def _binom_coeffs(c: complex, order: int, sign: float) -> np.ndarray:
-    """Coefficients of (1 + sign*x)^c up to x^order, as a cumulative product."""
+def _binom_coeffs(c, order: int, sign: float) -> np.ndarray:
+    """Coefficients of (1 + sign*x)^c up to x^order, as a cumulative product.
+    For an array of exponents c, one row of coefficients per exponent."""
+    c = np.asarray(c, dtype=complex)[..., None]
     k = np.arange(1, order + 1)
-    out = np.ones(order + 1, dtype=complex)
-    out[1:] = np.cumprod((c - (k - 1)) / k * sign)
+    out = np.ones(c.shape[:-1] + (order + 1,), dtype=complex)
+    out[..., 1:] = np.cumprod((c - (k - 1)) / k * sign, axis=-1)
     return out
 
 
@@ -414,9 +429,9 @@ class RegionExpansion:
 
     A group's key is the total exponent of the region's inner quantity (z2
     for product, z1 for reversed, z1 - z2 for iterate).  rows packs the
-    terms for _sum_terms, group by group in (real, imag) key order and each
-    group in normalize's order; keys lists the keys, starts the row where
-    each group but the first begins.  eval adds each group's subtotal, what
+    terms for _sum_terms as lists (a, r, s, t, l, m, n), group by group in
+    (real, imag) key order and each group in normalize's order; keys lists
+    the keys, starts the row where each group but the first begins.  eval adds each group's subtotal, what
     eval_branch2 gives for it, in that order.  groups, each key's LogFunction
     in the order expand_region met them, is built on first use and kept.
     """
@@ -425,7 +440,7 @@ class RegionExpansion:
     bt: BranchTriple
     designated: BranchTriple
     order: int
-    rows: list[tuple] = field(default_factory=list, repr=False)
+    rows: list[list] = field(default_factory=list, repr=False)
     starts: list[int] = field(default_factory=list, repr=False)
     keys: list[complex] = field(default_factory=list)
 
@@ -467,9 +482,12 @@ def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> 
 
     Each input term and log-power split contributes one block of
     order + 1 candidate monomials, one per power k of the auxiliary ratio.
-    All blocks are merged at once: exact zeros of the series are dropped,
-    equal exponent signatures summed in order of appearance, coefficients
-    below 1e-15 dropped, and the survivors kept in normalize's order.
+    The blocks are built together, from one table of binomial series (a
+    row per term) and one of log powers; a block with no log power takes
+    its binomial row as it is.  All blocks are merged at once: exact zeros
+    of the series are dropped, equal exponent signatures summed in order of
+    appearance, coefficients below 1e-15 dropped, and the survivors kept in
+    normalize's order.
     Raises ValueError, before allocating, when that makes more than
     SERIES_BUDGET candidate monomials.
     """
@@ -489,82 +507,89 @@ def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> 
             f"{region} series of order {order} needs {candidates} candidate monomials, "
             f"over the series budget (SERIES_BUDGET = {SERIES_BUDGET})")
     bt = BranchTriple(*bt)
-    k = np.arange(order + 1)
-    zero = np.zeros(order + 1, dtype=complex)
-    # One entry per block: (scale, series, r, s, t, (l, m, n)); the
-    # block's coefficients are scale * series.  Exponents keep Python's
-    # association, (r + t) - k and so on, so signatures match bit for bit.
-    blocks = []
+    expansion = RegionExpansion(region, bt, designated_triple(region, bt), order)
+    if not f.terms:
+        return expansion
+    # Per term: the binomial exponent, and the exponents that fall
+    # (falling - k) and rise (rising + k) with the power k of the auxiliary
+    # ratio, in Python's association, (r + t) - k and so on, so signatures
+    # match bit for bit.  Per block: (term, log power j, scale, (l, m, n));
+    # the block's coefficients are scale * (binomial row * j-th log power).
+    binom_exps, falling, rising, blocks = [], [], [], []
     minus_pi_i = complex(0.0, -math.pi)
-
-    for u in f.terms:
+    for i, u in enumerate(f.terms):
         a, r, s, t, l, m, n = (complex(u.coeff), complex(u.r), complex(u.s),
                                complex(u.t), u.l, u.m, u.n)
         if region == "product":
             # (z1-z2)^t = z1^t (1-w)^t and log(z1-z2) = log z1 + log(1-w),
             # w = z2/z1; within the window the principal log(1-w) is the
             # consistent choice, so the branch constant vanishes.
-            binom = _binom_coeffs(t, order, -1.0)
-            logs = _poly_powers(_log1_series(order, -1.0), n, order)
-            for j in range(n + 1):
-                ser = np.convolve(binom, logs[j])[:order + 1]
-                blocks.append((a * math.comb(n, j), ser, (r + t) - k, s + k, zero,
-                               (l + n - j, m, 0)))
+            c, fall, rise = t, r + t, s
+            blocks += [(i, j, a * math.comb(n, j), (l + n - j, m, 0)) for j in range(n + 1)]
         elif region == "reversed":
             # (z1-z2)^t = exp(t (lp(p2,z2) - pi*i)) (1-u)^t, u = z1/z2; the
             # window is exactly where negation lands past the cut, so the
             # constant -pi*i (not +pi*i) matches the designated branch.
-            binom = _binom_coeffs(t, order, -1.0)
-            logs = _poly_powers(_log1_series(order, -1.0), n, order)
+            c, fall, rise = t, s + t, r
             phase = cmath.exp(t * minus_pi_i)
-            for j in range(n + 1):
-                ser = np.convolve(binom, logs[j])[:order + 1]
-                for i in range(n - j + 1):
-                    const = (math.comb(n, j) * math.comb(n - j, i)
-                             * minus_pi_i ** (n - j - i)) * phase
-                    blocks.append((a * const, ser, r + k, (s + t) - k, zero,
-                                   (l, m + i, 0)))
+            blocks += [(i, j, a * ((math.comb(n, j) * math.comb(n - j, h)
+                                    * minus_pi_i ** (n - j - h)) * phase), (l, m + h, 0))
+                       for j in range(n + 1) for h in range(n - j + 1)]
         else:  # iterate
             # z1^r = z2^r (1+v)^r and log z1 = log z2 + log(1+v),
             # v = (z1-z2)/z2.
-            binom = _binom_coeffs(r, order, 1.0)
-            logs = _poly_powers(_log1_series(order, 1.0), l, order)
-            for j in range(l + 1):
-                ser = np.convolve(binom, logs[j])[:order + 1]
-                blocks.append((a * math.comb(l, j), ser, zero, (r + s) - k, t + k,
-                               (0, m + l - j, n)))
+            c, fall, rise = r, r + s, t
+            blocks += [(i, j, a * math.comb(l, j), (0, m + l - j, n)) for j in range(l + 1)]
+        binom_exps.append(c)
+        falling.append(fall)
+        rising.append(rise)
 
-    expansion = RegionExpansion(region, bt, designated_triple(region, bt), order)
-    if not blocks:
-        return expansion
-    scale, ser, r, s, t, lmn = zip(*blocks)
-    ser = np.concatenate(ser)
+    term, power, scale, lmn = zip(*blocks)
+    sign = 1.0 if region == "iterate" else -1.0
+    binom = _binom_coeffs(binom_exps, order, sign)
+    # Convolving a row with the unit row (j = 0) gives it back exactly, but
+    # with its zero parts +0.0; adding 0.0 does the same.
+    ser = (binom + 0.0)[list(term)]
+    if max(power):
+        logs = _poly_powers(_log1_series(order, sign), max(power), order)
+        conv = {}
+        for b, (i, j) in enumerate(zip(term, power)):
+            if j:
+                if (i, j) not in conv:
+                    conv[i, j] = np.convolve(binom[i], logs[j])[:order + 1]
+                ser[b] = conv[i, j]
     live = ser != 0  # never empty: each term's k = 0 coefficient is 1
-    coeff = (np.repeat(scale, order + 1) * ser)[live]
-    r, s, t = (np.concatenate(x)[live] for x in (r, s, t))
-    l, m, n = np.repeat(np.array(lmn), order + 1, axis=0)[live].T
-    # The signature of LogMonomial.key, with -0.0 made +0.0.
-    sig = (r.real + 0.0, r.imag + 0.0, s.real + 0.0, s.imag + 0.0,
-           t.real + 0.0, t.imag + 0.0, l, m, n)
-    perm = np.lexsort(sig[::-1])  # stable: equal signatures keep their order
-    same = np.ones(perm.size - 1, dtype=bool)
-    for col in sig:
-        c = col[perm]
-        same &= c[1:] == c[:-1]
-    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    block, k = np.nonzero(live)
+    coeff = np.array(scale)[block] * ser[live]
+    of_term = np.array(term)[block]
+    # Columns r, s, t: one exponent falls with k, one rises, one is 0.
+    down, up, key_col = {"product": (0, 1, 1), "reversed": (1, 0, 0),
+                         "iterate": (1, 2, 2)}[region]
+    exps = np.zeros((k.size, 3), dtype=complex)
+    exps[:, down] = np.array(falling)[of_term] - k
+    exps[:, up] = np.array(rising)[of_term] + k
+    lmn = np.array(lmn)[block]
+    # The signature of LogMonomial.key: exponent parts with -0.0 made +0.0,
+    # then log powers.  Its nine columns are compared at once, the parts
+    # by their bits: an exponent is finite or infinite, never NaN, so equal
+    # bits mean equal values.
+    parts = exps.view(float) + 0.0
+    perm = np.lexsort((*lmn.T[::-1], *parts.T[::-1]))  # stable: equal signatures keep their order
+    sig = np.concatenate((parts.view(np.int64), lmn), axis=1)[perm]
+    starts = np.flatnonzero(np.concatenate(([True], (sig[1:] != sig[:-1]).any(axis=1))))
     total = np.add.reduceat(coeff[perm], starts)
     keep = ~(np.abs(total) < _COEFF_DROP)
     # Exponents come from each signature's first term, as in normalize.
     rep = perm[starts[keep]]
-    if not all(np.isfinite(x).all() for x in (total[keep], r[rep], s[rep], t[rep])):
+    total, exps = total[keep], exps[rep]
+    if not (np.isfinite(total).all() and np.isfinite(exps).all()):
         raise ValueError("coefficient and exponents must be finite")
-    key = {"product": s, "reversed": r, "iterate": t}[region][rep] + 0.0
+    key = exps[:, key_col] + 0.0
     # Sort by group key, stably, so each group keeps normalize's order.
     by_key = np.lexsort((key.imag, key.real))
-    rep, total, key = rep[by_key], total[keep][by_key], key[by_key]
+    total, exps, lmn, key = total[by_key], exps[by_key], lmn[rep[by_key]], key[by_key]
     group_starts = np.flatnonzero(key[1:] != key[:-1]) + 1
-    expansion.rows = list(zip(total.tolist(), *(_exponents(x[rep]) for x in (r, s, t)),
-                              l[rep].tolist(), m[rep].tolist(), n[rep].tolist()))
+    expansion.rows = np.column_stack((total, _exponents(exps), lmn)).tolist()
     expansion.starts = group_starts.tolist()
     expansion.keys = key[np.concatenate(([0], group_starts))].tolist()
     return expansion

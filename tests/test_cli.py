@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from twistlab import term_distance
+from twistlab import cli, term_distance
 from twistlab.cli import ScenarioError, load_scenario, main, parse_scenario, serialize_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -340,6 +340,20 @@ def test_non_finite_complex_flag_is_usage_error(capsys):
         code, out, _ = run_cli(capsys, "eval", "--scenario", SQRT,
                                "--z1", z1, "--z2", "1,0")
         assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    *(["verify", "--check", "duality-regions", "--tol", v] for v in ("nan", "inf", "-inf", "-1", "0")),
+    *(["continue", "--path", "difference-loop", "--tol", v] for v in ("nan", "inf", "-inf", "-1", "0")),
+    *(["verify", "--seed", v] for v in ("-1", "1.5")),
+], ids=" ".join)
+def test_out_of_range_flag_is_usage_error_before_any_check(capsys, monkeypatch, argv):
+    ran = []
+    for name in ("cmd_verify", "cmd_continue"):
+        monkeypatch.setattr(cli, name, lambda args: ran.append(args) or 0)
+    code, out, err = run_cli(capsys, *argv, "--scenario", SQRT)
+    assert (code, out, ran) == (2, "", [])
+    assert f"argument {argv[-2]}:" in err
 
 
 def test_continue_has_no_steps_flag(capsys):

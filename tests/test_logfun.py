@@ -223,6 +223,55 @@ def test_eval_respects_sum_and_product():
     assert rel_gap(eval_branch2(3.0j * f, bt, z1, z2), 3.0j * vf) < 1e-13
 
 
+# Two integer and four complex exponents, so both kinds of row entry occur.
+PREPARED = LogFunction([
+    LogMonomial(1.0, r=0.5, s=2.0, n=1),
+    LogMonomial(0.25j, r=1.0, s=-1.5, t=1.0 / 3.0),
+])
+PREPARED_POINTS = [(2.0 * cmath.exp(1.0j), cmath.exp(2.0j)), (0.5 + 0.3j, -1.2 + 0.1j),
+                   (3.0 + 0.0j, 1.0 + 0.0j)]
+
+
+def test_eval_branch2_classifies_exponents_once(monkeypatch):
+    calls = []
+    exponent = logfun._exponent
+    monkeypatch.setattr(logfun, "_exponent", lambda c: calls.append(c) or exponent(c))
+    f = LogFunction(PREPARED.terms)
+    bt = BranchTriple(1, -1, 0)
+    first = [eval_branch2(f, bt, z1, z2) for z1, z2 in PREPARED_POINTS]
+    assert len(calls) == 3 * len(f.terms)
+    again = [eval_branch2(f, bt, z1, z2) for z1, z2 in PREPARED_POINTS]
+    assert len(calls) == 3 * len(f.terms)
+    assert [_bits(v) for v in again] == [_bits(v) for v in first]
+
+
+def test_derived_functions_classify_their_own_terms():
+    f = LogFunction(PREPARED.terms)
+    g = LogFunction([LogMonomial(2.0, r=-0.5, l=1), LogMonomial(1.0 - 1.0j, s=3.0, t=0.75, m=2)])
+    bt = BranchTriple(1, -1, 0)
+    for h in (f, g):
+        for z1, z2 in PREPARED_POINTS:
+            eval_branch2(h, bt, z1, z2)
+    group = next(iter(expand_region(f, "product", bt, 5).groups.values()))
+    for h in (2 * f, f + g, f * g, normalize(f * g), group):
+        assert "rows" not in vars(h)
+        fresh = LogFunction(h.terms)
+        for z1, z2 in PREPARED_POINTS:
+            assert _bits(eval_branch2(h, bt, z1, z2)) == _bits(eval_branch2(fresh, bt, z1, z2))
+        assert h.rows == fresh.rows and len(h.rows) == len(h.terms)
+
+
+def test_evaluation_keeps_equality_hash_and_pickle():
+    f = LogFunction(PREPARED.terms)
+    digest, pickled = hash(f), pickle.dumps(f)
+    eval_branch2(f, BranchTriple(0, 0, 0), *PREPARED_POINTS[0])
+    assert "rows" in vars(f)
+    assert f == LogFunction(f.terms) and hash(f) == digest
+    assert pickle.dumps(f) == pickled
+    for g in (pickle.loads(pickled), copy.copy(f), copy.deepcopy(f)):
+        assert g == f and hash(g) == digest and "rows" not in vars(g)
+
+
 def test_eval_branch1_frozen():
     series = OneVarLogSeries([(1.0, 0.5, 0)])
     assert abs(eval_branch1(series, 1, 4.0) + 2.0) < 1e-14
@@ -402,6 +451,35 @@ def test_binom_coeffs_match_exact_products(c, terminates):
             assert abs(g - float(w)) <= 1e-15 * max(1.0, abs(float(w)))
         if terminates:
             assert not got[3:].any()
+
+
+def test_binom_coeffs_rows_match_scalar_calls():
+    cs = [0.5, -1.0 / 3.0, 2.0, -0.0, complex(3.0, -0.0), 0.25 + 0.1j, -1.5 - 0.3j, 1e20]
+    with np.errstate(all="ignore"):
+        for order in (0, 1, 30, 200):
+            k = np.arange(1, order + 1)
+            for sign in (1.0, -1.0):
+                got = logfun._binom_coeffs(np.array(cs, dtype=complex), order, sign)
+                assert got.shape == (len(cs), order + 1)
+                for row, c in zip(got, cs):
+                    assert row.tobytes() == logfun._binom_coeffs(c, order, sign).tobytes()
+                    # The one-row cumulative product the table replaced.
+                    want = np.ones(order + 1, dtype=complex)
+                    want[1:] = np.cumprod((complex(c) - (k - 1)) / k * sign)
+                    assert row.tobytes() == want.tobytes()
+
+
+def test_unit_log_row_blocks_keep_the_convolution_bits():
+    # A j = 0 block skips convolving its binomial row with the unit row;
+    # with coefficient -1 - 0j the zero signs of the product show.
+    order = 6
+    binom = logfun._binom_coeffs(-0.5, order, -1.0)
+    unit = np.zeros(order + 1, dtype=complex)
+    unit[0] = 1.0
+    want = (complex(-1.0, -0.0) * 1) * np.convolve(binom, unit)[:order + 1]
+    f = LogFunction([LogMonomial(complex(-1.0, -0.0), r=0.5, t=-0.5)])
+    rows = expand_region(f, "product", BranchTriple(0, 0, 0), order).rows
+    assert [_bits(row[0]) for row in rows] == [_bits(w) for w in want.tolist()]
 
 
 def _naive_poly_mul(a, b, order):
@@ -610,6 +688,23 @@ def test_integer_exponent_classification_edges(c, z):
     f = LogFunction([LogMonomial(1.0, r=c)])
     assert _outcome(lambda: eval_branch2(f, BranchTriple(0, 0, 0), z, 7.0) + 0j) == want
     assert _outcome(lambda: eval_branch1(OneVarLogSeries([(1.0, c, 0)]), 0, z) + 0j) == want
+    # Through expand_region rows: the exponent rising with k (s, r or t) is
+    # c + k, so an order-0 series carries c + 0.
+    for region, slot in (("product", "s"), ("reversed", "r"), ("iterate", "t")):
+        g = LogFunction([LogMonomial(1.0, **{slot: c})])
+        [row] = expand_region(g, region, BranchTriple(0, 0, 0), 0).rows
+        got = row[1 + "rst".index(slot)]
+        assert type(got) is int and got == k
+
+
+def test_expand_region_keeps_huge_log_powers_apart():
+    # 2**53 and 2**53 + 1 are one float; 10**30 fits no fixed-width int.
+    for powers in ((2 ** 53, 2 ** 53 + 1), (2 ** 53, 10 ** 30)):
+        f = LogFunction([LogMonomial(1.0, r=0.5, t=0.5, l=l) for l in powers])
+        rows = expand_region(f, "product", BranchTriple(0, 0, 0), 2).rows
+        assert sorted({row[4] for row in rows}) == list(powers)
+        assert {type(row[4]) for row in rows} == {int}
+        assert len(rows) == 2 * 3  # no terms merged: one per power and k
 
 
 @pytest.mark.parametrize("region, blocks", [("product", 4 + 1), ("reversed", 10 + 1),
