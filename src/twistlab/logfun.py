@@ -241,10 +241,18 @@ def _exponents(x: np.ndarray) -> np.ndarray:
     object array; an int exponent is exact at any size, as int(float) is."""
     out = x.astype(object)
     whole = (x.imag == 0.0) & (x.real == np.trunc(x.real))
-    k = x.real[whole]
-    out[whole] = (k.astype(np.int64) if (np.abs(k) < 2.0 ** 63).all()
-                  else [int(v) for v in k.tolist()])
+    out[whole] = [int(v) for v in x.real[whole].tolist()]
     return out
+
+
+def _int_array(rows) -> np.ndarray:
+    """rows of Python ints as int64, or as objects where one does not fit,
+    so that every entry stays exact (np.array would make 2**63 beside 0 a
+    float64)."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
 
 def _point_logs(bt: BranchTriple, z1: complex, z2: complex) -> tuple[complex, ...]:
@@ -431,9 +439,10 @@ class RegionExpansion:
     for product, z1 for reversed, z1 - z2 for iterate).  rows packs the
     terms for _sum_terms as lists (a, r, s, t, l, m, n), group by group in
     (real, imag) key order and each group in normalize's order; keys lists
-    the keys, starts the row where each group but the first begins.  eval adds each group's subtotal, what
-    eval_branch2 gives for it, in that order.  groups, each key's LogFunction
-    in the order expand_region met them, is built on first use and kept.
+    the keys, starts the row where each group but the first begins.  eval
+    adds each group's subtotal, what eval_branch2 gives for it, in that
+    order.  groups, each key's LogFunction in the order expand_region met
+    them, is built on first use and kept.
     """
 
     region: str
@@ -568,15 +577,16 @@ def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> 
     exps = np.zeros((k.size, 3), dtype=complex)
     exps[:, down] = np.array(falling)[of_term] - k
     exps[:, up] = np.array(rising)[of_term] + k
-    lmn = np.array(lmn)[block]
+    lmn = _int_array(lmn)[block]
     # The signature of LogMonomial.key: exponent parts with -0.0 made +0.0,
-    # then log powers.  Its nine columns are compared at once, the parts
-    # by their bits: an exponent is finite or infinite, never NaN, so equal
-    # bits mean equal values.
+    # then log powers.  The two blocks of columns are compared apart, as
+    # the log powers may be objects, which a shared dtype would round.
     parts = exps.view(float) + 0.0
     perm = np.lexsort((*lmn.T[::-1], *parts.T[::-1]))  # stable: equal signatures keep their order
-    sig = np.concatenate((parts.view(np.int64), lmn), axis=1)[perm]
-    starts = np.flatnonzero(np.concatenate(([True], (sig[1:] != sig[:-1]).any(axis=1))))
+    parts, lmn_sorted = parts[perm], lmn[perm]
+    new_sig = ((parts[1:] != parts[:-1]).any(axis=1)
+               | (lmn_sorted[1:] != lmn_sorted[:-1]).any(axis=1))
+    starts = np.flatnonzero(np.concatenate(([True], new_sig)))
     total = np.add.reduceat(coeff[perm], starts)
     keep = ~(np.abs(total) < _COEFF_DROP)
     # Exponents come from each signature's first term, as in normalize.
