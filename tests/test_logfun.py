@@ -698,18 +698,15 @@ def test_integer_exponent_classification_edges(c, z):
 
 
 def test_expand_region_keeps_huge_log_powers_apart():
-    # 2**53 and 2**53 + 1 are one float; 2**63 and 2**63 + 1 are uint64;
-    # 10**30 fits no fixed-width int.
+    # 2**53 and 2**53 + 1 are one float; 2**63 and 2**63 + 1 do not fit
+    # int64; 10**30 fits no fixed-width int.
     for powers in ((2 ** 53, 2 ** 53 + 1), (2 ** 63, 2 ** 63 + 1), (2 ** 53, 10 ** 30)):
         f = LogFunction([LogMonomial(1.0, r=0.5, t=0.5, l=l) for l in powers])
         rows = expand_region(f, "product", BranchTriple(0, 0, 0), 2).rows
         assert sorted({row[4] for row in rows}) == list(powers)
         assert {type(row[4]) for row in rows} == {int}
         assert len(rows) == 2 * 3  # no terms merged: one per power and k
-
-
-def test_expand_region_keeps_near_exponents_apart_beside_huge_log_powers():
-    # Exponents one ulp apart stay two signatures when a log power is uint64.
+    # Nor do exponents one ulp apart merge beside a log power past int64.
     near = np.nextafter(0.5, 1.0)
     f = LogFunction([LogMonomial(1.0, s=s, l=2 ** 63) for s in (0.5, near)])
     rows = expand_region(f, "product", BranchTriple(0, 0, 0), 0).rows
