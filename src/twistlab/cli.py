@@ -406,13 +406,13 @@ def _positive_tol(s: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number above 0, got {s!r}")
 
 
-def _seed(s: str) -> int:
+def _non_negative(s: str) -> int:
     try:
-        seed = int(s)
+        n = int(s)
     except ValueError:
-        seed = -1
-    if seed >= 0:
-        return seed
+        n = -1
+    if n >= 0:
+        return n
     raise argparse.ArgumentTypeError(f"expected an integer 0 or more, got {s!r}")
 
 
@@ -539,12 +539,8 @@ def cmd_verify(args) -> int:
     if args.check not in known:
         raise ScenarioError(f"--check must be one of {known}")
     if args.scenario is None:
-        reports = run_suite(config=config)
-        if args.check != "all":
-            reports = [r for r in reports
-                       if r.name == args.check or r.name.endswith("/" + args.check)]
-            if not reports:
-                raise ScenarioError(f"no reports produced for {args.check!r}")
+        reports = run_suite(config=config,
+                            check=None if args.check == "all" else args.check)
     else:
         sf = load_scenario(args.scenario)
         sc = sf.as_abelian()
@@ -579,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="region series of a label")
     _add_common(p)
     p.add_argument("--region", choices=REGIONS, required=True)
-    p.add_argument("--order", type=int, default=60)
+    p.add_argument("--order", type=_non_negative, default=60)
     p.add_argument("--z1", type=_parse_complex_flag, default=None,
                    metavar="RE,IM")
     p.add_argument("--z2", type=_parse_complex_flag, default=None,
@@ -603,10 +599,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, scenario_required=False)
     p.add_argument("--check", default="all",
                    help="check name or 'all' (default)")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--tol", type=_positive_tol, default=None,
                    help="override the series tolerance")
-    p.add_argument("--order", type=int, default=60)
+    p.add_argument("--order", type=_non_negative, default=60)
     p.set_defaults(fn=cmd_verify)
     return ap
 

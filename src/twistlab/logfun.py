@@ -238,10 +238,14 @@ def _exponent(c) -> int | complex:
 
 def _exponents(x: np.ndarray) -> np.ndarray:
     """_exponent of each entry of a complex array of finite numbers, as an
-    object array; an int exponent is exact at any size, as int(float) is."""
+    object array; a whole entry is an exact int, through int64 below 2**63
+    in size and through int(float) above."""
     out = x.astype(object)
     whole = (x.imag == 0.0) & (x.real == np.trunc(x.real))
-    out[whole] = [int(v) for v in x.real[whole].tolist()]
+    small = whole & (np.abs(x.real) < 2.0 ** 63)
+    out[small] = x.real[small].astype(np.int64).tolist()
+    big = whole & ~small
+    out[big] = [int(v) for v in x.real[big].tolist()]
     return out
 
 
@@ -273,19 +277,28 @@ def _sum_terms(rows: list, starts: Iterable[int], z1: complex, z2: complex,
                w: complex, L1: complex, L2: complex, L12: complex) -> complex:
     """Sum at a point, given its logs (_point_logs), of rows (a, r, s, t, l, m, n)
     with r, s, t classified by _exponent: each row adds to its group's subtotal and
-    each subtotal to the total.  starts lists where each group but the first begins."""
+    each subtotal to the total.  starts lists where each group but the first begins.
+    A column's power is made again only where the row's exponent is another object
+    than the row before's, so rows sharing an exponent object share its power."""
     total = sub = 0.0 + 0.0j
     starts = iter(starts)
     start = next(starts, None)
+    r0 = s0 = t0 = None
     for i, (a, r, s, t, l, m, n) in enumerate(rows):
         if i == start:
             total += sub
             sub = 0.0 + 0.0j
             start = next(starts, None)
-        v = a
-        v *= z1 ** r if r.__class__ is int else cmath.exp(r * L1)
-        v *= z2 ** s if s.__class__ is int else cmath.exp(s * L2)
-        v *= w ** t if t.__class__ is int else cmath.exp(t * L12)
+        if r is not r0:
+            r0 = r
+            pr = z1 ** r if r.__class__ is int else cmath.exp(r * L1)
+        if s is not s0:
+            s0 = s
+            ps = z2 ** s if s.__class__ is int else cmath.exp(s * L2)
+        if t is not t0:
+            t0 = t
+            pt = w ** t if t.__class__ is int else cmath.exp(t * L12)
+        v = a * pr * ps * pt
         if l:
             v *= L1 ** l
         if m:
@@ -437,7 +450,7 @@ class RegionExpansion:
 
     A group's key is the total exponent of the region's inner quantity (z2
     for product, z1 for reversed, z1 - z2 for iterate).  rows packs the
-    terms for _sum_terms as lists (a, r, s, t, l, m, n), group by group in
+    terms for _sum_terms as tuples (a, r, s, t, l, m, n), group by group in
     (real, imag) key order and each group in normalize's order; keys lists
     the keys, starts the row where each group but the first begins.  eval
     adds each group's subtotal, what eval_branch2 gives for it, in that
@@ -449,7 +462,7 @@ class RegionExpansion:
     bt: BranchTriple
     designated: BranchTriple
     order: int
-    rows: list[list] = field(default_factory=list, repr=False)
+    rows: list[tuple] = field(default_factory=list, repr=False)
     starts: list[int] = field(default_factory=list, repr=False)
     keys: list[complex] = field(default_factory=list)
 
@@ -582,7 +595,11 @@ def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> 
     # then log powers.  The two blocks of columns are compared apart, as
     # the log powers may be objects, which a shared dtype would round.
     parts = exps.view(float) + 0.0
-    perm = np.lexsort((*lmn.T[::-1], *parts.T[::-1]))  # stable: equal signatures keep their order
+    # One stable sort by group key (the key column's parts), then signature:
+    # equal signatures meet with their order kept, and each group comes out
+    # in normalize's order.
+    perm = np.lexsort((*lmn.T[::-1], *parts.T[::-1],
+                       parts[:, 2 * key_col + 1], parts[:, 2 * key_col]))
     parts, lmn_sorted = parts[perm], lmn[perm]
     new_sig = ((parts[1:] != parts[:-1]).any(axis=1)
                | (lmn_sorted[1:] != lmn_sorted[:-1]).any(axis=1))
@@ -591,15 +608,22 @@ def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> 
     keep = ~(np.abs(total) < _COEFF_DROP)
     # Exponents come from each signature's first term, as in normalize.
     rep = perm[starts[keep]]
-    total, exps = total[keep], exps[rep]
+    total, exps, lmn = total[keep], exps[rep], lmn[rep]
     if not (np.isfinite(total).all() and np.isfinite(exps).all()):
         raise ValueError("coefficient and exponents must be finite")
+    if not total.size:
+        return expansion
     key = exps[:, key_col] + 0.0
-    # Sort by group key, stably, so each group keeps normalize's order.
-    by_key = np.lexsort((key.imag, key.real))
-    total, exps, lmn, key = total[by_key], exps[by_key], lmn[rep[by_key]], key[by_key]
     group_starts = np.flatnonzero(key[1:] != key[:-1]) + 1
-    expansion.rows = np.column_stack((total, _exponents(exps), lmn)).tolist()
+    # Within each column, a run of rows whose exponents have equal bits
+    # shares one object, so _sum_terms makes the run's power once; -0.0
+    # and +0.0 do not share.
+    bits = exps.view(np.int64).reshape(-1, 3, 2)
+    new_run = np.ones(exps.shape, dtype=bool)
+    new_run[1:] = (bits[1:] != bits[:-1]).any(axis=2)
+    runs = np.cumsum(new_run.T).reshape(3, -1) - 1
+    rst = _exponents(exps.T[new_run.T])[runs].tolist()
+    expansion.rows = list(zip(total.tolist(), *rst, *lmn.T.tolist()))
     expansion.starts = group_starts.tolist()
     expansion.keys = key[np.concatenate(([0], group_starts))].tolist()
     return expansion

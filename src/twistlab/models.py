@@ -127,6 +127,12 @@ def make_abelian(r, s, t, log_powers=(0, 0, 0), qp: QuasiPrimaryData | None = No
                            bt=BranchTriple(*bt))
 
 
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """float(rng.uniform(lo, hi)), bit for bit: numpy's own formula on the
+    same draw, without the overhead of the general call."""
+    return lo + (hi - lo) * rng.random()
+
+
 def _rand_fraction(rng: np.random.Generator, max_den: int) -> Fraction:
     den = int(rng.integers(1, max_den + 1))
     num = int(rng.integers(-2 * den, 2 * den + 1))
@@ -150,16 +156,16 @@ def make_random(seed: int, bounds: RandomBounds | None = None) -> AbelianScenari
     for _ in range(dim):
         r0 = _rand_fraction(rng, b.max_den)
         t0 = _rand_fraction(rng, b.max_den)
-        s0 = complex(float(rng.uniform(-2.0, 2.0)),
-                     float(rng.uniform(-b.imag_scale, b.imag_scale)))
+        s0 = complex(_uniform(rng, -2.0, 2.0),
+                     _uniform(rng, -b.imag_scale, b.imag_scale))
         terms = []
         for _ in range(int(rng.integers(1, b.terms_max + 1))):
             dr = int(rng.integers(-1, 2))
             dt = int(rng.integers(-1, 2))
             ds = int(rng.integers(-1, 2))
             m = int(rng.integers(0, b.max_m + 1))
-            coeff = complex(float(rng.uniform(0.4, 1.5)), 0.0) * cmath.exp(
-                2j * math.pi * float(rng.uniform()))
+            coeff = complex(_uniform(rng, 0.4, 1.5), 0.0) * cmath.exp(
+                2j * math.pi * rng.random())
             terms.append(LogMonomial(coeff, float(r0) + dr, s0 + ds,
                                      float(t0) + dt, 0, m, 0))
         functions.append(LogFunction(terms))
@@ -197,15 +203,15 @@ def make_random_loop(seed: int, max_moves: int = 3) -> PathSpec:
             continue
         moves: list = []
         for _ in range(int(rng.integers(1, max_moves + 1))):
-            var = "z1" if rng.uniform() < 0.7 else "z2"
-            kind = rng.uniform()
-            turns = int(rng.integers(1, 3)) * (1 if rng.uniform() < 0.5 else -1)
+            var = "z1" if rng.random() < 0.7 else "z2"
+            kind = rng.random()
+            turns = int(rng.integers(1, 3)) * (1 if rng.random() < 0.5 else -1)
             if kind < 0.45:
                 moves.append(Arc(var, turns=turns, about="origin"))
             elif kind < 0.75 and var == "z1":
                 moves.append(Arc(var, turns=turns, about="other"))
             else:
-                delta = 0.3 * cmath.exp(2j * math.pi * rng.uniform())
+                delta = 0.3 * cmath.exp(2j * math.pi * rng.random())
                 base = z1 if var == "z1" else z2
                 moves.append(Segment(var, base + delta))
                 moves.append(Segment(var, base))
@@ -219,8 +225,8 @@ def make_random_loop(seed: int, max_moves: int = 3) -> PathSpec:
 
 
 def _random_point(rng: np.random.Generator) -> complex:
-    radius = float(rng.uniform(0.4, 2.0))
-    angle = float(rng.uniform(0.0, TWO_PI))
+    radius = _uniform(rng, 0.4, 2.0)
+    angle = _uniform(rng, 0.0, TWO_PI)
     return radius * cmath.exp(1j * angle)
 
 

@@ -8,7 +8,8 @@ The two shift identities tie branch-index moves to automorphism action:
     eval(f(g2 u), (p1+1, p2, p12), z1, z2) = eval(f(u), (p1, p2, p12), z1, z2)
 
 Families built by the models module satisfy both by construction; check_g1_shift
-and check_g2_shift measure the defect for any family.
+and check_g2_shift measure the defect for any family, and check_shifts both at
+once.
 
 omega_transform is the exchange rewrite: it swaps the roles of the two
 insertions, sending a monomial
@@ -317,35 +318,51 @@ def contragredient_family(fam: CorrelationFamily, qp: QuasiPrimaryData, sign) ->
     )
 
 
-def _shift_defect(fam: CorrelationFamily, bt: BranchTriple, shifted: BranchTriple,
-                  g, points: Sequence[tuple[complex, complex]]) -> float:
-    """Max defect of eval(f(g u), shifted) = eval(f(u), bt) over points and labels.
+def _shift_defects(fam: CorrelationFamily, bt: BranchTriple,
+                   points: Sequence[tuple[complex, complex]], shifts) -> list[float]:
+    """Max defect of eval(f(g u), shifted) = eval(f(u), bt) over points and
+    labels, for each (shifted, g) of shifts; f(u) is evaluated once per label
+    and point.
 
     Each pointwise gap is measured relative to the larger of 1 and the two
     compared magnitudes, so the figure stays meaningful at any value scale.
     """
-    worst = 0.0
+    worst = [0.0] * len(shifts)
     for i in range(fam.dim):
-        moved = fam.apply(g, i)
+        moved = [(fam.apply(g, i), shifted) for shifted, g in shifts]
         for z1, z2 in points:
-            a = eval_branch2(moved, shifted, z1, z2)
             b = eval_branch2(fam.functions[i], bt, z1, z2)
-            worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
+            for j, (f, shifted) in enumerate(moved):
+                a = eval_branch2(f, shifted, z1, z2)
+                worst[j] = max(worst[j], abs(a - b) / max(1.0, abs(a), abs(b)))
     return worst
+
+
+def _shifts(fam: CorrelationFamily, bt: BranchTriple) -> list:
+    """(shifted triple, automorphism) of the g1 and of the g2 identity."""
+    p1, p2, p12 = bt
+    return [(BranchTriple(p1, p2, p12 + 1), fam.action.g1),
+            (BranchTriple(p1 + 1, p2, p12), fam.action.g2)]
 
 
 def check_g1_shift(fam: CorrelationFamily, bt: BranchTriple,
                    points: Sequence[tuple[complex, complex]]) -> float:
     """Max relative defect of eval(f(g1 u), p12+1) = eval(f(u), p12)."""
-    p1, p2, p12 = bt
-    return _shift_defect(fam, bt, BranchTriple(p1, p2, p12 + 1), fam.action.g1, points)
+    return _shift_defects(fam, bt, points, _shifts(fam, bt)[:1])[0]
 
 
 def check_g2_shift(fam: CorrelationFamily, bt: BranchTriple,
                    points: Sequence[tuple[complex, complex]]) -> float:
     """Max relative defect of eval(f(g2 u), p1+1) = eval(f(u), p1)."""
-    p1, p2, p12 = bt
-    return _shift_defect(fam, bt, BranchTriple(p1 + 1, p2, p12), fam.action.g2, points)
+    return _shift_defects(fam, bt, points, _shifts(fam, bt)[1:])[0]
+
+
+def check_shifts(fam: CorrelationFamily, bt: BranchTriple,
+                 points: Sequence[tuple[complex, complex]]) -> tuple[float, float]:
+    """(check_g1_shift, check_g2_shift) on the same points, with each
+    reference value eval(f(u), bt) computed once for both."""
+    d1, d2 = _shift_defects(fam, bt, points, _shifts(fam, bt))
+    return d1, d2
 
 
 def one_var_shadow(f: LogFunction) -> OneVarLogSeries:

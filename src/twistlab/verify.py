@@ -58,13 +58,12 @@ from .logfun import (
     normalize,
     term_distance,
 )
-from .models import AbelianScenario, default_scenarios
+from .models import AbelianScenario, _uniform, default_scenarios
 from .paths import path_end
 from .transforms import (
     a_transform,
     a_eval_relation,
-    check_g1_shift,
-    check_g2_shift,
+    check_shifts,
     contragredient_family,
     omega_action,
     omega_family,
@@ -159,7 +158,7 @@ def _rng(config: VerifyConfig, scenario_seed: int, salt: int) -> np.random.Gener
 
 
 def _annulus(rng, lo=0.3, hi=2.2) -> complex:
-    return float(rng.uniform(lo, hi)) * cmath.exp(2j * math.pi * float(rng.uniform()))
+    return _uniform(rng, lo, hi) * cmath.exp(2j * math.pi * rng.random())
 
 
 def _generic_pair(rng) -> tuple[complex, complex]:
@@ -175,8 +174,8 @@ def _generic_pair(rng) -> tuple[complex, complex]:
 def _region_pair(rng, region: str, config: VerifyConfig) -> tuple[complex, complex]:
     """Rejection-sample a pair inside a region with the configured margins."""
     for _ in range(4096):
-        ratio = float(rng.uniform(config.ratio_lo, config.ratio_hi))
-        phi = 2j * math.pi * float(rng.uniform())
+        ratio = _uniform(rng, config.ratio_lo, config.ratio_hi)
+        phi = 2j * math.pi * rng.random()
         if region == "product":
             z1 = _annulus(rng, 0.8, 2.0)
             z2 = z1 * ratio * cmath.exp(phi)
@@ -213,7 +212,7 @@ def check_branch_identities(sc: AbelianScenario | None, config: VerifyConfig,
     q_seen = set()
     for i in range(count):
         if i % 8 == 7:
-            z = complex(float(rng.uniform(0.2, 2.5)), 0.0)  # exactly on the axis
+            z = complex(_uniform(rng, 0.2, 2.5), 0.0)  # exactly on the axis
         else:
             z = _annulus(rng, 0.2, 2.5)
         p = int(rng.integers(-3, 4))
@@ -244,8 +243,8 @@ def check_branch_identities(sc: AbelianScenario | None, config: VerifyConfig,
 
         # ratio decomposition needs its preconditions; build a valid pair.
         z2r = _annulus(rng, 0.8, 2.0)
-        z1r = z2r + z2r * float(rng.uniform(0.05, 0.6)) * cmath.exp(
-            2j * math.pi * float(rng.uniform()))
+        z1r = z2r + z2r * _uniform(rng, 0.05, 0.6) * cmath.exp(
+            2j * math.pi * rng.random())
         try:
             qr, dr = ratio_arg_decomposition(z1r, z2r)
         except (ValueError, ArithmeticError):
@@ -268,8 +267,7 @@ def check_shift_identities(sc: AbelianScenario, config: VerifyConfig) -> CheckRe
     """The two automorphism/branch-shift identities on generic points."""
     rng = _rng(config, sc.seed, 23)
     points = [_generic_pair(rng) for _ in range(config.shift_points)]
-    d1 = check_g1_shift(sc.fam, sc.bt, points)
-    d2 = check_g2_shift(sc.fam, sc.bt, points)
+    d1, d2 = check_shifts(sc.fam, sc.bt, points)
     defect = max(d1, d2)
     passed = defect < config.tol_branch
     return CheckReport("shift-identities", passed, defect, config.tol_branch,
@@ -331,11 +329,11 @@ def _swap_path(rng) -> tuple[PathSpec, float]:
     whole arc keeps |z1| < |z2| and z1 clear of its own cut.  Returns the
     path and the start argument of z2.
     """
-    a2 = float(rng.uniform(2.95, 3.45))
-    z2 = float(rng.uniform(1.0, 2.0)) * cmath.exp(1j * a2)
-    wfrac = float(rng.uniform(0.52, 0.62))
-    s0 = float(rng.uniform(0.15, 0.35))
-    s1 = float(rng.uniform(0.15, 0.35))
+    a2 = _uniform(rng, 2.95, 3.45)
+    z2 = _uniform(rng, 1.0, 2.0) * cmath.exp(1j * a2)
+    wfrac = _uniform(rng, 0.52, 0.62)
+    s0 = _uniform(rng, 0.15, 0.35)
+    s1 = _uniform(rng, 0.15, 0.35)
     w0 = wfrac * abs(z2) * cmath.exp(1j * s0)
     z1 = z2 + w0
     turns = -(s0 + s1) / TWO_PI
@@ -490,8 +488,8 @@ def check_omega_duality(sc: AbelianScenario, config: VerifyConfig) -> CheckRepor
                 tr.add(_rel(lhs, rhs), (z1, z2))
         # (ii) shift identities with the swapped action.
         pts = [_generic_pair(rng) for _ in range(config.shift_points)]
-        tr.add(check_g1_shift(gfam, sc.bt, pts))
-        tr.add(check_g2_shift(gfam, sc.bt, pts))
+        for defect in check_shifts(gfam, sc.bt, pts):
+            tr.add(defect)
         # (iii) region series of the exchanged family (deeper order: the
         # exchange can enlarge exponents, slowing the tail).
         sub = _duality_defect(gfam.functions, sc.bt, config, rng, 2,
@@ -516,10 +514,10 @@ def _exchange_pair(rng, sign: int) -> tuple[complex, complex]:
     """Pair with arg z2 on the sign's side of pi (strictly inside)."""
     for _ in range(256):
         if sign > 0:
-            a2 = float(rng.uniform(0.05, math.pi - 0.05))
+            a2 = _uniform(rng, 0.05, math.pi - 0.05)
         else:
-            a2 = float(rng.uniform(math.pi + 0.05, TWO_PI - 0.05))
-        z2 = float(rng.uniform(0.4, 1.8)) * cmath.exp(1j * a2)
+            a2 = _uniform(rng, math.pi + 0.05, TWO_PI - 0.05)
+        z2 = _uniform(rng, 0.4, 1.8) * cmath.exp(1j * a2)
         z1 = _annulus(rng, 0.4, 2.2)
         if abs(z1 - z2) > 0.15 and abs(z1) > 0.1:
             return z1, z2
@@ -559,10 +557,10 @@ def check_contragredient_duality(sc: AbelianScenario, config: VerifyConfig) -> C
                 tr.add(_rel(lhs, rhs), (z1, z2))
         # (ii) shift identities with the induced action (integral wt_u).
         pts = [_generic_pair(rng) for _ in range(config.shift_points)]
-        tr.add(check_g1_shift(hfam, sc.bt, pts))
-        tr.add(check_g2_shift(hfam, sc.bt, pts))
+        for defect in check_shifts(hfam, sc.bt, pts):
+            tr.add(defect)
         # (iii) one-variable relation, on and off the positive real axis.
-        zs = [complex(float(rng.uniform(0.4, 2.0)), 0.0), _annulus(rng, 0.4, 2.0),
+        zs = [complex(_uniform(rng, 0.4, 2.0), 0.0), _annulus(rng, 0.4, 2.0),
               _annulus(rng, 0.4, 2.0)]
         for f in sc.fam.functions:
             for z in zs:
@@ -622,28 +620,40 @@ _CONTROL_TARGET = {
 
 
 def run_suite(scenarios: list[AbelianScenario] | None = None,
-              config: VerifyConfig | None = None) -> list[CheckReport]:
+              config: VerifyConfig | None = None,
+              check: str | None = None) -> list[CheckReport]:
     """Run every check over the scenario set (shipped set by default).
 
     Control scenarios run only their targeted check, with expect_fail set;
     suite_ok() then requires normal checks to pass and controls to fail.
+    With check, a name in CHECKS, only that check runs, and only the
+    controls that target it: the reports are the full run's reports of
+    that check, in the same order.
     """
+    if check is not None and check not in CHECKS:
+        raise ValueError(f"unknown check {check!r}")
     if scenarios is None:
         scenarios = default_scenarios()
     if config is None:
         config = VerifyConfig()
-    reports = [check_branch_identities(None, config)]
+    reports = []
+    if check in (None, "branch-identities"):
+        reports.append(check_branch_identities(None, config))
     for sc in scenarios:
         if sc.control is not None:
             target = _CONTROL_TARGET.get(sc.control)
             if target is None:
                 raise ValueError(f"unknown control kind {sc.control!r}")
+            if check not in (None, target):
+                continue
             rep = CHECKS[target](sc, config)
             rep.name = f"{sc.name}/{rep.name}"
             rep.expect_fail = True
             reports.append(rep)
             continue
         for check_name in _SCENARIO_CHECKS:
+            if check not in (None, check_name):
+                continue
             rep = CHECKS[check_name](sc, config)
             rep.name = f"{sc.name}/{rep.name}"
             reports.append(rep)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from twistlab import cli, term_distance
+from twistlab import cli, default_scenarios, make_random, term_distance, verify
 from twistlab.cli import ScenarioError, load_scenario, main, parse_scenario, serialize_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -222,6 +222,48 @@ def test_verify_broken_scenario_exits_one(capsys, tmp_path):
     report = json.loads(out)
     assert report["pass"] is False
     assert report["reports"][0]["maxDefect"] > 1e-3
+
+
+def test_verify_check_without_scenario_runs_only_that_check(capsys, monkeypatch):
+    # A small scenario set: one family and the three controls.
+    scenarios = [make_random(7)] + [sc for sc in default_scenarios() if sc.control]
+    monkeypatch.setattr(verify, "default_scenarios", lambda: scenarios)
+    full = verify.run_suite(config=verify.VerifyConfig())
+    ran = []
+
+    def counted(name, fn):
+        return lambda *args: ran.append(name) or fn(*args)
+
+    monkeypatch.setattr(verify, "check_branch_identities",
+                        counted("branch-identities", verify.check_branch_identities))
+    for name, fn in list(verify.CHECKS.items()):
+        monkeypatch.setitem(verify.CHECKS, name, counted(name, fn))
+    for name in verify.CHECKS:
+        want = [r for r in full if r.name == name or r.name.endswith("/" + name)]
+        doc = {"command": "verify", "pass": verify.suite_ok(want),
+               "reports": [r.to_dict() for r in want]}
+        ran.clear()
+        code, out, _ = run_cli(capsys, "verify", "--check", name)
+        assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert code == 0
+        assert ran == [name] * len(want)
+
+
+def test_verify_negative_order_is_usage_error_before_any_check(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "check_branch_identities", lambda *args: ran.append(args))
+    code, out, err = run_cli(capsys, "verify", "--order", "-3")
+    assert (code, out, ran) == (2, "", [])
+    assert "argument --order:" in err
+
+
+def test_expand_negative_order_is_usage_error(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "load_scenario", lambda path: ran.append(path))
+    code, out, err = run_cli(capsys, "expand", "--scenario", SQRT, "--region", "product",
+                             "--order", "-3")
+    assert (code, out, ran) == (2, "", [])
+    assert "argument --order:" in err
 
 
 # ---------------------------------------------------------------------------

@@ -674,7 +674,9 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("c", [-0.0, complex(3.0, -0.0), 1e20], ids=["-0.0", "3-0j", "1e20"])
+# 2**62 goes through int64 in _exponents, 2**63, -2**63 and 1e20 through int().
+@pytest.mark.parametrize("c", [-0.0, complex(3.0, -0.0), 2.0 ** 62, 2.0 ** 63, -(2.0 ** 63), 1e20],
+                         ids=["-0.0", "3-0j", "2**62", "2**63", "-2**63", "1e20"])
 @pytest.mark.parametrize("z", [1.5 - 0.5j, 0.3 + 0.4j, -2.0 + 0.0j])
 def test_integer_exponent_classification_edges(c, z):
     k = logfun._exponent(c)
@@ -711,6 +713,118 @@ def test_expand_region_keeps_huge_log_powers_apart():
     f = LogFunction([LogMonomial(1.0, s=s, l=2 ** 63) for s in (0.5, near)])
     rows = expand_region(f, "product", BranchTriple(0, 0, 0), 0).rows
     assert [row[2] for row in rows] == [0.5, near]
+
+
+def _reference_sum_terms(rows, starts, z1, z2, w, L1, L2, L12):
+    """The term loop that made every row's powers afresh (no reuse)."""
+    total = sub = 0.0 + 0.0j
+    starts = iter(starts)
+    start = next(starts, None)
+    for i, (a, r, s, t, l, m, n) in enumerate(rows):
+        if i == start:
+            total += sub
+            sub = 0.0 + 0.0j
+            start = next(starts, None)
+        v = a
+        v *= z1 ** r if r.__class__ is int else cmath.exp(r * L1)
+        v *= z2 ** s if s.__class__ is int else cmath.exp(s * L2)
+        v *= w ** t if t.__class__ is int else cmath.exp(t * L12)
+        if l:
+            v *= L1 ** l
+        if m:
+            v *= L2 ** m
+        if n:
+            v *= L12 ** n
+        sub += v
+    return total + sub
+
+
+def _complex_runs(rows) -> int:
+    """Runs of equal bits among the complex exponents of rows, column by column."""
+    runs = 0
+    for col in (1, 2, 3):
+        for prev, row in zip([None, *rows], rows):
+            here = row[col]
+            if here.__class__ is complex:
+                before = prev[col] if prev else None
+                runs += before.__class__ is not complex or _bits(before) != _bits(here)
+    return runs
+
+
+def _counted_sum_terms(rows, starts, logs, monkeypatch) -> int:
+    """cmath.exp calls of one _sum_terms, after checking its bits against
+    the reference loop."""
+    want = _reference_sum_terms(rows, starts, *logs)
+    calls = []
+    exp_fn = cmath.exp
+    monkeypatch.setattr(cmath, "exp", lambda c: calls.append(c) or exp_fn(c))
+    got = logfun._sum_terms(rows, starts, *logs)
+    monkeypatch.setattr(cmath, "exp", exp_fn)
+    assert _bits(got) == _bits(want)
+    return len(calls)
+
+
+# Points on the positive real axis and the unit circle give logs with zero
+# parts, where a signed zero in an exponent can reach a power's bits.
+SIGNED_ZERO_POINTS = [(2.0 + 0.0j, 0.5 + 0.0j), (1j, 0.5 + 0.0j), (-1.0 + 0.0j, 1.5 + 0.0j),
+                      (1.3 * cmath.exp(0.7j), 0.4 * cmath.exp(-2.0j))]
+
+
+def test_rows_differing_in_a_zero_sign_match_the_reference_loop(monkeypatch):
+    minus, plus = complex(-0.5, -0.0), complex(-0.5, 0.0)
+    shared = complex(0.0, -0.25)
+    rows = [(complex(1.0, -0.0), minus, shared, 2, 0, 0, 0),
+            (complex(1.0, 0.0), plus, shared, 2, 1, 0, 0),
+            (complex(-1.0, -0.0), minus, complex(-0.0, -0.25), 0, 0, 1, 0),
+            (complex(0.0, 1.0), minus, complex(0.0, -0.25), 0, 0, 0, 1),
+            (complex(-0.0, -1.0), complex(-0.5, -0.0), plus, -1, 2, 0, 0)]
+    for bt in (BranchTriple(0, 0, 0), BranchTriple(-1, 1, 0)):
+        for z1, z2 in SIGNED_ZERO_POINTS:
+            logs = logfun._point_logs(bt, z1, z2)
+            for starts in ([], [2], [1, 3, 4]):
+                # One power per run of one object: r runs minus | plus |
+                # minus, minus | an equal copy of minus, and s runs shared,
+                # shared | -0 - 0.25j | +0 - 0.25j | plus.  Reuse on == would
+                # make 3 + 2.
+                assert _counted_sum_terms(rows, starts, logs, monkeypatch) == 4 + 4
+    # Through expand_region: r + t is 0.75 - 0j for the first term and
+    # 0.75 + 0j for the second, so each group holds a row of each, side by side.
+    f = LogFunction([LogMonomial(1.0, r=complex(0.5, -0.0), t=complex(0.25, -0.0)),
+                     LogMonomial(complex(0.5, -0.0), r=0.5, t=0.25, l=1)])
+    exp = expand_region(f, "product", BranchTriple(0, 0, 0), 8)
+    pairs = [(u[1], v[1]) for u, v in zip(exp.rows, exp.rows[1:]) if u[1] == v[1]]
+    assert len(pairs) == 9
+    assert all(_bits(a) != _bits(b) and a is not b for a, b in pairs)
+    for z1, z2 in [(2.0 + 0.0j, 0.5 + 0.0j), (1j, 0.5 + 0.0j), (1.3 + 0.2j, 0.4 - 0.3j)]:
+        logs = logfun._point_logs(exp.designated, z1, z2)
+        assert _bits(exp.eval(z1, z2)) == _bits(
+            _reference_sum_terms(exp.rows, exp.starts, *logs))
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_region_series_makes_one_power_per_run_of_equal_exponents(region, monkeypatch):
+    exp = expand_region(ALL_LOG_POWERS, region, BranchTriple(1, -1, 0), 60)
+    runs = _complex_runs(exp.rows)
+    complex_entries = sum(row[col].__class__ is complex for row in exp.rows for col in (1, 2, 3))
+    assert runs < complex_entries / 2  # rows do share powers
+    rng = np.random.default_rng(5)
+    points = 0
+    while points < 3:
+        z1, z2 = (complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(2))
+        if in_region(region, z1, z2, margin=0.05):
+            logs = logfun._point_logs(exp.designated, z1, z2)
+            assert _counted_sum_terms(exp.rows, exp.starts, logs, monkeypatch) == runs
+            points += 1
+
+
+def test_expand_region_whose_every_coefficient_drops_is_empty():
+    f = LogFunction([LogMonomial(1e-16, r=0.5, t=-0.5)])
+    for region in REGIONS:
+        exp = expand_region(f, region, BranchTriple(0, 0, 0), 10)
+        assert (exp.rows, exp.starts, exp.keys, exp.groups) == ([], [], [], {})
+        z1, z2 = {"product": (2.0, 0.5j), "reversed": (0.5j, 2.0),
+                  "iterate": (2.0 + 0.3j, 1.8)}[region]
+        assert exp.eval(z1, z2) == 0j
 
 
 @pytest.mark.parametrize("region, blocks", [("product", 4 + 1), ("reversed", 10 + 1),

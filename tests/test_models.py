@@ -4,6 +4,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twistlab import (
@@ -15,6 +16,7 @@ from twistlab import (
     QuasiPrimaryData,
     RandomBounds,
     Segment,
+    VerifyConfig,
     check_g1_shift,
     continue_along,
     default_scenarios,
@@ -27,6 +29,7 @@ from twistlab import (
     validate_path,
     winding_profile,
 )
+from twistlab.models import _uniform
 
 TWO_PI = 2.0 * math.pi
 
@@ -221,3 +224,32 @@ def test_control_defects_are_detectable():
     # The duality control carries unbroken data; only its marker differs.
     assert scs["duality-branch"].fam.action.composition_defect() < 1e-12
     assert scs["duality-branch"].control == "duality-branch"
+
+
+# ---------------------------------------------------------------------------
+# uniform draws
+# ---------------------------------------------------------------------------
+
+# Every (lo, hi) that verify and models draw from.
+_CONFIG, _BOUNDS = VerifyConfig(), RandomBounds()
+UNIFORM_RANGES = [
+    (0.3, 2.2), (0.8, 2.0), (0.2, 2.5), (0.4, 2.2), (0.4, 2.0), (0.05, 0.6),
+    (_CONFIG.ratio_lo, _CONFIG.ratio_hi), (2.95, 3.45), (1.0, 2.0), (0.52, 0.62),
+    (0.15, 0.35), (0.05, math.pi - 0.05), (math.pi + 0.05, TWO_PI - 0.05), (0.4, 1.8),
+    (-2.0, 2.0), (-_BOUNDS.imag_scale, _BOUNDS.imag_scale), (0.4, 1.5), (0.0, TWO_PI),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345, [3, 5, 23]])
+def test_uniform_matches_generator_uniform_bit_for_bit(seed):
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    for lo, hi in UNIFORM_RANGES:
+        got = [_uniform(ours, lo, hi) for _ in range(1000)]
+        want = [float(numpys.uniform(lo, hi)) for _ in range(1000)]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert all(type(x) is float for x in got)
+    got = [ours.random() for _ in range(1000)]
+    want = [float(numpys.uniform()) for _ in range(1000)]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    # Both consumed the same stream.
+    assert ours.integers(0, 2 ** 62) == numpys.integers(0, 2 ** 62)

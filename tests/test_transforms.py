@@ -19,6 +19,7 @@ from twistlab import (
     a_transform,
     check_g1_shift,
     check_g2_shift,
+    check_shifts,
     contragredient_family,
     diagonal_action,
     eval_branch2,
@@ -34,6 +35,7 @@ from twistlab import (
     quasi_primary_unmodify,
     term_distance,
 )
+from twistlab import transforms
 
 PI_I = 1j * math.pi
 
@@ -324,6 +326,30 @@ def test_transformed_families_satisfy_shifts():
         hfam = contragredient_family(sc.fam, qp, sign)
         assert check_g1_shift(hfam, sc.bt, POINTS) < 1e-12
         assert check_g2_shift(hfam, sc.bt, POINTS) < 1e-12
+
+
+def test_check_shifts_equals_the_two_separate_defects():
+    sc = make_random(19)
+    qp = QuasiPrimaryData(wt_u=1, h1=0.5)
+    broken = CorrelationFamily(sc.fam.functions, AutomorphismAction(
+        sc.fam.action.g1 * 1.01, sc.fam.action.g2 * cmath.exp(0.2j), sc.fam.action.g3))
+    families = [sc.fam, broken, omega_family(sc.fam, -1), contragredient_family(sc.fam, qp, 1)]
+    for fam in families:
+        for bt in TRIPLES:
+            both = check_shifts(fam, bt, POINTS)
+            assert both == (check_g1_shift(fam, bt, POINTS), check_g2_shift(fam, bt, POINTS))
+    assert min(check_shifts(broken, sc.bt, POINTS)) > 1e-3
+
+
+def test_check_shifts_evaluates_each_reference_once(monkeypatch):
+    sc = make_random(19)
+    calls = []
+    monkeypatch.setattr(transforms, "eval_branch2",
+                        lambda f, bt, z1, z2: calls.append(bt) or eval_branch2(f, bt, z1, z2))
+    check_shifts(sc.fam, sc.bt, POINTS)
+    # Per label and point: the reference on bt, then the two shifted triples.
+    assert len(calls) == 3 * sc.dim * len(POINTS)
+    assert calls.count(sc.bt) == sc.dim * len(POINTS)
 
 
 def test_phi_precompose_preserves_shifts():

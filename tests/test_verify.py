@@ -199,6 +199,11 @@ def test_run_suite_and_suite_ok():
     assert all(not r.passed for r in controls)
 
 
+def test_run_suite_refuses_an_unknown_check():
+    with pytest.raises(ValueError, match="unknown check 'no-such-check'"):
+        run_suite([], LIGHT, check="no-such-check")
+
+
 def test_suite_ok_requires_expectations():
     scenarios = [s for s in default_scenarios() if s.control][:1]
     reports = run_suite(scenarios, LIGHT)
