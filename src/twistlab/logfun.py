@@ -238,14 +238,10 @@ def _exponent(c) -> int | complex:
 
 def _exponents(x: np.ndarray) -> np.ndarray:
     """_exponent of each entry of a complex array of finite numbers, as an
-    object array; a whole entry is an exact int, through int64 below 2**63
-    in size and through int(float) above."""
+    object array; an int exponent is exact at any size, as int(float) is."""
     out = x.astype(object)
     whole = (x.imag == 0.0) & (x.real == np.trunc(x.real))
-    small = whole & (np.abs(x.real) < 2.0 ** 63)
-    out[small] = x.real[small].astype(np.int64).tolist()
-    big = whole & ~small
-    out[big] = [int(v) for v in x.real[big].tolist()]
+    out[whole] = [int(v) for v in x.real[whole].tolist()]
     return out
 
 

@@ -674,9 +674,7 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-# 2**62 goes through int64 in _exponents, 2**63, -2**63 and 1e20 through int().
-@pytest.mark.parametrize("c", [-0.0, complex(3.0, -0.0), 2.0 ** 62, 2.0 ** 63, -(2.0 ** 63), 1e20],
-                         ids=["-0.0", "3-0j", "2**62", "2**63", "-2**63", "1e20"])
+@pytest.mark.parametrize("c", [-0.0, complex(3.0, -0.0), 1e20], ids=["-0.0", "3-0j", "1e20"])
 @pytest.mark.parametrize("z", [1.5 - 0.5j, 0.3 + 0.4j, -2.0 + 0.0j])
 def test_integer_exponent_classification_edges(c, z):
     k = logfun._exponent(c)
