@@ -45,12 +45,15 @@ def _arg(z: complex) -> float:
 def principal_arg(z: complex) -> float:
     """Principal argument of z in [0, 2*pi).
 
-    Raises ValueError for z = 0.  Points within 1e-14 (relative) of the
-    positive real axis are snapped to argument exactly 0.0.
+    Raises ValueError for z = 0 and for a non-finite z.  Points within
+    1e-14 (relative) of the positive real axis are snapped to argument
+    exactly 0.0.
     """
     z = complex(z)
     if z == 0:
         raise ValueError("argument of zero is undefined")
+    if not cmath.isfinite(z):
+        raise ValueError(f"argument of non-finite {z} is undefined")
     return _arg(z)
 
 
@@ -58,11 +61,14 @@ def lp(p: int, z: complex) -> complex:
     """Value of the p-th branch of log at z.
 
     lp(p, z) = log|z| + i*(principal_arg(z) + 2*pi*p).  Satisfies
-    exp(lp(p, z)) = z for every integer p.
+    exp(lp(p, z)) = z for every integer p.  Raises ValueError for z = 0
+    and for a non-finite z.
     """
     z = complex(z)
     if z == 0:
         raise ValueError("log of zero is undefined")
+    if not cmath.isfinite(z):
+        raise ValueError(f"log of non-finite {z} is undefined")
     return complex(math.log(abs(z)), _arg(z) + TWO_PI * p)
 
 

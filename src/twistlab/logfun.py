@@ -305,6 +305,16 @@ def _sum_terms(rows: list, starts: Iterable[int], z1: complex, z2: complex,
     return total + sub
 
 
+def _cpython_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b rounded as CPython rounds a complex product.  numpy's may fuse
+    a multiply and an add, and exp magnifies its argument's rounding by the
+    argument's size."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def eval_branch2(f: LogFunction, bt: BranchTriple, z1: complex, z2: complex) -> complex:
     """Evaluate f at (z1, z2) on the branch triple bt."""
     return _sum_terms(f.rows, (), *_point_logs(bt, z1, z2))
@@ -440,30 +450,65 @@ def _poly_powers(base: np.ndarray, max_pow: int, order: int) -> np.ndarray:
     return powers
 
 
-@dataclass
+@dataclass(eq=False)
 class RegionExpansion:
     """Truncated region series, grouped by inner-variable total exponent.
 
     A group's key is the total exponent of the region's inner quantity (z2
-    for product, z1 for reversed, z1 - z2 for iterate).  rows packs the
-    terms for _sum_terms as tuples (a, r, s, t, l, m, n), group by group in
-    (real, imag) key order and each group in normalize's order; keys lists
-    the keys, starts the row where each group but the first begins.  eval
-    adds each group's subtotal, what eval_branch2 gives for it, in that
-    order.  groups, each key's LogFunction in the order expand_region met
-    them, is built on first use and kept.
+    for product, z1 for reversed, z1 - z2 for iterate).  The terms are
+    packed in three arrays, one entry per term: coeffs, exps (columns r, s,
+    t) and lmn (columns l, m, n; int64, or objects where a power does not
+    fit), group by group in (real, imag) key order and each group in
+    normalize's order; keys lists the keys, starts the term where each group
+    but the first begins.  rows, the terms as tuples (a, r, s, t, l, m, n)
+    for _sum_terms, and groups, each key's LogFunction in the order
+    expand_region met them, are built on first use and kept.  eval adds
+    each group's subtotal, what eval_branch2 gives for it, in key order;
+    eval_many evaluates every term at every point of a batch in one numpy
+    pass.
     """
 
     region: str
     bt: BranchTriple
     designated: BranchTriple
     order: int
-    rows: list[tuple] = field(default_factory=list, repr=False)
     starts: list[int] = field(default_factory=list, repr=False)
     keys: list[complex] = field(default_factory=list)
+    coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0, complex), repr=False)
+    exps: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), complex), repr=False)
+    lmn: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), np.int64), repr=False)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.region, self.bt, self.designated, self.order, self.starts, self.keys)
+                == (other.region, other.bt, other.designated, other.order, other.starts,
+                    other.keys)
+                and np.array_equal(self.coeffs, other.coeffs)
+                and np.array_equal(self.exps, other.exps)
+                and np.array_equal(self.lmn, other.lmn))
 
     def group_keys(self) -> list[complex]:
         return list(self.keys)
+
+    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Column by column, the runs of terms whose exponents have equal
+        bits (-0.0 and +0.0 differ): each run's exponent and column, in
+        column order, and each term's run, shape (3, terms)."""
+        exps = self.exps
+        bits = exps.view(np.int64).reshape(-1, 3, 2)
+        new_run = np.ones(exps.shape, dtype=bool)
+        new_run[1:] = (bits[1:] != bits[:-1]).any(axis=2)
+        runs = np.cumsum(new_run.T).reshape(3, -1) - 1
+        return exps.T[new_run.T], np.nonzero(new_run.T)[0], runs
+
+    @cached_property
+    def rows(self) -> list[tuple]:
+        # A run of rows shares one exponent object per column, so _sum_terms
+        # makes the run's power once.
+        first, _, runs = self._runs()
+        rst = _exponents(first)[runs].tolist()
+        return list(zip(self.coeffs.tolist(), *rst, *self.lmn.T.tolist()))
 
     @cached_property
     def groups(self) -> dict[complex, LogFunction]:
@@ -474,6 +519,13 @@ class RegionExpansion:
         # expand_region met each group at its first term, the least by key().
         return dict(sorted(groups, key=lambda kg: kg[1].terms[0].key()))
 
+    def _check_ordering(self, z1: complex, z2: complex) -> None:
+        inner, outer = _inner_outer(self.region, complex(z1), complex(z2))
+        if not abs(inner) < abs(outer):
+            raise ValueError(
+                f"z1 = {z1}, z2 = {z2} is outside the {self.region} region: its series "
+                f"needs {_MODULUS_ORDERING[self.region]}")
+
     def eval(self, z1: complex, z2: complex) -> complex:
         """Sum of the series at (z1, z2) on the designated triple.
 
@@ -482,12 +534,62 @@ class RegionExpansion:
         series may be evaluated past it on purpose, to show it then sums
         to another branch.
         """
-        inner, outer = _inner_outer(self.region, complex(z1), complex(z2))
-        if not abs(inner) < abs(outer):
-            raise ValueError(
-                f"z1 = {z1}, z2 = {z2} is outside the {self.region} region: its series "
-                f"needs {_MODULUS_ORDERING[self.region]}")
+        self._check_ordering(z1, z2)
         return _sum_terms(self.rows, self.starts, *_point_logs(self.designated, z1, z2))
+
+    def eval_many(self, points: Iterable[tuple[complex, complex]]) -> list[complex]:
+        """eval at each (z1, z2) of points, every term at every point in one
+        numpy pass; the values agree with eval's up to rounding.
+
+        Each point is checked as eval checks it, and a ValueError names the
+        first bad one.  Powers are made as _sum_terms makes them: a whole
+        exponent k (as _exponent has it) takes the single-valued z ** k
+        (below 100 in size numpy's repeated squaring, else CPython's), any
+        other c takes exp(c L); each term multiplies its coefficient, its
+        three powers and then its log powers.  Raises OverflowError where a
+        power or a value is not finite.  A series with log powers past int64
+        is summed by eval, point by point.
+        """
+        points = [(complex(z1), complex(z2)) for z1, z2 in points]
+        logs = []
+        for z1, z2 in points:
+            self._check_ordering(z1, z2)
+            try:
+                logs.append(_point_logs(self.designated, z1, z2))
+            except ValueError as exc:
+                raise ValueError(f"z1 = {z1}, z2 = {z2}: {exc}") from None
+        if self.lmn.dtype == object:
+            return [self.eval(z1, z2) for z1, z2 in points]
+        if not (logs and self.coeffs.size):
+            return [0j] * len(points)
+        logs = np.array(logs)  # (point, 6): z1, z2, w and their logs
+        # One power per run of equal exponents, as in rows.
+        c, col, runs = self._runs()
+        z, log_z = logs[:, col], logs[:, 3 + col]
+        re = c.real
+        whole = (c.imag == 0.0) & (re == np.trunc(re))
+        small = whole & (np.abs(re) < 100.0)
+        large = whole & ~small
+        with np.errstate(all="ignore"):
+            powers = np.exp(_cpython_product(c, log_z))
+            powers[:, small] = np.power(z[:, small], c[small])
+            if large.any():
+                # CPython's own z ** k: past 100 it is |z| ** k at angle
+                # k arg z, so an arg z rounded otherwise, as numpy's atan2
+                # may round it, would be off by k times as much.
+                ks = [int(k) for k in re[large].tolist()]
+                powers[:, large] = [[zj ** k for zj, k in zip(zs, ks)]
+                                    for zs in z[:, large].tolist()]
+            pr, ps, pt = powers[:, runs].transpose(1, 0, 2)  # each (point, term)
+            terms = self.coeffs * pr * ps * pt
+            for j in np.flatnonzero(self.lmn.any(axis=0)):  # log powers l, m, n
+                terms *= np.power(logs[:, 3 + j, None], self.lmn[:, j])
+            values = np.add.reduceat(terms, [0, *self.starts], axis=1).sum(axis=1)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            z1, z2 = points[bad[0]]
+            raise OverflowError(f"series value at z1 = {z1}, z2 = {z2} is not finite")
+        return values.tolist()
 
 
 def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> RegionExpansion:
@@ -611,15 +713,7 @@ def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> 
         return expansion
     key = exps[:, key_col] + 0.0
     group_starts = np.flatnonzero(key[1:] != key[:-1]) + 1
-    # Within each column, a run of rows whose exponents have equal bits
-    # shares one object, so _sum_terms makes the run's power once; -0.0
-    # and +0.0 do not share.
-    bits = exps.view(np.int64).reshape(-1, 3, 2)
-    new_run = np.ones(exps.shape, dtype=bool)
-    new_run[1:] = (bits[1:] != bits[:-1]).any(axis=2)
-    runs = np.cumsum(new_run.T).reshape(3, -1) - 1
-    rst = _exponents(exps.T[new_run.T])[runs].tolist()
-    expansion.rows = list(zip(total.tolist(), *rst, *lmn.T.tolist()))
+    expansion.coeffs, expansion.exps, expansion.lmn = total, exps, lmn
     expansion.starts = group_starts.tolist()
     expansion.keys = key[np.concatenate(([0], group_starts))].tolist()
     return expansion

@@ -71,6 +71,40 @@ def test_principal_arg_rejects_zero():
         lp(0, 0.0)
 
 
+# NaN and inf each, in the real part and in the imaginary part.
+NON_FINITE = [complex(math.nan, 0.0), complex(0.5, math.nan),
+              complex(math.inf, 0.0), complex(0.5, -math.inf)]
+
+# Each public function, with the non-finite value in each complex argument.
+PUBLIC_CALLS = {
+    "principal_arg": lambda z: principal_arg(z),
+    "lp": lambda z: lp(2, z),
+    "neg_branch": lambda z: neg_branch(0, z),
+    "inv_branch": lambda z: inv_branch(0, z),
+    "q_offset_product-z1": lambda z: q_offset_product(z, 1j),
+    "q_offset_product-z2": lambda z: q_offset_product(1j, z),
+    "diff_inv_branch-z1": lambda z: diff_inv_branch(0, 1, z, 1j),
+    "diff_inv_branch-z2": lambda z: diff_inv_branch(0, 1, 1j, z),
+    "ratio_arg_decomposition-z1": lambda z: ratio_arg_decomposition(z, 2.0),
+    "ratio_arg_decomposition-z2": lambda z: ratio_arg_decomposition(2.0, z),
+}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "nan-imag", "inf", "inf-imag"])
+@pytest.mark.parametrize("call", PUBLIC_CALLS.values(), ids=PUBLIC_CALLS.keys())
+def test_public_functions_reject_non_finite_input(call, bad):
+    with pytest.raises(ValueError):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "nan-imag", "inf", "inf-imag"])
+def test_lp_and_principal_arg_name_the_non_finite_input(bad):
+    with pytest.raises(ValueError, match="argument of non-finite"):
+        principal_arg(bad)
+    with pytest.raises(ValueError, match="log of non-finite"):
+        lp(0, bad)
+
+
 def test_lp_frozen_values():
     assert lp(0, 1.0) == 0.0
     assert lp(0, 2.0) == pytest.approx(math.log(2.0))

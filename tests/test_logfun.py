@@ -2,8 +2,11 @@
 
 import cmath
 import copy
+import dataclasses
+import hashlib
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +21,7 @@ from twistlab import (
     OneVarLogSeries,
     PathSpec,
     REGIONS,
+    RegionExpansion,
     Segment,
     continue_along,
     designated_triple,
@@ -823,6 +827,7 @@ def test_expand_region_whose_every_coefficient_drops_is_empty():
         z1, z2 = {"product": (2.0, 0.5j), "reversed": (0.5j, 2.0),
                   "iterate": (2.0 + 0.3j, 1.8)}[region]
         assert exp.eval(z1, z2) == 0j
+        assert exp.eval_many([(z1, z2)] * 2) == [0j, 0j]
 
 
 @pytest.mark.parametrize("region, blocks", [("product", 4 + 1), ("reversed", 10 + 1),
@@ -845,6 +850,146 @@ def test_expand_region_refuses_hostile_sizes_before_allocating(region):
     huge_power = LogFunction([LogMonomial(1.0, r=0.5, l=10 ** 7, n=10 ** 7)])
     with pytest.raises(ValueError, match=budget):
         expand_region(huge_power, region, BranchTriple(0, 0, 0), 1)
+
+
+# Whole exponents -0.0 (falling in every region), 3 - 0j and 150 to 153,
+# past the 100 where z ** k changes method; complex ones; and log powers up
+# to 2 in each slot.
+EDGE_EXPONENTS = LogFunction([
+    LogMonomial(0.9, r=-0.0, s=-0.0, t=-0.0),
+    LogMonomial(0.7 + 0.2j, r=complex(3.0, -0.0), s=150.0, t=complex(-0.0, -0.0), l=2),
+    LogMonomial(0.3 - 0.6j, r=0.25 + 0.4j, s=-0.5 - 0.1j, t=1.0 / 3.0 + 0.2j, l=2, m=2, n=2),
+])
+
+SERIES_FUNCTIONS = {"mixed": MIXED, "log-heavy": LOG_HEAVY, "integer-exponents": INTEGER_EXPONENTS,
+                    "all-log-powers": ALL_LOG_POWERS, "edge-exponents": EDGE_EXPONENTS}
+
+
+def _region_points(region: str, count: int, seed: int) -> list[tuple[complex, complex]]:
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        z1, z2 = (complex(*rng.uniform(-3.0, 3.0, 2)) for _ in range(2))
+        if in_region(region, z1, z2, margin=0.05):
+            points.append((z1, z2))
+    return points
+
+
+def _moduli_sum(rows, z1, z2, w, L1, L2, L12) -> float:
+    """Sum of the terms' moduli at a point, which bounds any summation's
+    rounding error."""
+    total = 0.0
+    for a, r, s, t, l, m, n in rows:
+        v = (a * (z1 ** r if r.__class__ is int else cmath.exp(r * L1))
+             * (z2 ** s if s.__class__ is int else cmath.exp(s * L2))
+             * (w ** t if t.__class__ is int else cmath.exp(t * L12)))
+        total += abs(v * L1 ** l * L2 ** m * L12 ** n)
+    return total
+
+
+@pytest.mark.parametrize("order", [0, 20, 100, 200])
+@pytest.mark.parametrize("region", REGIONS)
+@pytest.mark.parametrize("f", SERIES_FUNCTIONS.values(), ids=SERIES_FUNCTIONS.keys())
+def test_eval_many_matches_the_row_loop(f, region, order):
+    exp = expand_region(f, region, BranchTriple(1, -1, 0), order)
+    points = _region_points(region, 4, order + REGIONS.index(region))
+    got = exp.eval_many(points)
+    assert [type(v) for v in got] == [complex] * len(points)
+    for (z1, z2), value in zip(points, got):
+        logs = logfun._point_logs(exp.designated, z1, z2)
+        bound = (len(exp.rows) + 16) * 2.0 ** -53 * _moduli_sum(exp.rows, *logs)
+        assert abs(value - exp.eval(z1, z2)) <= bound
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_edge_series_reach_every_power_path(region):
+    exp = expand_region(EDGE_EXPONENTS, region, BranchTriple(1, -1, 0), 20)
+    whole = {v for row in exp.rows for v in row[1:4] if v.__class__ is int}
+    assert {0, 3, 150} <= whole
+    assert any(v.__class__ is complex for row in exp.rows for v in row[1:4])
+    re_parts = exp.exps.real
+    assert (np.signbit(re_parts) & (re_parts == 0.0)).any()  # a -0.0 exponent
+    assert 1 in np.diff([0, *exp.starts, len(exp.rows)])  # a one-row group
+
+
+def test_eval_many_whole_exponents_are_single_valued():
+    # z ** k for whole k is the same on every sheet; |z2| = 1 keeps
+    # z2 ** 1e20 finite.
+    point = (1.5 * cmath.exp(0.3j), 1j)
+    for k in (-0.0, 150.0, 1e20):
+        f = LogFunction([LogMonomial(1.0, s=k)])
+        series = [expand_region(f, "product", BranchTriple(0, p2, 0), 0) for p2 in (-3, 0, 2)]
+        values = [exp.eval_many([point])[0] for exp in series]
+        assert values[0] == values[1] == values[2]
+        assert abs(values[0] - series[0].eval(*point)) <= 1e-15 * abs(values[0])
+        if k == 0:
+            assert _bits(values[0]) == _bits(1.0 + 0.0j)
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_eval_many_refuses_a_batch_with_one_bad_point(region):
+    exp = expand_region(MIXED, region, BranchTriple(0, 0, 0), 5)
+    z1, z2 = EXP_POINTS[region]
+    assert exp.eval_many([]) == []
+    outside = {"product": (z2, z1), "reversed": (z2, z1),
+               "iterate": (z2 + 5.0 * (z1 - z2), z2)}[region]
+    singular = {"product": (z1, 0j), "reversed": (0j, z2), "iterate": (z2, z2)}[region]
+    for bad in (outside, (math.nan, z2), (z1, complex(0.0, math.nan)), (math.inf, z2),
+                (z1, math.inf), singular):
+        name = f"z1 = {complex(bad[0])}, z2 = {complex(bad[1])}"
+        with pytest.raises(ValueError, match=re.escape(name)):
+            exp.eval_many([(z1, z2), bad, (z1, z2)])
+
+
+def test_eval_many_raises_where_a_value_overflows():
+    exp = expand_region(LogFunction([LogMonomial(1.0, r=800.5)]), "product",
+                        BranchTriple(0, 0, 0), 0)
+    point = (2.5 + 0.0j, 0.8 + 0.0j)  # 2.5 ** 800.5 overflows
+    with pytest.raises(OverflowError):
+        exp.eval(*point)
+    with pytest.raises(OverflowError, match=re.escape("z1 = (2.5+0j), z2 = (0.8+0j)")):
+        exp.eval_many([(1.1 + 0.0j, 0.5 + 0.0j), point])
+
+
+def test_eval_many_sums_log_powers_past_int64_row_by_row():
+    f = LogFunction([LogMonomial(1.0, r=0.5, t=0.5, l=2 ** 63), LogMonomial(0.5, s=0.25)])
+    exp = expand_region(f, "product", BranchTriple(0, 0, 0), 4)
+    assert exp.lmn.dtype == object
+    points = [(1.0 + 0.0j, 0.3j), (1.0 + 0.0j, -0.4 + 0.1j)]  # log z1 = 0
+    assert exp.eval_many(points) == [exp.eval(*p) for p in points]
+
+
+def test_region_expansion_equality_and_repr():
+    bt = BranchTriple(1, -1, 0)
+    a, b = (expand_region(LOG_HEAVY, "reversed", bt, 12) for _ in range(2))
+    assert a.rows  # built on one side only
+    assert a == b and not a != b
+    assert a != expand_region(LOG_HEAVY, "reversed", bt, 13)
+    for name in ("coeffs", "exps", "lmn"):
+        changed = dataclasses.replace(a, **{name: getattr(a, name).copy()})
+        assert changed == a
+        changed.__dict__[name].flat[-1] += 1
+        assert changed != a
+    assert a != "reversed"
+    assert RegionExpansion.__hash__ is None
+    assert repr(a) == (f"RegionExpansion(region='reversed', bt={bt!r}, "
+                       f"designated={a.designated!r}, order=12, keys={a.keys!r})")
+
+
+# sha256 prefixes of LOG_HEAVY's rows (types and bits), starts and key bits
+# at order 40, recorded from the expand_region that built rows eagerly.
+ROW_FINGERPRINTS = {"product": "4f487db4c240eac0", "reversed": "9b119376ff06ebbe",
+                    "iterate": "799f3b44a1bdc363"}
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_packed_series_rows_keep_their_bits(region):
+    exp = expand_region(LOG_HEAVY, region, BranchTriple(1, -1, 0), 40)
+    cells = [(type(v).__name__, _bits(complex(v)) if isinstance(v, (complex, float)) else v)
+             for row in exp.rows for v in row]
+    keys = [_bits(k) for k in exp.keys]
+    digest = hashlib.sha256(repr((cells, exp.starts, keys)).encode()).hexdigest()[:16]
+    assert digest == ROW_FINGERPRINTS[region]
 
 
 # ---------------------------------------------------------------------------

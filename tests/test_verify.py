@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -10,6 +11,7 @@ from twistlab import (
     BranchTriple,
     CheckReport,
     QuasiPrimaryData,
+    RegionExpansion,
     VerifyConfig,
     check_branch_identities,
     check_duality_regions,
@@ -197,6 +199,21 @@ def test_run_suite_and_suite_ok():
     controls = [r for r in reports if r.expect_fail]
     assert len(controls) == 3
     assert all(not r.passed for r in controls)
+
+
+def test_run_suite_evaluates_series_in_batches_and_builds_no_rows(monkeypatch):
+    built, batches = [], []
+    make_rows = RegionExpansion.rows.func
+    rows = cached_property(lambda self: built.append(self) or make_rows(self))
+    rows.__set_name__(RegionExpansion, "rows")
+    monkeypatch.setattr(RegionExpansion, "rows", rows)
+    eval_many = RegionExpansion.eval_many
+    monkeypatch.setattr(RegionExpansion, "eval_many",
+                        lambda self, points: batches.append(self) or eval_many(self, points))
+    reports = run_suite()
+    assert len(reports) == 124 and suite_ok(reports)
+    assert len(batches) == 643  # every series the suite expands
+    assert built == []
 
 
 def test_run_suite_refuses_an_unknown_check():
