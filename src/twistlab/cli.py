@@ -24,7 +24,7 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,7 +43,7 @@ from .logfun import (
     expand_region,
     normalize,
 )
-from .models import AbelianScenario
+from .models import Scenario, abelian_action
 from .transforms import (
     AutomorphismAction,
     CorrelationFamily,
@@ -184,26 +184,11 @@ def _parse_move(obj, path: str):
     raise ScenarioError(f"{path}.kind: must be 'segment' or 'arc'")
 
 
-@dataclass
-class ScenarioFile:
-    """Parsed scenario document."""
-
-    name: str
-    fam: CorrelationFamily
-    qp: QuasiPrimaryData
-    bt: BranchTriple
-    paths: dict[str, PathSpec]
-
-    def as_abelian(self) -> AbelianScenario:
-        return AbelianScenario(name=self.name, fam=self.fam, qp=self.qp,
-                               bt=self.bt)
-
-
 _TOP_KEYS = {"version", "name", "labels", "terms", "phases", "automorphisms",
              "quasiPrimary", "branch", "paths"}
 
 
-def parse_scenario(doc, source: str = "scenario") -> ScenarioFile:
+def parse_scenario(doc, source: str = "scenario") -> Scenario:
     """Parse and validate a scenario document (dict) into live objects."""
     _require_keys(doc, _TOP_KEYS, {"version", "labels", "terms"}, source)
     if doc["version"] != VERSION_TAG:
@@ -216,19 +201,17 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioFile:
     if not isinstance(terms, list) or len(terms) != dim:
         raise ScenarioError(f"{source}.terms: expected {dim} label term lists")
     functions = []
-    first_exacts: list[dict[str, Fraction]] = []
+    leading = []  # (r, t) of each label's first term, exact where given
     for i, row in enumerate(terms):
         if not isinstance(row, list) or not row:
             raise ScenarioError(f"{source}.terms[{i}]: expected a nonempty list")
         monos = []
-        exacts0: dict[str, Fraction] = {}
         for j, t in enumerate(row):
             mono, exacts = _parse_term(t, f"{source}.terms[{i}][{j}]")
             monos.append(mono)
             if j == 0:
-                exacts0 = exacts
+                leading.append((exacts.get("r", mono.r), exacts.get("t", mono.t)))
         functions.append(LogFunction(monos))
-        first_exacts.append(exacts0)
 
     if "phases" in doc and "automorphisms" in doc:
         raise ScenarioError(
@@ -253,20 +236,9 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioFile:
               if "g3" in au else g1 @ g2)
         action = AutomorphismAction(g1, g2, g3)
     else:
-        # Derive the diagonal action from each label's leading term:
-        # g1 = e^{-2 pi i t}, g2 = e^{-2 pi i r}; exact when the side
-        # channel covers every label.
-        if all({"r", "t"} <= set(e) for e in first_exacts):
-            action = diagonal_action(
-                [-e["t"] for e in first_exacts],
-                [-e["r"] for e in first_exacts],
-            )
-        else:
-            t0 = [f.terms[0].t for f in functions]
-            r0 = [f.terms[0].r for f in functions]
-            g1 = np.diag([cmath.exp(-2j * math.pi * complex(t)) for t in t0])
-            g2 = np.diag([cmath.exp(-2j * math.pi * complex(r)) for r in r0])
-            action = AutomorphismAction(g1, g2, g1 @ g2)
+        # The abelian action of each label's leading term; exact when the
+        # side channel covers r and t of every label.
+        action = abelian_action(leading)
 
     qp = QuasiPrimaryData()
     if "quasiPrimary" in doc:
@@ -305,10 +277,10 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioFile:
     if not isinstance(name, str):
         raise ScenarioError(f"{source}.name: expected a string")
     fam = CorrelationFamily(tuple(functions), action)
-    return ScenarioFile(name=name, fam=fam, qp=qp, bt=bt, paths=paths)
+    return Scenario(name=name, fam=fam, qp=qp, bt=bt, paths=paths)
 
 
-def load_scenario(path: str) -> ScenarioFile:
+def load_scenario(path: str) -> Scenario:
     p = Path(path)
     try:
         doc = json.loads(p.read_text())
@@ -329,7 +301,7 @@ def _c(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def serialize_scenario(sf: ScenarioFile) -> dict:
+def serialize_scenario(sf: Scenario) -> dict:
     """Scenario document for the parsed (possibly transformed) state."""
     terms = []
     for f in sf.fam.functions:
@@ -443,13 +415,18 @@ def _emit(doc: dict, as_json: bool):
 def _add_common(p: argparse.ArgumentParser, scenario_required=True):
     p.add_argument("--scenario", required=scenario_required,
                    help="scenario JSON file (twistlab/1)")
+    p.add_argument("--json", action=argparse.BooleanOptionalAction, default=True,
+                   help="JSON output (default on)")
+
+
+def _add_probe(p: argparse.ArgumentParser):
+    """--scenario, --json, and the label and branch triple to probe."""
+    _add_common(p)
     p.add_argument("--label", type=int, default=1,
                    help="1-based probe label (default 1)")
     p.add_argument("--p1", type=int, default=None)
     p.add_argument("--p2", type=int, default=None)
     p.add_argument("--p12", type=int, default=None)
-    p.add_argument("--json", action=argparse.BooleanOptionalAction, default=True,
-                   help="JSON output (default on)")
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +446,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    if (args.z1 is None) != (args.z2 is None):
+        given, missing = ("z1", "z2") if args.z2 is None else ("z2", "z1")
+        raise ScenarioError(f"--{given} needs --{missing}")
     sf = load_scenario(args.scenario)
     bt = _triple_from_args(args, sf.bt)
     i = _label_index(args, sf.fam.dim)
@@ -478,7 +458,7 @@ def cmd_expand(args) -> int:
            "designated": list(exp_f.designated),
            "groups": len(exp_f.group_keys()),
            "groupKeys": [_c(k) for k in exp_f.group_keys()]}
-    if args.z1 is not None and args.z2 is not None:
+    if args.z1 is not None:
         value = exp_f.eval(args.z1, args.z2)
         exact = eval_branch2(sf.fam.functions[i], exp_f.designated,
                              args.z1, args.z2)
@@ -512,21 +492,13 @@ _OPS = {"omega+": ("omega", 1), "omega-": ("omega", -1),
 
 
 def cmd_transform(args) -> int:
-    sf = load_scenario(args.scenario)
-    op = args.op
-    if op in ("omega", "a"):
-        if args.sign is None:
-            raise ScenarioError(f"--op {op} needs --sign plus|minus")
-        op = op + ("+" if args.sign == "plus" else "-")
-    if op not in _OPS:
-        raise ScenarioError(f"--op must be one of {sorted(_OPS)} (or omega/a with --sign)")
-    kind, sign = _OPS[op]
+    sc = load_scenario(args.scenario)
+    kind, sign = _OPS[args.op]
     if kind == "omega":
-        fam = omega_family(sf.fam, sign)
+        fam = omega_family(sc.fam, sign)
     else:
-        fam = contragredient_family(sf.fam, sf.qp, sign)
-    out = ScenarioFile(name=f"{sf.name}:{op}", fam=fam, qp=sf.qp, bt=sf.bt,
-                       paths=sf.paths)
+        fam = contragredient_family(sc.fam, sc.qp, sign)
+    out = replace(sc, name=f"{sc.name}:{args.op}", fam=fam)
     _emit(serialize_scenario(out), args.json)
     return 0
 
@@ -535,22 +507,9 @@ def cmd_verify(args) -> int:
     config = VerifyConfig(seed=args.seed, order=args.order)
     if args.tol is not None:
         config.tol_series = args.tol
-    known = sorted(CHECKS) + ["all"]
-    if args.check not in known:
-        raise ScenarioError(f"--check must be one of {known}")
-    if args.scenario is None:
-        reports = run_suite(config=config,
-                            check=None if args.check == "all" else args.check)
-    else:
-        sf = load_scenario(args.scenario)
-        sc = sf.as_abelian()
-        names = [c for c in CHECKS] if args.check == "all" else [args.check]
-        reports = []
-        for name in names:
-            rep = CHECKS[name](sc, config) if name != "branch-identities" \
-                else CHECKS[name](None, config)
-            rep.name = f"{sc.name}/{rep.name}"
-            reports.append(rep)
+    scenarios = None if args.scenario is None else [load_scenario(args.scenario)]
+    reports = run_suite(scenarios, config,
+                        None if args.check == "all" else args.check)
     ok = suite_ok(reports)
     _emit({"command": "verify", "pass": ok,
            "reports": [r.to_dict() for r in reports]}, args.json)
@@ -565,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a label on a branch triple")
-    _add_common(p)
+    _add_probe(p)
     p.add_argument("--z1", type=_parse_complex_flag, required=True,
                    metavar="RE,IM")
     p.add_argument("--z2", type=_parse_complex_flag, required=True,
@@ -573,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("expand", help="region series of a label")
-    _add_common(p)
+    _add_probe(p)
     p.add_argument("--region", choices=REGIONS, required=True)
     p.add_argument("--order", type=_non_negative, default=60)
     p.add_argument("--z1", type=_parse_complex_flag, default=None,
@@ -583,21 +542,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("continue", help="continue a branch triple along a path")
-    _add_common(p)
+    _add_probe(p)
     p.add_argument("--path", required=True, help="path name from the scenario")
     p.add_argument("--tol", type=_positive_tol, default=1e-9)
     p.set_defaults(fn=cmd_continue)
 
     p = sub.add_parser("transform", help="exchange or contragredient rewrite")
     _add_common(p)
-    p.add_argument("--op", required=True,
-                   help="omega+, omega-, a+, a- (or omega/a with --sign)")
-    p.add_argument("--sign", choices=["plus", "minus"], default=None)
+    p.add_argument("--op", required=True, choices=list(_OPS))
     p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("verify", help="run verification checks")
     _add_common(p, scenario_required=False)
-    p.add_argument("--check", default="all",
+    p.add_argument("--check", default="all", choices=[*CHECKS, "all"],
                    help="check name or 'all' (default)")
     p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--tol", type=_positive_tol, default=None,

@@ -27,7 +27,8 @@ indexed logs above, so each group series converges to the right branch.
 winding_profile counts how the sheet indices of z1, z2 and z1 - z2 change
 along a path (paths.PathSpec), in closed form for each segment and arc.
 continue_along adds the counts to a branch triple and certifies the end
-value against the sampled oracle, paths.oracle_continue.
+value against the sampled oracle, paths.oracle_continue, by relative_gap,
+the gap measure the checks use as well.
 """
 
 from __future__ import annotations
@@ -798,6 +799,11 @@ class ContinuationResult:
     oracle_value: complex
 
 
+def relative_gap(a: complex, b: complex) -> float:
+    """Gap between two values, relative to the larger of 1 and their sizes."""
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
 def continue_along(f: LogFunction, bt: BranchTriple, path: PathSpec,
                    tol: float = 1e-9) -> ContinuationResult:
     """Transport the branch triple along the path and certify the result.
@@ -814,7 +820,7 @@ def continue_along(f: LogFunction, bt: BranchTriple, path: PathSpec,
     end_triple = BranchTriple(*(p + k for p, k in zip(bt, crossings)))
     end_value = eval_branch2(f, end_triple, *path_end(path))
     oracle, samples = _oracle(f, bt, path)
-    certificate = abs(end_value - oracle) / max(1.0, abs(end_value), abs(oracle))
+    certificate = relative_gap(end_value, oracle)
     if not certificate < tol:
         raise ArithmeticError(
             f"continuation end value differs from the oracle by {certificate:.3e} "

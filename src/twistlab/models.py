@@ -1,10 +1,15 @@
-"""Scenario generators: the abelian model, random scenarios and loops, the shipped set.
+"""Scenarios: the Scenario record, the abelian model, random scenarios and
+loops, the shipped set.
+
+A Scenario is what the checks run on, whether generated here or read from
+a scenario file by the CLI: a correlation family with any automorphism
+action, its default branch triple, weight data and named paths.
 
 The scalar ("abelian") model realizes a correlation family from exponent
 data alone: a label with exponents (r, s, t) carries the diagonal
 automorphism phases g1 = e^{-2*pi*i*t} and g2 = e^{-2*pi*i*r}, which is
-exactly what the two shift identities demand of a one-dimensional family.
-Terms sharing a label must keep r and t in fixed congruence classes mod 1;
+exactly what the two shift identities demand of a one-dimensional family
+(abelian_action is that rule).  Terms sharing a label must keep r and t in fixed congruence classes mod 1;
 the log z2 power is free, while powers of log z1 or log(z1 - z2) are
 rejected because no scalar matches the extra 2*pi*i such a power picks up
 under an index shift.
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -40,12 +45,14 @@ TWO_PI = 2.0 * math.pi
 
 
 @dataclass(eq=False)
-class AbelianScenario:
-    """A generated family with its default branch triple and weight data.
+class Scenario:
+    """A family with its default branch triple, weight data and named paths.
 
     control marks intentionally broken variants used as negative controls:
     "shift" (g1 perturbed), "composition" (g3 perturbed) or
     "duality-branch" (duality check must run against an off-by-one triple).
+    paths holds the named paths of a scenario file; generators leave it
+    empty.
     """
 
     name: str
@@ -54,6 +61,7 @@ class AbelianScenario:
     bt: BranchTriple
     seed: int = 0
     control: str | None = None
+    paths: dict[str, PathSpec] = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -73,30 +81,37 @@ class RandomBounds:
     branch_range: int = 1
 
 
-def _exact_real(x) -> Fraction | None:
-    """Exact rational value of x, or None when x has an imaginary part.
+def abelian_action(leading) -> AutomorphismAction:
+    """Diagonal action g1 = e^{-2*pi*i*t}, g2 = e^{-2*pi*i*r}, g3 = g1 g2,
+    one entry per (r, t) pair of leading.
+
+    Exact phases (-t, -r) when every r and t is a Fraction; otherwise
+    floating-point matrices.
+    """
+    leading = list(leading)
+    if all(isinstance(x, Fraction) for pair in leading for x in pair):
+        return diagonal_action([-t for _, t in leading], [-r for r, _ in leading])
+    g1 = np.diag([cmath.exp(-2j * math.pi * complex(t)) for _, t in leading])
+    g2 = np.diag([cmath.exp(-2j * math.pi * complex(r)) for r, _ in leading])
+    return AutomorphismAction(g1, g2, g1 @ g2)
+
+
+def _exact_real(x):
+    """Exact rational value of x, or x itself when it has an imaginary part.
 
     Every real float is an exact dyadic rational, so the exact phase
     channel stays available for plain float exponents.
     """
-    if isinstance(x, Fraction):
-        return x
     if isinstance(x, (int, float)):
         return Fraction(x)
     if isinstance(x, complex) and x.imag == 0.0:
         return Fraction(x.real)
-    return None
-
-
-def _to_complex(x) -> complex:
-    if isinstance(x, Fraction):
-        return complex(float(x), 0.0)
-    return complex(x)
+    return x
 
 
 def make_abelian(r, s, t, log_powers=(0, 0, 0), qp: QuasiPrimaryData | None = None,
                  coeff: complex = 1.0, bt: BranchTriple = BranchTriple(0, 0, 0),
-                 name: str | None = None) -> AbelianScenario:
+                 name: str | None = None) -> Scenario:
     """One-dimensional scalar family for a single monomial.
 
     r, s, t may be ints, Fractions, or complex numbers; rational r and t
@@ -110,21 +125,15 @@ def make_abelian(r, s, t, log_powers=(0, 0, 0), qp: QuasiPrimaryData | None = No
         raise ValueError(
             "scalar automorphisms cannot absorb log z1 or log(z1 - z2) powers; "
             "only the log z2 power may be nonzero in the abelian model")
-    rc, sc, tc = _to_complex(r), _to_complex(s), _to_complex(t)
-    f = LogFunction([LogMonomial(complex(coeff), rc, sc, tc, 0, m, 0)])
-    rf, tf = _exact_real(r), _exact_real(t)
-    if rf is not None and tf is not None:
-        action = diagonal_action([-tf], [-rf])
-    else:
-        g1 = np.array([[cmath.exp(-2j * math.pi * tc)]])
-        g2 = np.array([[cmath.exp(-2j * math.pi * rc)]])
-        action = AutomorphismAction(g1, g2, g1 @ g2)
+    f = LogFunction([LogMonomial(complex(coeff), complex(r), complex(s),
+                                 complex(t), 0, m, 0)])
+    action = abelian_action([(_exact_real(r), _exact_real(t))])
     fam = CorrelationFamily((f,), action)
     if name is None:
         name = f"abelian(r={r}, s={s}, t={t}, m={m})"
-    return AbelianScenario(name=name, fam=fam,
-                           qp=qp if qp is not None else QuasiPrimaryData(),
-                           bt=BranchTriple(*bt))
+    return Scenario(name=name, fam=fam,
+                    qp=qp if qp is not None else QuasiPrimaryData(),
+                    bt=BranchTriple(*bt))
 
 
 def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -139,7 +148,7 @@ def _rand_fraction(rng: np.random.Generator, max_den: int) -> Fraction:
     return Fraction(num, den)
 
 
-def make_random(seed: int, bounds: RandomBounds | None = None) -> AbelianScenario:
+def make_random(seed: int, bounds: RandomBounds | None = None) -> Scenario:
     """Deterministic random multi-label scalar family.
 
     Labels are independent; within a label all terms keep r and t in the
@@ -151,8 +160,7 @@ def make_random(seed: int, bounds: RandomBounds | None = None) -> AbelianScenari
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, b.dim_max + 1))
     functions = []
-    phases_t = []
-    phases_r = []
+    leading = []
     for _ in range(dim):
         r0 = _rand_fraction(rng, b.max_den)
         t0 = _rand_fraction(rng, b.max_den)
@@ -169,9 +177,8 @@ def make_random(seed: int, bounds: RandomBounds | None = None) -> AbelianScenari
             terms.append(LogMonomial(coeff, float(r0) + dr, s0 + ds,
                                      float(t0) + dt, 0, m, 0))
         functions.append(LogFunction(terms))
-        phases_t.append(-t0)
-        phases_r.append(-r0)
-    action = diagonal_action(phases_t, phases_r)
+        leading.append((r0, t0))
+    action = abelian_action(leading)
     qp = QuasiPrimaryData(
         wt_u=int(rng.integers(-b.wt_range, b.wt_range + 1)),
         h1=float(_rand_fraction(rng, 4)),
@@ -179,8 +186,8 @@ def make_random(seed: int, bounds: RandomBounds | None = None) -> AbelianScenari
     p = b.branch_range
     bt = BranchTriple(int(rng.integers(-p, p + 1)), int(rng.integers(-p, p + 1)),
                       int(rng.integers(-p, p + 1)))
-    return AbelianScenario(name=f"random-{seed}", fam=CorrelationFamily(tuple(functions), action),
-                           qp=qp, bt=bt, seed=seed)
+    return Scenario(name=f"random-{seed}", fam=CorrelationFamily(tuple(functions), action),
+                    qp=qp, bt=bt, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +237,7 @@ def _random_point(rng: np.random.Generator) -> complex:
     return radius * cmath.exp(1j * angle)
 
 
-def default_scenarios() -> list[AbelianScenario]:
+def default_scenarios() -> list[Scenario]:
     """The shipped scenario set: curated + random families + 3 controls."""
     curated = [
         make_abelian(Fraction(1, 2), 0.75 + 0.1j, Fraction(1, 3),
@@ -259,7 +266,7 @@ def default_scenarios() -> list[AbelianScenario]:
     return curated + randoms + controls
 
 
-def _control_shift(sc: AbelianScenario) -> AbelianScenario:
+def _control_shift(sc: Scenario) -> Scenario:
     """Perturb g1 so the p12-shift identity fails."""
     act = sc.fam.action
     bad = AutomorphismAction(act.g1 * cmath.exp(0.37j), act.g2, act.g3)
@@ -267,7 +274,7 @@ def _control_shift(sc: AbelianScenario) -> AbelianScenario:
     return replace(sc, name=sc.name + "-control-shift", fam=fam, control="shift")
 
 
-def _control_composition(sc: AbelianScenario) -> AbelianScenario:
+def _control_composition(sc: Scenario) -> Scenario:
     """Perturb g3 away from g1 @ g2 so composition checks fail."""
     act = sc.fam.action
     bad = AutomorphismAction(act.g1, act.g2, act.g3 * cmath.exp(0.29j))
@@ -276,6 +283,6 @@ def _control_composition(sc: AbelianScenario) -> AbelianScenario:
                    control="composition")
 
 
-def _control_duality(sc: AbelianScenario) -> AbelianScenario:
+def _control_duality(sc: Scenario) -> Scenario:
     """Mark the scenario so duality runs against an off-by-one triple."""
     return replace(sc, name=sc.name + "-control-duality", control="duality-branch")

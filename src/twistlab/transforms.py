@@ -50,6 +50,7 @@ from .logfun import (
     eval_branch1,
     eval_branch2,
     normalize,
+    relative_gap,
 )
 
 PI_I = complex(0.0, math.pi)
@@ -334,7 +335,7 @@ def _shift_defects(fam: CorrelationFamily, bt: BranchTriple,
             b = eval_branch2(fam.functions[i], bt, z1, z2)
             for j, (f, shifted) in enumerate(moved):
                 a = eval_branch2(f, shifted, z1, z2)
-                worst[j] = max(worst[j], abs(a - b) / max(1.0, abs(a), abs(b)))
+                worst[j] = max(worst[j], relative_gap(a, b))
     return worst
 
 
@@ -413,4 +414,4 @@ def a_eval_relation(f: LogFunction, qp: QuasiPrimaryData, p: int, z: complex,
     pp = inv_branch(p, z)
     zinv = 1.0 / z
     right = phase * cmath.exp(2.0 * h1 * lp(pp, zinv)) * eval_branch1(X, pp, zinv)
-    return abs(left - right) / max(1.0, abs(left), abs(right))
+    return relative_gap(left, right)

@@ -56,9 +56,10 @@ from .logfun import (
     expand_region,
     in_region,
     normalize,
+    relative_gap,
     term_distance,
 )
-from .models import AbelianScenario, _uniform, default_scenarios
+from .models import Scenario, _uniform, default_scenarios
 from .paths import path_end
 from .transforms import (
     a_transform,
@@ -148,11 +149,6 @@ class _Tracker:
 # ---------------------------------------------------------------------------
 
 
-def _rel(a: complex, b: complex) -> float:
-    """Gap between two values, relative to the larger of 1 and their sizes."""
-    return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
 def _rng(config: VerifyConfig, scenario_seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, scenario_seed, salt])
 
@@ -203,7 +199,7 @@ def _small_triple(rng, base: BranchTriple, spread: int = 1) -> BranchTriple:
 # ---------------------------------------------------------------------------
 
 
-def check_branch_identities(sc: AbelianScenario | None, config: VerifyConfig,
+def check_branch_identities(sc: Scenario | None, config: VerifyConfig,
                             n: int | None = None) -> CheckReport:
     """Randomized identities of lp, neg/inv branches and the offset laws."""
     rng = _rng(config, 0 if sc is None else sc.seed, 11)
@@ -263,7 +259,7 @@ def check_branch_identities(sc: AbelianScenario | None, config: VerifyConfig,
 # ---------------------------------------------------------------------------
 
 
-def check_shift_identities(sc: AbelianScenario, config: VerifyConfig) -> CheckReport:
+def check_shift_identities(sc: Scenario, config: VerifyConfig) -> CheckReport:
     """The two automorphism/branch-shift identities on generic points."""
     rng = _rng(config, sc.seed, 23)
     points = [_generic_pair(rng) for _ in range(config.shift_points)]
@@ -280,11 +276,11 @@ def check_shift_identities(sc: AbelianScenario, config: VerifyConfig) -> CheckRe
 # ---------------------------------------------------------------------------
 
 
-def _duality_defect(functions, bt: BranchTriple, config: VerifyConfig, rng,
-                    points_per_region: int, p12_bump: int = 0,
+def _duality_defect(tr: _Tracker, functions, bt: BranchTriple, config: VerifyConfig,
+                    rng, points_per_region: int, p12_bump: int = 0,
                     order: int | None = None):
-    """Worst expansion-vs-designated-eval defect over regions and labels."""
-    tr = _Tracker()
+    """Add the expansion-vs-designated-eval defects over regions and labels
+    into tr."""
     if order is None:
         order = config.order
     for region in REGIONS:
@@ -297,11 +293,10 @@ def _duality_defect(functions, bt: BranchTriple, config: VerifyConfig, rng,
                                          target_bt.p12 + p12_bump)
             for (z1, z2), approx in zip(pts, exp_f.eval_many(pts)):
                 exact = eval_branch2(f, target_bt, z1, z2)
-                tr.add(_rel(approx, exact), (z1, z2))
-    return tr
+                tr.add(relative_gap(approx, exact), (z1, z2))
 
 
-def check_duality_regions(sc: AbelianScenario, config: VerifyConfig) -> CheckReport:
+def check_duality_regions(sc: Scenario, config: VerifyConfig) -> CheckReport:
     """Region series vs designated-triple evaluation, all three regions.
 
     A scenario marked control="duality-branch" is judged against an
@@ -309,8 +304,9 @@ def check_duality_regions(sc: AbelianScenario, config: VerifyConfig) -> CheckRep
     """
     rng = _rng(config, sc.seed, 37)
     bump = 1 if sc.control == "duality-branch" else 0
-    tr = _duality_defect(sc.fam.functions, sc.bt, config, rng,
-                         config.duality_points, p12_bump=bump)
+    tr = _Tracker()
+    _duality_defect(tr, sc.fam.functions, sc.bt, config, rng,
+                    config.duality_points, p12_bump=bump)
     passed = tr.max_defect < config.tol_series
     return CheckReport("duality-regions", passed, tr.max_defect,
                        config.tol_series, tr.samples, config.seed, tr.worst)
@@ -339,7 +335,7 @@ def _swap_path(rng) -> tuple[PathSpec, float]:
     return PathSpec(z1, z2, [Arc("z1", turns=turns, about="other")]), a2
 
 
-def check_region_swap(sc: AbelianScenario, config: VerifyConfig) -> CheckReport:
+def check_region_swap(sc: Scenario, config: VerifyConfig) -> CheckReport:
     """Continuation across arg(z1 - z2) = 0 lands on the p12-lowered triple.
 
     For each sampled arc: the tracked end triple must be
@@ -377,10 +373,10 @@ def check_region_swap(sc: AbelianScenario, config: VerifyConfig) -> CheckReport:
             # lowered triple at the end point.
             target = res.end_value
             tr.add(res.certificate, (a1_end, path.z2))
-            tr.add(_rel(f_ends[i], target), (a1_end, path.z2))
+            tr.add(relative_gap(f_ends[i], target), (a1_end, path.z2))
             wrong = eval_branch2(f, start_bt, a1_end, path.z2)
-            gap = _rel(res.oracle_value, wrong)
-            expected = _rel(target, wrong)
+            gap = relative_gap(res.oracle_value, wrong)
+            expected = relative_gap(target, wrong)
             if expected > 10.0 * config.tol_series:
                 neg_applicable += 1
                 neg_gap = min(neg_gap, gap)
@@ -425,7 +421,7 @@ def monodromy_loops(config: VerifyConfig) -> tuple[PathSpec, PathSpec]:
     return loop_a, loop_b
 
 
-def check_monodromy_composition(sc: AbelianScenario, config: VerifyConfig) -> CheckReport:
+def check_monodromy_composition(sc: Scenario, config: VerifyConfig) -> CheckReport:
     """Homotopic loops agree, and the loop monodromy is g3 = g1 * g2.
 
     Three layers: (1) both loops transport the start triple to
@@ -448,15 +444,15 @@ def check_monodromy_composition(sc: AbelianScenario, config: VerifyConfig) -> Ch
             continue
         # Each certificate is the gap between the tracked end value and the
         # oracle on that loop.
-        tr.add(_rel(res_a.oracle_value, res_b.oracle_value), start)
+        tr.add(relative_gap(res_a.oracle_value, res_b.oracle_value), start)
         tr.add(max(res_a.certificate, res_b.certificate), start)
         # Loop effect = composed automorphism on the probe label.
         lowered_val = eval_branch2(f, expected, *start)
         g12 = sc.fam.action.g1 @ sc.fam.action.g2
         via_g12 = eval_branch2(sc.fam.apply(g12, i), sc.bt, *start)
         via_g3 = eval_branch2(sc.fam.apply(sc.fam.action.g3, i), sc.bt, *start)
-        tr.add(_rel(lowered_val, via_g12), start)
-        tr.add(_rel(via_g3, via_g12), start)
+        tr.add(relative_gap(lowered_val, via_g12), start)
+        tr.add(relative_gap(via_g3, via_g12), start)
     exact_ok = act.exact_composition_ok()
     if exact_ok is False:
         tr.add(math.inf, start)
@@ -473,7 +469,7 @@ def check_monodromy_composition(sc: AbelianScenario, config: VerifyConfig) -> Ch
 # ---------------------------------------------------------------------------
 
 
-def check_omega_duality(sc: AbelianScenario, config: VerifyConfig) -> CheckReport:
+def check_omega_duality(sc: Scenario, config: VerifyConfig) -> CheckReport:
     """Exchange transform: relocation law, swapped action, involution."""
     rng = _rng(config, sc.seed, 53)
     tr = _Tracker()
@@ -489,17 +485,15 @@ def check_omega_duality(sc: AbelianScenario, config: VerifyConfig) -> CheckRepor
                 lhs = eval_branch2(g, P, z1, z2)
                 rhs = eval_branch2(f, BranchTriple(P.p12, P.p2, P.p1),
                                    z1 - z2, -z2)
-                tr.add(_rel(lhs, rhs), (z1, z2))
+                tr.add(relative_gap(lhs, rhs), (z1, z2))
         # (ii) shift identities with the swapped action.
         pts = [_generic_pair(rng) for _ in range(config.shift_points)]
         for defect in check_shifts(gfam, sc.bt, pts):
             tr.add(defect)
         # (iii) region series of the exchanged family (deeper order: the
         # exchange can enlarge exponents, slowing the tail).
-        sub = _duality_defect(gfam.functions, sc.bt, config, rng, 2,
-                              order=max(config.order, 100))
-        tr.add(sub.max_defect, sub.worst)
-        tr.samples += sub.samples - 1
+        _duality_defect(tr, gfam.functions, sc.bt, config, rng, 2,
+                        order=max(config.order, 100))
         # (iv) involution: the opposite sign undoes the transform exactly.
         for f in sc.fam.functions:
             back = omega_transform(omega_transform(f, sign), -sign)
@@ -533,7 +527,7 @@ def _exchange_pair(rng, sign: int) -> tuple[complex, complex]:
 # ---------------------------------------------------------------------------
 
 
-def check_contragredient_duality(sc: AbelianScenario, config: VerifyConfig) -> CheckReport:
+def check_contragredient_duality(sc: Scenario, config: VerifyConfig) -> CheckReport:
     """Contragredient transform: inversion law, induced action, involution.
 
     The inversion law evaluated here: the transformed function at
@@ -558,7 +552,7 @@ def check_contragredient_duality(sc: AbelianScenario, config: VerifyConfig) -> C
             for h, fmod in zip(hfam.functions, fmods):
                 lhs = eval_branch2(h, P, z1, z2)
                 rhs = eval_branch2(fmod, inv_bt, 1.0 / z1, 1.0 / z2)
-                tr.add(_rel(lhs, rhs), (z1, z2))
+                tr.add(relative_gap(lhs, rhs), (z1, z2))
         # (ii) shift identities with the induced action (integral wt_u).
         pts = [_generic_pair(rng) for _ in range(config.shift_points)]
         for defect in check_shifts(hfam, sc.bt, pts):
@@ -573,10 +567,8 @@ def check_contragredient_duality(sc: AbelianScenario, config: VerifyConfig) -> C
                 tr.samples += 1
         # (iv) region series of the transformed family (deeper order: the
         # contragredient exponents grow with the weights).
-        sub = _duality_defect(hfam.functions, sc.bt, config, rng, 2,
-                              order=max(config.order, 100))
-        tr.add(sub.max_defect, sub.worst)
-        tr.samples += sub.samples - 1
+        _duality_defect(tr, hfam.functions, sc.bt, config, rng, 2,
+                        order=max(config.order, 100))
         # (v) involutions: plain rewrite, then the full weighted pipeline.
         for f, fmod in zip(sc.fam.functions, fmods):
             invol = max(invol, term_distance(
@@ -623,7 +615,7 @@ _CONTROL_TARGET = {
 }
 
 
-def run_suite(scenarios: list[AbelianScenario] | None = None,
+def run_suite(scenarios: list[Scenario] | None = None,
               config: VerifyConfig | None = None,
               check: str | None = None) -> list[CheckReport]:
     """Run every check over the scenario set (shipped set by default).

@@ -1,5 +1,6 @@
 """Tests for the command line interface and scenario files."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from twistlab import cli, default_scenarios, make_random, term_distance, verify
+from twistlab import (
+    VerifyConfig, check_monodromy_composition, cli, default_scenarios, make_random,
+    run_suite, suite_ok, term_distance, verify)
 from twistlab.cli import ScenarioError, load_scenario, main, parse_scenario, serialize_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,6 +97,14 @@ def test_expand_frozen_group_keys(capsys):
     assert doc["groupKeys"] == [[k + 0.75, 0.1] for k in range(6)]
 
 
+@pytest.mark.parametrize("given, missing", [("z1", "z2"), ("z2", "z1")])
+def test_expand_half_point_is_usage_error(capsys, given, missing):
+    code, out, err = run_cli(capsys, "expand", "--scenario", SQRT, "--region", "product",
+                             f"--{given}", "2,0")
+    assert (code, out) == (2, "")
+    assert f"--{missing}" in err
+
+
 def test_expand_outside_region_is_error(capsys):
     code, out, err = run_cli(capsys, "expand", "--scenario", LOG_PAIR,
                              "--region", "product", "--order", "5",
@@ -163,15 +174,31 @@ def test_transform_omega_swaps_exact_phases(capsys):
     assert doc["phases"]["g2"] == original["phases"]["g1"]
 
 
-def test_transform_bare_op_needs_sign(capsys):
-    code, _, err = run_cli(capsys, "transform", "--scenario", SQRT,
-                           "--op", "omega")
-    assert code == 2 and "--sign" in err
-    doc = run_json(capsys, "transform", "--scenario", SQRT,
-                   "--op", "omega", "--sign", "plus")
-    doc2 = run_json(capsys, "transform", "--scenario", SQRT, "--op", "omega+")
-    doc["name"] = doc2["name"]
-    assert doc == doc2
+def test_transform_bare_op_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "transform", "--scenario", SQRT,
+                             "--op", "omega")
+    assert (code, out) == (2, "")
+    assert "argument --op:" in err
+
+
+# sha256 of the JSON output of `transform --scenario <file> --op <op>`.
+TRANSFORM_SHA256 = {
+    (SQRT, "omega+"): "f024bb628146791f72bc0324aa5b4f601e7906be70de70e833b3d3382bf28b8c",
+    (SQRT, "omega-"): "66bd02aaa315bce52ea5957ecbfe8aa09d18b9b678d2679d64d33d423303b9e2",
+    (SQRT, "a+"): "520065944f29918a207c716b1b8da829eff8c9cceee4cac1924a695de0677462",
+    (SQRT, "a-"): "f98d795a5c21df180179e9433cc9072222e0ca2b1c7ea58d6ac07c3cc4a47523",
+    (LOG_PAIR, "omega+"): "6c302fe9b9cefb106a1ccdf9dde3515015c53addff5160f7ad06b1cce3ba40c3",
+    (LOG_PAIR, "omega-"): "e599b88508356e48cb09f1464e7bf22b33d7bd65588020eae0170c4a0f6ba030",
+    (LOG_PAIR, "a+"): "2a202bd2fa70e9685d4d54fc90e68d9f9953c699635d92fac6c62bcce99a24e4",
+    (LOG_PAIR, "a-"): "c281120d6d92334136d286b8d5e17f475ba33c9ed20ad186cf543601e932ba65",
+}
+
+
+@pytest.mark.parametrize("src, op", TRANSFORM_SHA256, ids=lambda v: Path(v).stem)
+def test_transform_output_is_frozen(capsys, src, op):
+    code, out, _ = run_cli(capsys, "transform", "--scenario", src, "--op", op)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TRANSFORM_SHA256[src, op]
 
 
 def test_transform_contragredient_executes(capsys):
@@ -206,6 +233,25 @@ def test_verify_unknown_check_rejected(capsys):
     code, _, err = run_cli(capsys, "verify", "--check", "no-such-check")
     assert code == 2
     assert "no-such-check" in err or "--check" in err
+
+
+@pytest.mark.parametrize("src", [SQRT, LOG_PAIR], ids=lambda v: Path(v).stem)
+def test_verify_scenario_reports_are_run_suites(capsys, src):
+    sc = load_scenario(src)
+    reports = run_suite([sc], VerifyConfig())
+    doc = {"command": "verify", "pass": suite_ok(reports),
+           "reports": [r.to_dict() for r in reports]}
+    code, out, _ = run_cli(capsys, "verify", "--scenario", src)
+    assert code == 0
+    assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    # The scenario-independent check is named as in the shipped suite.
+    assert [r.name for r in reports] == ["branch-identities"] + [
+        f"{sc.name}/{c}" for c in verify.CHECKS if c != "branch-identities"]
+
+
+def test_parsed_scenario_goes_straight_into_a_check():
+    rep = check_monodromy_composition(load_scenario(SQRT), VerifyConfig())
+    assert rep.passed and rep.max_defect < rep.tol
 
 
 def test_verify_broken_scenario_exits_one(capsys, tmp_path):
@@ -396,6 +442,21 @@ def test_out_of_range_flag_is_usage_error_before_any_check(capsys, monkeypatch, 
     code, out, err = run_cli(capsys, *argv, "--scenario", SQRT)
     assert (code, out, ran) == (2, "", [])
     assert f"argument {argv[-2]}:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    *(["transform", "--op", "omega+", *flag] for flag in (
+        ("--label", "2"), ("--p1", "5"), ("--p2", "1"), ("--p12", "1"), ("--sign", "plus"))),
+    *(["verify", "--check", "shift-identities", flag, "1"]
+      for flag in ("--label", "--p1", "--p2", "--p12")),
+], ids=" ".join)
+def test_removed_flag_is_usage_error_before_any_check(capsys, monkeypatch, argv):
+    ran = []
+    for name in ("cmd_transform", "cmd_verify"):
+        monkeypatch.setattr(cli, name, lambda args: ran.append(args) or 0)
+    code, out, err = run_cli(capsys, *argv, "--scenario", SQRT)
+    assert (code, out, ran) == (2, "", [])
+    assert "unrecognized arguments" in err
 
 
 def test_continue_has_no_steps_flag(capsys):

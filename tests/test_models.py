@@ -17,6 +17,7 @@ from twistlab import (
     RandomBounds,
     Segment,
     VerifyConfig,
+    abelian_action,
     check_g1_shift,
     continue_along,
     default_scenarios,
@@ -76,6 +77,58 @@ def test_make_abelian_rejects_unabsorbable_logs():
 def test_make_abelian_log_z2_allowed():
     sc = make_abelian(Fraction(1, 2), 0.4, Fraction(1, 3), log_powers=(0, 2, 0))
     assert sc.fam.functions[0].terms[0].m == 2
+
+
+# ---------------------------------------------------------------------------
+# abelian_action
+# ---------------------------------------------------------------------------
+
+
+def _diag_bits(leading):
+    """The float action written out term by term: g1 = e^{-2 pi i t},
+    g2 = e^{-2 pi i r}, g3 = g1 g2, each exponent taken as a complex."""
+    g1 = np.diag([cmath.exp(-2j * math.pi * complex(t)) for _, t in leading])
+    g2 = np.diag([cmath.exp(-2j * math.pi * complex(r)) for r, _ in leading])
+    return g1.tobytes(), g2.tobytes(), (g1 @ g2).tobytes()
+
+
+def _bits(act):
+    return act.g1.tobytes(), act.g2.tobytes(), act.g3.tobytes()
+
+
+def test_abelian_action_exact_only_when_all_fractions():
+    exact = abelian_action([(Fraction(1, 3), Fraction(-5, 4)), (Fraction(2), Fraction(1, 2))])
+    assert exact.phases1 == (Fraction(1, 4), Fraction(1, 2))
+    assert exact.phases2 == (Fraction(2, 3), Fraction(0))
+    mixed = abelian_action([(Fraction(1, 3), Fraction(1, 4)), (Fraction(1, 2), 0.25 + 0j)])
+    assert mixed.phases1 is None
+    assert _bits(mixed) == _diag_bits([(1 / 3, 0.25), (0.5, 0.25)])
+
+
+def test_make_abelian_complex_t_beside_rational_r_is_bit_exact():
+    # A Fraction r enters the float action as complex(float(r), 0.0).
+    r, t = Fraction(2, 7), 0.3 - 0.45j
+    act = make_abelian(r, 0.5, t).fam.action
+    assert act.phases1 is None
+    g1 = np.array([[cmath.exp(-2j * math.pi * t)]])
+    g2 = np.array([[cmath.exp(-2j * math.pi * complex(float(r), 0.0))]])
+    assert _bits(act) == (g1.tobytes(), g2.tobytes(), (g1 @ g2).tobytes())
+
+
+def test_scenario_file_without_side_channel_gets_float_action():
+    from twistlab.cli import parse_scenario
+    doc = {"version": "twistlab/1", "labels": 2,
+           "terms": [[{"coeff": 1, "r": [0.3, 0.1], "t": 0.7},
+                      {"coeff": 2, "r": [1.3, 0.1], "t": 1.7}],
+                     [{"coeff": 1, "r": 0.25, "t": [0.5, -0.2]}]]}
+    act = parse_scenario(doc).fam.action
+    assert act.phases1 is None
+    assert _bits(act) == _diag_bits([(0.3 + 0.1j, 0.7), (0.25, 0.5 - 0.2j)])
+    # With both side channels on every label the phases are exact again.
+    for row in doc["terms"]:
+        row[0].update(r=0.5, t=0.25, rExact={"num": 1, "den": 2},
+                      tExact={"num": 1, "den": 4})
+    assert parse_scenario(doc).fam.action.phases1 == (Fraction(3, 4),) * 2
 
 
 # ---------------------------------------------------------------------------
