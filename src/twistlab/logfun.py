@@ -23,6 +23,15 @@ branch triple built from the input triple:
 The windows are exactly the conditions under which the auxiliary ratio
 (z2/z1, z1/z2 or (z1-z2)/z2) has its principal log consistent with the
 indexed logs above, so each group series converges to the right branch.
+expand_family builds the series of several functions in one pass, and
+expand_region is its one-function case.
+
+Functions and series share one packed layout (coeffs, exps, lmn), a
+function being a one-group series, and one evaluation kernel, eval_parts,
+which sums a batch of them at their points (point_logs rows, each point on
+its own triple) in one numpy pass.  A single point goes through the scalar
+row loop _sum_terms instead (eval_branch2, eval_branch1, RegionExpansion.eval),
+which is also the kernel's test reference.
 
 winding_profile counts how the sheet indices of z1, z2 and z1 - z2 change
 along a path (paths.PathSpec), in closed form for each segment and arc.
@@ -34,6 +43,7 @@ the gap measure the checks use as well.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -121,8 +131,11 @@ class LogMonomial(_MonomialFields):
 class LogFunction:
     """Finite sum of LogMonomial terms (not automatically normalized).
 
-    rows, the terms packed for _sum_terms, is made on first evaluation and
-    kept; equality, hashing, copies and pickles see only terms.
+    Its terms are also kept packed, as a one-group series is: coeffs, exps
+    (columns r, s, t) and lmn (columns l, m, n; int64, or objects where a
+    power does not fit), in term order, for eval_parts; and rows, the terms
+    as tuples for _sum_terms.  Each is made on first use and kept;
+    equality, hashing, copies and pickles see only terms.
     """
 
     terms: tuple[LogMonomial, ...]
@@ -137,6 +150,19 @@ class LogFunction:
     def rows(self) -> list[tuple]:
         return [(complex(a), _exponent(r), _exponent(s), _exponent(t), l, m, n)
                 for a, r, s, t, l, m, n in self.terms]
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        return np.array([complex(u.coeff) for u in self.terms], dtype=complex)
+
+    @cached_property
+    def exps(self) -> np.ndarray:
+        return np.array([(complex(u.r), complex(u.s), complex(u.t)) for u in self.terms],
+                        dtype=complex).reshape(-1, 3)
+
+    @cached_property
+    def lmn(self) -> np.ndarray:
+        return _int_array([(u.l, u.m, u.n) for u in self.terms]).reshape(-1, 3)
 
     def __add__(self, other: "LogFunction") -> "LogFunction":
         return LogFunction(self.terms + other.terms)
@@ -270,6 +296,19 @@ def _point_logs(bt: BranchTriple, z1: complex, z2: complex) -> tuple[complex, ..
     return z1, z2, w, lp(p1, z1), lp(p2, z2), lp(p12, w)
 
 
+def point_logs(samples: Iterable[tuple[BranchTriple, complex, complex]]) -> np.ndarray:
+    """_point_logs of each (bt, z1, z2) of samples, one row each, as the
+    (samples, 6) array eval_parts takes; a ValueError names the first bad
+    point."""
+    rows = []
+    for bt, z1, z2 in samples:
+        try:
+            rows.append(_point_logs(bt, z1, z2))
+        except ValueError as exc:
+            raise ValueError(f"z1 = {complex(z1)}, z2 = {complex(z2)}: {exc}") from None
+    return np.array(rows, dtype=complex).reshape(-1, 6)
+
+
 def _sum_terms(rows: list, starts: Iterable[int], z1: complex, z2: complex,
                w: complex, L1: complex, L2: complex, L12: complex) -> complex:
     """Sum at a point, given its logs (_point_logs), of rows (a, r, s, t, l, m, n)
@@ -311,8 +350,10 @@ def _cpython_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a multiply and an add, and exp magnifies its argument's rounding by the
     argument's size."""
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
+    np.multiply(a.real, b.real, out=out.real)
+    out.real -= a.imag * b.imag
+    np.multiply(a.real, b.imag, out=out.imag)
+    out.imag += a.imag * b.real
     return out
 
 
@@ -461,12 +502,12 @@ class RegionExpansion:
     t) and lmn (columns l, m, n; int64, or objects where a power does not
     fit), group by group in (real, imag) key order and each group in
     normalize's order; keys lists the keys, starts the term where each group
-    but the first begins.  rows, the terms as tuples (a, r, s, t, l, m, n)
-    for _sum_terms, and groups, each key's LogFunction in the order
-    expand_region met them, are built on first use and kept.  eval adds
-    each group's subtotal, what eval_branch2 gives for it, in key order;
-    eval_many evaluates every term at every point of a batch in one numpy
-    pass.
+    but the first begins.  These are what eval_parts reads, with a series'
+    points on its designated triple.  rows, the terms as tuples
+    (a, r, s, t, l, m, n) for _sum_terms, and groups, each key's LogFunction
+    in the order expand_region met them, are built on first use and kept.
+    eval adds each group's subtotal, what eval_branch2 gives for it, in key
+    order; eval_many is eval_parts of this series alone.
     """
 
     region: str
@@ -492,23 +533,12 @@ class RegionExpansion:
     def group_keys(self) -> list[complex]:
         return list(self.keys)
 
-    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Column by column, the runs of terms whose exponents have equal
-        bits (-0.0 and +0.0 differ): each run's exponent and column, in
-        column order, and each term's run, shape (3, terms)."""
-        exps = self.exps
-        bits = exps.view(np.int64).reshape(-1, 3, 2)
-        new_run = np.ones(exps.shape, dtype=bool)
-        new_run[1:] = (bits[1:] != bits[:-1]).any(axis=2)
-        runs = np.cumsum(new_run.T).reshape(3, -1) - 1
-        return exps.T[new_run.T], np.nonzero(new_run.T)[0], runs
-
     @cached_property
     def rows(self) -> list[tuple]:
         # A run of rows shares one exponent object per column, so _sum_terms
         # makes the run's power once.
-        first, _, runs = self._runs()
-        rst = _exponents(first)[runs].tolist()
+        col, first, runs = _exponent_runs(self.exps)
+        rst = _exponents(self.exps[first, col])[runs].tolist()
         return list(zip(self.coeffs.tolist(), *rst, *self.lmn.T.tolist()))
 
     @cached_property
@@ -520,12 +550,14 @@ class RegionExpansion:
         # expand_region met each group at its first term, the least by key().
         return dict(sorted(groups, key=lambda kg: kg[1].terms[0].key()))
 
-    def _check_ordering(self, z1: complex, z2: complex) -> None:
+    def _checked(self, z1: complex, z2: complex) -> tuple[BranchTriple, complex, complex]:
+        """(designated, z1, z2), once the region's modulus ordering holds."""
         inner, outer = _inner_outer(self.region, complex(z1), complex(z2))
         if not abs(inner) < abs(outer):
             raise ValueError(
                 f"z1 = {z1}, z2 = {z2} is outside the {self.region} region: its series "
                 f"needs {_MODULUS_ORDERING[self.region]}")
+        return self.designated, z1, z2
 
     def eval(self, z1: complex, z2: complex) -> complex:
         """Sum of the series at (z1, z2) on the designated triple.
@@ -535,44 +567,98 @@ class RegionExpansion:
         series may be evaluated past it on purpose, to show it then sums
         to another branch.
         """
-        self._check_ordering(z1, z2)
-        return _sum_terms(self.rows, self.starts, *_point_logs(self.designated, z1, z2))
+        return _sum_terms(self.rows, self.starts, *_point_logs(*self._checked(z1, z2)))
 
     def eval_many(self, points: Iterable[tuple[complex, complex]]) -> list[complex]:
-        """eval at each (z1, z2) of points, every term at every point in one
-        numpy pass; the values agree with eval's up to rounding.
+        """eval at each (z1, z2) of points: eval_parts of this series alone,
+        every term at every point in one numpy pass.  The values agree with
+        eval's up to rounding.
 
         Each point is checked as eval checks it, and a ValueError names the
-        first bad one.  Powers are made as _sum_terms makes them: a whole
-        exponent k (as _exponent has it) takes the single-valued z ** k
-        (below 100 in size numpy's repeated squaring, else CPython's), any
-        other c takes exp(c L); each term multiplies its coefficient, its
-        three powers and then its log powers.  Raises OverflowError where a
-        power or a value is not finite.  A series with log powers past int64
-        is summed by eval, point by point.
+        first bad one; an OverflowError names the first point whose value is
+        not finite.
         """
         points = [(complex(z1), complex(z2)) for z1, z2 in points]
-        logs = []
-        for z1, z2 in points:
-            self._check_ordering(z1, z2)
-            try:
-                logs.append(_point_logs(self.designated, z1, z2))
-            except ValueError as exc:
-                raise ValueError(f"z1 = {z1}, z2 = {z2}: {exc}") from None
-        if self.lmn.dtype == object:
-            return [self.eval(z1, z2) for z1, z2 in points]
-        if not (logs and self.coeffs.size):
-            return [0j] * len(points)
-        logs = np.array(logs)  # (point, 6): z1, z2, w and their logs
-        # One power per run of equal exponents, as in rows.
-        c, col, runs = self._runs()
-        z, log_z = logs[:, col], logs[:, 3 + col]
+        logs = point_logs(self._checked(z1, z2) for z1, z2 in points)
+        return eval_parts([self], [logs])[0].tolist()
+
+
+def _exponent_runs(exps: np.ndarray, source: np.ndarray | None = None):
+    """Column by column, the runs of terms whose exponents have equal bits
+    (-0.0 and +0.0 differ) and, given source (one entry per term), equal
+    sources: each run's column and first term, in column order, and each
+    term's run, shape (3, terms)."""
+    bits = exps.view(np.int64)  # (terms, 6): each exponent's real and imaginary bits
+    changed = bits[1:] != bits[:-1]
+    new_run = np.ones(exps.shape, dtype=bool)
+    new_run[1:] = changed[:, 0::2] | changed[:, 1::2]
+    if source is not None:
+        new_run[1:] |= (source[1:] != source[:-1])[:, None]
+    col, first = np.nonzero(new_run.T)
+    return col, first, np.cumsum(new_run.T).reshape(3, -1) - 1
+
+
+def eval_parts(parts: list[RegionExpansion | LogFunction],
+               logs: list[np.ndarray]) -> np.ndarray:
+    """Each part's value at each of its points, as a (parts, points) array.
+
+    A part is a RegionExpansion or a LogFunction (a one-group series); its
+    points are logs[i], point_logs rows made on the triple it is to be
+    summed on (a series' designated triple; any triple, or one per point,
+    for a function), the same number of points for every part.  Parts that
+    share one logs array share its powers.  Every term of every part is
+    evaluated at every point in one numpy pass, and a part's values have
+    the same bits whatever other parts are in the batch.
+
+    Powers are made as _sum_terms makes them, once per run of equal
+    exponents: a whole exponent k (as _exponent has it) takes the
+    single-valued z ** k (below 100 in size numpy's repeated squaring, else
+    CPython's), any other c takes exp(c L).  Each term multiplies its
+    coefficient and its three powers, then the log powers of each column
+    in which any term of its part has one; a part sums its groups'
+    subtotals.  The values agree with _sum_terms' up to rounding.  Raises
+    OverflowError where a value is not finite, naming the first such
+    part's first such point.  A part with log powers past int64 is summed
+    by _sum_terms, point by point.  Nothing checks a series' modulus
+    ordering here: eval_many does, and callers with their own points
+    sample them inside the region.
+    """
+    points = logs[0].shape[0] if parts else 0
+    values = np.zeros((len(parts), points), dtype=complex)
+    packed, tables, table_of = [], [], {}
+    for i, (part, part_logs) in enumerate(zip(parts, logs)):
+        starts = part.starts if isinstance(part, RegionExpansion) else []
+        if part.lmn.dtype == object:
+            values[i] = [_sum_terms(part.rows, starts, *row) for row in part_logs.tolist()]
+        elif part.coeffs.size and points:
+            u = table_of.setdefault(id(part_logs), len(tables))
+            if u == len(tables):
+                tables.append(part_logs)
+            packed.append((i, part, starts, u))
+    if packed:
+        index, members, starts_of, sources = zip(*packed)
+        sizes = [part.coeffs.size for part in members]
+        offsets = [0, *itertools.accumulate(sizes)]
+        group_starts = [lo + s for lo, starts in zip(offsets, starts_of) for s in (0, *starts)]
+        groups = [0, *itertools.accumulate(len(starts) + 1 for starts in starts_of)]
+        coeffs = np.concatenate([part.coeffs for part in members])
+        exps = np.concatenate([part.exps for part in members])
+        lmn = np.concatenate([part.lmn for part in members])
+        # The logs arrays side by side, (point, 6 * arrays); each term's
+        # own columns z1, z2, w and their logs begin at its base.
+        table = np.concatenate(tables, axis=1)
+        base = np.repeat([6 * u for u in sources], sizes)
+        col, first, runs = _exponent_runs(exps, base)
+        c = exps[first, col]
+        at = base[first] + col
+        z, log_z = table[:, at], table[:, at + 3]
         re = c.real
         whole = (c.imag == 0.0) & (re == np.trunc(re))
         small = whole & (np.abs(re) < 100.0)
         large = whole & ~small
         with np.errstate(all="ignore"):
-            powers = np.exp(_cpython_product(c, log_z))
+            powers = _cpython_product(c, log_z)
+            np.exp(powers, out=powers)
             powers[:, small] = np.power(z[:, small], c[small])
             if large.any():
                 # CPython's own z ** k: past 100 it is |z| ** k at angle
@@ -581,56 +667,78 @@ class RegionExpansion:
                 ks = [int(k) for k in re[large].tolist()]
                 powers[:, large] = [[zj ** k for zj, k in zip(zs, ks)]
                                     for zs in z[:, large].tolist()]
-            pr, ps, pt = powers[:, runs].transpose(1, 0, 2)  # each (point, term)
-            terms = self.coeffs * pr * ps * pt
-            for j in np.flatnonzero(self.lmn.any(axis=0)):  # log powers l, m, n
-                terms *= np.power(logs[:, 3 + j, None], self.lmn[:, j])
-            values = np.add.reduceat(terms, [0, *self.starts], axis=1).sum(axis=1)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            z1, z2 = points[bad[0]]
-            raise OverflowError(f"series value at z1 = {z1}, z2 = {z2} is not finite")
-        return values.tolist()
+            # coeffs * pr * ps * pt, each power gathered (point, term) in turn
+            terms = coeffs * powers[:, runs[0]]
+            terms *= powers[:, runs[1]]
+            terms *= powers[:, runs[2]]
+            del powers
+            has_log = np.logical_or.reduceat(lmn != 0, offsets[:-1], axis=0)
+            for j in np.flatnonzero(has_log.any(axis=0)):  # log powers l, m, n
+                cols = (slice(None) if has_log[:, j].all()
+                        else np.flatnonzero(np.repeat(has_log[:, j], sizes)))
+                terms[:, cols] *= np.power(table[:, base[cols] + 3 + j], lmn[cols, j])
+            subtotals = np.add.reduceat(terms, group_starts, axis=1)
+            for i, lo, hi in zip(index, groups, groups[1:]):
+                values[i] = subtotals[:, lo:hi].sum(axis=1)
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, k = np.argwhere(~finite)[0]
+        z1, z2 = logs[i][k, :2].tolist()
+        kind = "series" if isinstance(parts[i], RegionExpansion) else "function"
+        raise OverflowError(f"{kind} value at z1 = {z1}, z2 = {z2} is not finite")
+    return values
 
 
 def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> RegionExpansion:
-    """Series expansion of f in the given region, truncated at `order`.
+    """Series expansion of f in the given region, truncated at `order`:
+    expand_family of f alone.
 
     Within the region the partial sums converge (as order grows) to
     eval_branch2(f, designated_triple(region, bt), z1, z2).  Group keys
     follow the inner variable: z2-exponent (product), z1-exponent
     (reversed), (z1-z2)-exponent (iterate).
+    """
+    return expand_family([f], region, bt, order)[0]
+
+
+def expand_family(functions: Iterable[LogFunction], region: str, bt: BranchTriple,
+                  order: int) -> list[RegionExpansion]:
+    """expand_region of each function, built together in one pass; each
+    series has the same bits as when its function is expanded alone.
 
     Each input term and log-power split contributes one block of
     order + 1 candidate monomials, one per power k of the auxiliary ratio.
     The blocks are built together, from one table of binomial series (a
     row per term) and one of log powers; a block with no log power takes
-    its binomial row as it is.  All blocks are merged at once: exact zeros
-    of the series are dropped, equal exponent signatures summed in order of
-    appearance, coefficients below 1e-15 dropped, and the survivors kept in
-    normalize's order.
+    its binomial row as it is.  All blocks are merged at once, function by
+    function: exact zeros of the series are dropped, equal exponent
+    signatures summed in order of appearance, coefficients below 1e-15
+    dropped, and the survivors kept in normalize's order.
     Raises ValueError, before allocating, when that makes more than
-    SERIES_BUDGET candidate monomials.
+    SERIES_BUDGET candidate monomials in all.
     """
+    functions = list(functions)
     if region not in REGIONS:
         raise ValueError(f"unknown region {region!r}")
     if order < 0:
         raise ValueError("order must be non-negative")
+    terms = [u for f in functions for u in f.terms]
     # Blocks per term: one per log-power split of the expanded log.
     blocks_per_order = sum(
         u.n + 1 if region == "product"
         else (u.n + 1) * (u.n + 2) // 2 if region == "reversed"
         else u.l + 1
-        for u in f.terms)
+        for u in terms)
     candidates = (order + 1) * blocks_per_order
     if candidates > SERIES_BUDGET:
         raise ValueError(
             f"{region} series of order {order} needs {candidates} candidate monomials, "
             f"over the series budget (SERIES_BUDGET = {SERIES_BUDGET})")
     bt = BranchTriple(*bt)
-    expansion = RegionExpansion(region, bt, designated_triple(region, bt), order)
-    if not f.terms:
-        return expansion
+    designated = designated_triple(region, bt)
+    expansions = [RegionExpansion(region, bt, designated, order) for _ in functions]
+    if not terms:
+        return expansions
     # Per term: the binomial exponent, and the exponents that fall
     # (falling - k) and rise (rising + k) with the power k of the auxiliary
     # ratio, in Python's association, (r + t) - k and so on, so signatures
@@ -638,7 +746,7 @@ def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> 
     # the block's coefficients are scale * (binomial row * j-th log power).
     binom_exps, falling, rising, blocks = [], [], [], []
     minus_pi_i = complex(0.0, -math.pi)
-    for i, u in enumerate(f.terms):
+    for i, u in enumerate(terms):
         a, r, s, t, l, m, n = (complex(u.coeff), complex(u.r), complex(u.s),
                                complex(u.t), u.l, u.m, u.n)
         if region == "product":
@@ -683,41 +791,71 @@ def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> 
     block, k = np.nonzero(live)
     coeff = np.array(scale)[block] * ser[live]
     of_term = np.array(term)[block]
-    # Columns r, s, t: one exponent falls with k, one rises, one is 0.
-    down, up, key_col = {"product": (0, 1, 1), "reversed": (1, 0, 0),
-                         "iterate": (1, 2, 2)}[region]
+    # Columns r, s, t: one exponent falls with k, one rises, one is 0, as
+    # is the log power column of the same place.
+    down, up, key_col, zero = {"product": (0, 1, 1, 2), "reversed": (1, 0, 0, 2),
+                               "iterate": (1, 2, 2, 0)}[region]
     exps = np.zeros((k.size, 3), dtype=complex)
     exps[:, down] = np.array(falling)[of_term] - k
     exps[:, up] = np.array(rising)[of_term] + k
     lmn = _int_array(lmn)[block]
+    fn = np.repeat(np.arange(len(functions)), [len(f.terms) for f in functions])[of_term]
+    # Each array below holds one entry per candidate: drop every one as soon
+    # as it is used, as all functions' candidates are alive at once.
+    del ser, live, block, k, of_term
     # The signature of LogMonomial.key: exponent parts with -0.0 made +0.0,
-    # then log powers.  The two blocks of columns are compared apart, as
-    # the log powers may be objects, which a shared dtype would round.
-    parts = exps.view(float) + 0.0
-    # One stable sort by group key (the key column's parts), then signature:
-    # equal signatures meet with their order kept, and each group comes out
-    # in normalize's order.
-    perm = np.lexsort((*lmn.T[::-1], *parts.T[::-1],
-                       parts[:, 2 * key_col + 1], parts[:, 2 * key_col]))
-    parts, lmn_sorted = parts[perm], lmn[perm]
-    new_sig = ((parts[1:] != parts[:-1]).any(axis=1)
-               | (lmn_sorted[1:] != lmn_sorted[:-1]).any(axis=1))
+    # then log powers, leaving out the zero columns, which order nothing.
+    # The two blocks of columns are compared apart, as the log powers may
+    # be objects, which a shared dtype would round.
+    live_cols = [c for c in range(3) if c != zero]
+    parts = exps.view(float)[:, [2 * c + h for c in live_cols for h in (0, 1)]] + 0.0
+    key_part = 2 * live_cols.index(key_col)
+    # One stable sort by function, group key (the key column's parts), then
+    # signature: equal signatures meet with their order kept, and each
+    # group comes out in normalize's order.
+    perm = np.lexsort((*lmn[:, live_cols].T[::-1], *parts.T[::-1],
+                       parts[:, key_part + 1], parts[:, key_part], fn))
+    parts = parts[perm]
+    new_sig = (parts[1:] != parts[:-1]).any(axis=1)
+    del parts
+    lmn_sorted = lmn[perm][:, live_cols]
+    new_sig |= (lmn_sorted[1:] != lmn_sorted[:-1]).any(axis=1)
+    del lmn_sorted
+    fn = fn[perm]
+    new_sig |= fn[1:] != fn[:-1]
     starts = np.flatnonzero(np.concatenate(([True], new_sig)))
+    del new_sig
     total = np.add.reduceat(coeff[perm], starts)
+    del coeff
     keep = ~(np.abs(total) < _COEFF_DROP)
     # Exponents come from each signature's first term, as in normalize.
     rep = perm[starts[keep]]
-    total, exps, lmn = total[keep], exps[rep], lmn[rep]
+    del perm
+    total, fn = total[keep], fn[starts[keep]]
+    exps = exps[rep]
+    lmn = lmn[rep]
     if not (np.isfinite(total).all() and np.isfinite(exps).all()):
         raise ValueError("coefficient and exponents must be finite")
     if not total.size:
-        return expansion
+        return expansions
     key = exps[:, key_col] + 0.0
-    group_starts = np.flatnonzero(key[1:] != key[:-1]) + 1
-    expansion.coeffs, expansion.exps, expansion.lmn = total, exps, lmn
-    expansion.starts = group_starts.tolist()
-    expansion.keys = key[np.concatenate(([0], group_starts))].tolist()
-    return expansion
+    # Where each group begins, and each function's first term and group.
+    new_group = (key[1:] != key[:-1]) | (fn[1:] != fn[:-1])
+    firsts = np.flatnonzero(np.concatenate(([True], new_group)))
+    bounds = np.searchsorted(fn, np.arange(len(functions) + 1))
+    first_group = np.searchsorted(firsts, bounds).tolist()
+    keys, firsts, bounds = key[firsts].tolist(), firsts.tolist(), bounds.tolist()
+    for i, expansion in enumerate(expansions):
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo == hi:
+            continue
+        expansion.coeffs, expansion.exps = total[lo:hi], exps[lo:hi]
+        # Powers fit int64 unless one of this function's own does not.
+        expansion.lmn = _int_array(lmn[lo:hi].tolist()) if lmn.dtype == object else lmn[lo:hi]
+        groups = slice(first_group[i], first_group[i + 1])
+        expansion.starts = [s - lo for s in firsts[groups][1:]]
+        expansion.keys = keys[groups]
+    return expansions
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,9 @@ from .logfun import (
     LogMonomial,
     OneVarLogSeries,
     eval_branch1,
-    eval_branch2,
+    eval_parts,
     normalize,
+    point_logs,
     relative_gap,
 )
 
@@ -322,19 +323,25 @@ def contragredient_family(fam: CorrelationFamily, qp: QuasiPrimaryData, sign) ->
 def _shift_defects(fam: CorrelationFamily, bt: BranchTriple,
                    points: Sequence[tuple[complex, complex]], shifts) -> list[float]:
     """Max defect of eval(f(g u), shifted) = eval(f(u), bt) over points and
-    labels, for each (shifted, g) of shifts; f(u) is evaluated once per label
-    and point.
+    labels, for each (shifted, g) of shifts.  Every value comes from one
+    kernel call, in which f(u) is evaluated once per label and point.
 
     Each pointwise gap is measured relative to the larger of 1 and the two
     compared magnitudes, so the figure stays meaningful at any value scale.
     """
+    logs = [point_logs((b, z1, z2) for z1, z2 in points)
+            for b in (bt, *(shifted for shifted, _ in shifts))]
+    parts, part_logs = list(fam.functions), [logs[0]] * fam.dim
+    for j, (_, g) in enumerate(shifts):
+        parts += [fam.apply(g, i) for i in range(fam.dim)]
+        part_logs += [logs[1 + j]] * fam.dim
+    values = eval_parts(parts, part_logs).tolist()
+    references = values[:fam.dim]
     worst = [0.0] * len(shifts)
-    for i in range(fam.dim):
-        moved = [(fam.apply(g, i), shifted) for shifted, g in shifts]
-        for z1, z2 in points:
-            b = eval_branch2(fam.functions[i], bt, z1, z2)
-            for j, (f, shifted) in enumerate(moved):
-                a = eval_branch2(f, shifted, z1, z2)
+    for j in range(len(shifts)):
+        moved = values[(1 + j) * fam.dim:(2 + j) * fam.dim]
+        for moved_f, reference in zip(moved, references):
+            for a, b in zip(moved_f, reference):
                 worst[j] = max(worst[j], relative_gap(a, b))
     return worst
 

@@ -53,9 +53,11 @@ from .logfun import (
     continue_along,
     designated_triple,
     eval_branch2,
-    expand_region,
+    eval_parts,
+    expand_family,
     in_region,
     normalize,
+    point_logs,
     relative_gap,
     term_distance,
 )
@@ -213,11 +215,12 @@ def check_branch_identities(sc: Scenario | None, config: VerifyConfig,
             z = _annulus(rng, 0.2, 2.5)
         p = int(rng.integers(-3, 4))
 
-        d = abs(cmath.exp(lp(p, z)) - z) / max(1.0, abs(z))
-        d = max(d, abs(lp(p + 1, z) - lp(p, z) - 2j * math.pi))
+        log_z = lp(p, z)
+        d = abs(cmath.exp(log_z) - z) / max(1.0, abs(z))
+        d = max(d, abs(lp(p + 1, z) - log_z - 2j * math.pi))
         _, sigma = neg_branch(p, z)
-        d = max(d, abs(lp(p, -z) - lp(p, z) - sigma * PI_I))
-        d = max(d, abs(lp(inv_branch(p, z), 1.0 / z) + lp(p, z)))
+        d = max(d, abs(lp(p, -z) - log_z - sigma * PI_I))
+        d = max(d, abs(lp(inv_branch(p, z), 1.0 / z) + log_z))
         tr.add(d, (z, z))
 
         z1, z2 = _generic_pair(rng)
@@ -280,20 +283,25 @@ def _duality_defect(tr: _Tracker, functions, bt: BranchTriple, config: VerifyCon
                     rng, points_per_region: int, p12_bump: int = 0,
                     order: int | None = None):
     """Add the expansion-vs-designated-eval defects over regions and labels
-    into tr."""
+    into tr, with one family build and one kernel call per region."""
     if order is None:
         order = config.order
+    functions = list(functions)
     for region in REGIONS:
         pts = [_region_pair(rng, region, config) for _ in range(points_per_region)]
-        for f in functions:
-            exp_f = expand_region(f, region, bt, order)
-            target_bt = exp_f.designated
-            if p12_bump:
-                target_bt = BranchTriple(target_bt.p1, target_bt.p2,
-                                         target_bt.p12 + p12_bump)
-            for (z1, z2), approx in zip(pts, exp_f.eval_many(pts)):
-                exact = eval_branch2(f, target_bt, z1, z2)
-                tr.add(relative_gap(approx, exact), (z1, z2))
+        # Each region's series and exact values in one kernel call: both
+        # sides share the designated triple's logs, unless bumped.
+        series = expand_family(functions, region, bt, order)
+        designated = designated_triple(region, bt)
+        logs = exact_logs = point_logs((designated, z1, z2) for z1, z2 in pts)
+        if p12_bump:
+            bumped = designated._replace(p12=designated.p12 + p12_bump)
+            exact_logs = point_logs((bumped, z1, z2) for z1, z2 in pts)
+        values = eval_parts([*series, *functions],
+                            [logs] * len(series) + [exact_logs] * len(functions)).tolist()
+        for approx_f, exact_f in zip(values, values[len(series):]):
+            for point, approx, exact in zip(pts, approx_f, exact_f):
+                tr.add(relative_gap(approx, exact), point)
 
 
 def check_duality_regions(sc: Scenario, config: VerifyConfig) -> CheckReport:
@@ -354,11 +362,12 @@ def check_region_swap(sc: Scenario, config: VerifyConfig) -> CheckReport:
     paths = [_swap_path(rng)[0] for _ in range(config.swap_paths)]
     ends = {i: (path_end(path)[0], path.z2) for i, path in enumerate(paths)
             if in_region("reversed", path.z1, path.z2, 0.04)}
-    # Each function's series is evaluated at every arc's end in one batch.
-    series_at_ends = [
-        dict(zip(ends, expand_region(f, "reversed", sc.bt, max(config.order, 100))
-                 .eval_many(ends.values())))
-        for f in sc.fam.functions]
+    # The family's series, built once, evaluated at every arc's end in one
+    # kernel call.
+    series = expand_family(sc.fam.functions, "reversed", sc.bt, max(config.order, 100))
+    logs = point_logs((start_bt, z1, z2) for z1, z2 in ends.values())
+    series_at_ends = [dict(zip(ends, values)) for values in
+                      eval_parts(series, [logs] * len(series)).tolist()]
     for i, path in enumerate(paths):
         if i not in ends:
             tr.add(math.inf, (path.z1, path.z2))
@@ -478,14 +487,14 @@ def check_omega_duality(sc: Scenario, config: VerifyConfig) -> CheckReport:
         gfam = omega_family(sc.fam, sign)
         # (i) pointwise relocation: the exchanged function at (z1, z2) is
         # the original at (z1 - z2, -z2) with the outer indices traded.
+        samples = []
         for _ in range(config.pointwise_points):
             z1, z2 = _exchange_pair(rng, sign)
-            P = _small_triple(rng, sc.bt)
-            for g, f in zip(gfam.functions, sc.fam.functions):
-                lhs = eval_branch2(g, P, z1, z2)
-                rhs = eval_branch2(f, BranchTriple(P.p12, P.p2, P.p1),
-                                   z1 - z2, -z2)
-                tr.add(relative_gap(lhs, rhs), (z1, z2))
+            samples.append((_small_triple(rng, sc.bt), z1, z2))
+        lhs = point_logs(samples)
+        rhs = point_logs((BranchTriple(P.p12, P.p2, P.p1), z1 - z2, -z2)
+                         for P, z1, z2 in samples)
+        _add_pointwise(tr, gfam.functions, lhs, sc.fam.functions, rhs, samples)
         # (ii) shift identities with the swapped action.
         pts = [_generic_pair(rng) for _ in range(config.shift_points)]
         for defect in check_shifts(gfam, sc.bt, pts):
@@ -506,6 +515,19 @@ def check_omega_duality(sc: Scenario, config: VerifyConfig) -> CheckReport:
     return CheckReport("omega-duality", passed, max(tr.max_defect, invol),
                        config.tol_series, tr.samples, config.seed, tr.worst,
                        extras={"involutionDefect": invol})
+
+
+def _add_pointwise(tr: _Tracker, lhs_functions, lhs_logs, rhs_functions, rhs_logs,
+                   samples) -> None:
+    """Add into tr the gap, at each (bt, z1, z2) of samples, between each
+    left function on lhs_logs and its right partner on rhs_logs, all
+    evaluated in one kernel call."""
+    n = len(lhs_functions)
+    values = eval_parts([*lhs_functions, *rhs_functions],
+                        [lhs_logs] * n + [rhs_logs] * len(rhs_functions)).T.tolist()
+    for (_, z1, z2), row in zip(samples, values):
+        for lhs, rhs in zip(row, row[n:]):
+            tr.add(relative_gap(lhs, rhs), (z1, z2))
 
 
 def _exchange_pair(rng, sign: int) -> tuple[complex, complex]:
@@ -543,16 +565,17 @@ def check_contragredient_duality(sc: Scenario, config: VerifyConfig) -> CheckRep
         hfam = contragredient_family(sc.fam, sc.qp, sign)
         fmods = [quasi_primary_modify(f, sc.qp, sign) for f in sc.fam.functions]
         # (i) inverted-variable pointwise law.
+        samples, inverted = [], []
         for _ in range(config.pointwise_points):
             z1, z2 = _generic_pair(rng)
             P = _small_triple(rng, sc.bt)
             q = q_offset_product(z1, z2)
             p12 = P.p12 - P.p1 - P.p2 - q - (0 if sign > 0 else 1)
             inv_bt = BranchTriple(inv_branch(P.p1, z1), inv_branch(P.p2, z2), p12)
-            for h, fmod in zip(hfam.functions, fmods):
-                lhs = eval_branch2(h, P, z1, z2)
-                rhs = eval_branch2(fmod, inv_bt, 1.0 / z1, 1.0 / z2)
-                tr.add(relative_gap(lhs, rhs), (z1, z2))
+            samples.append((P, z1, z2))
+            inverted.append((inv_bt, 1.0 / z1, 1.0 / z2))
+        _add_pointwise(tr, hfam.functions, point_logs(samples), fmods,
+                       point_logs(inverted), samples)
         # (ii) shift identities with the induced action (integral wt_u).
         pts = [_generic_pair(rng) for _ in range(config.shift_points)]
         for defect in check_shifts(hfam, sc.bt, pts):

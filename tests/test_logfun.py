@@ -8,9 +8,12 @@ import math
 import pickle
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistlab import (
     Arc,
@@ -24,13 +27,17 @@ from twistlab import (
     RegionExpansion,
     Segment,
     continue_along,
+    default_scenarios,
     designated_triple,
     differentiate,
     eval_branch1,
     eval_branch2,
+    eval_parts,
+    expand_family,
     expand_region,
     in_region,
     normalize,
+    point_logs,
     sample_path,
     term_distance,
     validate_path,
@@ -38,8 +45,10 @@ from twistlab import (
 )
 
 from twistlab import logfun, paths
+from twistlab.cli import load_scenario
 
 TWO_PI = 2.0 * math.pi
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def rel_gap(a: complex, b: complex) -> float:
@@ -957,6 +966,191 @@ def test_eval_many_sums_log_powers_past_int64_row_by_row():
     assert exp.lmn.dtype == object
     points = [(1.0 + 0.0j, 0.3j), (1.0 + 0.0j, -0.4 + 0.1j)]  # log z1 = 0
     assert exp.eval_many(points) == [exp.eval(*p) for p in points]
+
+
+# ---------------------------------------------------------------------------
+# family builds and the evaluation kernel
+# ---------------------------------------------------------------------------
+
+
+def _series_bits(exp: RegionExpansion) -> tuple:
+    return (exp.region, exp.bt, exp.designated, exp.order, exp.coeffs.tobytes(),
+            exp.exps.tobytes(), exp.lmn.dtype, exp.lmn.tolist(), exp.starts,
+            [_bits(k) for k in exp.keys])
+
+
+# An empty function, a one-term one, one whose every coefficient drops and
+# one with a log power past int64 (m, which adds no blocks in any region).
+EDGE_FAMILY = [LogFunction(), LogFunction([LogMonomial(0.5j, r=0.25, s=-0.5, t=1.5)]),
+               LogFunction([LogMonomial(1e-16, r=0.5, t=-0.5)]),
+               LogFunction([LogMonomial(1.0, r=0.5, t=0.5, m=2 ** 63),
+                            LogMonomial(0.25, s=1.0 / 3.0, n=1)])]
+
+SHIPPED = [*default_scenarios(),
+           *(load_scenario(str(path)) for path in sorted(SCENARIO_DIR.glob("*.json")))]
+
+
+@pytest.mark.parametrize("edges", [False, True], ids=["shipped", "with-edge-functions"])
+@pytest.mark.parametrize("order", [0, 5, 60, 100])
+def test_family_build_equals_each_function_expanded_alone(order, edges):
+    for sc in SHIPPED:
+        functions = list(sc.fam.functions)
+        if edges:
+            functions = [*EDGE_FAMILY[:2], *functions, *EDGE_FAMILY[2:]]
+        for region in REGIONS:
+            family = expand_family(functions, region, sc.bt, order)
+            assert len(family) == len(functions)
+            for f, series in zip(functions, family):
+                assert _series_bits(series) == _series_bits(expand_region(f, region, sc.bt, order))
+
+
+def test_family_build_counts_every_function_against_the_budget(monkeypatch):
+    f = LogFunction([LogMonomial(1.0, r=0.5, t=0.5)])
+    monkeypatch.setattr(logfun, "SERIES_BUDGET", 3 * 11)
+    assert len(expand_family([f] * 3, "product", BranchTriple(0, 0, 0), 10)) == 3
+    with pytest.raises(ValueError, match="needs 44 candidate"):
+        expand_family([f] * 4, "product", BranchTriple(0, 0, 0), 10)
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_kernel_batches_series_and_functions_with_the_bits_of_each_alone(region):
+    bt = BranchTriple(1, -1, 0)
+    functions = list(SERIES_FUNCTIONS.values())
+    series = expand_family(functions, region, bt, 60)
+    points = _region_points(region, 3, 7)
+    logs = point_logs((series[0].designated, z1, z2) for z1, z2 in points)
+    other = point_logs((bt, z1, z2) for z1, z2 in points)
+    parts = [*series, *functions, *functions]
+    tables = [logs] * (2 * len(functions)) + [other] * len(functions)
+    batch = eval_parts(parts, tables)
+    assert batch.shape == (len(parts), len(points)) and batch.dtype == complex
+    for part, table, values in zip(parts, tables, batch):
+        assert values.tobytes() == eval_parts([part], [table])[0].tobytes()
+    for exp, values in zip(series, batch):
+        assert [_bits(v) for v in exp.eval_many(points)] == [_bits(v) for v in values]
+
+
+# sha256 prefixes of LOG_HEAVY's eval_many bits at order 40, recorded from
+# the eval_many that summed one series per call.
+EVAL_MANY_FINGERPRINTS = {"product": "b2346c37e413d372", "reversed": "915ed3d698e71f4b",
+                          "iterate": "95723daefb71248c"}
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_eval_many_keeps_its_bits(region):
+    exp = expand_region(LOG_HEAVY, region, BranchTriple(1, -1, 0), 40)
+    values = exp.eval_many(_region_points(region, 4, 11))
+    digest = hashlib.sha256(repr([_bits(v) for v in values]).encode()).hexdigest()[:16]
+    assert digest == EVAL_MANY_FINGERPRINTS[region]
+
+
+def test_kernel_keeps_equal_exponents_on_different_logs_apart():
+    # One-term parts side by side share every exponent, so only their logs
+    # tell their powers apart.
+    f = LogFunction([LogMonomial(1.0, r=0.5 + 0.25j, s=-1.5, t=1.0 / 3.0, l=1)])
+    points = [(1.5 + 0.5j, -0.5 + 0.2j), (-1.0 - 0.3j, 0.8j)]
+    tables = [point_logs((bt, z1, z2) for z1, z2 in points)
+              for bt in (BranchTriple(0, 0, 0), BranchTriple(1, 0, 0), BranchTriple(0, -1, 2))]
+    batch = eval_parts([f] * 3, tables)
+    for table, values in zip(tables, batch):
+        assert values.tobytes() == eval_parts([f], [table])[0].tobytes()
+    assert len({values.tobytes() for values in batch}) == 3
+
+
+def test_kernel_takes_no_points_and_no_parts():
+    logs = point_logs([])
+    assert logs.shape == (0, 6)
+    assert eval_parts([MIXED, expand_region(MIXED, "product", BranchTriple(0, 0, 0), 5)],
+                      [logs, logs]).shape == (2, 0)
+    assert eval_parts([], []).shape == (0, 0)
+
+
+def test_function_columns_are_packed_once_and_leave_equality_alone():
+    f = LogFunction([LogMonomial(1.0 - 2.0j, r=Fraction(1, 2), s=-0.0, t=3, l=1),
+                     LogMonomial(0.5j, r=complex(0.25, -0.0), m=2, n=3)])
+    digest, pickled = hash(f), pickle.dumps(f)
+    logs = point_logs([(BranchTriple(0, 1, -1), 1.5 + 0.2j, -0.4 + 0.3j)])
+    eval_parts([f], [logs])
+    assert f.coeffs.tolist() == [1.0 - 2.0j, 0.5j]
+    assert [_bits(v) for v in f.exps.ravel()] == [
+        _bits(complex(v)) for v in (0.5, -0.0, 3.0, complex(0.25, -0.0), 0.0, 0.0)]
+    assert f.lmn.dtype == np.int64 and f.lmn.tolist() == [[1, 0, 0], [0, 2, 3]]
+    assert {"coeffs", "exps", "lmn"} <= set(vars(f))
+    assert f == LogFunction(f.terms) and hash(f) == digest and pickle.dumps(f) == pickled
+    assert LogFunction().exps.shape == LogFunction().lmn.shape == (0, 3)
+
+
+def _kernel_bound(f: LogFunction, logs) -> float:
+    return (len(f.terms) + 16) * 2.0 ** -53 * _moduli_sum(f.rows, *logs)
+
+
+# Exponents: complex, whole and small, whole past the 100 where z ** k
+# changes method, and -0.0.
+kernel_exponent = st.one_of(
+    st.builds(complex, st.floats(-3.0, 3.0), st.floats(-0.5, 0.5)),
+    st.integers(-150, 150).map(float),
+    st.sampled_from([-0.0, 100.0, -100.0, 150.0]),
+)
+kernel_term = st.builds(
+    LogMonomial, st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    kernel_exponent, kernel_exponent, kernel_exponent,
+    st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+kernel_function = st.lists(kernel_term, max_size=6).map(LogFunction)
+kernel_triple = st.builds(BranchTriple, *[st.integers(-3, 3)] * 3)
+kernel_point = st.tuples(st.floats(0.5, 2.0), st.floats(0.0, TWO_PI),
+                         st.floats(0.5, 2.0), st.floats(0.0, TWO_PI)).map(
+    lambda p: (p[0] * cmath.exp(1j * p[1]), p[2] * cmath.exp(1j * p[3]))).filter(
+    lambda p: abs(p[0] - p[1]) > 0.2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(kernel_function, min_size=1, max_size=4),
+       st.lists(st.lists(st.tuples(kernel_triple, kernel_point), min_size=3, max_size=3),
+                min_size=1, max_size=3),
+       st.data())
+def test_kernel_on_functions_matches_eval_branch2(functions, samples, data):
+    # Each logs array holds 3 points, each on its own triple; parts may share one.
+    tables = [point_logs((bt, z1, z2) for bt, (z1, z2) in points) for points in samples]
+    which = [data.draw(st.integers(0, len(tables) - 1)) for _ in functions]
+    batch = eval_parts(functions, [tables[u] for u in which])
+    for f, u, values in zip(functions, which, batch):
+        assert values.tobytes() == eval_parts([f], [tables[u]])[0].tobytes()
+        for (bt, (z1, z2)), value in zip(samples[u], values.tolist()):
+            logs = logfun._point_logs(bt, z1, z2)
+            assert abs(value - eval_branch2(f, bt, z1, z2)) <= _kernel_bound(f, logs)
+
+
+def test_point_logs_names_the_first_bad_point():
+    bt = BranchTriple(0, 0, 0)
+    good = (bt, 1.5 + 0.5j, 0.5)
+    for bad, why in (((bt, 1.0 + 0.0j, 1.0 + 0.0j), "must all be nonzero"),
+                     ((bt, complex(math.nan, 0.0), 1.0), "must be finite"),
+                     ((bt, 2.0, math.inf), "must be finite")):
+        name = f"z1 = {complex(bad[1])}, z2 = {complex(bad[2])}: "
+        with pytest.raises(ValueError, match=re.escape(name) + ".*" + why):
+            point_logs([good, bad, (bt, 0.0, 1.0)])
+
+
+def test_kernel_raises_where_a_function_value_overflows():
+    f = LogFunction([LogMonomial(1.0, r=800.5)])  # 2.5 ** 800.5 overflows
+    bt = BranchTriple(0, 0, 0)
+    logs = point_logs([(bt, 1.1 + 0.0j, 0.5 + 0.0j), (bt, 2.5 + 0.0j, 0.8 + 0.0j)])
+    with pytest.raises(OverflowError):
+        eval_branch2(f, bt, 2.5, 0.8)
+    match = re.escape("function value at z1 = (2.5+0j), z2 = (0.8+0j) is not finite")
+    with pytest.raises(OverflowError, match=match):
+        eval_parts([MIXED, f], [logs, logs])
+
+
+def test_kernel_sums_function_log_powers_past_int64_row_by_row():
+    f = LogFunction([LogMonomial(1.0, r=0.5, t=0.5, l=2 ** 63), LogMonomial(0.5, s=0.25)])
+    assert f.lmn.dtype == object
+    bt = BranchTriple(0, 1, 0)
+    points = [(1.0 + 0.0j, 0.3j), (1.0 + 0.0j, -0.4 + 0.1j)]  # log z1 = 0
+    logs = point_logs((bt, z1, z2) for z1, z2 in points)
+    values = eval_parts([MIXED, f], [logs, logs])
+    assert values[1].tolist() == [eval_branch2(f, bt, z1, z2) for z1, z2 in points]
+    assert values[0].tobytes() == eval_parts([MIXED], [logs])[0].tobytes()
 
 
 def test_region_expansion_equality_and_repr():

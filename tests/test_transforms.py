@@ -30,6 +30,7 @@ from twistlab import (
     omega_transform,
     one_var_shadow,
     phi_precompose,
+    point_logs,
     q_offset_product,
     quasi_primary_modify,
     quasi_primary_unmodify,
@@ -344,12 +345,23 @@ def test_check_shifts_equals_the_two_separate_defects():
 def test_check_shifts_evaluates_each_reference_once(monkeypatch):
     sc = make_random(19)
     calls = []
-    monkeypatch.setattr(transforms, "eval_branch2",
-                        lambda f, bt, z1, z2: calls.append(bt) or eval_branch2(f, bt, z1, z2))
+    eval_parts = transforms.eval_parts
+    monkeypatch.setattr(transforms, "eval_parts",
+                        lambda parts, logs: calls.append((parts, logs)) or eval_parts(parts, logs))
     check_shifts(sc.fam, sc.bt, POINTS)
-    # Per label and point: the reference on bt, then the two shifted triples.
-    assert len(calls) == 3 * sc.dim * len(POINTS)
-    assert calls.count(sc.bt) == sc.dim * len(POINTS)
+    # One kernel call: each label's reference on bt, then the g1- and the
+    # g2-moved labels on their shifted triples.
+    [(parts, logs)] = calls
+    assert len(parts) == len(logs) == 3 * sc.dim
+    references = [i for i, part in enumerate(parts)
+                  if any(part is f for f in sc.fam.functions)]
+    assert references == list(range(sc.dim))
+    triples = [sc.bt, BranchTriple(sc.bt.p1, sc.bt.p2, sc.bt.p12 + 1),
+               BranchTriple(sc.bt.p1 + 1, sc.bt.p2, sc.bt.p12)]
+    for k, bt in enumerate(triples):
+        block = logs[k * sc.dim:(k + 1) * sc.dim]
+        assert all(table is block[0] for table in block)  # one logs array per triple
+        assert np.array_equal(block[0], point_logs((bt, z1, z2) for z1, z2 in POINTS))
 
 
 def test_phi_precompose_preserves_shifts():

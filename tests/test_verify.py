@@ -19,7 +19,8 @@ from twistlab import (
     check_region_swap,
     check_shift_identities,
     default_scenarios,
-    expand_region,
+    eval_parts,
+    expand_family,
     make_abelian,
     make_random,
     monodromy_loops,
@@ -114,15 +115,15 @@ def test_region_swap_builds_one_series_per_function(monkeypatch):
     from twistlab import verify
     built = []
 
-    def counting_expand(f, *args):
-        built.append(f)
-        return expand_region(f, *args)
+    def counting_expand(functions, *args):
+        built.append(list(functions))
+        return expand_family(functions, *args)
 
-    monkeypatch.setattr(verify, "expand_region", counting_expand)
+    monkeypatch.setattr(verify, "expand_family", counting_expand)
     sc = curated_scenario()
     rep = check_region_swap(sc, replace(LIGHT, swap_paths=3))
     assert rep.passed
-    assert built == list(sc.fam.functions)
+    assert built == [list(sc.fam.functions)]  # one build of the whole family
 
 
 def test_monodromy_composition_details():
@@ -202,18 +203,37 @@ def test_run_suite_and_suite_ok():
 
 
 def test_run_suite_evaluates_series_in_batches_and_builds_no_rows(monkeypatch):
-    built, batches = [], []
+    from twistlab import transforms, verify
+    built, verify_calls, shift_calls = [], [], []
     make_rows = RegionExpansion.rows.func
     rows = cached_property(lambda self: built.append(self) or make_rows(self))
     rows.__set_name__(RegionExpansion, "rows")
     monkeypatch.setattr(RegionExpansion, "rows", rows)
-    eval_many = RegionExpansion.eval_many
-    monkeypatch.setattr(RegionExpansion, "eval_many",
-                        lambda self, points: batches.append(self) or eval_many(self, points))
+
+    def counting(seen):
+        return lambda parts, logs: seen.append(parts) or eval_parts(parts, logs)
+
+    monkeypatch.setattr(verify, "eval_parts", counting(verify_calls))
+    monkeypatch.setattr(transforms, "eval_parts", counting(shift_calls))
     reports = run_suite()
     assert len(reports) == 124 and suite_ok(reports)
-    assert len(batches) == 643  # every series the suite expands
     assert built == []
+    series_calls = [parts for parts in verify_calls if isinstance(parts[0], RegionExpansion)]
+    # Every series the suite expands, in one kernel call per check stage:
+    # per duality region (duality-regions on 21 scenarios, omega- and
+    # contragredient-duality on 20, two signs each) with the exact side,
+    # and per region-swap check without it.
+    assert sum(isinstance(p, RegionExpansion) for parts in series_calls for p in parts) == 643
+    duality = [parts for parts in series_calls if not isinstance(parts[-1], RegionExpansion)]
+    assert len(duality) == 3 * (21 + 2 * 20 + 2 * 20)
+    for parts in duality:
+        n = len(parts) // 2
+        assert len({(p.region, p.designated) for p in parts[:n]}) == 1
+        assert not any(isinstance(p, RegionExpansion) for p in parts[n:])
+    assert len(series_calls) - len(duality) == 20  # region-swap
+    # One call per pointwise law and sign, and one per check_shifts.
+    assert len(verify_calls) - len(series_calls) == 2 * 2 * 20
+    assert len(shift_calls) == 21 + 2 * 2 * 20
 
 
 def test_run_suite_refuses_an_unknown_check():
