@@ -16,7 +16,6 @@ from twistlab import (
     LogFunction,
     LogMonomial,
     PathSpec,
-    VerifyConfig,
     continue_along,
     eval_branch2,
     make_random,
@@ -32,7 +31,8 @@ print("z1 circles z2 once counterclockwise; start (z1, z2) = (2.5, 1.0)")
 res = continue_along(f, BranchTriple(0, 0, 0), loop)
 print(f"  windings (z1, z2, z1-z2): {winding_profile(loop)}")
 print(f"  branch triple: (0, 0, 0) -> {tuple(res.end_triple)}")
-print(f"  value: {res.start_value:.9f} -> {res.end_value:.9f}")
+start_value = eval_branch2(f, BranchTriple(0, 0, 0), loop.z1, loop.z2)
+print(f"  value: {start_value:.9f} -> {res.end_value:.9f}")
 print(f"  certificate {res.certificate:.2e} over {res.samples} samples")
 print(f"  cube root of 1.5 times a third turn: "
       f"{1.5 ** (1 / 3) * math.cos(2 * math.pi / 3):+.9f}"
@@ -40,7 +40,7 @@ print(f"  cube root of 1.5 times a third turn: "
 print()
 
 print("two homotopic clockwise loops transport every function identically")
-loop_a, loop_b = monodromy_loops(VerifyConfig())
+loop_a, loop_b = monodromy_loops()
 print(f"  loop A: {len(loop_a.moves)} move, loop B: {len(loop_b.moves)} moves, "
       f"both wind {winding_profile(loop_a)}")
 g = LogFunction([

@@ -35,6 +35,7 @@ from .logfun import (
     BranchTriple,
     LogFunction,
     LogMonomial,
+    POWER_LIMIT,
     PathSpec,
     REGIONS,
     Segment,
@@ -129,6 +130,8 @@ def _parse_term(obj, path: str) -> tuple[LogMonomial, dict[str, Fraction]]:
         p = _as_int(obj.get(name, 0), f"{path}.{name}")
         if p < 0:
             raise ScenarioError(f"{path}.{name}: must be non-negative")
+        if p >= POWER_LIMIT:
+            raise ScenarioError(f"{path}.{name}: must be below 2**63")
         powers[name] = p
     mono = LogMonomial(coeff, exps["r"], exps["s"], exps["t"],
                        powers["l"], powers["m"], powers["n"])
@@ -573,9 +576,6 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ScenarioError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -4,7 +4,8 @@ The objects here are finite sums of monomials
 
     a * z1^r * z2^s * (z1 - z2)^t * (log z1)^l * (log z2)^m * (log(z1 - z2))^n
 
-with complex coefficients and exponents and non-negative integer log powers.
+with complex coefficients and exponents and integer log powers in
+[0, 2**63), so that they pack as int64.
 Such a sum is multivalued; a branch triple (p1, p2, p12) makes it single
 valued by substituting the indexed logarithms lp(p1, z1), lp(p2, z2),
 lp(p12, z1 - z2) for the three logs (powers are exp of exponent times log).
@@ -31,7 +32,8 @@ function being a one-group series, and one evaluation kernel, eval_parts,
 which sums a batch of them at their points (point_logs rows, each point on
 its own triple) in one numpy pass.  A single point goes through the scalar
 row loop _sum_terms instead (eval_branch2, eval_branch1, RegionExpansion.eval),
-which is also the kernel's test reference.
+which at one point costs a small share of the kernel's fixed numpy overhead,
+and which is also the kernel's test reference.
 
 winding_profile counts how the sheet indices of z1, z2 and z1 - z2 change
 along a path (paths.PathSpec), in closed form for each segment and arc.
@@ -58,6 +60,9 @@ from .paths import (  # noqa: F401  (the path names stay importable from logfun)
     validate_path)
 
 _COEFF_DROP = 1e-15
+
+POWER_LIMIT = 1 << 63  # log powers are packed as int64
+_KEY_TOL = 1e-12  # relative tolerance to which term_distance matches exponents
 
 # Most candidate monomials expand_region builds before merging (order + 1
 # per block), so a hostile order or log power cannot exhaust memory.
@@ -92,7 +97,7 @@ class LogMonomial(_MonomialFields):
 
     An immutable tuple (coeff, r, s, t, l, m, n).  Every way of making one
     (the constructor, _make, _replace, unpickling) checks that the log
-    powers are non-negative integers and the coefficient and exponents are
+    powers are integers in [0, 2**63) and the coefficient and exponents are
     finite, raising ValueError otherwise.
     """
 
@@ -101,11 +106,13 @@ class LogMonomial(_MonomialFields):
     def __new__(cls, coeff: complex, r: complex = 0.0, s: complex = 0.0, t: complex = 0.0,
                 l: int = 0, m: int = 0, n: int = 0):
         try:  # operator.index refuses floats, 1.5 and 2.0 alike
-            bad = operator.index(l) < 0 or operator.index(m) < 0 or operator.index(n) < 0
+            bad = not (0 <= operator.index(l) < POWER_LIMIT
+                       and 0 <= operator.index(m) < POWER_LIMIT
+                       and 0 <= operator.index(n) < POWER_LIMIT)
         except TypeError:
             bad = True
         if bad:
-            raise ValueError("log powers must be non-negative integers")
+            raise ValueError("log powers must be integers in [0, 2**63)")
         if not (cmath.isfinite(coeff) and cmath.isfinite(r)
                 and cmath.isfinite(s) and cmath.isfinite(t)):
             raise ValueError("coefficient and exponents must be finite")
@@ -132,10 +139,10 @@ class LogFunction:
     """Finite sum of LogMonomial terms (not automatically normalized).
 
     Its terms are also kept packed, as a one-group series is: coeffs, exps
-    (columns r, s, t) and lmn (columns l, m, n; int64, or objects where a
-    power does not fit), in term order, for eval_parts; and rows, the terms
-    as tuples for _sum_terms.  Each is made on first use and kept;
-    equality, hashing, copies and pickles see only terms.
+    (columns r, s, t) and lmn (int64 columns l, m, n), in term order, for
+    eval_parts; and rows, the terms as tuples for _sum_terms.  Each is made
+    on first use and kept; equality, hashing, copies and pickles see only
+    terms.
     """
 
     terms: tuple[LogMonomial, ...]
@@ -162,7 +169,7 @@ class LogFunction:
 
     @cached_property
     def lmn(self) -> np.ndarray:
-        return _int_array([(u.l, u.m, u.n) for u in self.terms]).reshape(-1, 3)
+        return np.array([(u.l, u.m, u.n) for u in self.terms], dtype=np.int64).reshape(-1, 3)
 
     def __add__(self, other: "LogFunction") -> "LogFunction":
         return LogFunction(self.terms + other.terms)
@@ -222,19 +229,19 @@ def normalize(f: LogFunction) -> LogFunction:
     return LogFunction(out)
 
 
-def _keys_close(u: LogMonomial, v: LogMonomial, tol: float) -> bool:
+def _keys_close(u: LogMonomial, v: LogMonomial) -> bool:
     if (u.l, u.m, u.n) != (v.l, v.m, v.n):
         return False
     for a, b in ((u.r, v.r), (u.s, v.s), (u.t, v.t)):
-        if abs(complex(a) - complex(b)) > tol * (1.0 + abs(complex(a))):
+        if abs(complex(a) - complex(b)) > _KEY_TOL * (1.0 + abs(complex(a))):
             return False
     return True
 
 
-def term_distance(f: LogFunction, g: LogFunction, key_tol: float = 1e-12) -> float:
+def term_distance(f: LogFunction, g: LogFunction) -> float:
     """Max coefficient gap between the canonical forms of f and g.
 
-    Exponents are matched up to a relative key_tol, so algebraically equal
+    Exponents are matched up to a relative 1e-12, so algebraically equal
     functions whose exponents drifted by rounding still compare as close.
     """
     fs = list(normalize(f).terms)
@@ -243,7 +250,7 @@ def term_distance(f: LogFunction, g: LogFunction, key_tol: float = 1e-12) -> flo
     for u in fs:
         match = None
         for j, v in enumerate(gs):
-            if _keys_close(u, v, key_tol):
+            if _keys_close(u, v):
                 match = j
                 break
         if match is None:
@@ -270,16 +277,6 @@ def _exponents(x: np.ndarray) -> np.ndarray:
     whole = (x.imag == 0.0) & (x.real == np.trunc(x.real))
     out[whole] = [int(v) for v in x.real[whole].tolist()]
     return out
-
-
-def _int_array(rows) -> np.ndarray:
-    """rows of Python ints as int64, or as objects where one does not fit,
-    so that every entry stays exact (np.array would make 2**63 beside 0 a
-    float64)."""
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
 
 
 def _point_logs(bt: BranchTriple, z1: complex, z2: complex) -> tuple[complex, ...]:
@@ -499,10 +496,9 @@ class RegionExpansion:
     A group's key is the total exponent of the region's inner quantity (z2
     for product, z1 for reversed, z1 - z2 for iterate).  The terms are
     packed in three arrays, one entry per term: coeffs, exps (columns r, s,
-    t) and lmn (columns l, m, n; int64, or objects where a power does not
-    fit), group by group in (real, imag) key order and each group in
-    normalize's order; keys lists the keys, starts the term where each group
-    but the first begins.  These are what eval_parts reads, with a series'
+    t) and lmn (int64 columns l, m, n), group by group in (real, imag) key
+    order and each group in normalize's order; keys lists the keys, starts
+    the term where each group but the first begins.  These are what eval_parts reads, with a series'
     points on its designated triple.  rows, the terms as tuples
     (a, r, s, t, l, m, n) for _sum_terms, and groups, each key's LogFunction
     in the order expand_region met them, are built on first use and kept.
@@ -618,22 +614,19 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
     in which any term of its part has one; a part sums its groups'
     subtotals.  The values agree with _sum_terms' up to rounding.  Raises
     OverflowError where a value is not finite, naming the first such
-    part's first such point.  A part with log powers past int64 is summed
-    by _sum_terms, point by point.  Nothing checks a series' modulus
-    ordering here: eval_many does, and callers with their own points
-    sample them inside the region.
+    part's first such point.  Nothing checks a series' modulus ordering
+    here: eval_many does, and callers with their own points sample them
+    inside the region.
     """
     points = logs[0].shape[0] if parts else 0
     values = np.zeros((len(parts), points), dtype=complex)
     packed, tables, table_of = [], [], {}
     for i, (part, part_logs) in enumerate(zip(parts, logs)):
-        starts = part.starts if isinstance(part, RegionExpansion) else []
-        if part.lmn.dtype == object:
-            values[i] = [_sum_terms(part.rows, starts, *row) for row in part_logs.tolist()]
-        elif part.coeffs.size and points:
+        if part.coeffs.size and points:
             u = table_of.setdefault(id(part_logs), len(tables))
             if u == len(tables):
                 tables.append(part_logs)
+            starts = part.starts if isinstance(part, RegionExpansion) else []
             packed.append((i, part, starts, u))
     if packed:
         index, members, starts_of, sources = zip(*packed)
@@ -715,7 +708,8 @@ def expand_family(functions: Iterable[LogFunction], region: str, bt: BranchTripl
     signatures summed in order of appearance, coefficients below 1e-15
     dropped, and the survivors kept in normalize's order.
     Raises ValueError, before allocating, when that makes more than
-    SERIES_BUDGET candidate monomials in all.
+    SERIES_BUDGET candidate monomials in all or an expanded log power
+    reaches 2**63.
     """
     functions = list(functions)
     if region not in REGIONS:
@@ -774,6 +768,11 @@ def expand_family(functions: Iterable[LogFunction], region: str, bt: BranchTripl
         rising.append(rise)
 
     term, power, scale, lmn = zip(*blocks)
+    try:
+        lmn = np.array(lmn, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{region} series has a log power past int64 "
+                         "(expanded powers must be below 2**63)") from None
     sign = 1.0 if region == "iterate" else -1.0
     binom = _binom_coeffs(binom_exps, order, sign)
     # Convolving a row with the unit row (j = 0) gives it back exactly, but
@@ -798,15 +797,15 @@ def expand_family(functions: Iterable[LogFunction], region: str, bt: BranchTripl
     exps = np.zeros((k.size, 3), dtype=complex)
     exps[:, down] = np.array(falling)[of_term] - k
     exps[:, up] = np.array(rising)[of_term] + k
-    lmn = _int_array(lmn)[block]
+    lmn = lmn[block]
     fn = np.repeat(np.arange(len(functions)), [len(f.terms) for f in functions])[of_term]
     # Each array below holds one entry per candidate: drop every one as soon
     # as it is used, as all functions' candidates are alive at once.
     del ser, live, block, k, of_term
     # The signature of LogMonomial.key: exponent parts with -0.0 made +0.0,
     # then log powers, leaving out the zero columns, which order nothing.
-    # The two blocks of columns are compared apart, as the log powers may
-    # be objects, which a shared dtype would round.
+    # The two blocks of columns are compared apart: a shared float dtype
+    # would round log powers past 2**53.
     live_cols = [c for c in range(3) if c != zero]
     parts = exps.view(float)[:, [2 * c + h for c in live_cols for h in (0, 1)]] + 0.0
     key_part = 2 * live_cols.index(key_col)
@@ -849,9 +848,7 @@ def expand_family(functions: Iterable[LogFunction], region: str, bt: BranchTripl
         lo, hi = bounds[i], bounds[i + 1]
         if lo == hi:
             continue
-        expansion.coeffs, expansion.exps = total[lo:hi], exps[lo:hi]
-        # Powers fit int64 unless one of this function's own does not.
-        expansion.lmn = _int_array(lmn[lo:hi].tolist()) if lmn.dtype == object else lmn[lo:hi]
+        expansion.coeffs, expansion.exps, expansion.lmn = total[lo:hi], exps[lo:hi], lmn[lo:hi]
         groups = slice(first_group[i], first_group[i + 1])
         expansion.starts = [s - lo for s in firsts[groups][1:]]
         expansion.keys = keys[groups]
@@ -930,7 +927,6 @@ class ContinuationResult:
 
     end_triple: BranchTriple
     end_value: complex
-    start_value: complex
     certificate: float
     samples: int
     crossings: tuple[int, int, int]
@@ -966,7 +962,6 @@ def continue_along(f: LogFunction, bt: BranchTriple, path: PathSpec,
     return ContinuationResult(
         end_triple=end_triple,
         end_value=end_value,
-        start_value=eval_branch2(f, bt, path.z1, path.z2),
         certificate=certificate,
         samples=samples,
         crossings=crossings,

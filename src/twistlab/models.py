@@ -17,7 +17,8 @@ under an index shift.
 Rational exponents get an exact phase side channel (Fractions, multiples
 of a full turn), making composition checks exact where possible.
 
-make_random_loop draws closed test paths.  The independent continuation
+make_random and make_random_loop draw a family and a closed test path
+from a seed, within fixed ranges.  The independent continuation
 oracle, oracle_continue, lives in paths (so that continue_along can use
 it for its certificate) and stays importable from here.
 """
@@ -68,17 +69,13 @@ class Scenario:
         return self.fam.dim
 
 
-@dataclass(frozen=True)
-class RandomBounds:
-    """Knobs for make_random; defaults keep exponents tame (|Re| <= ~2)."""
-
-    dim_max: int = 3
-    terms_max: int = 3
-    max_m: int = 2
-    max_den: int = 8
-    imag_scale: float = 0.25
-    wt_range: int = 2
-    branch_range: int = 1
+# make_random's ranges, which keep exponents tame (|Re| <= ~2): labels,
+# terms per label, log z2 power, denominator of r and t, |Im s|, |wt_u| and
+# |branch index| are at most these.  A make_random_loop path makes at most
+# _LOOP_MOVES moves (an out-and-back pair counts once).
+_DIM_MAX, _TERMS_MAX, _MAX_M, _MAX_DEN = 3, 3, 2, 8
+_IMAG_SCALE, _WT_RANGE, _BRANCH_RANGE = 0.25, 2, 1
+_LOOP_MOVES = 3
 
 
 def abelian_action(leading) -> AutomorphismAction:
@@ -148,7 +145,7 @@ def _rand_fraction(rng: np.random.Generator, max_den: int) -> Fraction:
     return Fraction(num, den)
 
 
-def make_random(seed: int, bounds: RandomBounds | None = None) -> Scenario:
+def make_random(seed: int) -> Scenario:
     """Deterministic random multi-label scalar family.
 
     Labels are independent; within a label all terms keep r and t in the
@@ -156,22 +153,21 @@ def make_random(seed: int, bounds: RandomBounds | None = None) -> Scenario:
     action satisfies the shift identities by construction.  Weights are
     integral for the probe (wt_u) and rational for h1.
     """
-    b = bounds if bounds is not None else RandomBounds()
     rng = np.random.default_rng(seed)
-    dim = int(rng.integers(1, b.dim_max + 1))
+    dim = int(rng.integers(1, _DIM_MAX + 1))
     functions = []
     leading = []
     for _ in range(dim):
-        r0 = _rand_fraction(rng, b.max_den)
-        t0 = _rand_fraction(rng, b.max_den)
+        r0 = _rand_fraction(rng, _MAX_DEN)
+        t0 = _rand_fraction(rng, _MAX_DEN)
         s0 = complex(_uniform(rng, -2.0, 2.0),
-                     _uniform(rng, -b.imag_scale, b.imag_scale))
+                     _uniform(rng, -_IMAG_SCALE, _IMAG_SCALE))
         terms = []
-        for _ in range(int(rng.integers(1, b.terms_max + 1))):
+        for _ in range(int(rng.integers(1, _TERMS_MAX + 1))):
             dr = int(rng.integers(-1, 2))
             dt = int(rng.integers(-1, 2))
             ds = int(rng.integers(-1, 2))
-            m = int(rng.integers(0, b.max_m + 1))
+            m = int(rng.integers(0, _MAX_M + 1))
             coeff = complex(_uniform(rng, 0.4, 1.5), 0.0) * cmath.exp(
                 2j * math.pi * rng.random())
             terms.append(LogMonomial(coeff, float(r0) + dr, s0 + ds,
@@ -180,10 +176,10 @@ def make_random(seed: int, bounds: RandomBounds | None = None) -> Scenario:
         leading.append((r0, t0))
     action = abelian_action(leading)
     qp = QuasiPrimaryData(
-        wt_u=int(rng.integers(-b.wt_range, b.wt_range + 1)),
+        wt_u=int(rng.integers(-_WT_RANGE, _WT_RANGE + 1)),
         h1=float(_rand_fraction(rng, 4)),
     )
-    p = b.branch_range
+    p = _BRANCH_RANGE
     bt = BranchTriple(int(rng.integers(-p, p + 1)), int(rng.integers(-p, p + 1)),
                       int(rng.integers(-p, p + 1)))
     return Scenario(name=f"random-{seed}", fam=CorrelationFamily(tuple(functions), action),
@@ -195,7 +191,7 @@ def make_random(seed: int, bounds: RandomBounds | None = None) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def make_random_loop(seed: int, max_moves: int = 3) -> PathSpec:
+def make_random_loop(seed: int) -> PathSpec:
     """Closed path (both variables return to their start) from a seed.
 
     Mixes full arcs about the origin or the other variable (which wind)
@@ -209,7 +205,7 @@ def make_random_loop(seed: int, max_moves: int = 3) -> PathSpec:
         if abs(z1 - z2) < 0.2 or abs(abs(z1) - abs(z2)) < 0.1:
             continue
         moves: list = []
-        for _ in range(int(rng.integers(1, max_moves + 1))):
+        for _ in range(int(rng.integers(1, _LOOP_MOVES + 1))):
             var = "z1" if rng.random() < 0.7 else "z2"
             kind = rng.random()
             turns = int(rng.integers(1, 3)) * (1 if rng.random() < 0.5 else -1)

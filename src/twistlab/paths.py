@@ -28,6 +28,11 @@ TWO_PI = 2.0 * math.pi
 # more (a huge turn count, or an arc grazing a singular point) is refused.
 SAMPLE_BUDGET = 1 << 20
 
+# The oracle doubles its sampling until two refinements agree within
+# _ORACLE_TOL relative, at most _MAX_REFINE times.
+_ORACLE_TOL = 1e-10
+_MAX_REFINE = 12
+
 _MIN_CLEARANCE = 1e-9
 
 
@@ -264,14 +269,13 @@ def _unwrapped_end_log(arr: np.ndarray, anchor: complex) -> complex:
     return complex(math.log(abs(complex(arr[-1]))), theta)
 
 
-def _oracle(f, bt, path: PathSpec, tol: float = 1e-10,
-            max_refine: int = 12) -> tuple[complex, int]:
+def _oracle(f, bt, path: PathSpec) -> tuple[complex, int]:
     """oracle_continue's end value and the number of samples it accepted."""
     validate_path(path)
     p1, p2, p12 = bt
     prev = None
     scale = 1
-    for _ in range(max_refine + 1):
+    for _ in range(_MAX_REFINE + 1):
         a1, a2 = sample_path(path, scale)
         a12 = a1 - a2
         L1 = _unwrapped_end_log(a1, _anchor_log(complex(a1[0]), p1))
@@ -287,23 +291,23 @@ def _oracle(f, bt, path: PathSpec, tol: float = 1e-10,
             if u.n:
                 v *= L12 ** u.n
             total += v
-        if prev is not None and abs(total - prev) < tol * max(1.0, abs(total)):
+        if prev is not None and abs(total - prev) < _ORACLE_TOL * max(1.0, abs(total)):
             return total, len(a1)
         prev = total
         scale *= 2
     raise ArithmeticError(
-        f"oracle continuation did not settle below {tol:g} after {max_refine} doublings")
+        f"oracle continuation did not settle below {_ORACLE_TOL:g} after {_MAX_REFINE} "
+        "doublings")
 
 
-def oracle_continue(f, bt, path: PathSpec, tol: float = 1e-10,
-                    max_refine: int = 12) -> complex:
+def oracle_continue(f, bt, path: PathSpec) -> complex:
     """End value of f continued along the path, by stepwise phase unwrapping.
 
     No branch indices are formed along the way: the three logs are carried
     as accumulated floats and the monomials are evaluated from them at the
     endpoint.  Sampling is doubled until two successive refinements agree
-    within tol relative to the larger of 1 and the end magnitude
-    (step-doubling acceptance); a path that would need more than
-    SAMPLE_BUDGET points raises ArithmeticError.
+    within 1e-10 relative to the larger of 1 and the end magnitude
+    (step-doubling acceptance), at most 12 times; a path that would need
+    more than SAMPLE_BUDGET points raises ArithmeticError.
     """
-    return _oracle(f, bt, path, tol, max_refine)[0]
+    return _oracle(f, bt, path)[0]

@@ -2,10 +2,10 @@
 
 Each check returns a CheckReport with the worst defect it saw.  Defects
 are absolute gaps between two independently computed complex numbers:
-exact index/coefficient arithmetic is held to tol_branch (1e-12 default)
-and anything involving truncated series or sampled paths to tol_series
-(1e-9 default).  Scenario generators keep exponents and branch indices
-small enough that these absolute bounds are meaningful.
+exact index/coefficient arithmetic is held to TOL_BRANCH (1e-12) and
+anything involving truncated series or sampled paths to the configured
+tol_series (1e-9 default).  Scenario generators keep exponents and branch
+indices small enough that these absolute bounds are meaningful.
 
 The checks, by name:
 
@@ -76,25 +76,25 @@ from .transforms import (
 )
 
 PI_I = complex(0.0, math.pi)
+TOL_BRANCH = 1e-12  # bound on the defects of exact index and coefficient arithmetic
+
+# Region samples: the range of their inner/outer modulus ratio, and the
+# in_region margin they must clear.
+_RATIO_LO, _RATIO_HI, _REGION_MARGIN = 0.3, 0.6, 0.05
 
 
 @dataclass
 class VerifyConfig:
-    """Tolerances and sample counts for the checks."""
+    """Series tolerance, series order, seed and sample counts for the checks."""
 
-    tol_branch: float = 1e-12
     tol_series: float = 1e-9
     order: int = 60
     seed: int = 0
-    margin: float = 0.05
-    ratio_lo: float = 0.3
-    ratio_hi: float = 0.6
     branch_samples: int = 2000
     shift_points: int = 6
     duality_points: int = 4
     swap_paths: int = 2
     pointwise_points: int = 6
-    loop_radii: tuple[float, float, float] = (1.8, 1.0, 0.5)
 
 
 @dataclass
@@ -169,10 +169,10 @@ def _generic_pair(rng) -> tuple[complex, complex]:
     raise RuntimeError("pair sampling failed")
 
 
-def _region_pair(rng, region: str, config: VerifyConfig) -> tuple[complex, complex]:
-    """Rejection-sample a pair inside a region with the configured margins."""
+def _region_pair(rng, region: str) -> tuple[complex, complex]:
+    """Rejection-sample a pair inside a region, clear of its boundaries."""
     for _ in range(4096):
-        ratio = _uniform(rng, config.ratio_lo, config.ratio_hi)
+        ratio = _uniform(rng, _RATIO_LO, _RATIO_HI)
         phi = 2j * math.pi * rng.random()
         if region == "product":
             z1 = _annulus(rng, 0.8, 2.0)
@@ -183,7 +183,7 @@ def _region_pair(rng, region: str, config: VerifyConfig) -> tuple[complex, compl
         else:
             z2 = _annulus(rng, 0.8, 2.0)
             z1 = z2 + z2 * ratio * cmath.exp(phi)
-        if in_region(region, z1, z2, config.margin):
+        if in_region(region, z1, z2, _REGION_MARGIN):
             return z1, z2
     raise RuntimeError(f"region sampling failed for {region}")
 
@@ -201,14 +201,12 @@ def _small_triple(rng, base: BranchTriple, spread: int = 1) -> BranchTriple:
 # ---------------------------------------------------------------------------
 
 
-def check_branch_identities(sc: Scenario | None, config: VerifyConfig,
-                            n: int | None = None) -> CheckReport:
+def check_branch_identities(sc: Scenario | None, config: VerifyConfig) -> CheckReport:
     """Randomized identities of lp, neg/inv branches and the offset laws."""
     rng = _rng(config, 0 if sc is None else sc.seed, 11)
-    count = config.branch_samples if n is None else n
     tr = _Tracker()
     q_seen = set()
-    for i in range(count):
+    for i in range(config.branch_samples):
         if i % 8 == 7:
             z = complex(_uniform(rng, 0.2, 2.5), 0.0)  # exactly on the axis
         else:
@@ -251,9 +249,9 @@ def check_branch_identities(sc: Scenario | None, config: VerifyConfig,
         if qr not in (0, -1):
             dr = math.inf
         tr.add(dr, (z1r, z2r))
-    passed = tr.max_defect < config.tol_branch
+    passed = tr.max_defect < TOL_BRANCH
     return CheckReport("branch-identities", passed, tr.max_defect,
-                       config.tol_branch, tr.samples, config.seed, tr.worst,
+                       TOL_BRANCH, tr.samples, config.seed, tr.worst,
                        extras={"qValues": sorted(q_seen)})
 
 
@@ -268,8 +266,8 @@ def check_shift_identities(sc: Scenario, config: VerifyConfig) -> CheckReport:
     points = [_generic_pair(rng) for _ in range(config.shift_points)]
     d1, d2 = check_shifts(sc.fam, sc.bt, points)
     defect = max(d1, d2)
-    passed = defect < config.tol_branch
-    return CheckReport("shift-identities", passed, defect, config.tol_branch,
+    passed = defect < TOL_BRANCH
+    return CheckReport("shift-identities", passed, defect, TOL_BRANCH,
                        2 * len(points) * sc.fam.dim, config.seed,
                        extras={"g1Defect": d1, "g2Defect": d2})
 
@@ -288,7 +286,7 @@ def _duality_defect(tr: _Tracker, functions, bt: BranchTriple, config: VerifyCon
         order = config.order
     functions = list(functions)
     for region in REGIONS:
-        pts = [_region_pair(rng, region, config) for _ in range(points_per_region)]
+        pts = [_region_pair(rng, region) for _ in range(points_per_region)]
         # Each region's series and exact values in one kernel call: both
         # sides share the designated triple's logs, unless bumped.
         series = expand_family(functions, region, bt, order)
@@ -403,7 +401,7 @@ def check_region_swap(sc: Scenario, config: VerifyConfig) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def monodromy_loops(config: VerifyConfig) -> tuple[PathSpec, PathSpec]:
+def monodromy_loops() -> tuple[PathSpec, PathSpec]:
     """The two homotopic clockwise loops used by the composition check.
 
     Loop A: z1 = -a1 makes one full clockwise turn about the origin on a
@@ -412,9 +410,7 @@ def monodromy_loops(config: VerifyConfig) -> tuple[PathSpec, PathSpec]:
     back out, then circles z2 clockwise.  Both wind (z1, z2, z1 - z2) by
     (-1, 0, -1).
     """
-    a1, a2, a3 = config.loop_radii
-    if not a1 > a2 > a3 > 0:
-        raise ValueError("loop radii must satisfy a1 > a2 > a3 > 0")
+    a1, a2, a3 = 1.8, 1.0, 0.5
     rho = 0.5 * (a2 - a3)
     loop_a = PathSpec(-a1, -a2, [Arc("z1", turns=-1, about="origin")])
     loop_b = PathSpec(-a1, -a2, [
@@ -439,7 +435,7 @@ def check_monodromy_composition(sc: Scenario, config: VerifyConfig) -> CheckRepo
     on g1*g2-moved labels (shift identities composed); (3) g3 equals
     g1 @ g2, numerically and in exact phases when available.
     """
-    loop_a, loop_b = monodromy_loops(config)
+    loop_a, loop_b = monodromy_loops()
     start = (complex(loop_a.z1), complex(loop_a.z2))
     expected = BranchTriple(sc.bt.p1 - 1, sc.bt.p2, sc.bt.p12 - 1)
     tr = _Tracker()
@@ -465,7 +461,7 @@ def check_monodromy_composition(sc: Scenario, config: VerifyConfig) -> CheckRepo
     exact_ok = act.exact_composition_ok()
     if exact_ok is False:
         tr.add(math.inf, start)
-    passed = tr.max_defect < config.tol_series and comp_defect < config.tol_branch
+    passed = tr.max_defect < config.tol_series and comp_defect < TOL_BRANCH
     tr.add(comp_defect, start)
     return CheckReport("monodromy-composition", passed, tr.max_defect,
                        config.tol_series, tr.samples, config.seed, tr.worst,
@@ -511,7 +507,7 @@ def check_omega_duality(sc: Scenario, config: VerifyConfig) -> CheckReport:
         for a, b in ((act2.g1, sc.fam.action.g1), (act2.g2, sc.fam.action.g2),
                      (act2.g3, sc.fam.action.g3)):
             invol = max(invol, float(np.max(np.abs(a - b))))
-    passed = tr.max_defect < config.tol_series and invol < config.tol_branch
+    passed = tr.max_defect < config.tol_series and invol < TOL_BRANCH
     return CheckReport("omega-duality", passed, max(tr.max_defect, invol),
                        config.tol_series, tr.samples, config.seed, tr.worst,
                        extras={"involutionDefect": invol})
@@ -603,7 +599,7 @@ def check_contragredient_duality(sc: Scenario, config: VerifyConfig) -> CheckRep
             invol = max(invol, term_distance(back, normalize(f)))
     tr.add(relation)
     passed = (tr.max_defect < config.tol_series
-              and invol < config.tol_branch
+              and invol < TOL_BRANCH
               and relation < config.tol_series)
     return CheckReport("contragredient-duality", passed,
                        max(tr.max_defect, invol), config.tol_series,

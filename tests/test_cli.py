@@ -354,6 +354,20 @@ def test_non_finite_numbers_rejected_with_path(capsys, tmp_path):
         parse_scenario(doc)
 
 
+def test_log_power_past_int64_rejected_with_path(capsys, tmp_path):
+    doc = json.loads(Path(SQRT).read_text())
+    doc["terms"][0][0]["l"] = 2 ** 63
+    bad = tmp_path / "power.json"
+    bad.write_text(json.dumps(doc))
+    assert '"l": 9223372036854775808' in bad.read_text()
+    code, out, err = run_cli(capsys, "eval", "--scenario", str(bad),
+                             "--z1", "2.5,0", "--z2", "1,0")
+    assert code == 2 and out == ""
+    assert err == "error: power.json.terms[0][0].l: must be below 2**63\n"
+    doc["terms"][0][0]["l"] = 2 ** 63 - 1
+    assert parse_scenario(doc).fam.functions[0].terms[0].l == 2 ** 63 - 1
+
+
 def test_overflowing_value_is_not_printed(capsys, tmp_path):
     doc = json.loads(Path(SQRT).read_text())
     doc["terms"][0][0]["coeff"] = [1e308, 0.0]

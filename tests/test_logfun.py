@@ -127,10 +127,12 @@ def test_monomial_is_an_immutable_tuple():
     assert all(math.copysign(1.0, x) == 1.0 for x in key[4:6])
 
 
-@pytest.mark.parametrize("bad", [{"l": 1.5}, {"l": -1}, {"coeff": complex(math.nan, 0.0)}],
-                         ids=["fractional-power", "negative-power", "nan-coeff"])
+@pytest.mark.parametrize("bad", [{"l": 1.5}, {"l": -1}, {"l": 2 ** 63},
+                                 {"coeff": complex(math.nan, 0.0)}],
+                         ids=["fractional-power", "negative-power", "power-past-int64",
+                              "nan-coeff"])
 def test_every_monomial_construction_route_validates(bad):
-    good = LogMonomial(1.0, r=0.5, l=1)
+    good = LogMonomial(1.0, r=0.5, l=1, m=2 ** 63 - 1)  # the largest log power is valid
     fields = dict(good._asdict(), **bad)
     routes = {
         "positional": lambda: LogMonomial(*fields.values()),
@@ -711,19 +713,31 @@ def test_integer_exponent_classification_edges(c, z):
 
 
 def test_expand_region_keeps_huge_log_powers_apart():
-    # 2**53 and 2**53 + 1 are one float; 2**63 and 2**63 + 1 do not fit
-    # int64; 10**30 fits no fixed-width int.
-    for powers in ((2 ** 53, 2 ** 53 + 1), (2 ** 63, 2 ** 63 + 1), (2 ** 53, 10 ** 30)):
-        f = LogFunction([LogMonomial(1.0, r=0.5, t=0.5, l=l) for l in powers])
-        rows = expand_region(f, "product", BranchTriple(0, 0, 0), 2).rows
-        assert sorted({row[4] for row in rows}) == list(powers)
-        assert {type(row[4]) for row in rows} == {int}
-        assert len(rows) == 2 * 3  # no terms merged: one per power and k
-    # Nor do exponents one ulp apart merge beside a log power past int64.
+    # 2**53 and 2**53 + 1 are one float, but two int64s.
+    powers = (2 ** 53, 2 ** 53 + 1)
+    f = LogFunction([LogMonomial(1.0, r=0.5, t=0.5, l=l) for l in powers])
+    exp = expand_region(f, "product", BranchTriple(0, 0, 0), 2)
+    assert exp.lmn.dtype == np.int64
+    rows = exp.rows
+    assert sorted({row[4] for row in rows}) == list(powers)
+    assert {type(row[4]) for row in rows} == {int}
+    assert len(rows) == 2 * 3  # no terms merged: one per power and k
+    # Nor do exponents one ulp apart merge beside the largest log power.
     near = np.nextafter(0.5, 1.0)
-    f = LogFunction([LogMonomial(1.0, s=s, l=2 ** 63) for s in (0.5, near)])
+    f = LogFunction([LogMonomial(1.0, s=s, l=2 ** 63 - 1) for s in (0.5, near)])
     rows = expand_region(f, "product", BranchTriple(0, 0, 0), 0).rows
     assert [row[2] for row in rows] == [0.5, near]
+
+
+@pytest.mark.parametrize("region, powers", [("product", {"l": 2 ** 63 - 1, "n": 1}),
+                                            ("reversed", {"m": 2 ** 63 - 1, "n": 1}),
+                                            ("iterate", {"l": 1, "m": 2 ** 63 - 1})])
+def test_expand_region_refuses_expanded_log_powers_past_int64(region, powers):
+    # Each input power fits int64, but the expanded l + n - j, m + h or
+    # m + l - j reaches 2**63.
+    f = LogFunction([LogMonomial(1.0, r=0.5, t=0.5, **powers)])
+    with pytest.raises(ValueError, match=f"{region} series has a log power past int64"):
+        expand_region(f, region, BranchTriple(0, 0, 0), 3)
 
 
 def _reference_sum_terms(rows, starts, z1, z2, w, L1, L2, L12):
@@ -960,14 +974,6 @@ def test_eval_many_raises_where_a_value_overflows():
         exp.eval_many([(1.1 + 0.0j, 0.5 + 0.0j), point])
 
 
-def test_eval_many_sums_log_powers_past_int64_row_by_row():
-    f = LogFunction([LogMonomial(1.0, r=0.5, t=0.5, l=2 ** 63), LogMonomial(0.5, s=0.25)])
-    exp = expand_region(f, "product", BranchTriple(0, 0, 0), 4)
-    assert exp.lmn.dtype == object
-    points = [(1.0 + 0.0j, 0.3j), (1.0 + 0.0j, -0.4 + 0.1j)]  # log z1 = 0
-    assert exp.eval_many(points) == [exp.eval(*p) for p in points]
-
-
 # ---------------------------------------------------------------------------
 # family builds and the evaluation kernel
 # ---------------------------------------------------------------------------
@@ -980,10 +986,10 @@ def _series_bits(exp: RegionExpansion) -> tuple:
 
 
 # An empty function, a one-term one, one whose every coefficient drops and
-# one with a log power past int64 (m, which adds no blocks in any region).
+# one with the largest log power (m, which adds no blocks in any region).
 EDGE_FAMILY = [LogFunction(), LogFunction([LogMonomial(0.5j, r=0.25, s=-0.5, t=1.5)]),
                LogFunction([LogMonomial(1e-16, r=0.5, t=-0.5)]),
-               LogFunction([LogMonomial(1.0, r=0.5, t=0.5, m=2 ** 63),
+               LogFunction([LogMonomial(1.0, r=0.5, t=0.5, m=2 ** 63 - 1),
                             LogMonomial(0.25, s=1.0 / 3.0, n=1)])]
 
 SHIPPED = [*default_scenarios(),
@@ -1142,17 +1148,6 @@ def test_kernel_raises_where_a_function_value_overflows():
         eval_parts([MIXED, f], [logs, logs])
 
 
-def test_kernel_sums_function_log_powers_past_int64_row_by_row():
-    f = LogFunction([LogMonomial(1.0, r=0.5, t=0.5, l=2 ** 63), LogMonomial(0.5, s=0.25)])
-    assert f.lmn.dtype == object
-    bt = BranchTriple(0, 1, 0)
-    points = [(1.0 + 0.0j, 0.3j), (1.0 + 0.0j, -0.4 + 0.1j)]  # log z1 = 0
-    logs = point_logs((bt, z1, z2) for z1, z2 in points)
-    values = eval_parts([MIXED, f], [logs, logs])
-    assert values[1].tolist() == [eval_branch2(f, bt, z1, z2) for z1, z2 in points]
-    assert values[0].tobytes() == eval_parts([MIXED], [logs])[0].tobytes()
-
-
 def test_region_expansion_equality_and_repr():
     bt = BranchTriple(1, -1, 0)
     a, b = (expand_region(LOG_HEAVY, "reversed", bt, 12) for _ in range(2))
@@ -1240,7 +1235,7 @@ def test_continue_counterclockwise_raises_indices():
     assert res.crossings == (1, 0, 1)
     want = cmath.exp((math.log(1.5) + TWO_PI * 1j) / 3.0)
     assert abs(res.end_value - want) < 1e-12
-    assert abs(res.start_value - 1.5 ** (1.0 / 3.0)) < 1e-14
+    assert abs(eval_branch2(f, BranchTriple(0, 0, 0), 2.5, 1.0) - 1.5 ** (1.0 / 3.0)) < 1e-14
     assert res.certificate < 1e-9
     assert res.samples >= 64
 
@@ -1263,7 +1258,7 @@ def test_continue_round_trip_restores_value():
     ])
     res = continue_along(f, BranchTriple(0, 0, 0), path)
     assert res.end_triple == BranchTriple(0, 0, 0)
-    assert rel_gap(res.end_value, res.start_value) < 1e-12
+    assert rel_gap(res.end_value, eval_branch2(f, BranchTriple(0, 0, 0), 2.5, 1.0)) < 1e-12
 
 
 def test_continue_rejects_invalid_path():

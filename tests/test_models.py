@@ -14,9 +14,7 @@ from twistlab import (
     LogMonomial,
     PathSpec,
     QuasiPrimaryData,
-    RandomBounds,
     Segment,
-    VerifyConfig,
     abelian_action,
     check_g1_shift,
     continue_along,
@@ -30,6 +28,7 @@ from twistlab import (
     validate_path,
     winding_profile,
 )
+from twistlab import models, verify
 from twistlab.models import _uniform
 
 TWO_PI = 2.0 * math.pi
@@ -150,14 +149,13 @@ def test_make_random_is_deterministic():
 
 
 def test_make_random_respects_bounds():
-    b = RandomBounds()
-    assert (b.imag_scale, b.branch_range) == (0.25, 1)
+    assert (models._IMAG_SCALE, models._BRANCH_RANGE) == (0.25, 1)
     for seed in range(1, 16):
         sc = make_random(seed)
-        assert 1 <= sc.dim <= b.dim_max
-        assert all(abs(p) <= b.branch_range for p in sc.bt)
+        assert 1 <= sc.dim <= models._DIM_MAX
+        assert all(abs(p) <= models._BRANCH_RANGE for p in sc.bt)
         assert float(sc.qp.wt_u).is_integer()
-        assert abs(complex(sc.qp.wt_u)) <= b.wt_range
+        assert abs(complex(sc.qp.wt_u)) <= models._WT_RANGE
 
 
 def test_make_random_terms_share_congruence_class():
@@ -284,12 +282,11 @@ def test_control_defects_are_detectable():
 # ---------------------------------------------------------------------------
 
 # Every (lo, hi) that verify and models draw from.
-_CONFIG, _BOUNDS = VerifyConfig(), RandomBounds()
 UNIFORM_RANGES = [
     (0.3, 2.2), (0.8, 2.0), (0.2, 2.5), (0.4, 2.2), (0.4, 2.0), (0.05, 0.6),
-    (_CONFIG.ratio_lo, _CONFIG.ratio_hi), (2.95, 3.45), (1.0, 2.0), (0.52, 0.62),
+    (verify._RATIO_LO, verify._RATIO_HI), (2.95, 3.45), (1.0, 2.0), (0.52, 0.62),
     (0.15, 0.35), (0.05, math.pi - 0.05), (math.pi + 0.05, TWO_PI - 0.05), (0.4, 1.8),
-    (-2.0, 2.0), (-_BOUNDS.imag_scale, _BOUNDS.imag_scale), (0.4, 1.5), (0.0, TWO_PI),
+    (-2.0, 2.0), (-models._IMAG_SCALE, models._IMAG_SCALE), (0.4, 1.5), (0.0, TWO_PI),
 ]
 
 

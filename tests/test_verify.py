@@ -1,6 +1,6 @@
 """Tests for the verification checks, controls and the suite runner."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -29,6 +29,7 @@ from twistlab import (
     validate_path,
     winding_profile,
 )
+from twistlab.verify import TOL_BRANCH
 
 LIGHT = VerifyConfig(branch_samples=300, shift_points=3, duality_points=2,
                      swap_paths=1, pointwise_points=3)
@@ -69,9 +70,12 @@ def test_check_report_serialized_keys():
 
 def test_verify_config_defaults():
     cfg = VerifyConfig()
-    assert cfg.tol_branch == 1e-12
+    assert TOL_BRANCH == 1e-12
     assert cfg.tol_series == 1e-9
     assert cfg.order == 60
+    assert [f.name for f in fields(VerifyConfig)] == [
+        "tol_series", "order", "seed", "branch_samples", "shift_points",
+        "duality_points", "swap_paths", "pointwise_points"]
     assert set(CHECKS) == {
         "branch-identities", "shift-identities", "duality-regions",
         "region-swap", "monodromy-composition", "omega-duality",
@@ -87,7 +91,7 @@ def test_branch_identities_check():
     rep = check_branch_identities(None, LIGHT)
     assert rep.name == "branch-identities"
     assert rep.passed
-    assert rep.max_defect < LIGHT.tol_branch
+    assert rep.max_defect < TOL_BRANCH
     assert rep.samples > 0
     assert set(rep.extras["qValues"]) <= {-1, 0, 1, 2}
 
@@ -130,7 +134,7 @@ def test_monodromy_composition_details():
     rep = check_monodromy_composition(make_random(7), LIGHT)
     assert rep.passed
     assert rep.extras["windings"] == (-1, 0, -1)
-    assert rep.extras["compositionDefect"] < LIGHT.tol_branch
+    assert rep.extras["compositionDefect"] < TOL_BRANCH
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +175,11 @@ def test_shift_check_flags_perturbed_action():
 
 
 def test_monodromy_loops_are_homotopic_windings():
-    loop_a, loop_b = monodromy_loops(VerifyConfig())
+    loop_a, loop_b = monodromy_loops()
     assert (loop_a.z1, loop_a.z2) == (loop_b.z1, loop_b.z2)
     for loop in (loop_a, loop_b):
         assert validate_path(loop) >= 1e-9
         assert winding_profile(loop) == (-1, 0, -1)
-
-
-def test_monodromy_loops_reject_bad_radii():
-    with pytest.raises(ValueError):
-        monodromy_loops(VerifyConfig(loop_radii=(0.5, 1.0, 1.8)))
 
 
 # ---------------------------------------------------------------------------
