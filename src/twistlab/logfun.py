@@ -30,7 +30,7 @@ expand_region is its one-function case.
 Functions and series share one packed layout (coeffs, exps, lmn), a
 function being a one-group series, and one evaluation kernel, eval_parts,
 which sums a batch of them at their points (point_logs rows, each point on
-its own triple) in one numpy pass.  A single point goes through the scalar
+its own triple) in numpy passes of bounded size.  A single point goes through the scalar
 row loop _sum_terms instead (eval_branch2, eval_branch1, RegionExpansion.eval),
 which at one point costs a small share of the kernel's fixed numpy overhead,
 and which is also the kernel's test reference.
@@ -44,6 +44,7 @@ the gap measure the checks use as well.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
@@ -67,6 +68,10 @@ _KEY_TOL = 1e-12  # relative tolerance to which term_distance matches exponents
 # Most candidate monomials expand_region builds before merging (order + 1
 # per block), so a hostile order or log power cannot exhaust memory.
 SERIES_BUDGET = 1 << 20
+
+# Most term-points (one term at one point) one numpy pass of eval_parts
+# evaluates, so the kernel's memory does not grow with its batch.
+_PASS_TERM_POINTS = 2048
 
 Region = Literal["product", "reversed", "iterate"]
 
@@ -594,6 +599,32 @@ def _exponent_runs(exps: np.ndarray, source: np.ndarray | None = None):
     return col, first, np.cumsum(new_run.T).reshape(3, -1) - 1
 
 
+def _passes(parts: list, points: int):
+    """eval_parts' numpy passes over parts, in order: lists of pieces (part,
+    first term, end term), a piece being whole groups of one part, each list
+    at most _PASS_TERM_POINTS term-points (a term at a point) unless it is
+    one group alone."""
+    per = room = max(1, _PASS_TERM_POINTS // points)
+    pieces = []
+    for i, part in enumerate(parts):
+        ends = [*part.starts, part.coeffs.size] if isinstance(part, RegionExpansion) else [
+            part.coeffs.size]
+        lo = first = 0  # first: the end of the group beginning at lo
+        while lo < ends[-1]:
+            k = bisect.bisect_right(ends, lo + room, first) - 1
+            if k < first:  # not even that group fits
+                if pieces:
+                    yield pieces
+                    pieces, room = [], per
+                    continue
+                k = first  # a group over the bound goes alone
+            pieces.append((i, lo, ends[k]))
+            room -= ends[k] - lo
+            lo, first = ends[k], k + 1
+    if pieces:
+        yield pieces
+
+
 def eval_parts(parts: list[RegionExpansion | LogFunction],
                logs: list[np.ndarray]) -> np.ndarray:
     """Each part's value at each of its points, as a (parts, points) array.
@@ -602,9 +633,11 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
     points are logs[i], point_logs rows made on the triple it is to be
     summed on (a series' designated triple; any triple, or one per point,
     for a function), the same number of points for every part.  Parts that
-    share one logs array share its powers.  Every term of every part is
-    evaluated at every point in one numpy pass, and a part's values have
-    the same bits whatever other parts are in the batch.
+    share one logs array share its powers.  The batch is evaluated in
+    consecutive numpy passes, each over whole groups of at most
+    _PASS_TERM_POINTS term-points (one term at one point; a larger group
+    goes alone), so its memory does not grow with the batch; a part's
+    values have the same bits whatever other parts are in the batch.
 
     Powers are made as _sum_terms makes them, once per run of equal
     exponents: a whole exponent k (as _exponent has it) takes the
@@ -620,59 +653,67 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
     """
     points = logs[0].shape[0] if parts else 0
     values = np.zeros((len(parts), points), dtype=complex)
-    packed, tables, table_of = [], [], {}
-    for i, (part, part_logs) in enumerate(zip(parts, logs)):
-        if part.coeffs.size and points:
-            u = table_of.setdefault(id(part_logs), len(tables))
-            if u == len(tables):
-                tables.append(part_logs)
-            starts = part.starts if isinstance(part, RegionExpansion) else []
-            packed.append((i, part, starts, u))
-    if packed:
-        index, members, starts_of, sources = zip(*packed)
-        sizes = [part.coeffs.size for part in members]
-        offsets = [0, *itertools.accumulate(sizes)]
-        group_starts = [lo + s for lo, starts in zip(offsets, starts_of) for s in (0, *starts)]
-        groups = [0, *itertools.accumulate(len(starts) + 1 for starts in starts_of)]
-        coeffs = np.concatenate([part.coeffs for part in members])
-        exps = np.concatenate([part.exps for part in members])
-        lmn = np.concatenate([part.lmn for part in members])
+    split = []  # the group subtotals so far of a part split between passes
+    for pieces in _passes(parts, points) if points else ():
         # The logs arrays side by side, (point, 6 * arrays); each term's
         # own columns z1, z2, w and their logs begin at its base.
-        table = np.concatenate(tables, axis=1)
-        base = np.repeat([6 * u for u in sources], sizes)
+        tables = {id(logs[i]): logs[i] for i, _, _ in pieces}
+        base_of = {key: 6 * u for u, key in enumerate(tables)}
+        table = np.concatenate(list(tables.values()), axis=1)
+        sizes = [hi - lo for _, lo, hi in pieces]
+        offsets = [0, *itertools.accumulate(sizes)]
+        group_starts, groups = [], [0]
+        for (i, lo, hi), offset in zip(pieces, offsets):
+            starts = parts[i].starts if isinstance(parts[i], RegionExpansion) else []
+            inner = starts[bisect.bisect_right(starts, lo):bisect.bisect_left(starts, hi)]
+            group_starts += [offset, *map((offset - lo).__add__, inner)]
+            groups.append(len(group_starts))
+        coeffs = np.concatenate([parts[i].coeffs[lo:hi] for i, lo, hi in pieces])
+        exps = np.concatenate([parts[i].exps[lo:hi] for i, lo, hi in pieces])
+        lmn = np.concatenate([parts[i].lmn[lo:hi] for i, lo, hi in pieces])
+        base = np.repeat([base_of[id(logs[i])] for i, _, _ in pieces], sizes)
         col, first, runs = _exponent_runs(exps, base)
         c = exps[first, col]
-        at = base[first] + col
-        z, log_z = table[:, at], table[:, at + 3]
+        at = base[first] + col  # each run's z column; its log is 3 on
         re = c.real
         whole = (c.imag == 0.0) & (re == np.trunc(re))
         small = whole & (np.abs(re) < 100.0)
         large = whole & ~small
         with np.errstate(all="ignore"):
-            powers = _cpython_product(c, log_z)
-            np.exp(powers, out=powers)
-            powers[:, small] = np.power(z[:, small], c[small])
+            powers = np.empty((points, c.size), dtype=complex)
+            powers[:, ~whole] = np.exp(_cpython_product(c[~whole], table[:, at[~whole] + 3]))
+            powers[:, small] = np.power(table[:, at[small]], c[small])
             if large.any():
                 # CPython's own z ** k: past 100 it is |z| ** k at angle
                 # k arg z, so an arg z rounded otherwise, as numpy's atan2
                 # may round it, would be off by k times as much.
                 ks = [int(k) for k in re[large].tolist()]
                 powers[:, large] = [[zj ** k for zj, k in zip(zs, ks)]
-                                    for zs in z[:, large].tolist()]
+                                    for zs in table[:, at[large]].tolist()]
             # coeffs * pr * ps * pt, each power gathered (point, term) in turn
             terms = coeffs * powers[:, runs[0]]
             terms *= powers[:, runs[1]]
             terms *= powers[:, runs[2]]
             del powers
+            # Which log columns each piece's whole part has.
             has_log = np.logical_or.reduceat(lmn != 0, offsets[:-1], axis=0)
+            for row, (i, lo, hi) in enumerate(pieces):
+                if hi - lo < parts[i].coeffs.size:
+                    has_log[row] = (parts[i].lmn != 0).any(axis=0)
             for j in np.flatnonzero(has_log.any(axis=0)):  # log powers l, m, n
                 cols = (slice(None) if has_log[:, j].all()
                         else np.flatnonzero(np.repeat(has_log[:, j], sizes)))
                 terms[:, cols] *= np.power(table[:, base[cols] + 3 + j], lmn[cols, j])
-            subtotals = np.add.reduceat(terms, group_starts, axis=1)
-            for i, lo, hi in zip(index, groups, groups[1:]):
-                values[i] = subtotals[:, lo:hi].sum(axis=1)
+            sub = np.add.reduceat(terms, group_starts, axis=1)
+        for (i, lo, hi), g0, g1 in zip(pieces, groups, groups[1:]):
+            chunk = sub[:, g0:g1]
+            if lo or hi < parts[i].coeffs.size:  # a part split between passes
+                split.append(chunk)
+                if hi < parts[i].coeffs.size:
+                    continue
+                chunk = np.concatenate(split, axis=1)
+                split = []
+            values[i] = chunk.sum(axis=1)
     finite = np.isfinite(values)
     if not finite.all():
         i, k = np.argwhere(~finite)[0]

@@ -47,6 +47,7 @@ from .logfun import (
     LogFunction,
     LogMonomial,
     OneVarLogSeries,
+    SERIES_BUDGET,
     eval_branch1,
     eval_parts,
     normalize,
@@ -181,9 +182,19 @@ def phi_precompose(fam: CorrelationFamily, h: np.ndarray) -> CorrelationFamily:
     return CorrelationFamily(functions, action)
 
 
+def _check_budget(rewrite: str, terms: int) -> None:
+    """Refuse a rewrite that would make more than SERIES_BUDGET terms."""
+    if terms > SERIES_BUDGET:
+        raise ValueError(f"{rewrite} rewrite needs {terms} terms, over the series budget "
+                         f"(SERIES_BUDGET = {SERIES_BUDGET})")
+
+
 def omega_transform(f: LogFunction, sign) -> LogFunction:
-    """Exchange rewrite of a LogFunction (sign +1 or -1), canonicalized."""
+    """Exchange rewrite of a LogFunction (sign +1 or -1), canonicalized; a
+    term with log z2 power m makes m + 1 terms.  Raises ValueError, before
+    making any, when that is more than SERIES_BUDGET in all."""
     sgn = _sign_value(sign)
+    _check_budget("exchange", sum(u.m + 1 for u in f.terms))
     out = []
     for u in f.terms:
         base = complex(u.coeff) * cmath.exp(sgn * u.s * PI_I)
@@ -205,8 +216,13 @@ def _compositions(n: int, parts: int):
 
 
 def a_transform(f: LogFunction, sign) -> LogFunction:
-    """Contragredient rewrite of a LogFunction (sign +1 or -1), canonicalized."""
+    """Contragredient rewrite of a LogFunction (sign +1 or -1), canonicalized;
+    a term with log(z1 - z2) power n makes C(n + 3, 3) terms.  Raises
+    ValueError, before making any, when that is more than SERIES_BUDGET in
+    all."""
     sgn = _sign_value(sign)
+    # One term per composition of n into four parts.
+    _check_budget("contragredient", sum(math.comb(u.n + 3, 3) for u in f.terms))
     out = []
     for u in f.terms:
         base = complex(u.coeff) * cmath.exp(sgn * u.t * PI_I)
@@ -320,30 +336,43 @@ def contragredient_family(fam: CorrelationFamily, qp: QuasiPrimaryData, sign) ->
     )
 
 
-def _shift_defects(fam: CorrelationFamily, bt: BranchTriple,
-                   points: Sequence[tuple[complex, complex]], shifts) -> list[float]:
-    """Max defect of eval(f(g u), shifted) = eval(f(u), bt) over points and
-    labels, for each (shifted, g) of shifts.  Every value comes from one
-    kernel call, in which f(u) is evaluated once per label and point.
-
-    Each pointwise gap is measured relative to the larger of 1 and the two
-    compared magnitudes, so the figure stays meaningful at any value scale.
-    """
+def shift_stage(fam: CorrelationFamily, bt: BranchTriple,
+                points: Sequence[tuple[complex, complex]], shifts=None) -> tuple[list, list]:
+    """The parts and logs for eval_parts whose values shift_defects reads:
+    f(u) on bt once per label, then f(g u) on the shifted triple for each
+    (shifted, g) of shifts (by default both, the g1 and then the g2
+    identity), all at points.  A caller may evaluate them in a larger batch."""
+    if shifts is None:
+        shifts = _shifts(fam, bt)
     logs = [point_logs((b, z1, z2) for z1, z2 in points)
             for b in (bt, *(shifted for shifted, _ in shifts))]
     parts, part_logs = list(fam.functions), [logs[0]] * fam.dim
     for j, (_, g) in enumerate(shifts):
         parts += [fam.apply(g, i) for i in range(fam.dim)]
         part_logs += [logs[1 + j]] * fam.dim
-    values = eval_parts(parts, part_logs).tolist()
-    references = values[:fam.dim]
-    worst = [0.0] * len(shifts)
-    for j in range(len(shifts)):
-        moved = values[(1 + j) * fam.dim:(2 + j) * fam.dim]
-        for moved_f, reference in zip(moved, references):
-            for a, b in zip(moved_f, reference):
-                worst[j] = max(worst[j], relative_gap(a, b))
-    return worst
+    return parts, part_logs
+
+
+def shift_defects(values: list, dim: int) -> list[float]:
+    """Max defect of eval(f(g u), shifted) = eval(f(u), bt) over points and
+    labels, for each shift of shift_stage, from its parts' values (one row
+    per part, as eval_parts(...).tolist() gives them).
+
+    Each pointwise gap is measured relative to the larger of 1 and the two
+    compared magnitudes, so the figure stays meaningful at any value scale.
+    """
+    references = values[:dim]
+    return [max([0.0, *(relative_gap(a, b)
+                        for moved_f, reference in zip(values[j:j + dim], references)
+                        for a, b in zip(moved_f, reference))])
+            for j in range(dim, len(values), dim)]
+
+
+def _shift_defects(fam: CorrelationFamily, bt: BranchTriple,
+                   points: Sequence[tuple[complex, complex]], shifts) -> list[float]:
+    """shift_defects of shift_stage, in one kernel call, in which f(u) is
+    evaluated once per label and point."""
+    return shift_defects(eval_parts(*shift_stage(fam, bt, points, shifts)).tolist(), fam.dim)
 
 
 def _shifts(fam: CorrelationFamily, bt: BranchTriple) -> list:

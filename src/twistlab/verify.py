@@ -67,6 +67,8 @@ from .transforms import (
     a_transform,
     a_eval_relation,
     check_shifts,
+    shift_defects,
+    shift_stage,
     contragredient_family,
     omega_action,
     omega_family,
@@ -277,29 +279,84 @@ def check_shift_identities(sc: Scenario, config: VerifyConfig) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _duality_defect(tr: _Tracker, functions, bt: BranchTriple, config: VerifyConfig,
-                    rng, points_per_region: int, p12_bump: int = 0,
-                    order: int | None = None):
-    """Add the expansion-vs-designated-eval defects over regions and labels
-    into tr, with one family build and one kernel call per region."""
-    if order is None:
-        order = config.order
-    functions = list(functions)
-    for region in REGIONS:
-        pts = [_region_pair(rng, region) for _ in range(points_per_region)]
-        # Each region's series and exact values in one kernel call: both
-        # sides share the designated triple's logs, unless bumped.
-        series = expand_family(functions, region, bt, order)
-        designated = designated_triple(region, bt)
-        logs = exact_logs = point_logs((designated, z1, z2) for z1, z2 in pts)
-        if p12_bump:
-            bumped = designated._replace(p12=designated.p12 + p12_bump)
-            exact_logs = point_logs((bumped, z1, z2) for z1, z2 in pts)
-        values = eval_parts([*series, *functions],
-                            [logs] * len(series) + [exact_logs] * len(functions)).tolist()
-        for approx_f, exact_f in zip(values, values[len(series):]):
-            for point, approx, exact in zip(pts, approx_f, exact_f):
-                tr.add(relative_gap(approx, exact), point)
+def _run_stages(tr: _Tracker, stages) -> None:
+    """Evaluate the parts of every stage, a (parts, logs, read) triple, in
+    one eval_parts call per point count, then add into tr, stage by stage,
+    the (defect, point) pairs that read yields from the stage's values (a
+    row per part)."""
+    values = [None] * len(stages)
+    for count in dict.fromkeys(len(logs[0]) for _, logs, _ in stages):
+        batch = [k for k, (_, logs, _) in enumerate(stages) if len(logs[0]) == count]
+        rows = eval_parts([p for k in batch for p in stages[k][0]],
+                          [a for k in batch for a in stages[k][1]]).tolist()
+        for k in batch:
+            values[k], rows = rows[:len(stages[k][0])], rows[len(stages[k][0]):]
+    for (_, _, read), rows in zip(stages, values):
+        for defect, point in read(rows):
+            tr.add(defect, point)
+
+
+def _pointwise_stage(lhs_functions, lhs_logs, rhs_functions, rhs_logs, samples):
+    """The stage of a pointwise law: at each (bt, z1, z2) of samples in
+    turn, the gap between each left function on lhs_logs and its right
+    partner on rhs_logs."""
+    n = len(lhs_functions)
+
+    def read(values):
+        for (_, z1, z2), row in zip(samples, zip(*values)):
+            for lhs, rhs in zip(row, row[n:]):
+                yield relative_gap(lhs, rhs), (z1, z2)
+    return ([*lhs_functions, *rhs_functions],
+            [lhs_logs] * n + [rhs_logs] * len(rhs_functions), read)
+
+
+def _shift_stage(fam, bt: BranchTriple, points):
+    """The stage of both shift identities at points, defects without a point."""
+    parts, logs = shift_stage(fam, bt, points)
+    return parts, logs, lambda values: ((d, None) for d in shift_defects(values, fam.dim))
+
+
+def _region_stage(series, functions, logs, exact_logs, points):
+    """The stage of one region: function by function, the gap at each of
+    points between its series on logs and itself on exact_logs."""
+    n = len(series)
+
+    def read(values):
+        for approx_f, exact_f in zip(values, values[n:]):
+            for point, approx, exact in zip(points, approx_f, exact_f):
+                yield relative_gap(approx, exact), point
+    return [*series, *functions], [logs] * n + [exact_logs] * n, read
+
+
+def _region_samples(rng, points_per_region: int) -> list[list[tuple[complex, complex]]]:
+    return [[_region_pair(rng, region) for _ in range(points_per_region)]
+            for region in REGIONS]
+
+
+def _duality_stages(families, bt: BranchTriple, order: int, samples,
+                    p12_bump: int = 0) -> list[list]:
+    """For each family (a list of functions), the stages of its region
+    series against its designated-triple values, one per region at that
+    region's points of the family's samples (_region_samples).  Every
+    family's series of one region come from one expand_family call, and
+    the stages share one kernel call under _run_stages.  Both sides share
+    the designated triple's logs, unless p12_bump moves the exact side's."""
+    built = {region: expand_family([f for functions in families for f in functions],
+                                   region, bt, order) for region in REGIONS}
+    out, at = [], 0
+    for functions, per_region in zip(families, samples):
+        stages = []
+        for region, pts in zip(REGIONS, per_region):
+            designated = designated_triple(region, bt)
+            logs = exact_logs = point_logs((designated, z1, z2) for z1, z2 in pts)
+            if p12_bump:
+                bumped = designated._replace(p12=designated.p12 + p12_bump)
+                exact_logs = point_logs((bumped, z1, z2) for z1, z2 in pts)
+            stages.append(_region_stage(built[region][at:at + len(functions)], functions,
+                                        logs, exact_logs, pts))
+        out.append(stages)
+        at += len(functions)
+    return out
 
 
 def check_duality_regions(sc: Scenario, config: VerifyConfig) -> CheckReport:
@@ -311,8 +368,9 @@ def check_duality_regions(sc: Scenario, config: VerifyConfig) -> CheckReport:
     rng = _rng(config, sc.seed, 37)
     bump = 1 if sc.control == "duality-branch" else 0
     tr = _Tracker()
-    _duality_defect(tr, sc.fam.functions, sc.bt, config, rng,
-                    config.duality_points, p12_bump=bump)
+    samples = _region_samples(rng, config.duality_points)
+    _run_stages(tr, _duality_stages([sc.fam.functions], sc.bt, config.order, [samples],
+                                    bump)[0])
     passed = tr.max_defect < config.tol_series
     return CheckReport("duality-regions", passed, tr.max_defect,
                        config.tol_series, tr.samples, config.seed, tr.worst)
@@ -360,18 +418,20 @@ def check_region_swap(sc: Scenario, config: VerifyConfig) -> CheckReport:
     paths = [_swap_path(rng)[0] for _ in range(config.swap_paths)]
     ends = {i: (path_end(path)[0], path.z2) for i, path in enumerate(paths)
             if in_region("reversed", path.z1, path.z2, 0.04)}
-    # The family's series, built once, evaluated at every arc's end in one
+    # The family's series, built once, and the family itself on the
+    # unshifted triple (the negative control), at every arc's end in one
     # kernel call.
-    series = expand_family(sc.fam.functions, "reversed", sc.bt, max(config.order, 100))
+    functions = sc.fam.functions
+    series = expand_family(functions, "reversed", sc.bt, max(config.order, 100))
     logs = point_logs((start_bt, z1, z2) for z1, z2 in ends.values())
-    series_at_ends = [dict(zip(ends, values)) for values in
-                      eval_parts(series, [logs] * len(series)).tolist()]
+    at_ends = [dict(zip(ends, values)) for values in
+               eval_parts([*series, *functions], [logs] * (2 * len(series))).tolist()]
     for i, path in enumerate(paths):
         if i not in ends:
             tr.add(math.inf, (path.z1, path.z2))
             continue
         a1_end, _ = ends[i]
-        for f, f_ends in zip(sc.fam.functions, series_at_ends):
+        for f, f_ends, f_unshifted in zip(functions, at_ends, at_ends[len(series):]):
             res = continue_along(f, start_bt, path, tol=config.tol_series)
             if res.end_triple != lowered:
                 tr.add(math.inf, (path.z1, path.z2))
@@ -381,7 +441,7 @@ def check_region_swap(sc: Scenario, config: VerifyConfig) -> CheckReport:
             target = res.end_value
             tr.add(res.certificate, (a1_end, path.z2))
             tr.add(relative_gap(f_ends[i], target), (a1_end, path.z2))
-            wrong = eval_branch2(f, start_bt, a1_end, path.z2)
+            wrong = f_unshifted[i]
             gap = relative_gap(res.oracle_value, wrong)
             expected = relative_gap(target, wrong)
             if expected > 10.0 * config.tol_series:
@@ -475,10 +535,16 @@ def check_monodromy_composition(sc: Scenario, config: VerifyConfig) -> CheckRepo
 
 
 def check_omega_duality(sc: Scenario, config: VerifyConfig) -> CheckReport:
-    """Exchange transform: relocation law, swapped action, involution."""
+    """Exchange transform: relocation law, swapped action, involution.
+
+    Both signs draw their samples first; then each region's series of both
+    exchanged families come from one build, and every value from one kernel
+    call per point count.
+    """
     rng = _rng(config, sc.seed, 53)
     tr = _Tracker()
     invol = 0.0
+    families, stages, region_points = [], [], []
     for sign in (1, -1):
         gfam = omega_family(sc.fam, sign)
         # (i) pointwise relocation: the exchanged function at (z1, z2) is
@@ -490,15 +556,14 @@ def check_omega_duality(sc: Scenario, config: VerifyConfig) -> CheckReport:
         lhs = point_logs(samples)
         rhs = point_logs((BranchTriple(P.p12, P.p2, P.p1), z1 - z2, -z2)
                          for P, z1, z2 in samples)
-        _add_pointwise(tr, gfam.functions, lhs, sc.fam.functions, rhs, samples)
         # (ii) shift identities with the swapped action.
         pts = [_generic_pair(rng) for _ in range(config.shift_points)]
-        for defect in check_shifts(gfam, sc.bt, pts):
-            tr.add(defect)
+        stages.append([_pointwise_stage(gfam.functions, lhs, sc.fam.functions, rhs, samples),
+                       _shift_stage(gfam, sc.bt, pts)])
         # (iii) region series of the exchanged family (deeper order: the
         # exchange can enlarge exponents, slowing the tail).
-        _duality_defect(tr, gfam.functions, sc.bt, config, rng, 2,
-                        order=max(config.order, 100))
+        families.append(gfam.functions)
+        region_points.append(_region_samples(rng, 2))
         # (iv) involution: the opposite sign undoes the transform exactly.
         for f in sc.fam.functions:
             back = omega_transform(omega_transform(f, sign), -sign)
@@ -507,23 +572,12 @@ def check_omega_duality(sc: Scenario, config: VerifyConfig) -> CheckReport:
         for a, b in ((act2.g1, sc.fam.action.g1), (act2.g2, sc.fam.action.g2),
                      (act2.g3, sc.fam.action.g3)):
             invol = max(invol, float(np.max(np.abs(a - b))))
+    regions = _duality_stages(families, sc.bt, max(config.order, 100), region_points)
+    _run_stages(tr, [s for own, more in zip(stages, regions) for s in own + more])
     passed = tr.max_defect < config.tol_series and invol < TOL_BRANCH
     return CheckReport("omega-duality", passed, max(tr.max_defect, invol),
                        config.tol_series, tr.samples, config.seed, tr.worst,
                        extras={"involutionDefect": invol})
-
-
-def _add_pointwise(tr: _Tracker, lhs_functions, lhs_logs, rhs_functions, rhs_logs,
-                   samples) -> None:
-    """Add into tr the gap, at each (bt, z1, z2) of samples, between each
-    left function on lhs_logs and its right partner on rhs_logs, all
-    evaluated in one kernel call."""
-    n = len(lhs_functions)
-    values = eval_parts([*lhs_functions, *rhs_functions],
-                        [lhs_logs] * n + [rhs_logs] * len(rhs_functions)).T.tolist()
-    for (_, z1, z2), row in zip(samples, values):
-        for lhs, rhs in zip(row, row[n:]):
-            tr.add(relative_gap(lhs, rhs), (z1, z2))
 
 
 def _exchange_pair(rng, sign: int) -> tuple[complex, complex]:
@@ -557,6 +611,7 @@ def check_contragredient_duality(sc: Scenario, config: VerifyConfig) -> CheckRep
     tr = _Tracker()
     invol = 0.0
     relation = 0.0
+    families, stages, region_points = [], [], []
     for sign in (1, -1):
         hfam = contragredient_family(sc.fam, sc.qp, sign)
         fmods = [quasi_primary_modify(f, sc.qp, sign) for f in sc.fam.functions]
@@ -570,12 +625,11 @@ def check_contragredient_duality(sc: Scenario, config: VerifyConfig) -> CheckRep
             inv_bt = BranchTriple(inv_branch(P.p1, z1), inv_branch(P.p2, z2), p12)
             samples.append((P, z1, z2))
             inverted.append((inv_bt, 1.0 / z1, 1.0 / z2))
-        _add_pointwise(tr, hfam.functions, point_logs(samples), fmods,
-                       point_logs(inverted), samples)
         # (ii) shift identities with the induced action (integral wt_u).
         pts = [_generic_pair(rng) for _ in range(config.shift_points)]
-        for defect in check_shifts(hfam, sc.bt, pts):
-            tr.add(defect)
+        stages.append([_pointwise_stage(hfam.functions, point_logs(samples), fmods,
+                                        point_logs(inverted), samples),
+                       _shift_stage(hfam, sc.bt, pts)])
         # (iii) one-variable relation, on and off the positive real axis.
         zs = [complex(_uniform(rng, 0.4, 2.0), 0.0), _annulus(rng, 0.4, 2.0),
               _annulus(rng, 0.4, 2.0)]
@@ -586,8 +640,8 @@ def check_contragredient_duality(sc: Scenario, config: VerifyConfig) -> CheckRep
                 tr.samples += 1
         # (iv) region series of the transformed family (deeper order: the
         # contragredient exponents grow with the weights).
-        _duality_defect(tr, hfam.functions, sc.bt, config, rng, 2,
-                        order=max(config.order, 100))
+        families.append(hfam.functions)
+        region_points.append(_region_samples(rng, 2))
         # (v) involutions: plain rewrite, then the full weighted pipeline.
         for f, fmod in zip(sc.fam.functions, fmods):
             invol = max(invol, term_distance(
@@ -597,6 +651,8 @@ def check_contragredient_duality(sc: Scenario, config: VerifyConfig) -> CheckRep
                                         sign), -sign),
                 sc.qp, sign)
             invol = max(invol, term_distance(back, normalize(f)))
+    regions = _duality_stages(families, sc.bt, max(config.order, 100), region_points)
+    _run_stages(tr, [s for own, more in zip(stages, regions) for s in own + more])
     tr.add(relation)
     passed = (tr.max_defect < config.tol_series
               and invol < TOL_BRANCH

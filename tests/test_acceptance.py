@@ -6,6 +6,7 @@ pytest -s, and in the captured output on failure).
 """
 
 import cmath
+import hashlib
 import inspect
 import math
 import time
@@ -227,3 +228,32 @@ def test_full_suite_with_negative_controls():
            and all(r.passed for r in normals),
            f"{len(normals)} checks pass, {len(controls)} controls correctly "
            f"fail, {dt:.1f}s")
+
+
+def _bits(x):
+    """x with every float as its hex form, containers and complex numbers as lists."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, complex):
+        return [x.real.hex(), x.imag.hex()]
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    return x
+
+
+# sha256 of every run_suite() report in bits: name, pass, maxDefect,
+# samples, worstPoint and its extras, less region-swap's negativeGap, the
+# smallest gap of a negative control, which only has to stay large.
+SUITE_FINGERPRINT = "881c5dfddaa3acdd8d266c08099f5e11fd8418a8d973e2366c99bb31bcd96be4"
+
+
+def test_full_suite_fingerprint():
+    """Every shipped-suite report keeps its bits; a change that moves one must
+    record the new fingerprint and say which reports moved."""
+    reports = run_suite()
+    digest = hashlib.sha256(repr([
+        [r.name, r.passed, _bits(r.max_defect), r.samples, _bits(r.worst_point),
+         sorted((k, _bits(v)) for k, v in r.extras.items() if k != "negativeGap")]
+        for r in reports]).encode()).hexdigest()
+    report("full suite fingerprint", digest == SUITE_FINGERPRINT,
+           f"sha256 {digest[:16]} over {len(reports)} reports")

@@ -164,6 +164,22 @@ def test_transform_round_trip_through_files(capsys, tmp_path):
         assert term_distance(a, b) < 1e-12
 
 
+# The first label's terms: the one raised, and one more making one term.
+@pytest.mark.parametrize("power, op, check, terms", [
+    ("m", "omega+", "omega-duality", 2 ** 62 + 2),
+    ("n", "a+", "contragredient-duality", 1055240 + 1),  # C(183 + 3, 3) + 1
+])
+def test_transform_over_series_budget_is_error(capsys, tmp_path, power, op, check, terms):
+    doc = json.loads(Path(LOG_PAIR).read_text())
+    doc["terms"][0][0][power] = 2 ** 62 if power == "m" else 183
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc))
+    for argv in (("transform", "--op", op), ("verify", "--check", check)):
+        code, out, err = run_cli(capsys, argv[0], "--scenario", str(big), *argv[1:])
+        assert (code, out) == (2, "")
+        assert f"needs {terms} terms, over the series budget (SERIES_BUDGET = 1048576)" in err
+
+
 def test_transform_omega_swaps_exact_phases(capsys):
     doc = run_json(capsys, "transform", "--scenario", LOG_PAIR,
                    "--op", "omega+")

@@ -7,6 +7,7 @@ import hashlib
 import math
 import pickle
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -1018,22 +1019,62 @@ def test_family_build_counts_every_function_against_the_budget(monkeypatch):
         expand_family([f] * 4, "product", BranchTriple(0, 0, 0), 10)
 
 
+@pytest.mark.parametrize("count", [3, 20], ids=["3-points", "20-points"])
 @pytest.mark.parametrize("region", REGIONS)
-def test_kernel_batches_series_and_functions_with_the_bits_of_each_alone(region):
+def test_kernel_batches_series_and_functions_with_the_bits_of_each_alone(region, count):
     bt = BranchTriple(1, -1, 0)
     functions = list(SERIES_FUNCTIONS.values())
     series = expand_family(functions, region, bt, 60)
-    points = _region_points(region, 3, 7)
+    points = _region_points(region, count, 7)
     logs = point_logs((series[0].designated, z1, z2) for z1, z2 in points)
     other = point_logs((bt, z1, z2) for z1, z2 in points)
     parts = [*series, *functions, *functions]
     tables = [logs] * (2 * len(functions)) + [other] * len(functions)
+    # The batch takes several passes of at most the bound each (at 20
+    # points about ten), and series end up split between passes.
+    passes = list(logfun._passes(parts, count))
+    spans = [sum(hi - lo for _, lo, hi in pieces) * count for pieces in passes]
+    assert max(spans) <= logfun._PASS_TERM_POINTS
+    assert sum(spans) == count * sum(part.coeffs.size for part in parts)
+    assert len(passes) >= sum(spans) // logfun._PASS_TERM_POINTS
+    assert any(hi - lo < parts[i].coeffs.size for pieces in passes for i, lo, hi in pieces)
     batch = eval_parts(parts, tables)
     assert batch.shape == (len(parts), len(points)) and batch.dtype == complex
     for part, table, values in zip(parts, tables, batch):
         assert values.tobytes() == eval_parts([part], [table])[0].tobytes()
     for exp, values in zip(series, batch):
         assert [_bits(v) for v in exp.eval_many(points)] == [_bits(v) for v in values]
+
+
+def test_kernel_passes_keep_groups_whole():
+    # A function is one group: over the bound it takes a pass alone, and
+    # whatever follows starts a new pass.
+    big = LogFunction([LogMonomial(1.0, r=0.5 * k) for k in range(1, 300)])
+    series = expand_region(LOG_HEAVY, "product", BranchTriple(0, 0, 0), 40)
+    passes = list(logfun._passes([MIXED, big, series, LogFunction(), MIXED], 10))
+    assert passes[:2] == [[(0, 0, 2)], [(1, 0, 299)]]
+    assert all(hi - lo <= 204 for pieces in passes[2:] for _, lo, hi in pieces)
+    ends = {0, *series.starts, series.coeffs.size}
+    assert all(lo in ends and hi in ends for pieces in passes[2:] for i, lo, hi in pieces
+               if i == 2)
+    assert passes[-1][-1] == (4, 0, 2)
+
+
+def test_kernel_memory_does_not_grow_with_its_batch():
+    series = expand_family(list(SERIES_FUNCTIONS.values()), "product", BranchTriple(0, 0, 0), 60)
+    logs = point_logs((series[0].designated, z1, z2) for z1, z2 in _region_points("product", 6, 3))
+
+    def peak(parts):
+        eval_parts(parts, [logs] * len(parts))
+        tracemalloc.start()
+        try:
+            eval_parts(parts, [logs] * len(parts))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(series * 2)  # about 13,000 term-points, several passes
+    assert peak(series * 8) <= 1.25 * one
 
 
 # sha256 prefixes of LOG_HEAVY's eval_many bits at order 40, recorded from

@@ -190,6 +190,23 @@ def test_a_involution_opposite_signs():
         assert term_distance(back, LOGGY) < 1e-12
 
 
+@pytest.mark.parametrize("rewrite, term, fits", [
+    (omega_transform, lambda m: LogMonomial(1.0, m=m), 19),  # m + 1 terms
+    (a_transform, lambda n: LogMonomial(1.0, n=n), 3),  # C(n + 3, 3) terms
+], ids=["omega", "a"])
+def test_transforms_refuse_more_terms_than_the_series_budget(monkeypatch, rewrite, term, fits):
+    monkeypatch.setattr(transforms, "SERIES_BUDGET", 20)
+    assert rewrite(LogFunction([term(fits)]), 1).terms
+    made = []
+    monkeypatch.setattr(transforms, "LogMonomial", lambda *args, **kwargs: made.append(args))
+    for f in (LogFunction([term(fits + 1)]), LogFunction([term(fits), term(0)]),
+              LogFunction([term(2 ** 62)])):
+        with pytest.raises(ValueError, match=r"needs \d+ terms, over the series budget "
+                                             r"\(SERIES_BUDGET = 20\)"):
+            rewrite(f, -1)
+    assert made == []  # refused before making any term
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_a_pointwise_inversion(sign):
     # The transformed function at (z1, z2) equals the weight-modified

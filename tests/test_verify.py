@@ -201,38 +201,45 @@ def test_run_suite_and_suite_ok():
     assert all(not r.passed for r in controls)
 
 
-def test_run_suite_evaluates_series_in_batches_and_builds_no_rows(monkeypatch):
-    from twistlab import transforms, verify
-    built, verify_calls, shift_calls = [], [], []
+def test_run_suite_makes_one_kernel_call_per_check_and_point_count(monkeypatch):
+    from twistlab import logfun, transforms, verify
+    built, verify_calls, shift_calls, builds, passes, pointwise = [], [], [], [], [], []
     make_rows = RegionExpansion.rows.func
     rows = cached_property(lambda self: built.append(self) or make_rows(self))
     rows.__set_name__(RegionExpansion, "rows")
     monkeypatch.setattr(RegionExpansion, "rows", rows)
 
-    def counting(seen):
-        return lambda parts, logs: seen.append(parts) or eval_parts(parts, logs)
+    def counting(seen, fn):
+        return lambda *args: seen.append(args[0]) or fn(*args)
 
-    monkeypatch.setattr(verify, "eval_parts", counting(verify_calls))
-    monkeypatch.setattr(transforms, "eval_parts", counting(shift_calls))
+    monkeypatch.setattr(verify, "eval_parts", counting(verify_calls, eval_parts))
+    monkeypatch.setattr(transforms, "eval_parts", counting(shift_calls, eval_parts))
+    monkeypatch.setattr(verify, "expand_family", counting(builds, expand_family))
+    counted = counting(pointwise, logfun.eval_branch2)
+    for module in (logfun, verify):
+        monkeypatch.setattr(module, "eval_branch2", counted)
+    passes_of = logfun._passes
+    monkeypatch.setattr(logfun, "_passes", lambda *args: passes.append(list(passes_of(*args)))
+                        or passes[-1])
     reports = run_suite()
     assert len(reports) == 124 and suite_ok(reports)
     assert built == []
-    series_calls = [parts for parts in verify_calls if isinstance(parts[0], RegionExpansion)]
-    # Every series the suite expands, in one kernel call per check stage:
-    # per duality region (duality-regions on 21 scenarios, omega- and
-    # contragredient-duality on 20, two signs each) with the exact side,
-    # and per region-swap check without it.
-    assert sum(isinstance(p, RegionExpansion) for parts in series_calls for p in parts) == 643
-    duality = [parts for parts in series_calls if not isinstance(parts[-1], RegionExpansion)]
-    assert len(duality) == 3 * (21 + 2 * 20 + 2 * 20)
-    for parts in duality:
-        n = len(parts) // 2
-        assert len({(p.region, p.designated) for p in parts[:n]}) == 1
-        assert not any(isinstance(p, RegionExpansion) for p in parts[n:])
-    assert len(series_calls) - len(duality) == 20  # region-swap
-    # One call per pointwise law and sign, and one per check_shifts.
-    assert len(verify_calls) - len(series_calls) == 2 * 2 * 20
-    assert len(shift_calls) == 21 + 2 * 2 * 20
+    # Every series the suite expands, evaluated in the check's batch.
+    assert sum(isinstance(p, RegionExpansion) for parts in verify_calls for p in parts) == 643
+    # One call per check and point count: duality-regions on 21 scenarios
+    # and region-swap on 20 make one, omega- and contragredient-duality on
+    # 20 two each (their 6-point and their 2-point stages, both signs), and
+    # shift-identities on 21 one through check_shifts.
+    assert len(verify_calls) == 21 + 20 + 2 * 20 + 2 * 20
+    assert len(shift_calls) == 21
+    # One family build per region and check: both signs' families together.
+    assert len(builds) == 3 * 21 + 20 + 2 * 3 * 20
+    # Point by point: monodromy-composition's three values per function
+    # and continue_along's end values; region-swap's control is batched.
+    assert len(pointwise) == 290
+    # Kernel passes of at most 2,048 term-points (504 one-pass calls when
+    # each stage made its own call).
+    assert sum(map(len, passes)) == 240
 
 
 def test_run_suite_refuses_an_unknown_check():
