@@ -30,10 +30,11 @@ expand_region is its one-function case.
 Functions and series share one packed layout (coeffs, exps, lmn), a
 function being a one-group series, and one evaluation kernel, eval_parts,
 which sums a batch of them at their points (point_logs rows, each point on
-its own triple) in numpy passes of bounded size.  A single point goes through the scalar
-row loop _sum_terms instead (eval_branch2, eval_branch1, RegionExpansion.eval),
-which at one point costs a small share of the kernel's fixed numpy overhead,
-and which is also the kernel's test reference.
+its own triple) in numpy passes of bounded size.  A single point goes
+through the scalar row loop _sum_terms instead (eval_branch2, eval_branch1,
+RegionExpansion.eval), which at one point costs a small share of the
+kernel's fixed numpy overhead, and which is also the kernel's test
+reference.
 
 winding_profile counts how the sheet indices of z1, z2 and z1 - z2 change
 along a path (paths.PathSpec), in closed form for each segment and arc.
@@ -607,8 +608,7 @@ def _passes(parts: list, points: int):
     per = room = max(1, _PASS_TERM_POINTS // points)
     pieces = []
     for i, part in enumerate(parts):
-        ends = [*part.starts, part.coeffs.size] if isinstance(part, RegionExpansion) else [
-            part.coeffs.size]
+        ends = [*(part.starts if isinstance(part, RegionExpansion) else ()), part.coeffs.size]
         lo = first = 0  # first: the end of the group beginning at lo
         while lo < ends[-1]:
             k = bisect.bisect_right(ends, lo + room, first) - 1
@@ -674,7 +674,7 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
         base = np.repeat([base_of[id(logs[i])] for i, _, _ in pieces], sizes)
         col, first, runs = _exponent_runs(exps, base)
         c = exps[first, col]
-        at = base[first] + col  # each run's z column; its log is 3 on
+        at = base[first] + col  # each run's z column, its log 3 columns on
         re = c.real
         whole = (c.imag == 0.0) & (re == np.trunc(re))
         small = whole & (np.abs(re) < 100.0)
