@@ -164,7 +164,8 @@ def test_transform_round_trip_through_files(capsys, tmp_path):
         assert term_distance(a, b) < 1e-12
 
 
-# The first label's terms: the one raised, and one more making one term.
+# The first label holds the raised term and one more, which makes one term
+# of its own.
 @pytest.mark.parametrize("power, op, check, terms", [
     ("m", "omega+", "omega-duality", 2 ** 62 + 2),
     ("n", "a+", "contragredient-duality", 1055240 + 1),  # C(183 + 3, 3) + 1
