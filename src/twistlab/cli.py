@@ -89,7 +89,10 @@ def _as_complex(v, path: str) -> complex:
     if not (isinstance(v, list) and len(v) == 2
             and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
         raise ScenarioError(f"{path}: expected a number or [re, im]")
-    z = complex(float(v[0]), float(v[1]))
+    try:
+        z = complex(float(v[0]), float(v[1]))
+    except OverflowError:  # an int past the float range
+        z = complex(math.inf)
     if not cmath.isfinite(z):
         raise ScenarioError(f"{path}: expected finite numbers")
     return z
@@ -120,9 +123,13 @@ def _parse_term(obj, path: str) -> tuple[LogMonomial, dict[str, Fraction]]:
         key = f"{name}Exact"
         if key in obj:
             frac = _as_fraction(obj[key], f"{path}.{key}")
-            if name in obj and abs(val - complex(float(frac), 0.0)) > 1e-9:
+            try:
+                exact = complex(float(frac), 0.0)
+            except OverflowError:
+                raise ScenarioError(f"{path}.{key}: expected a finite number") from None
+            if name in obj and abs(val - exact) > 1e-9:
                 raise ScenarioError(f"{path}.{key}: disagrees with {name}")
-            val = complex(float(frac), 0.0)
+            val = exact
             exacts[name] = frac
         exps[name] = val
     powers = {}
@@ -171,6 +178,10 @@ def _parse_move(obj, path: str):
         turns = obj["turns"]
         if isinstance(turns, bool) or not isinstance(turns, (int, float)):
             raise ScenarioError(f"{path}.turns: expected a number")
+        try:
+            turns = float(turns)
+        except OverflowError:  # an int past the float range
+            turns = math.inf
         if not math.isfinite(turns):
             raise ScenarioError(f"{path}.turns: expected a finite number")
         about = obj.get("about", "origin")
@@ -183,7 +194,7 @@ def _parse_move(obj, path: str):
             center = _as_complex(obj["center"], f"{path}.center")
         elif "center" in obj:
             raise ScenarioError(f"{path}.center: only valid when about='point'")
-        return Arc(var, turns=float(turns), about=about, center=center)
+        return Arc(var, turns=turns, about=about, center=center)
     raise ScenarioError(f"{path}.kind: must be 'segment' or 'arc'")
 
 

@@ -31,7 +31,7 @@ Functions and series share one packed layout (coeffs, exps, lmn), a
 function being a one-group series, and one evaluation kernel, eval_parts,
 which sums a batch of them at their points (point_logs rows, each point on
 its own triple) in numpy passes of bounded size.  A single point goes
-through the scalar row loop _sum_terms instead (eval_branch2, eval_branch1,
+through the scalar row loop _sum_terms instead (eval_branch2 and
 RegionExpansion.eval), which at one point costs a small share of the
 kernel's fixed numpy overhead, and which is also the kernel's test
 reference.
@@ -200,18 +200,6 @@ class LogFunction:
         return self.__rmul__(other)
 
 
-@dataclass(frozen=True)
-class OneVarLogSeries:
-    """Finite sum of a * x^s (log x)^m terms in a single variable."""
-
-    terms: tuple[tuple[complex, complex, int], ...]
-
-    def __init__(self, terms: Iterable[tuple[complex, complex, int]] = ()):
-        object.__setattr__(self, "terms", tuple(
-            (complex(a), complex(s), int(m)) for a, s, m in terms
-        ))
-
-
 def normalize(f: LogFunction) -> LogFunction:
     """Canonical form: merge equal-exponent terms, drop tiny coefficients.
 
@@ -363,19 +351,6 @@ def _cpython_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def eval_branch2(f: LogFunction, bt: BranchTriple, z1: complex, z2: complex) -> complex:
     """Evaluate f at (z1, z2) on the branch triple bt."""
     return _sum_terms(f.rows, (), *_point_logs(bt, z1, z2))
-
-
-def eval_branch1(series: OneVarLogSeries, p: int, z: complex) -> complex:
-    """Evaluate a one-variable log series at z on branch p."""
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError("z must be finite")
-    if z == 0:
-        raise ValueError("z must be nonzero")
-    L = lp(p, z)
-    # Rows (a, s, 0, 0, m, 0, 0): their z ** 0 = 1 + 0j factors change at most a zero's sign.
-    rows = [(a, _exponent(s), 0, 0, m, 0, 0) for a, s, m in series.terms]
-    return _sum_terms(rows, (), z, z, z, L, L, L)
 
 
 def differentiate(f: LogFunction, var: str) -> LogFunction:

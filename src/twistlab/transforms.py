@@ -7,9 +7,9 @@ The two shift identities tie branch-index moves to automorphism action:
     eval(f(g1 u), (p1, p2, p12+1), z1, z2) = eval(f(u), (p1, p2, p12), z1, z2)
     eval(f(g2 u), (p1+1, p2, p12), z1, z2) = eval(f(u), (p1, p2, p12), z1, z2)
 
-Families built by the models module satisfy both by construction; check_g1_shift
-and check_g2_shift measure the defect for any family, and check_shifts both at
-once.
+Families built by the models module satisfy both by construction; check_shifts
+measures both defects for any family in one kernel call (check_g1_shift and
+check_g2_shift each return one of them).
 
 omega_transform is the exchange rewrite: it swaps the roles of the two
 insertions, sending a monomial
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -46,9 +47,8 @@ from .logfun import (
     BranchTriple,
     LogFunction,
     LogMonomial,
-    OneVarLogSeries,
     SERIES_BUDGET,
-    eval_branch1,
+    eval_branch2,
     eval_parts,
     normalize,
     point_logs,
@@ -243,30 +243,32 @@ def a_transform(f: LogFunction, sign) -> LogFunction:
     return normalize(LogFunction(out))
 
 
+def _weight_factors(f: LogFunction, qp: QuasiPrimaryData, sign, d: int) -> LogFunction:
+    """f times e^{d*pi*i*wt_u} e^{+-d*pi*i*h1}, with r shifted by d*2*wt_u and
+    s by d*2*h1, for d = 1 or -1.  A shift is subtracted, not added times -1,
+    which for a real shift could flip the sign of a zero imaginary part."""
+    sgn = _sign_value(sign)
+    shift = operator.add if d > 0 else operator.sub
+    scale = cmath.exp(d * PI_I * qp.wt_u) * cmath.exp(d * sgn * PI_I * qp.h1)
+    return normalize(LogFunction(
+        LogMonomial(scale * u.coeff, shift(u.r, 2 * qp.wt_u), shift(u.s, 2 * qp.h1),
+                    u.t, u.l, u.m, u.n)
+        for u in f.terms
+    ))
+
+
 def quasi_primary_modify(f: LogFunction, qp: QuasiPrimaryData, sign) -> LogFunction:
     """Insert the quasi-primary weight factors ahead of a contragredient rewrite.
 
     Multiplies by e^{pi*i*wt_u} e^{+-pi*i*h1} and shifts r by 2*wt_u and s
     by 2*h1 (the branch of (-z1^2)^{wt_u} is fixed as e^{pi*i*wt_u} z1^{2 wt_u}).
     """
-    sgn = _sign_value(sign)
-    scale = cmath.exp(PI_I * qp.wt_u) * cmath.exp(sgn * PI_I * qp.h1)
-    return normalize(LogFunction(
-        LogMonomial(scale * u.coeff, u.r + 2 * qp.wt_u, u.s + 2 * qp.h1,
-                    u.t, u.l, u.m, u.n)
-        for u in f.terms
-    ))
+    return _weight_factors(f, qp, sign, 1)
 
 
 def quasi_primary_unmodify(f: LogFunction, qp: QuasiPrimaryData, sign) -> LogFunction:
     """Exact inverse of quasi_primary_modify with the same qp and sign."""
-    sgn = _sign_value(sign)
-    scale = cmath.exp(-PI_I * qp.wt_u) * cmath.exp(-sgn * PI_I * qp.h1)
-    return normalize(LogFunction(
-        LogMonomial(scale * u.coeff, u.r - 2 * qp.wt_u, u.s - 2 * qp.h1,
-                    u.t, u.l, u.m, u.n)
-        for u in f.terms
-    ))
+    return _weight_factors(f, qp, sign, -1)
 
 
 def _matrix_inv(g: np.ndarray) -> np.ndarray:
@@ -337,20 +339,18 @@ def contragredient_family(fam: CorrelationFamily, qp: QuasiPrimaryData, sign) ->
 
 
 def shift_stage(fam: CorrelationFamily, bt: BranchTriple,
-                points: Sequence[tuple[complex, complex]], shifts=None) -> tuple[list, list]:
+                points: Sequence[tuple[complex, complex]]) -> tuple[list, list]:
     """The parts and logs for eval_parts whose values shift_defects reads:
-    f(u) on bt once per label, then f(g u) on the shifted triple for each
-    (shifted, g) of shifts (by default both, the g1 and then the g2
-    identity), all at points.  A caller may evaluate them in a larger batch."""
-    if shifts is None:
-        shifts = _shifts(fam, bt)
-    logs = [point_logs((b, z1, z2) for z1, z2 in points)
-            for b in (bt, *(shifted for shifted, _ in shifts))]
-    parts, part_logs = list(fam.functions), [logs[0]] * fam.dim
-    for j, (_, g) in enumerate(shifts):
+    f(u) on bt once per label, then f(g1 u) on (p1, p2, p12 + 1) and f(g2 u)
+    on (p1 + 1, p2, p12), all at points.  A caller may evaluate them in a
+    larger batch."""
+    p1, p2, p12 = bt
+    parts, logs = list(fam.functions), [point_logs((bt, z1, z2) for z1, z2 in points)] * fam.dim
+    for shifted, g in ((BranchTriple(p1, p2, p12 + 1), fam.action.g1),
+                       (BranchTriple(p1 + 1, p2, p12), fam.action.g2)):
         parts += [fam.apply(g, i) for i in range(fam.dim)]
-        part_logs += [logs[1 + j]] * fam.dim
-    return parts, part_logs
+        logs += [point_logs((shifted, z1, z2) for z1, z2 in points)] * fam.dim
+    return parts, logs
 
 
 def shift_defects(values: list, dim: int) -> list[float]:
@@ -368,55 +368,41 @@ def shift_defects(values: list, dim: int) -> list[float]:
             for j in range(dim, len(values), dim)]
 
 
-def _shift_defects(fam: CorrelationFamily, bt: BranchTriple,
-                   points: Sequence[tuple[complex, complex]], shifts) -> list[float]:
-    """shift_defects of shift_stage, in one kernel call, in which f(u) is
-    evaluated once per label and point."""
-    return shift_defects(eval_parts(*shift_stage(fam, bt, points, shifts)).tolist(), fam.dim)
-
-
-def _shifts(fam: CorrelationFamily, bt: BranchTriple) -> list:
-    """(shifted triple, automorphism) of the g1 and of the g2 identity."""
-    p1, p2, p12 = bt
-    return [(BranchTriple(p1, p2, p12 + 1), fam.action.g1),
-            (BranchTriple(p1 + 1, p2, p12), fam.action.g2)]
+def check_shifts(fam: CorrelationFamily, bt: BranchTriple,
+                 points: Sequence[tuple[complex, complex]]) -> tuple[float, float]:
+    """Max relative defects of the g1 and the g2 identity on the same points,
+    in one kernel call, with each reference value eval(f(u), bt) computed
+    once for both."""
+    d1, d2 = shift_defects(eval_parts(*shift_stage(fam, bt, points)).tolist(), fam.dim)
+    return d1, d2
 
 
 def check_g1_shift(fam: CorrelationFamily, bt: BranchTriple,
                    points: Sequence[tuple[complex, complex]]) -> float:
     """Max relative defect of eval(f(g1 u), p12+1) = eval(f(u), p12)."""
-    return _shift_defects(fam, bt, points, _shifts(fam, bt)[:1])[0]
+    return check_shifts(fam, bt, points)[0]
 
 
 def check_g2_shift(fam: CorrelationFamily, bt: BranchTriple,
                    points: Sequence[tuple[complex, complex]]) -> float:
     """Max relative defect of eval(f(g2 u), p1+1) = eval(f(u), p1)."""
-    return _shift_defects(fam, bt, points, _shifts(fam, bt)[1:])[0]
+    return check_shifts(fam, bt, points)[1]
 
 
-def check_shifts(fam: CorrelationFamily, bt: BranchTriple,
-                 points: Sequence[tuple[complex, complex]]) -> tuple[float, float]:
-    """(check_g1_shift, check_g2_shift) on the same points, with each
-    reference value eval(f(u), bt) computed once for both."""
-    d1, d2 = _shift_defects(fam, bt, points, _shifts(fam, bt))
-    return d1, d2
-
-
-def one_var_shadow(f: LogFunction) -> OneVarLogSeries:
+def one_var_shadow(f: LogFunction) -> LogFunction:
     """Single-variable shadow keeping the (s, m) data of each term.
 
     Collapsing the probe and difference content of a monomial (the r, t, l,
-    n parts, which a vacuum probe kills) leaves a series in the second
-    variable alone; coefficients of coinciding (s, m) merge.
+    n parts, which a vacuum probe kills) leaves a function of z2 alone;
+    coefficients of coinciding (s, m) merge, in normalize's order.
     """
     acc: dict[tuple, complex] = {}
     for u in normalize(f).terms:
         s = complex(u.s)
         k = (s.real + 0.0, s.imag + 0.0, u.m)
         acc[k] = acc.get(k, 0.0) + complex(u.coeff)
-    return OneVarLogSeries(
-        (a, complex(k[0], k[1]), k[2]) for k, a in sorted(acc.items()) if abs(a) > 0.0
-    )
+    return LogFunction(LogMonomial(a, s=complex(k[0], k[1]), m=k[2])
+                       for k, a in sorted(acc.items()) if abs(a) > 0.0)
 
 
 def a_eval_relation(f: LogFunction, qp: QuasiPrimaryData, p: int, z: complex,
@@ -430,8 +416,10 @@ def a_eval_relation(f: LogFunction, qp: QuasiPrimaryData, p: int, z: complex,
 
     with p' = inv_branch(p, z) (so p' = -p on the positive real axis and
     -p - 1 off it).  The left side never consults inv_branch, making the
-    comparison a two-route test of the index arithmetic.  The gap is
-    relative to the larger of 1 and the two compared magnitudes.
+    comparison a two-route test of the index arithmetic.  Both sides are
+    functions of z2 alone: one on branch q at x is eval_branch2 of it on
+    (0, q, 0) at z1 = -x, z2 = x, where z1 and z1 - z2 are nonzero.  The
+    gap is relative to the larger of 1 and the two compared magnitudes.
     """
     sgn = _sign_value(sign)
     z = complex(z)
@@ -442,12 +430,14 @@ def a_eval_relation(f: LogFunction, qp: QuasiPrimaryData, p: int, z: complex,
     phase = cmath.exp(sgn * PI_I * h1)
 
     # Left: substitute x -> x^{-1}, log x -> -log x, prefactor x^{-2 h1}.
-    left_series = OneVarLogSeries(
-        (phase * a * (-1.0) ** m, -2.0 * h1 - s, m) for a, s, m in X.terms
+    left_series = LogFunction(
+        LogMonomial(phase * u.coeff * (-1.0) ** u.m, s=-2.0 * h1 - u.s, m=u.m)
+        for u in X.terms
     )
-    left = eval_branch1(left_series, p, z)
+    left = eval_branch2(left_series, BranchTriple(0, p, 0), -z, z)
 
     pp = inv_branch(p, z)
     zinv = 1.0 / z
-    right = phase * cmath.exp(2.0 * h1 * lp(pp, zinv)) * eval_branch1(X, pp, zinv)
+    right = (phase * cmath.exp(2.0 * h1 * lp(pp, zinv))
+             * eval_branch2(X, BranchTriple(0, pp, 0), -zinv, zinv))
     return relative_gap(left, right)

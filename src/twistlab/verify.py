@@ -432,7 +432,8 @@ def check_region_swap(sc: Scenario, config: VerifyConfig) -> CheckReport:
             continue
         a1_end, _ = ends[i]
         for f, f_ends, f_unshifted in zip(functions, at_ends, at_ends[len(series):]):
-            res = continue_along(f, start_bt, path, tol=config.tol_series)
+            # tol=inf: a finite certificate over tol_series fails the report below.
+            res = continue_along(f, start_bt, path, tol=math.inf)
             if res.end_triple != lowered:
                 tr.add(math.inf, (path.z1, path.z2))
                 continue
@@ -501,9 +502,12 @@ def check_monodromy_composition(sc: Scenario, config: VerifyConfig) -> CheckRepo
     tr = _Tracker()
     act = sc.fam.action
     comp_defect = act.composition_defect()
+    windings = None
     for i, f in enumerate(sc.fam.functions):
-        res_a = continue_along(f, sc.bt, loop_a, tol=config.tol_series)
-        res_b = continue_along(f, sc.bt, loop_b, tol=config.tol_series)
+        # tol=inf: a finite certificate over tol_series fails the report below.
+        res_a = continue_along(f, sc.bt, loop_a, tol=math.inf)
+        res_b = continue_along(f, sc.bt, loop_b, tol=math.inf)
+        windings = res_a.crossings
         if res_a.end_triple != expected or res_b.end_triple != expected:
             tr.add(math.inf, start)
             continue
@@ -526,7 +530,7 @@ def check_monodromy_composition(sc: Scenario, config: VerifyConfig) -> CheckRepo
     return CheckReport("monodromy-composition", passed, tr.max_defect,
                        config.tol_series, tr.samples, config.seed, tr.worst,
                        extras={"compositionDefect": comp_defect,
-                               "windings": (-1, 0, -1)})
+                               "windings": windings})
 
 
 # ---------------------------------------------------------------------------

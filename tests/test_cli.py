@@ -287,6 +287,17 @@ def test_verify_broken_scenario_exits_one(capsys, tmp_path):
     assert report["reports"][0]["maxDefect"] > 1e-3
 
 
+@pytest.mark.parametrize("check", ["region-swap", "monodromy-composition"])
+def test_verify_failing_certificate_fails_its_report(capsys, check):
+    # Continuation certificates sit at rounding level, above this tolerance:
+    # each fails its report, and nothing raises.
+    code, out, err = run_cli(capsys, "verify", "--check", check, "--tol", "1e-17")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    assert any(not r["pass"] and r["maxDefect"] >= 1e-17 for r in doc["reports"])
+
+
 def test_verify_check_without_scenario_runs_only_that_check(capsys, monkeypatch):
     # A small scenario set: one family and the three controls.
     scenarios = [make_random(7)] + [sc for sc in default_scenarios() if sc.control]
@@ -383,6 +394,25 @@ def test_log_power_past_int64_rejected_with_path(capsys, tmp_path):
     assert err == "error: power.json.terms[0][0].l: must be below 2**63\n"
     doc["terms"][0][0]["l"] = 2 ** 63 - 1
     assert parse_scenario(doc).fam.functions[0].terms[0].l == 2 ** 63 - 1
+
+
+HUGE = 10 ** 400  # past the float range
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("terms[0][0].coeff", lambda doc: doc["terms"][0][0].update(coeff=HUGE)),
+    ("paths.outer-loop.moves[0].turns",
+     lambda doc: doc["paths"]["outer-loop"]["moves"][0].update(turns=HUGE)),
+    ("terms[0][0].rExact", lambda doc: doc["terms"][0][0].update(rExact={"num": HUGE, "den": 1})),
+], ids=["number", "turns", "exact"])
+def test_integer_past_float_range_rejected_with_path(capsys, tmp_path, field, edit):
+    doc = json.loads(Path(SQRT).read_text())
+    edit(doc)
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "transform", "--scenario", str(bad), "--op", "a+")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: huge.json.{field}: expected") and "finite" in err
 
 
 def test_overflowing_value_is_not_printed(capsys, tmp_path):

@@ -22,7 +22,6 @@ from twistlab import (
     ContinuationResult,
     LogFunction,
     LogMonomial,
-    OneVarLogSeries,
     PathSpec,
     REGIONS,
     RegionExpansion,
@@ -31,7 +30,6 @@ from twistlab import (
     default_scenarios,
     designated_triple,
     differentiate,
-    eval_branch1,
     eval_branch2,
     eval_parts,
     expand_family,
@@ -214,13 +212,6 @@ def test_eval_branch2_rejects_non_finite_points():
             eval_branch2(f, BranchTriple(0, 0, 0), z1, z2)
 
 
-def test_eval_branch1_rejects_non_finite_points():
-    series = OneVarLogSeries([(1.0, 0.5, 1)])
-    for z in (math.nan, complex(-math.inf, 1.0)):
-        with pytest.raises(ValueError, match="finite"):
-            eval_branch1(series, 0, z)
-
-
 def test_eval_respects_sum_and_product():
     f = LogFunction([
         LogMonomial(1.0, r=0.5, n=1),
@@ -286,15 +277,6 @@ def test_evaluation_keeps_equality_hash_and_pickle():
     assert pickle.dumps(f) == pickled
     for g in (pickle.loads(pickled), copy.copy(f), copy.deepcopy(f)):
         assert g == f and hash(g) == digest and "rows" not in vars(g)
-
-
-def test_eval_branch1_frozen():
-    series = OneVarLogSeries([(1.0, 0.5, 0)])
-    assert abs(eval_branch1(series, 1, 4.0) + 2.0) < 1e-14
-    logs = OneVarLogSeries([(1.0, 0.0, 1)])
-    assert abs(eval_branch1(logs, 2, 1.0) - 2 * TWO_PI * 1j) < 1e-14
-    with pytest.raises(ValueError):
-        eval_branch1(series, 0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -699,11 +681,10 @@ def test_integer_exponent_classification_edges(c, z):
     assert type(packed) is int and packed == k
     want = _outcome(lambda: complex(z) ** int(complex(c).real))
     assert _outcome(lambda: z ** k) == want
-    # Through eval_branch2 and eval_branch1, whose sums start at 0j.
+    # Through eval_branch2, whose sum starts at 0j.
     want = _outcome(lambda: complex(z) ** int(complex(c).real) + 0j)
     f = LogFunction([LogMonomial(1.0, r=c)])
     assert _outcome(lambda: eval_branch2(f, BranchTriple(0, 0, 0), z, 7.0) + 0j) == want
-    assert _outcome(lambda: eval_branch1(OneVarLogSeries([(1.0, c, 0)]), 0, z) + 0j) == want
     # Through expand_region rows: the exponent rising with k (s, r or t) is
     # c + k, so an order-0 series carries c + 0.
     for region, slot in (("product", "s"), ("reversed", "r"), ("iterate", "t")):

@@ -24,6 +24,7 @@ from twistlab import (
     diagonal_action,
     eval_branch2,
     inv_branch,
+    lp,
     make_random,
     omega_action,
     omega_family,
@@ -414,8 +415,43 @@ def test_one_var_shadow_merges():
         LogMonomial(2.0, r=0.5, s=0.3, m=1, n=1),
         LogMonomial(1.0j, t=1.5, s=0.3, m=1),
     ])
-    shadow = one_var_shadow(f)
-    assert shadow.terms == (((2 + 1j), (0.3 + 0j), 1),)
+    assert one_var_shadow(f) == LogFunction([LogMonomial(2 + 1j, s=0.3 + 0j, m=1)])
+
+
+def test_one_var_shadow_frozen():
+    # The shadow is a function of z2 alone, so eval_branch2 on (0, p, 0)
+    # at z1 = -z, z2 = z is its value on branch p at z.
+    root = one_var_shadow(LogFunction([LogMonomial(1.0, r=0.25, s=0.5, t=1.5, l=1)]))
+    assert root == LogFunction([LogMonomial(1.0, s=0.5)])
+    assert abs(eval_branch2(root, BranchTriple(0, 1, 0), -4.0, 4.0) + 2.0) < 1e-14
+    log = one_var_shadow(LogFunction([LogMonomial(1.0, t=2.0, m=1, n=3)]))
+    assert abs(eval_branch2(log, BranchTriple(0, 2, 0), -1.0, 1.0) - 2 * 2 * math.pi * 1j) < 1e-14
+    with pytest.raises(ValueError):
+        eval_branch2(root, BranchTriple(0, 0, 0), -0.0, 0.0)
+
+
+Z2_ONLY = LogFunction([
+    LogMonomial(1.0, s=0.5),
+    LogMonomial(0.3 - 0.2j, s=-1.5 + 0.25j, m=1),
+    LogMonomial(-2.0, s=2.0, m=2),
+    LogMonomial(0.7j, m=3),
+])
+
+
+@pytest.mark.parametrize("p", [-1, 0, 2])
+@pytest.mark.parametrize("z", [1.7 + 0.0j, 0.4 + 0.0j, 1.3 * cmath.exp(2.2j),
+                               0.6 * cmath.exp(-2.9j), -0.8 + 0.0j],
+                         ids=["axis", "axis-small", "upper", "lower", "cut"])
+def test_eval_branch2_of_a_z2_only_function(z, p):
+    # Sum a * z^s * lp(p, z)^m term by term, z^s single valued for whole s.
+    L = lp(p, z)
+    terms = []
+    for u in Z2_ONLY.terms:
+        s = complex(u.s)
+        power = z ** int(s.real) if s == int(s.real) else cmath.exp(s * L)
+        terms.append(complex(u.coeff) * power * L ** u.m)
+    bound = (len(terms) + 16) * 2.0 ** -53 * sum(map(abs, terms))
+    assert abs(eval_branch2(Z2_ONLY, BranchTriple(0, p, 0), -z, z) - sum(terms)) <= bound
 
 
 def test_a_eval_relation_on_and_off_axis():

@@ -8,8 +8,10 @@ import pytest
 
 from twistlab import (
     CHECKS,
+    Arc,
     BranchTriple,
     CheckReport,
+    PathSpec,
     QuasiPrimaryData,
     RegionExpansion,
     VerifyConfig,
@@ -135,6 +137,16 @@ def test_monodromy_composition_details():
     assert rep.passed
     assert rep.extras["windings"] == (-1, 0, -1)
     assert rep.extras["compositionDefect"] < TOL_BRANCH
+
+
+def test_monodromy_composition_reports_measured_windings(monkeypatch):
+    from twistlab import verify
+    loop_a, loop_b = monodromy_loops()
+    twice = PathSpec(loop_a.z1, loop_a.z2, [Arc("z1", turns=-2, about="origin")])
+    monkeypatch.setattr(verify, "monodromy_loops", lambda: (twice, loop_b))
+    rep = check_monodromy_composition(make_random(7), LIGHT)
+    assert rep.extras["windings"] == winding_profile(twice) == (-2, 0, -2)
+    assert not rep.passed  # loop A no longer ends on the expected triple
 
 
 # ---------------------------------------------------------------------------
