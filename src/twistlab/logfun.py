@@ -38,9 +38,10 @@ reference.
 
 winding_profile counts how the sheet indices of z1, z2 and z1 - z2 change
 along a path (paths.PathSpec), in closed form for each segment and arc.
-continue_along adds the counts to a branch triple and certifies the end
-value against the sampled oracle, paths.oracle_continue, by relative_gap,
-the gap measure the checks use as well.
+continue_family adds the counts to a branch triple and certifies each
+function's end value against the sampled oracle (paths.oracle_continue,
+which it runs once for the whole family) by relative_gap, the gap measure
+the checks use as well; continue_along is its one-function case.
 """
 
 from __future__ import annotations
@@ -806,38 +807,42 @@ def expand_family(functions: Iterable[LogFunction], region: str, bt: BranchTripl
     block, k = np.nonzero(live)
     coeff = np.array(scale)[block] * ser[live]
     of_term = np.array(term)[block]
+    fn = np.repeat(np.arange(len(functions)), [len(f.terms) for f in functions])[of_term]
     # Columns r, s, t: one exponent falls with k, one rises, one is 0, as
     # is the log power column of the same place.
     down, up, key_col, zero = {"product": (0, 1, 1, 2), "reversed": (1, 0, 0, 2),
                                "iterate": (1, 2, 2, 0)}[region]
-    exps = np.zeros((k.size, 3), dtype=complex)
-    exps[:, down] = np.array(falling)[of_term] - k
-    exps[:, up] = np.array(rising)[of_term] + k
-    lmn = lmn[block]
-    fn = np.repeat(np.arange(len(functions)), [len(f.terms) for f in functions])[of_term]
-    # Each array below holds one entry per candidate: drop every one as soon
-    # as it is used, as all functions' candidates are alive at once.
-    del ser, live, block, k, of_term
+    live_cols = [c for c in range(3) if c != zero]
+    # A candidate is held as (term, k), and its signature as one contiguous
+    # row per part, so that sorting copies none of it; only the survivors'
+    # exponents are made complex.  Each array here holds one entry per
+    # candidate: drop every one as soon as it is used, as all functions'
+    # candidates are alive at once.
+    lmn_rows = lmn.T[live_cols][:, block]
+    del ser, live, block, binom
+    falling, rising = np.array(falling), np.array(rising)
     # The signature of LogMonomial.key: exponent parts with -0.0 made +0.0,
     # then log powers, leaving out the zero columns, which order nothing.
-    # The two blocks of columns are compared apart: a shared float dtype
-    # would round log powers past 2**53.
-    live_cols = [c for c in range(3) if c != zero]
-    parts = exps.view(float)[:, [2 * c + h for c in live_cols for h in (0, 1)]] + 0.0
+    # The two blocks of rows are compared apart: a shared float dtype
+    # would round log powers past 2**53.  Adding the integer k to a complex
+    # exponent moves only its real part.
+    parts = np.empty((2 * len(live_cols), k.size))
+    for j, c in enumerate(live_cols):
+        base, shift = (falling, np.subtract) if c == down else (rising, np.add)
+        shift(base.real[of_term], k, out=parts[2 * j])
+        parts[2 * j + 1] = base.imag[of_term]
+    parts += 0.0
     key_part = 2 * live_cols.index(key_col)
     # One stable sort by function, group key (the key column's parts), then
     # signature: equal signatures meet with their order kept, and each
     # group comes out in normalize's order.
-    perm = np.lexsort((*lmn[:, live_cols].T[::-1], *parts.T[::-1],
-                       parts[:, key_part + 1], parts[:, key_part], fn))
-    parts = parts[perm]
-    new_sig = (parts[1:] != parts[:-1]).any(axis=1)
-    del parts
-    lmn_sorted = lmn[perm][:, live_cols]
-    new_sig |= (lmn_sorted[1:] != lmn_sorted[:-1]).any(axis=1)
-    del lmn_sorted
+    perm = np.lexsort((*lmn_rows[::-1], *parts[::-1], parts[key_part + 1], parts[key_part], fn))
     fn = fn[perm]
-    new_sig |= fn[1:] != fn[:-1]
+    new_sig = fn[1:] != fn[:-1]
+    for row in (*parts, *lmn_rows):
+        row = row[perm]
+        new_sig |= row[1:] != row[:-1]
+    del parts, row
     starts = np.flatnonzero(np.concatenate(([True], new_sig)))
     del new_sig
     total = np.add.reduceat(coeff[perm], starts)
@@ -847,8 +852,14 @@ def expand_family(functions: Iterable[LogFunction], region: str, bt: BranchTripl
     rep = perm[starts[keep]]
     del perm
     total, fn = total[keep], fn[starts[keep]]
-    exps = exps[rep]
-    lmn = lmn[rep]
+    of_term, k, lmn_rows = of_term[rep], k[rep], lmn_rows[:, rep]
+    del starts, keep, rep
+    exps = np.zeros((k.size, 3), dtype=complex)
+    exps[:, down] = falling[of_term] - k
+    exps[:, up] = rising[of_term] + k
+    lmn = np.zeros((k.size, 3), dtype=np.int64)
+    lmn[:, live_cols] = lmn_rows.T
+    del of_term, k, lmn_rows
     if not (np.isfinite(total).all() and np.isfinite(exps).all()):
         raise ValueError("coefficient and exponents must be finite")
     if not total.size:
@@ -939,7 +950,7 @@ def winding_profile(path: PathSpec) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class ContinuationResult:
-    """Outcome of continue_along."""
+    """One function's outcome of continue_along or continue_family."""
 
     end_triple: BranchTriple
     end_value: complex
@@ -956,7 +967,8 @@ def relative_gap(a: complex, b: complex) -> float:
 
 def continue_along(f: LogFunction, bt: BranchTriple, path: PathSpec,
                    tol: float = 1e-9) -> ContinuationResult:
-    """Transport the branch triple along the path and certify the result.
+    """Transport the branch triple along the path and certify the result:
+    continue_family of f alone.
 
     The end triple is the start triple plus winding_profile(path), an
     exact count.  The certificate is the gap between f on that triple at
@@ -965,21 +977,39 @@ def continue_along(f: LogFunction, bt: BranchTriple, path: PathSpec,
     oracle accepted.  Raises ArithmeticError when the certificate is not
     below tol.
     """
+    return continue_family([f], bt, path, tol)[0]
+
+
+def continue_family(functions: Iterable[LogFunction], bt: BranchTriple, path: PathSpec,
+                    tol: float = 1e-9) -> list[ContinuationResult]:
+    """continue_along of each function, with one winding count, one end
+    triple and one oracle walk for them all; each result has the same bits
+    as when its function is continued alone.
+
+    The oracle samples the path once per refinement level and unwraps the
+    three logs once per level for the whole family; each function settles
+    at the level it would settle at alone.  Raises ArithmeticError when a
+    certificate is not below tol.
+    """
+    functions = list(functions)
     bt = BranchTriple(*bt)
     crossings = winding_profile(path)
     end_triple = BranchTriple(*(p + k for p, k in zip(bt, crossings)))
-    end_value = eval_branch2(f, end_triple, *path_end(path))
-    oracle, samples = _oracle(f, bt, path)
-    certificate = relative_gap(end_value, oracle)
-    if not certificate < tol:
-        raise ArithmeticError(
-            f"continuation end value differs from the oracle by {certificate:.3e} "
-            f"(relative), not below {tol:g}")
-    return ContinuationResult(
-        end_triple=end_triple,
-        end_value=end_value,
-        certificate=certificate,
-        samples=samples,
-        crossings=crossings,
-        oracle_value=oracle,
-    )
+    end = path_end(path)
+    end_values = [eval_branch2(f, end_triple, *end) for f in functions]
+    results = []
+    for end_value, (oracle, samples) in zip(end_values, _oracle(functions, bt, path)):
+        certificate = relative_gap(end_value, oracle)
+        if not certificate < tol:
+            raise ArithmeticError(
+                f"continuation end value differs from the oracle by {certificate:.3e} "
+                f"(relative), not below {tol:g}")
+        results.append(ContinuationResult(
+            end_triple=end_triple,
+            end_value=end_value,
+            certificate=certificate,
+            samples=samples,
+            crossings=crossings,
+            oracle_value=oracle,
+        ))
+    return results

@@ -9,8 +9,12 @@ oracle_continue re-derives analytic continuation with none of the branch
 index machinery: it unwraps phases stepwise along the sampled path as
 plain floats and evaluates the monomials from those accumulated logs.  It
 shares only the path geometry with the crossing count it checks, so
-agreement between the two is evidence, not tautology.  This module
-imports nothing from logfun, which calls the oracle for its certificate.
+agreement between the two is evidence, not tautology.  The oracle serves a
+whole family at once (_oracle, behind logfun.continue_family): each
+refinement level samples the path and unwraps its logs once for every
+function, its coarse side being every other point of the same sampling.
+This module imports nothing from logfun, which calls the oracle for its
+certificate.
 """
 
 from __future__ import annotations
@@ -269,31 +273,61 @@ def _unwrapped_end_log(arr: np.ndarray, anchor: complex) -> complex:
     return complex(math.log(abs(complex(arr[-1]))), theta)
 
 
-def _oracle(f, bt, path: PathSpec) -> tuple[complex, int]:
-    """oracle_continue's end value and the number of samples it accepted."""
+def _end_logs(bt, a1: np.ndarray, a2: np.ndarray) -> tuple[complex, complex, complex]:
+    """The three logs at the end of the sampled path, unwrapped from bt's
+    sheets at its start."""
+    return tuple(_unwrapped_end_log(a, _anchor_log(complex(a[0]), p))
+                 for a, p in zip((a1, a2, a1 - a2), bt))
+
+
+def _end_value(f, logs: tuple[complex, complex, complex]) -> complex:
+    """f's monomials summed from the three end logs."""
+    L1, L2, L12 = logs
+    total = 0.0 + 0.0j
+    for u in f.terms:
+        v = complex(u.coeff) * cmath.exp(u.r * L1 + u.s * L2 + u.t * L12)
+        if u.l:
+            v *= L1 ** u.l
+        if u.m:
+            v *= L2 ** u.m
+        if u.n:
+            v *= L12 ** u.n
+        total += v
+    return total
+
+
+def _oracle(functions, bt, path: PathSpec) -> list[tuple[complex, int]]:
+    """oracle_continue's end value of each function and the number of
+    samples it accepted.
+
+    Refinement level i samples the path once, at scale 2**i.  The level's
+    coarse side, scale 2**(i - 1), is every other point of it, bit for bit
+    (sample_path's grid is dyadic), and was the fine side of level i - 1;
+    only level 1 reads it from its own sampling.  Each function leaves at
+    the first level where its two sides agree, as it would alone.
+    """
     validate_path(path)
-    p1, p2, p12 = bt
+    functions = list(functions)
+    out: list = [None] * len(functions)
     prev = None
-    scale = 1
-    for _ in range(_MAX_REFINE + 1):
+    scale = 2
+    for _ in range(_MAX_REFINE):
         a1, a2 = sample_path(path, scale)
-        a12 = a1 - a2
-        L1 = _unwrapped_end_log(a1, _anchor_log(complex(a1[0]), p1))
-        L2 = _unwrapped_end_log(a2, _anchor_log(complex(a2[0]), p2))
-        L12 = _unwrapped_end_log(a12, _anchor_log(complex(a12[0]), p12))
-        total = 0.0 + 0.0j
-        for u in f.terms:
-            v = complex(u.coeff) * cmath.exp(u.r * L1 + u.s * L2 + u.t * L12)
-            if u.l:
-                v *= L1 ** u.l
-            if u.m:
-                v *= L2 ** u.m
-            if u.n:
-                v *= L12 ** u.n
-            total += v
-        if prev is not None and abs(total - prev) < _ORACLE_TOL * max(1.0, abs(total)):
-            return total, len(a1)
-        prev = total
+        if prev is None:
+            # Contiguous copies, like sample_path's own arrays, so that
+            # numpy takes the same loops over them.
+            coarse =_end_logs(bt, a1[::2].copy(), a2[::2].copy())
+            prev = {i: _end_value(f, coarse) for i, f in enumerate(functions)}
+        logs = _end_logs(bt, a1, a2)
+        for i in list(prev):
+            total = _end_value(functions[i], logs)
+            if abs(total - prev[i]) < _ORACLE_TOL * max(1.0, abs(total)):
+                out[i] = (total, len(a1))
+                del prev[i]
+            else:
+                prev[i] = total
+        if not prev:
+            return out
         scale *= 2
     raise ArithmeticError(
         f"oracle continuation did not settle below {_ORACLE_TOL:g} after {_MAX_REFINE} "
@@ -308,6 +342,8 @@ def oracle_continue(f, bt, path: PathSpec) -> complex:
     endpoint.  Sampling is doubled until two successive refinements agree
     within 1e-10 relative to the larger of 1 and the end magnitude
     (step-doubling acceptance), at most 12 times; a path that would need
-    more than SAMPLE_BUDGET points raises ArithmeticError.
+    more than SAMPLE_BUDGET points raises ArithmeticError.  This is the
+    one-function case of the family oracle behind continue_family, which
+    samples the path once per refinement level for all its functions.
     """
-    return _oracle(f, bt, path)[0]
+    return _oracle([f], bt, path)[0][0]

@@ -50,7 +50,7 @@ from .logfun import (
     PathSpec,
     REGIONS,
     Segment,
-    continue_along,
+    continue_family,
     designated_triple,
     eval_branch2,
     eval_parts,
@@ -431,9 +431,9 @@ def check_region_swap(sc: Scenario, config: VerifyConfig) -> CheckReport:
             tr.add(math.inf, (path.z1, path.z2))
             continue
         a1_end, _ = ends[i]
-        for f, f_ends, f_unshifted in zip(functions, at_ends, at_ends[len(series):]):
-            # tol=inf: a finite certificate over tol_series fails the report below.
-            res = continue_along(f, start_bt, path, tol=math.inf)
+        # tol=inf: a finite certificate over tol_series fails the report below.
+        continued = continue_family(functions, start_bt, path, tol=math.inf)
+        for res, f_ends, f_unshifted in zip(continued, at_ends, at_ends[len(series):]):
             if res.end_triple != lowered:
                 tr.add(math.inf, (path.z1, path.z2))
                 continue
@@ -503,10 +503,11 @@ def check_monodromy_composition(sc: Scenario, config: VerifyConfig) -> CheckRepo
     act = sc.fam.action
     comp_defect = act.composition_defect()
     windings = None
-    for i, f in enumerate(sc.fam.functions):
-        # tol=inf: a finite certificate over tol_series fails the report below.
-        res_a = continue_along(f, sc.bt, loop_a, tol=math.inf)
-        res_b = continue_along(f, sc.bt, loop_b, tol=math.inf)
+    functions = sc.fam.functions
+    # tol=inf: a finite certificate over tol_series fails the report below.
+    continued_a = continue_family(functions, sc.bt, loop_a, tol=math.inf)
+    continued_b = continue_family(functions, sc.bt, loop_b, tol=math.inf)
+    for i, (f, res_a, res_b) in enumerate(zip(functions, continued_a, continued_b)):
         windings = res_a.crossings
         if res_a.end_triple != expected or res_b.end_triple != expected:
             tr.add(math.inf, start)

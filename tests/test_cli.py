@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -538,7 +539,11 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_module_entry_point():
+    # The child imports the twistlab this test imported, installed or not.
+    package_root = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [package_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, "-m", "twistlab", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "eval" in proc.stdout

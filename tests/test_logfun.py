@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twistlab import (
@@ -27,6 +27,7 @@ from twistlab import (
     RegionExpansion,
     Segment,
     continue_along,
+    continue_family,
     default_scenarios,
     designated_triple,
     differentiate,
@@ -35,7 +36,10 @@ from twistlab import (
     expand_family,
     expand_region,
     in_region,
+    make_random_loop,
+    monodromy_loops,
     normalize,
+    omega_family,
     point_logs,
     sample_path,
     term_distance,
@@ -1058,6 +1062,24 @@ def test_kernel_memory_does_not_grow_with_its_batch():
     assert peak(series * 8) <= 1.25 * one
 
 
+def test_family_build_memory_stays_near_its_result():
+    # The order-100 reversed series of random-4's exchanged families of
+    # both signs, as omega-duality builds them: 2,626 candidates, 2,240
+    # survivors.  The peak was 2.5 times the result while every
+    # candidate's complex exponents lived through the sort; it is 1.8.
+    sc = next(sc for sc in default_scenarios() if sc.name == "random-4")
+    functions = [f for sign in (1, -1) for f in omega_family(sc.fam, sign).functions]
+    expand_family(functions, "reversed", sc.bt, 100)
+    tracemalloc.start()
+    try:
+        series = expand_family(functions, "reversed", sc.bt, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = sum(s.coeffs.nbytes + s.exps.nbytes + s.lmn.nbytes for s in series)
+    assert peak <= 2.0 * result
+
+
 # sha256 prefixes of LOG_HEAVY's eval_many bits at order 40, recorded from
 # the eval_many that summed one series per call.
 EVAL_MANY_FINGERPRINTS = {"product": "b2346c37e413d372", "reversed": "915ed3d698e71f4b",
@@ -1241,6 +1263,37 @@ def test_sample_path_segment_endpoint_exact():
     assert (z1s == 2.5).all()
 
 
+_PATH_POINTS = st.complex_numbers(min_magnitude=0.25, max_magnitude=4.0,
+                                  allow_nan=False, allow_infinity=False)
+_VARS = st.sampled_from(["z1", "z2"])
+_MOVES = st.one_of(
+    st.builds(Segment, _VARS, _PATH_POINTS),
+    st.builds(Arc, _VARS, st.floats(-3.0, 3.0, allow_nan=False),
+              st.sampled_from(["origin", "other", "point"]), _PATH_POINTS),
+)
+
+
+@given(z1=_PATH_POINTS, z2=_PATH_POINTS, moves=st.lists(_MOVES, min_size=1, max_size=3),
+       scale=st.integers(1, 8))
+@example(z1=2.5, z2=1.0, moves=[Arc("z1", turns=-1.37, about="other")], scale=1)
+@example(z1=1.5j, z2=-0.5, moves=[Segment("z2", 0.3 - 1j),
+                                  Arc("z1", turns=0.61, about="point", center=0.2 + 0.1j),
+                                  Arc("z2", turns=-2.25, about="origin")], scale=3)
+@settings(max_examples=150, deadline=None)
+def test_sample_path_grid_is_dyadic(z1, z2, moves, scale):
+    # The oracle reads the samples at scale s as every other sample at
+    # scale 2s: linspace's step 1/(2n) is exactly (1/n)/2, and each move's
+    # forced-exact end falls on an even index.
+    path = PathSpec(z1, z2, moves)
+    try:
+        coarse = sample_path(path, scale)
+        fine = sample_path(path, 2 * scale)
+    except (ValueError, ArithmeticError):  # an arc of zero radius, or over the budget
+        assume(False)
+    for c, f in zip(coarse, fine):
+        assert f[::2].tobytes() == c.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # continuation
 # ---------------------------------------------------------------------------
@@ -1386,3 +1439,129 @@ def test_continue_certificate_is_gap_to_oracle():
     assert res.certificate < 1e-12
     with pytest.raises(ArithmeticError, match="oracle"):
         continue_along(f, bt, path, tol=res.certificate)
+
+
+def _per_label_oracle(f, bt, path):
+    """The family oracle's reference: one function at a time, every level
+    sampled anew at scales 1, 2, 4, ..., as the oracle was before it
+    served families."""
+    validate_path(path)
+    p1, p2, p12 = bt
+    prev = None
+    scale = 1
+    for _ in range(paths._MAX_REFINE + 1):
+        a1, a2 = paths.sample_path(path, scale)
+        a12 = a1 - a2
+        L1 = paths._unwrapped_end_log(a1, paths._anchor_log(complex(a1[0]), p1))
+        L2 = paths._unwrapped_end_log(a2, paths._anchor_log(complex(a2[0]), p2))
+        L12 = paths._unwrapped_end_log(a12, paths._anchor_log(complex(a12[0]), p12))
+        total = 0.0 + 0.0j
+        for u in f.terms:
+            v = complex(u.coeff) * cmath.exp(u.r * L1 + u.s * L2 + u.t * L12)
+            if u.l:
+                v *= L1 ** u.l
+            if u.m:
+                v *= L2 ** u.m
+            if u.n:
+                v *= L12 ** u.n
+            total += v
+        if prev is not None and abs(total - prev) < paths._ORACLE_TOL * max(1.0, abs(total)):
+            return total, len(a1)
+        prev = total
+        scale *= 2
+    raise ArithmeticError("oracle continuation did not settle")
+
+
+def _per_label_continue(f, bt, path):
+    crossings = winding_profile(path)
+    end_triple = BranchTriple(*(p + k for p, k in zip(bt, crossings)))
+    end_value = eval_branch2(f, end_triple, *paths.path_end(path))
+    oracle, samples = _per_label_oracle(f, bt, path)
+    return ContinuationResult(end_triple, end_value, rel_gap(end_value, oracle), samples,
+                              crossings, oracle)
+
+
+def _result_bits(res):
+    return (res.end_triple, res.crossings, res.samples, _bits(res.end_value),
+            res.certificate.hex(), _bits(res.oracle_value))
+
+
+def _settle_level(res, path):
+    """The refinement level at which the oracle accepted res: its samples
+    are those of scale 2**level."""
+    per_scale = len(sample_path(path)[0]) - 1
+    return int(math.log2((res.samples - 1) // per_scale))
+
+
+# z1 = 1 circles a point once, so the end value of z1**r keeps modulus 1
+# while rounding in the unwrapped phase grows with r: a large r settles
+# later than a small one.  The levels are those of the 64-bit build these
+# tests run on, with the start triple below.
+_STAGGERED = [
+    (PathSpec(1.0, -2.0, [Arc("z1", turns=-1.0, about="point", center=0.4)]),
+     [1e4, 3e5, 1e6], {1, 2}),
+    (PathSpec(1.0, -2.0, [Arc("z1", turns=-1.0, about="point", center=-0.3j)]),
+     [1e4, 3e5, 3e4], {1, 4}),
+]
+
+
+_STAGGERED_BT = BranchTriple(2, -1, 1)
+
+
+@pytest.mark.parametrize("path, powers, levels", _STAGGERED)
+def test_continue_family_keeps_the_bits_of_each_label_alone(path, powers, levels):
+    functions = [LogFunction([LogMonomial(1.0, r=r)]) for r in powers]
+    functions.append(LogFunction([LogMonomial(0.5 - 1j, r=0.5, t=1.0 / 3.0, n=2),
+                                  LogMonomial(0.25j, s=-0.5, m=1)]))
+    bt = _STAGGERED_BT
+    got = continue_family(functions, bt, path, tol=math.inf)
+    want = [_per_label_continue(f, bt, path) for f in functions]
+    assert [_result_bits(r) for r in got] == [_result_bits(r) for r in want]
+    assert {_settle_level(r, path) for r in got} == levels
+    for f, res in zip(functions, got):
+        assert _result_bits(continue_along(f, bt, path, tol=math.inf)) == _result_bits(res)
+        assert _bits(paths.oracle_continue(f, bt, path)) == _bits(res.oracle_value)
+
+
+def test_continue_family_keeps_the_bits_on_the_suite_loops():
+    for sc in default_scenarios()[:6]:
+        for path in (*monodromy_loops(), make_random_loop(sc.seed)):
+            got = continue_family(sc.fam.functions, sc.bt, path, tol=math.inf)
+            want = [_per_label_continue(f, sc.bt, path) for f in sc.fam.functions]
+            assert [_result_bits(r) for r in got] == [_result_bits(r) for r in want]
+
+
+def _counting_samples(monkeypatch):
+    scales = []
+    real = paths.sample_path
+
+    def counting(path, scale=1):
+        scales.append(scale)
+        return real(path, scale)
+    monkeypatch.setattr(paths, "sample_path", counting)
+    return scales
+
+
+def test_continue_family_samples_the_path_once_per_level(monkeypatch):
+    path, powers, _ = _STAGGERED[1]
+    functions = [LogFunction([LogMonomial(1.0, r=r)]) for r in powers]
+    scales = _counting_samples(monkeypatch)
+    results = continue_family(functions, _STAGGERED_BT, path, tol=math.inf)
+    assert [_settle_level(r, path) for r in results] == [1, 4, 1]
+    assert scales == [2, 4, 8, 16]
+    # Before families, every label sampled every level again: two for a
+    # label that settles at the first comparison.
+    scales.clear()
+    _per_label_oracle(functions[0], _STAGGERED_BT, path)
+    assert scales == [1, 2]
+    scales.clear()
+    continue_along(functions[0], _STAGGERED_BT, path, tol=math.inf)
+    assert scales == [2]
+
+
+def test_continue_family_beyond_sample_budget_raises():
+    path = PathSpec(2.0, 0.5, [Arc("z1", turns=1e7)])
+    functions = [LogFunction([LogMonomial(1.0, t=0.5)]), LogFunction([LogMonomial(1.0, r=2.0)])]
+    # The first sampling is at scale 2, so that is the scale the message names.
+    with pytest.raises(ArithmeticError, match=r"at scale 2, over the sample budget"):
+        continue_family(functions, BranchTriple(0, 0, 0), path)
