@@ -31,7 +31,7 @@ _AXIS_SNAP = 1e-14
 
 def _arg(z: complex) -> float:
     """principal_arg of a nonzero complex z, with the axis snap."""
-    if z.real > 0.0 and abs(z.imag) <= _AXIS_SNAP * max(1.0, z.real):
+    if z.real > 0.0 and abs(z.imag) <= _AXIS_SNAP * z.real:
         return 0.0
     a = cmath.phase(z)  # (-pi, pi]
     if a < 0.0:

@@ -27,14 +27,21 @@ indexed logs above, so each group series converges to the right branch.
 expand_family builds the series of several functions in one pass, and
 expand_region is its one-function case.
 
-Functions and series share one packed layout (coeffs, exps, lmn), a
-function being a one-group series, and one evaluation kernel, eval_parts,
-which sums a batch of them at their points (point_logs rows, each point on
-its own triple) in numpy passes of bounded size.  A single point goes
-through the scalar row loop _sum_terms instead (eval_branch2 and
-RegionExpansion.eval), which at one point costs a small share of the
+A function packs its terms as columns (coeffs, exps, lmn).  A series term
+is coeff * x^k * B, x = inner / outer being its region's ratio and B the
+k = 0 monomial of its block (the input term and log-power split it came
+from), so a series packs coeffs, k and block, and a table of its blocks'
+exponents and log powers.  One evaluation kernel, eval_parts, sums a batch
+of functions and series at their points (point_logs rows, each point on
+its own triple) in numpy passes of bounded size, making each block's
+powers once per point and x^k as a product of squares, so that a
+convergent series stays finite where its terms' powers of z1 and z2
+overflow apart.  A single point goes through the scalar row loop
+_sum_terms instead (eval_branch2 and RegionExpansion.eval), term by term
+with each power made apart, which at one point costs a small share of the
 kernel's fixed numpy overhead, and which is also the kernel's test
-reference.
+reference.  Both raise OverflowError naming the point where a value is not
+finite.
 
 winding_profile counts how the sheet indices of z1, z2 and z1 - z2 change
 along a path (paths.PathSpec), in closed form for each segment and arc.
@@ -349,9 +356,27 @@ def _cpython_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _not_finite(kind: str, z1: complex, z2: complex) -> OverflowError:
+    return OverflowError(f"{kind} value at z1 = {z1}, z2 = {z2} is not finite")
+
+
+def _sum_at(kind: str, rows: list, starts: Iterable[int], logs: tuple) -> complex:
+    """_sum_terms at a point given its logs (_point_logs); raises OverflowError
+    naming the point where the sum is not finite, or a power on the way
+    overflows."""
+    try:
+        value = _sum_terms(rows, starts, *logs)
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:  # cmath.exp or ** past the float range
+        pass
+    raise _not_finite(kind, *logs[:2])
+
+
 def eval_branch2(f: LogFunction, bt: BranchTriple, z1: complex, z2: complex) -> complex:
-    """Evaluate f at (z1, z2) on the branch triple bt."""
-    return _sum_terms(f.rows, (), *_point_logs(bt, z1, z2))
+    """Evaluate f at (z1, z2) on the branch triple bt; raises OverflowError
+    naming the point where the value is not finite."""
+    return _sum_at("function", f.rows, (), _point_logs(bt, z1, z2))
 
 
 def differentiate(f: LogFunction, var: str) -> LogFunction:
@@ -403,6 +428,11 @@ def designated_triple(region: str, bt: BranchTriple) -> BranchTriple:
     raise ValueError(f"unknown region {region!r}")
 
 
+# The columns (of r, s, t, and of z1, z2, z1 - z2) of each region's outer
+# and inner quantities: its series' ratio is inner / outer, and a term's
+# outer exponent falls by k as its inner one rises.
+_OUTER_INNER = {"product": (0, 1), "reversed": (1, 0), "iterate": (1, 2)}
+
 _MODULUS_ORDERING = {"product": "|z2| < |z1|", "reversed": "|z1| < |z2|",
                      "iterate": "|z1 - z2| < |z2|"}
 
@@ -410,13 +440,11 @@ _MODULUS_ORDERING = {"product": "|z2| < |z1|", "reversed": "|z1| < |z2|",
 def _inner_outer(region: str, z1: complex, z2: complex) -> tuple[complex, complex]:
     """The region's inner and outer quantities: its modulus ordering is
     |inner| < |outer|, and its series diverge where that fails."""
-    if region == "product":
-        return z2, z1
-    if region == "reversed":
-        return z1, z2
-    if region == "iterate":
-        return z1 - z2, z2
-    raise ValueError(f"unknown region {region!r}")
+    if region not in _OUTER_INNER:
+        raise ValueError(f"unknown region {region!r}")
+    outer, inner = _OUTER_INNER[region]
+    zs = (z1, z2, z1 - z2)
+    return zs[inner], zs[outer]
 
 
 def in_region(region: str, z1: complex, z2: complex, margin: float = 0.0) -> bool:
@@ -476,16 +504,25 @@ class RegionExpansion:
     """Truncated region series, grouped by inner-variable total exponent.
 
     A group's key is the total exponent of the region's inner quantity (z2
-    for product, z1 for reversed, z1 - z2 for iterate).  The terms are
-    packed in three arrays, one entry per term: coeffs, exps (columns r, s,
-    t) and lmn (int64 columns l, m, n), group by group in (real, imag) key
-    order and each group in normalize's order; keys lists the keys, starts
-    the term where each group but the first begins.  These are what eval_parts reads, with a series'
-    points on its designated triple.  rows, the terms as tuples
-    (a, r, s, t, l, m, n) for _sum_terms, and groups, each key's LogFunction
-    in the order expand_region met them, are built on first use and kept.
-    eval adds each group's subtotal, what eval_branch2 gives for it, in key
-    order; eval_many is eval_parts of this series alone.
+    for product, z1 for reversed, z1 - z2 for iterate).  Every term is
+    coeff * x^k * B, x = inner / outer being the region's ratio
+    (_inner_outer) and B the k = 0 monomial of the term's block, the input
+    term and log-power split it came from.  The terms are packed one entry
+    each, group by group in (real, imag) key order and each group in
+    normalize's order: coeffs, k (int64) and block (int64, a row of the
+    block table).  The block table holds each block's k = 0 exponents,
+    block_exps (columns r, s, t), and its log powers, block_lmn (int64
+    columns l, m, n).  keys lists the group keys, starts the term where
+    each group but the first begins.  These are what eval_parts reads,
+    with a series' points on its designated triple.
+
+    exps and lmn, each term's exponents and log powers, follow from them
+    exactly: the outer quantity's exponent falls by k and the inner one's
+    rises by k.  They, rows, the terms as tuples (a, r, s, t, l, m, n) for
+    _sum_terms, and groups, each key's LogFunction in the order
+    expand_region met them, are built on first use and kept.  eval adds
+    each group's subtotal, what eval_branch2 gives for it, in key order;
+    eval_many is eval_parts of this series alone.
     """
 
     region: str
@@ -495,8 +532,12 @@ class RegionExpansion:
     starts: list[int] = field(default_factory=list, repr=False)
     keys: list[complex] = field(default_factory=list)
     coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0, complex), repr=False)
-    exps: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), complex), repr=False)
-    lmn: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), np.int64), repr=False)
+    k: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64), repr=False)
+    block: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64), repr=False)
+    block_exps: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), complex),
+                                   repr=False)
+    block_lmn: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), np.int64),
+                                  repr=False)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -504,9 +545,20 @@ class RegionExpansion:
         return ((self.region, self.bt, self.designated, self.order, self.starts, self.keys)
                 == (other.region, other.bt, other.designated, other.order, other.starts,
                     other.keys)
-                and np.array_equal(self.coeffs, other.coeffs)
-                and np.array_equal(self.exps, other.exps)
-                and np.array_equal(self.lmn, other.lmn))
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in ("coeffs", "k", "block", "block_exps", "block_lmn")))
+
+    @cached_property
+    def exps(self) -> np.ndarray:
+        down, up = _OUTER_INNER[self.region]
+        exps = self.block_exps[self.block]
+        exps[:, down] -= self.k
+        exps[:, up] += self.k
+        return exps
+
+    @cached_property
+    def lmn(self) -> np.ndarray:
+        return self.block_lmn[self.block]
 
     def group_keys(self) -> list[complex]:
         return list(self.keys)
@@ -541,11 +593,12 @@ class RegionExpansion:
         """Sum of the series at (z1, z2) on the designated triple.
 
         Raises ValueError where the region's modulus ordering fails, since
-        the series diverges there.  The argument window is not checked: a
+        the series diverges there, and OverflowError naming the point where
+        the sum is not finite.  The argument window is not checked: a
         series may be evaluated past it on purpose, to show it then sums
         to another branch.
         """
-        return _sum_terms(self.rows, self.starts, *_point_logs(*self._checked(z1, z2)))
+        return _sum_at("series", self.rows, self.starts, _point_logs(*self._checked(z1, z2)))
 
     def eval_many(self, points: Iterable[tuple[complex, complex]]) -> list[complex]:
         """eval at each (z1, z2) of points: eval_parts of this series alone,
@@ -584,54 +637,108 @@ def _passes(parts: list, points: int):
     per = room = max(1, _PASS_TERM_POINTS // points)
     pieces = []
     for i, part in enumerate(parts):
-        ends = [*(part.starts if isinstance(part, RegionExpansion) else ()), part.coeffs.size]
-        lo = first = 0  # first: the end of the group beginning at lo
-        while lo < ends[-1]:
-            k = bisect.bisect_right(ends, lo + room, first) - 1
-            if k < first:  # not even that group fits
+        starts = part.starts if isinstance(part, RegionExpansion) else []
+        lo, size = 0, part.coeffs.size
+        while lo < size:
+            if size - lo <= room:
+                hi = size
+            else:  # the last group that fits ends where the next begins
+                j = bisect.bisect_right(starts, lo + room)
+                hi = starts[j - 1] if j and starts[j - 1] > lo else lo
+            if hi == lo:  # not even the group at lo fits
                 if pieces:
                     yield pieces
                     pieces, room = [], per
                     continue
-                k = first  # a group over the bound goes alone
-            pieces.append((i, lo, ends[k]))
-            room -= ends[k] - lo
-            lo, first = ends[k], k + 1
+                j = bisect.bisect_right(starts, lo)  # a group over the bound goes alone
+                hi = starts[j] if j < len(starts) else size
+            pieces.append((i, lo, hi))
+            room -= hi - lo
+            lo = hi
     if pieces:
         yield pieces
+
+
+def _ratio_powers(x: np.ndarray, ratio: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """x[:, ratio[t]] ** k[t] for each t, as a (points, t) array.
+
+    x^k is 1 times the squares x^(2^j) of the set bits j of k, in rising
+    order of j, each square made from the one before; so its bits depend on
+    its x and k alone, and its rounding grows with the bit count of k, not
+    with k.  Where a table of every power up to the largest k is no larger
+    than the result, it is made by doubling, x^(2^j + i) = x^i x^(2^j) for
+    i < 2^j, which is that same product; else each power is made alone.
+    """
+    points, ratios = x.shape
+    span = int(k.max()) + 1
+    if ratios * span <= k.size:
+        table = np.empty((points, ratios, span), dtype=complex)
+        table[..., 0] = 1.0
+        square, n = x, 1
+        while n < span:
+            if n > 1:
+                square = square * square
+            m = min(n, span - n)
+            np.multiply(table[..., :m], square[..., None], out=table[..., n:n + m])
+            n *= 2
+        return table.reshape(points, -1)[:, ratio * span + k]
+    out = np.ones((points, k.size), dtype=complex)
+    square = x
+    for j in range(span.bit_length()):
+        if j:
+            square = square * square
+        cols = np.flatnonzero((k >> j) & 1)
+        out[:, cols] *= square[:, ratio[cols]]
+    return out
 
 
 def eval_parts(parts: list[RegionExpansion | LogFunction],
                logs: list[np.ndarray]) -> np.ndarray:
     """Each part's value at each of its points, as a (parts, points) array.
 
-    A part is a RegionExpansion or a LogFunction (a one-group series); its
-    points are logs[i], point_logs rows made on the triple it is to be
-    summed on (a series' designated triple; any triple, or one per point,
-    for a function), the same number of points for every part.  Parts that
-    share one logs array share its powers.  The batch is evaluated in
-    consecutive numpy passes, each over whole groups of at most
-    _PASS_TERM_POINTS term-points (one term at one point; a larger group
-    goes alone), so its memory does not grow with the batch; a part's
-    values have the same bits whatever other parts are in the batch.
+    A part is a RegionExpansion or a LogFunction; its points are logs[i],
+    point_logs rows made on the triple it is to be summed on (a series'
+    designated triple; any triple, or one per point, for a function), the
+    same number of points for every part.  Parts that share one logs array
+    share its powers.  The batch is evaluated in consecutive numpy passes,
+    each over whole groups of at most _PASS_TERM_POINTS term-points (one
+    term at one point; a larger group goes alone), so its memory does not
+    grow with the batch; a part's values have the same bits whatever other
+    parts are in the batch.
 
-    Powers are made as _sum_terms makes them, once per run of equal
-    exponents: a whole exponent k (as _exponent has it) takes the
-    single-valued z ** k (below 100 in size numpy's repeated squaring, else
-    CPython's), any other c takes exp(c L).  Each term multiplies its
-    coefficient and its three powers, then the log powers of each column
-    in which any term of its part has one; a part sums its groups'
-    subtotals.  The values agree with _sum_terms' up to rounding.  Raises
-    OverflowError where a value is not finite, naming the first such
-    part's first such point.  Nothing checks a series' modulus ordering
-    here: eval_many does, and callers with their own points sample them
-    inside the region.
+    A pass first evaluates its units at every point: a function's terms,
+    and the blocks its series terms come from.  A unit multiplies its
+    coefficient (1 for a block) and its three powers, made once per run of
+    equal exponents as _sum_terms makes them: a whole exponent k (as
+    _exponent has it) takes the single-valued z ** k (below 100 in size
+    numpy's repeated squaring, else CPython's), any other c takes exp(c L).
+    It then multiplies the log powers of each column in which any unit of
+    its part has one.  A function's terms are its units (each its own
+    block, at k = 0); a series term is its coefficient times its block's
+    unit times x^k, x = inner / outer being the ratio of the series' region
+    at the point and x^k a product of squares (_ratio_powers).  So a series
+    makes its powers once per block and point, not once per term, and a
+    term whose powers of z1 and z2 would overflow apart stays as small as
+    it is.  A part adds its groups' subtotals in order, carrying the sum
+    from one pass to the next.  The values agree with _sum_terms' up to
+    rounding, which for a series is less: _sum_terms' exp((a - k) L)
+    magnifies the rounding of its argument up to k times.
+
+    Raises OverflowError where a value is not finite, naming the first
+    such part's first such point.  Nothing checks a series' modulus
+    ordering here: eval_many does, and callers with their own points
+    sample them inside the region.
     """
     points = logs[0].shape[0] if parts else 0
     values = np.zeros((len(parts), points), dtype=complex)
-    split = []  # the group subtotals so far of a part split between passes
     for pieces in _passes(parts, points) if points else ():
-        # The logs arrays side by side, (point, 6 * arrays); each term's
+        # Functions first, series after, each in pass order: a function's
+        # units are its terms, so the units' first columns are the terms'.
+        is_series = [isinstance(parts[i], RegionExpansion) for i, _, _ in pieces]
+        nf = is_series.count(False)
+        pieces = ([p for p, s in zip(pieces, is_series) if not s]
+                  + [p for p, s in zip(pieces, is_series) if s])
+        # The logs arrays side by side, (point, 6 * arrays); each unit's
         # own columns z1, z2, w and their logs begin at its base.
         tables = {id(logs[i]): logs[i] for i, _, _ in pieces}
         base_of = {key: 6 * u for u, key in enumerate(tables)}
@@ -644,10 +751,28 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
             inner = starts[bisect.bisect_right(starts, lo):bisect.bisect_left(starts, hi)]
             group_starts += [offset, *map((offset - lo).__add__, inner)]
             groups.append(len(group_starts))
-        coeffs = np.concatenate([parts[i].coeffs[lo:hi] for i, lo, hi in pieces])
-        exps = np.concatenate([parts[i].exps[lo:hi] for i, lo, hi in pieces])
-        lmn = np.concatenate([parts[i].lmn[lo:hi] for i, lo, hi in pieces])
-        base = np.repeat([base_of[id(logs[i])] for i, _, _ in pieces], sizes)
+        # Each piece's units: a series piece takes its series' whole block
+        # table, or only the blocks its terms use where it has fewer terms.
+        coeffs, exps, lmn, unit_of = [], [], [], []
+        subset = []  # the pieces that take only some of their blocks
+        for row, (i, lo, hi) in enumerate(pieces):
+            part = parts[i]
+            if row < nf:
+                coeffs.append(part.coeffs)
+                exps.append(part.exps)
+                lmn.append(part.lmn)
+                continue
+            used, unit = slice(None), part.block[lo:hi]
+            if hi - lo < len(part.block_lmn):
+                used, unit = np.unique(unit, return_inverse=True)
+                subset.append(row)
+            unit_of.append(unit + sum(map(len, coeffs)))
+            exps.append(part.block_exps[used])
+            lmn.append(part.block_lmn[used])
+            coeffs.append(np.ones(len(lmn[-1]), dtype=complex))
+        unit_sizes = [len(c) for c in coeffs]
+        coeffs, exps, lmn = (np.concatenate(a) for a in (coeffs, exps, lmn))
+        base = np.repeat([base_of[id(logs[i])] for i, _, _ in pieces], unit_sizes)
         col, first, runs = _exponent_runs(exps, base)
         c = exps[first, col]
         at = base[first] + col  # each run's z column, its log 3 columns on
@@ -666,36 +791,52 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
                 ks = [int(k) for k in re[large].tolist()]
                 powers[:, large] = [[zj ** k for zj, k in zip(zs, ks)]
                                     for zs in table[:, at[large]].tolist()]
-            # coeffs * pr * ps * pt, each power gathered (point, term) in turn
-            terms = coeffs * powers[:, runs[0]]
-            terms *= powers[:, runs[1]]
-            terms *= powers[:, runs[2]]
+            # coeffs * pr * ps * pt, each power gathered (point, unit) in turn
+            units = coeffs * powers[:, runs[0]]
+            units *= powers[:, runs[1]]
+            units *= powers[:, runs[2]]
             del powers
             # Which log columns each piece's whole part has.
-            has_log = np.logical_or.reduceat(lmn != 0, offsets[:-1], axis=0)
-            for row, (i, lo, hi) in enumerate(pieces):
-                if hi - lo < parts[i].coeffs.size:
-                    has_log[row] = (parts[i].lmn != 0).any(axis=0)
+            has_log = np.logical_or.reduceat(
+                lmn != 0, [0, *itertools.accumulate(unit_sizes[:-1])], axis=0)
+            for row in subset:
+                has_log[row] = (parts[pieces[row][0]].block_lmn != 0).any(axis=0)
             for j in np.flatnonzero(has_log.any(axis=0)):  # log powers l, m, n
                 cols = (slice(None) if has_log[:, j].all()
-                        else np.flatnonzero(np.repeat(has_log[:, j], sizes)))
-                terms[:, cols] *= np.power(table[:, base[cols] + 3 + j], lmn[cols, j])
+                        else np.flatnonzero(np.repeat(has_log[:, j], unit_sizes)))
+                units[:, cols] *= np.power(table[:, base[cols] + 3 + j], lmn[cols, j])
+            if nf == len(pieces):
+                terms = units
+            else:
+                nt = offsets[nf]
+                terms = np.empty((points, offsets[-1]), dtype=complex)
+                terms[:, :nt] = units[:, :nt]
+                series = pieces[nf:]
+                np.multiply(np.concatenate([parts[i].coeffs[lo:hi] for i, lo, hi in series]),
+                            units[:, np.concatenate(unit_of)], out=terms[:, nt:])
+                del units
+                # x^k for each term, x per ratio (logs array and region).
+                ratio_of = {}
+                for i, _, _ in series:
+                    ratio_of.setdefault((id(logs[i]), parts[i].region), len(ratio_of))
+                outer_col, inner_col = np.array([[base_of[key] + u for u in _OUTER_INNER[region]]
+                                                 for key, region in ratio_of]).T
+                ratio = np.repeat([ratio_of[id(logs[i]), parts[i].region] for i, _, _ in series],
+                                  sizes[nf:])
+                k = np.concatenate([parts[i].k[lo:hi] for i, lo, hi in series])
+                x = table[:, inner_col] / table[:, outer_col]
+                terms[:, nt:] *= _ratio_powers(x, ratio, k)
             sub = np.add.reduceat(terms, group_starts, axis=1)
         for (i, lo, hi), g0, g1 in zip(pieces, groups, groups[1:]):
             chunk = sub[:, g0:g1]
-            if lo or hi < parts[i].coeffs.size:  # a part split between passes
-                split.append(chunk)
-                if hi < parts[i].coeffs.size:
-                    continue
-                chunk = np.concatenate(split, axis=1)
-                split = []
-            values[i] = chunk.sum(axis=1)
+            if lo:  # the rest of a part split between passes
+                chunk = np.concatenate([values[i][:, None], chunk], axis=1)
+            values[i] = np.cumsum(chunk, axis=1)[:, -1]
     finite = np.isfinite(values)
     if not finite.all():
-        i, k = np.argwhere(~finite)[0]
-        z1, z2 = logs[i][k, :2].tolist()
+        i, j = np.argwhere(~finite)[0]
         kind = "series" if isinstance(parts[i], RegionExpansion) else "function"
-        raise OverflowError(f"{kind} value at z1 = {z1}, z2 = {z2} is not finite")
+        raise _not_finite(kind, *logs[i][j, :2].tolist())
     return values
 
 
@@ -723,7 +864,9 @@ def expand_family(functions: Iterable[LogFunction], region: str, bt: BranchTripl
     its binomial row as it is.  All blocks are merged at once, function by
     function: exact zeros of the series are dropped, equal exponent
     signatures summed in order of appearance, coefficients below 1e-15
-    dropped, and the survivors kept in normalize's order.
+    dropped, and the survivors kept in normalize's order.  A survivor
+    keeps the k and block of the first candidate of its signature, and
+    each series the table of the blocks its survivors keep.
     Raises ValueError, before allocating, when that makes more than
     SERIES_BUDGET candidate monomials in all or an expanded log power
     reaches 2**63.
@@ -806,20 +949,22 @@ def expand_family(functions: Iterable[LogFunction], region: str, bt: BranchTripl
     live = ser != 0  # never empty: each term's k = 0 coefficient is 1
     block, k = np.nonzero(live)
     coeff = np.array(scale)[block] * ser[live]
-    of_term = np.array(term)[block]
-    fn = np.repeat(np.arange(len(functions)), [len(f.terms) for f in functions])[of_term]
-    # Columns r, s, t: one exponent falls with k, one rises, one is 0, as
-    # is the log power column of the same place.
-    down, up, key_col, zero = {"product": (0, 1, 1, 2), "reversed": (1, 0, 0, 2),
-                               "iterate": (1, 2, 2, 0)}[region]
+    term = np.array(term)
+    term_fn = np.repeat(np.arange(len(functions)), [len(f.terms) for f in functions])
+    of_term = term[block]
+    fn = term_fn[of_term]
+    # Columns r, s, t: the outer quantity's exponent falls with k, the
+    # inner one's rises, the third is 0, as is its log power column.
+    down, up = _OUTER_INNER[region]
+    zero = 3 - down - up
     live_cols = [c for c in range(3) if c != zero]
-    # A candidate is held as (term, k), and its signature as one contiguous
-    # row per part, so that sorting copies none of it; only the survivors'
-    # exponents are made complex.  Each array here holds one entry per
-    # candidate: drop every one as soon as it is used, as all functions'
-    # candidates are alive at once.
+    # A candidate is held as (block, k), and its signature as one
+    # contiguous row per part, so that sorting copies none of it; complex
+    # exponents are kept only per block.  Each array here holds one entry
+    # per candidate: drop every one as soon as it is used, as all
+    # functions' candidates are alive at once.
     lmn_rows = lmn.T[live_cols][:, block]
-    del ser, live, block, binom
+    del ser, live, binom
     falling, rising = np.array(falling), np.array(rising)
     # The signature of LogMonomial.key: exponent parts with -0.0 made +0.0,
     # then log powers, leaving out the zero columns, which order nothing.
@@ -831,51 +976,61 @@ def expand_family(functions: Iterable[LogFunction], region: str, bt: BranchTripl
         base, shift = (falling, np.subtract) if c == down else (rising, np.add)
         shift(base.real[of_term], k, out=parts[2 * j])
         parts[2 * j + 1] = base.imag[of_term]
+    del of_term
     parts += 0.0
-    key_part = 2 * live_cols.index(key_col)
-    # One stable sort by function, group key (the key column's parts), then
-    # signature: equal signatures meet with their order kept, and each
-    # group comes out in normalize's order.
+    key_part = 2 * live_cols.index(up)
+    # One stable sort by function, group key (the inner column's parts),
+    # then signature: equal signatures meet with their order kept, and
+    # each group comes out in normalize's order.
     perm = np.lexsort((*lmn_rows[::-1], *parts[::-1], parts[key_part + 1], parts[key_part], fn))
     fn = fn[perm]
     new_sig = fn[1:] != fn[:-1]
     for row in (*parts, *lmn_rows):
         row = row[perm]
         new_sig |= row[1:] != row[:-1]
-    del parts, row
+    del parts, row, lmn_rows
     starts = np.flatnonzero(np.concatenate(([True], new_sig)))
     del new_sig
     total = np.add.reduceat(coeff[perm], starts)
     del coeff
     keep = ~(np.abs(total) < _COEFF_DROP)
-    # Exponents come from each signature's first term, as in normalize.
+    # Exponents come from each signature's first term, as in normalize:
+    # its block's k = 0 exponents, moved by its k.
     rep = perm[starts[keep]]
     del perm
     total, fn = total[keep], fn[starts[keep]]
-    of_term, k, lmn_rows = of_term[rep], k[rep], lmn_rows[:, rep]
+    block, k = block[rep], k[rep]
     del starts, keep, rep
-    exps = np.zeros((k.size, 3), dtype=complex)
-    exps[:, down] = falling[of_term] - k
-    exps[:, up] = rising[of_term] + k
-    lmn = np.zeros((k.size, 3), dtype=np.int64)
-    lmn[:, live_cols] = lmn_rows.T
-    del of_term, k, lmn_rows
-    if not (np.isfinite(total).all() and np.isfinite(exps).all()):
+    # The blocks some term survives in, function by function (block numbers
+    # rise with the function), as tables of k = 0 exponents and log powers.
+    used = np.zeros(term.size, dtype=bool)
+    used[block] = True
+    block = (np.cumsum(used) - 1)[block]
+    used = np.flatnonzero(used)
+    block_exps = np.zeros((used.size, 3), dtype=complex)
+    block_exps[:, down] = falling[term[used]]
+    block_exps[:, up] = rising[term[used]] + 0.0
+    block_lmn = lmn[used]
+    if not (np.isfinite(total).all() and np.isfinite(block_exps).all()):
         raise ValueError("coefficient and exponents must be finite")
     if not total.size:
         return expansions
-    key = exps[:, key_col] + 0.0
-    # Where each group begins, and each function's first term and group.
+    key = block_exps[block, up] + k + 0.0
+    # Where each group begins, and each function's first term, group and block.
     new_group = (key[1:] != key[:-1]) | (fn[1:] != fn[:-1])
     firsts = np.flatnonzero(np.concatenate(([True], new_group)))
     bounds = np.searchsorted(fn, np.arange(len(functions) + 1))
     first_group = np.searchsorted(firsts, bounds).tolist()
+    first_block = np.searchsorted(term_fn[term[used]], np.arange(len(functions) + 1)).tolist()
     keys, firsts, bounds = key[firsts].tolist(), firsts.tolist(), bounds.tolist()
     for i, expansion in enumerate(expansions):
         lo, hi = bounds[i], bounds[i + 1]
         if lo == hi:
             continue
-        expansion.coeffs, expansion.exps, expansion.lmn = total[lo:hi], exps[lo:hi], lmn[lo:hi]
+        b0, b1 = first_block[i], first_block[i + 1]
+        expansion.coeffs, expansion.k = total[lo:hi], k[lo:hi]
+        expansion.block = block[lo:hi] - b0
+        expansion.block_exps, expansion.block_lmn = block_exps[b0:b1], block_lmn[b0:b1]
         groups = slice(first_group[i], first_group[i + 1])
         expansion.starts = [s - lo for s in firsts[groups][1:]]
         expansion.keys = keys[groups]

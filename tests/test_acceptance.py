@@ -8,8 +8,10 @@ pytest -s, and in the captured output on failure).
 import cmath
 import hashlib
 import inspect
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from twistlab import (
     suite_ok,
 )
 from twistlab import models as _models
+from twistlab.cli import load_scenario
 from twistlab import logfun as _logfun
 
 
@@ -187,6 +190,26 @@ def test_contragredient_duality_and_inversion_relation():
            f"involution defect {invol:.2e}")
 
 
+def test_contragredient_duality_sums_without_magnified_rounding():
+    """random-3's contragredient duality, whose order-100 series summed each
+    term's exp((a - k) L) to 3.0e-12, stays below 1e-13."""
+    sc = next(s for s in default_scenarios() if s.name == "random-3")
+    [rep] = run_suite([sc], VerifyConfig(), "contragredient-duality")
+    report("contragredient duality without magnified rounding",
+           rep.passed and rep.max_defect < 1e-13, f"max defect {rep.max_defect:.2e}")
+
+
+def test_duality_regions_at_an_order_whose_powers_overflow_apart():
+    """log-pair's duality regions at order 5000: each term's powers of the
+    outer and inner quantities overflow apart, the term itself is tiny."""
+    sc = load_scenario(str(Path(__file__).resolve().parent.parent / "scenarios" / "log_pair.json"))
+    t0 = time.perf_counter()
+    [rep] = run_suite([sc], VerifyConfig(order=5000), "duality-regions")
+    dt = time.perf_counter() - t0
+    report("duality regions at order 5000", rep.passed,
+           f"max defect {rep.max_defect:.2e} over {rep.samples} samples in {dt:.2f}s")
+
+
 def test_oracle_agreement_on_random_loops():
     """200 random loops: branch-formula tracking vs phase unwrapping, < 1e-9.
 
@@ -242,19 +265,26 @@ def _bits(x):
     return x
 
 
-# sha256 of every run_suite() report in bits: name, pass, maxDefect,
-# samples, worstPoint and its extras, less region-swap's negativeGap, the
-# smallest gap of a negative control, which only has to stay large.
-SUITE_FINGERPRINT = "881c5dfddaa3acdd8d266c08099f5e11fd8418a8d973e2366c99bb31bcd96be4"
+# A 16-hex sha256 prefix of each run_suite() report in bits, by name, in
+# suite order: its name, pass, maxDefect, samples, worstPoint and extras,
+# less region-swap's negativeGap, the smallest gap of a negative control,
+# which only has to stay large.
+SUITE_FINGERPRINTS = Path(__file__).with_name("suite_fingerprints.json")
+
+
+def _report_digest(r) -> str:
+    return hashlib.sha256(repr(
+        [r.name, r.passed, _bits(r.max_defect), r.samples, _bits(r.worst_point),
+         sorted((k, _bits(v)) for k, v in r.extras.items() if k != "negativeGap")]
+    ).encode()).hexdigest()[:16]
 
 
 def test_full_suite_fingerprint():
-    """Every shipped-suite report keeps its bits; a change that moves one must
-    record the new fingerprint and say which reports moved."""
-    reports = run_suite()
-    digest = hashlib.sha256(repr([
-        [r.name, r.passed, _bits(r.max_defect), r.samples, _bits(r.worst_point),
-         sorted((k, _bits(v)) for k, v in r.extras.items() if k != "negativeGap")]
-        for r in reports]).encode()).hexdigest()
-    report("full suite fingerprint", digest == SUITE_FINGERPRINT,
-           f"sha256 {digest[:16]} over {len(reports)} reports")
+    """Every shipped-suite report keeps its bits; a change that moves some
+    must re-pin them in suite_fingerprints.json and say which moved."""
+    pinned = json.loads(SUITE_FINGERPRINTS.read_text())
+    digests = {r.name: _report_digest(r) for r in run_suite()}
+    moved = [name for name in dict.fromkeys([*pinned, *digests])
+             if pinned.get(name) != digests.get(name)]
+    report("full suite fingerprint", not moved and list(digests) == list(pinned),
+           f"{len(digests)} reports; moved: {', '.join(moved) or 'none'}")

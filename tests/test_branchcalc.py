@@ -64,6 +64,17 @@ def test_principal_arg_snaps_to_axis():
     assert principal_arg(complex(2.0, 1e-9)) > 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-20, 1e-14, 1.0, 1e20, 1e300])
+def test_principal_arg_snap_band_is_relative_at_any_scale(scale):
+    # The band is 1e-14 of the real part: a point's argument, and so its
+    # log, does not depend on how far it is from 0.
+    z = scale * cmath.exp(0.3j)
+    assert principal_arg(z) == pytest.approx(0.3, rel=1e-12)
+    assert principal_arg(complex(scale, scale * 1e-15)) == 0.0
+    assert principal_arg(complex(scale, scale * 1e-13)) > 0.0
+    assert cmath.exp(lp(0, z) - lp(0, scale)) == pytest.approx(cmath.exp(0.3j), rel=1e-12)
+
+
 def test_principal_arg_rejects_zero():
     with pytest.raises(ValueError):
         principal_arg(0.0)

@@ -71,6 +71,14 @@ def test_eval_plain_output(capsys):
     assert "value:" in out and "{" not in out
 
 
+@pytest.mark.parametrize("z1", ["1e155,0", "1e300,0"], ids=["sum-overflows", "power-overflows"])
+def test_eval_non_finite_value_names_the_point(capsys, z1):
+    code, out, err = run_cli(capsys, "eval", "--scenario", LOG_PAIR, "--z1", z1, "--z2", "1,0")
+    assert code == 2 and out == ""
+    point = complex(float(z1.split(",")[0]), 0.0)
+    assert err == f"error: function value at z1 = {point}, z2 = (1+0j) is not finite\n"
+
+
 # ---------------------------------------------------------------------------
 # expand
 # ---------------------------------------------------------------------------
@@ -120,6 +128,18 @@ def test_expand_over_series_budget_is_error(capsys):
                              "--z1", "2,0", "--z2", "0.5,0")
     assert code == 2 and out == ""
     assert "SERIES_BUDGET" in err
+
+
+@pytest.mark.parametrize("z1, z2", [("1e-6,0", "5e-7,0"), ("1e6,0", "5e5,0")])
+def test_expand_sums_far_from_unit_scale(capsys, z1, z2):
+    # At ratio 0.5 every term is small, but its powers of z1 and z2 apart
+    # overflow from about k = 52 (1e-6) or k = 60 (1e6) on.
+    doc = run_json(capsys, "expand", "--scenario", LOG_PAIR, "--region", "product",
+                   "--order", "60", "--z1", z1, "--z2", z2)
+    p1, p2, p12 = (str(p) for p in doc["designated"])
+    exact = run_json(capsys, "eval", "--scenario", LOG_PAIR, "--z1", z1, "--z2", z2,
+                     "--p1", p1, "--p2", p2, "--p12", p12)
+    assert doc["defect"] <= 1e-13 * abs(complex(*exact["value"]))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +446,7 @@ def test_overflowing_value_is_not_printed(capsys, tmp_path):
     code, out, err = run_cli(capsys, "eval", "--scenario", str(big),
                              "--z1", "1e10,0", "--z2", "1,0")
     assert code == 2 and out == ""
-    assert "JSON" in err
+    assert err == "error: function value at z1 = (10000000000+0j), z2 = (1+0j) is not finite\n"
 
 
 def test_wrong_version_rejected(tmp_path):

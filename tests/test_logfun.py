@@ -685,8 +685,11 @@ def test_integer_exponent_classification_edges(c, z):
     assert type(packed) is int and packed == k
     want = _outcome(lambda: complex(z) ** int(complex(c).real))
     assert _outcome(lambda: z ** k) == want
-    # Through eval_branch2, whose sum starts at 0j.
+    # Through eval_branch2, whose sum starts at 0j, and which names the
+    # point where z ** k overflows.
     want = _outcome(lambda: complex(z) ** int(complex(c).real) + 0j)
+    if want[0] is OverflowError:
+        want = (OverflowError, f"function value at z1 = {complex(z)}, z2 = (7+0j) is not finite")
     f = LogFunction([LogMonomial(1.0, r=c)])
     assert _outcome(lambda: eval_branch2(f, BranchTriple(0, 0, 0), z, 7.0) + 0j) == want
     # Through expand_region rows: the exponent rising with k (s, r or t) is
@@ -960,6 +963,97 @@ def test_eval_many_raises_where_a_value_overflows():
         exp.eval_many([(1.1 + 0.0j, 0.5 + 0.0j), point])
 
 
+def _not_finite(kind: str, z1: complex, z2: complex) -> str:
+    return re.escape(f"{kind} value at z1 = {complex(z1)}, z2 = {complex(z2)} is not finite")
+
+
+LOG_PAIR = load_scenario(str(SCENARIO_DIR / "log_pair.json")).fam.functions
+HUGE_COEFF = LogFunction([LogMonomial(1e300, r=1)])
+
+
+@pytest.mark.parametrize("f, z1", [(LOG_PAIR[0], 1e155), (HUGE_COEFF, 1e155), (LOG_PAIR[0], 1e300)],
+                         ids=["sum-is-inf", "sum-is-nan", "exp-overflows"])
+def test_eval_branch2_names_a_point_whose_value_is_not_finite(f, z1):
+    with pytest.raises(OverflowError, match=_not_finite("function", z1, 1.0)):
+        eval_branch2(f, BranchTriple(0, 0, 0), z1, 1.0)
+
+
+@pytest.mark.parametrize("f, order, z1, z2", [
+    (HUGE_COEFF, 0, 1e155, 1.0),
+    # z1 ** (r + t - k) overflows from k = 270 on, while the term is tiny.
+    (LOG_PAIR[0], 400, 0.05 + 0.05j, 0.03 - 0.01j),
+], ids=["sum-is-nan", "power-overflows"])
+def test_series_eval_names_a_point_whose_value_is_not_finite(f, order, z1, z2):
+    series = expand_region(f, "product", BranchTriple(0, 0, 0), order)
+    with pytest.raises(OverflowError, match=_not_finite("series", z1, z2)):
+        series.eval(z1, z2)
+
+
+@pytest.mark.parametrize("order", [400, 1000, 3000])
+def test_kernel_sums_high_orders_in_ratio_form(order):
+    # The row loop's powers of z1 and z2 overflow apart at these orders (the
+    # test above); the kernel's terms are each a power of the ratio z2 / z1
+    # times their block's k = 0 monomial.
+    f = LOG_PAIR[0]
+    series = expand_region(f, "product", BranchTriple(0, 0, 0), order)
+    z1, z2 = 0.05 + 0.05j, 0.03 - 0.01j
+    [value] = series.eval_many([(z1, z2)])
+    exact = eval_branch2(f, series.designated, z1, z2)
+    assert abs(value - exact) <= 1e-13 * abs(exact)
+
+
+# A ratio of 0.45 inside each region, at unit scale.
+SCALE_POINTS = {"product": (cmath.exp(0.3j), 0.45 * cmath.exp(-0.4j)),
+                "reversed": (0.45 * cmath.exp(0.2j), cmath.exp(3.3j)),
+                "iterate": (1.0 + 0.45 * cmath.exp(0.4j), 1.0 + 0.0j)}
+
+
+@pytest.mark.parametrize("label", [0, 1])
+@pytest.mark.parametrize("region", REGIONS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(scale=st.floats(-100.0, 100.0))
+@example(scale=-100.0)
+@example(scale=100.0)
+def test_kernel_is_finite_at_any_scale_where_the_function_is(region, label, scale):
+    # Scaling both points by s keeps every argument, so the ratio and the
+    # window stay put while the powers of z1 and z2 sweep the float range.
+    u, v = SCALE_POINTS[region]
+    assert in_region(region, u, v, margin=0.05)
+    series = expand_region(LOG_PAIR[label], region, BranchTriple(0, 0, 0), 60)
+    z1, z2 = 10.0 ** scale * u, 10.0 ** scale * v
+    try:
+        exact = eval_branch2(LOG_PAIR[label], series.designated, z1, z2)
+    except OverflowError:
+        return
+    # Near the top of the float range a sum's intermediate products may
+    # overflow where its value does not: the kernel's block monomial
+    # exceeds its series' value by the factor 1 / |sum of c_k x^k|, a few
+    # here, and the row loop's products of powers taken in turn differ
+    # from it likewise.  Values within 2**-10 of the range are left out.
+    assume(max(abs(exact.real), abs(exact.imag)) < 2.0 ** 1014)
+    [value] = series.eval_many([(z1, z2)])
+    assert abs(value - exact) <= 1e-13 * abs(exact)
+
+
+def test_ratio_powers_have_the_same_bits_from_the_table_and_alone():
+    # The kernel takes a table of every power up to the largest k where it
+    # is no larger than the result, else makes each power alone; which one
+    # depends on the pass, so both must give the same bits.
+    rng = np.random.default_rng(16)
+    x = (rng.uniform(0.2, 0.9, (3, 2)) * np.exp(1j * rng.uniform(0.0, TWO_PI, (3, 2))))
+    ratio = np.repeat([0, 1], 300)
+    k = np.concatenate([np.arange(300), rng.integers(0, 300, 300)])
+    table = logfun._ratio_powers(x, ratio, k)
+    alone = logfun._ratio_powers(x, np.append(ratio, 0), np.append(k, 5000))[:, :-1]
+    assert table.tobytes() == alone.tobytes()
+    assert np.all(table[:, k == 0] == 1.0)
+    # Against products taken one factor at a time, whose rounding grows with k.
+    steps = np.ones((3, 2, 300), dtype=complex)
+    steps[..., 1:] = np.cumprod(np.repeat(x[..., None], 299, axis=2), axis=2)
+    stepped = steps[:, ratio, k]
+    assert np.all(np.abs(table - stepped) <= (k + 8) * 2.0 ** -52 * np.abs(stepped))
+
+
 # ---------------------------------------------------------------------------
 # family builds and the evaluation kernel
 # ---------------------------------------------------------------------------
@@ -1062,6 +1156,27 @@ def test_kernel_memory_does_not_grow_with_its_batch():
     assert peak(series * 8) <= 1.25 * one
 
 
+def test_kernel_memory_does_not_grow_with_the_order():
+    # Each pass makes the powers of the ratio its terms use, not every
+    # power up to the largest k (2.6 MB at order 20,000), and a series
+    # split between passes carries its running sum, not every group's
+    # subtotal (2.5 MB).
+    points = [(z1, 0.6 * z1) for z1 in (1.5, 1.5j, -1.5, 2.0 + 1.0j, -1.0 - 1.0j, 0.5 - 2.0j,
+                                        1.0 + 1.0j, -2.0j)]
+
+    def peak(order):
+        series = expand_region(LOG_PAIR[0], "product", BranchTriple(0, 0, 0), order)
+        series.eval_many(points)
+        tracemalloc.start()
+        try:
+            series.eval_many(points)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20_000) <= 1.25 * peak(2_000)
+
+
 def test_family_build_memory_stays_near_its_result():
     # The order-100 reversed series of random-4's exchanged families of
     # both signs, as omega-duality builds them: 2,626 candidates, 2,240
@@ -1081,9 +1196,9 @@ def test_family_build_memory_stays_near_its_result():
 
 
 # sha256 prefixes of LOG_HEAVY's eval_many bits at order 40, recorded from
-# the eval_many that summed one series per call.
-EVAL_MANY_FINGERPRINTS = {"product": "b2346c37e413d372", "reversed": "915ed3d698e71f4b",
-                          "iterate": "95723daefb71248c"}
+# the kernel that sums a series as powers of its region's ratio.
+EVAL_MANY_FINGERPRINTS = {"product": "46963d5ca35e4f04", "reversed": "f66e5d88793a6fe5",
+                          "iterate": "764e1c068ae2b9c6"}
 
 
 @pytest.mark.parametrize("region", REGIONS)
@@ -1198,7 +1313,7 @@ def test_region_expansion_equality_and_repr():
     assert a.rows  # built on one side only
     assert a == b and not a != b
     assert a != expand_region(LOG_HEAVY, "reversed", bt, 13)
-    for name in ("coeffs", "exps", "lmn"):
+    for name in ("coeffs", "k", "block", "block_exps", "block_lmn"):
         changed = dataclasses.replace(a, **{name: getattr(a, name).copy()})
         assert changed == a
         changed.__dict__[name].flat[-1] += 1
