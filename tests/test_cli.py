@@ -133,7 +133,7 @@ def test_expand_over_series_budget_is_error(capsys):
 @pytest.mark.parametrize("z1, z2", [("1e-6,0", "5e-7,0"), ("1e6,0", "5e5,0")])
 def test_expand_sums_far_from_unit_scale(capsys, z1, z2):
     # At ratio 0.5 every term is small, but its powers of z1 and z2 apart
-    # overflow from about k = 52 (1e-6) or k = 60 (1e6) on.
+    # overflow from k = 53 (1e-6) or k = 54 (1e6) on.
     doc = run_json(capsys, "expand", "--scenario", LOG_PAIR, "--region", "product",
                    "--order", "60", "--z1", z1, "--z2", z2)
     p1, p2, p12 = (str(p) for p in doc["designated"])
