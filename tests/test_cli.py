@@ -239,6 +239,38 @@ def test_transform_output_is_frozen(capsys, src, op):
     assert hashlib.sha256(out.encode()).hexdigest() == TRANSFORM_SHA256[src, op]
 
 
+# sha256 of the JSON output of each command line: every check on both
+# shipped files, a region series summed at one point, one value, and the
+# continuation along every named path.
+CLI_SHA256 = {
+    ("verify", "--scenario", SQRT):
+        "824be406507c356f8bff21add9d5eb153f3f98c2099ec5814786678050e18a58",
+    ("verify", "--scenario", LOG_PAIR):
+        "a78cd2c5e8d60168b553bdc35e8b7b00d97d987357c62d431dfa27c3bbc8cd86",
+    ("expand", "--scenario", LOG_PAIR, "--label", "2", "--region", "product", "--order", "40",
+     "--z1", "2.5,0.3", "--z2", "0.8,-0.2"):
+        "42cfdf6d3ad7a72524e3ecc65f2f5b100cf6a7a3e26941d56856057565ec3aaa",
+    ("eval", "--scenario", LOG_PAIR, "--label", "2", "--z1", "1.3,0.4", "--z2", "0.5,-0.2"):
+        "1a83e1a0f3891f785bb3e743ffa83d5d3de473470e5a36d8787decb748e8bd4b",
+    ("continue", "--scenario", SQRT, "--path", "difference-loop"):
+        "3de001f433874c1171e8f8189f81ff53262b6a43729b26b1dab1b017a29104c3",
+    ("continue", "--scenario", SQRT, "--path", "outer-loop"):
+        "aef0bda5c75d69285dc006fadbaa8b8afa3b2deb26d504424d673a3861205661",
+    ("continue", "--scenario", LOG_PAIR, "--path", "outer-loop"):
+        "0ca7d444d7d8d27ecaba73923cd8f9d71eeda7f554c760f871ae21a3772bb4d9",
+    ("continue", "--scenario", LOG_PAIR, "--path", "there-and-back"):
+        "09ccc1d70e7a04221bbe0f86f674eb20d1f13e985397f77ae20820c4a4b9bf63",
+}
+
+
+@pytest.mark.parametrize("argv", CLI_SHA256,
+                         ids=lambda argv: "-".join(Path(a).stem for a in argv[:5]))
+def test_cli_output_is_frozen(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_SHA256[argv]
+
+
 def test_transform_contragredient_executes(capsys):
     doc = run_json(capsys, "transform", "--scenario", LOG_PAIR, "--op", "a-")
     assert doc["labels"] == 2
