@@ -68,4 +68,4 @@ for i, fn in enumerate(sc.fam.functions):
     via_g3 = eval_branch2(sc.fam.apply(sc.fam.action.g3, i), sc.bt, *start)
     gap = abs(lowered - via_g3) / max(1.0, abs(lowered), abs(via_g3))
     print(f"  label {i + 1}: lowered-triple value vs g3-moved value, gap {gap:.2e}")
-print(f"  exact phase composition: {sc.fam.action.exact_composition_ok()}")
+print(f"  |g3 - g1 g2| = {sc.fam.action.composition_defect():.1e}")

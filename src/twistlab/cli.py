@@ -417,24 +417,18 @@ def _label_index(args, dim: int) -> int:
     return label - 1
 
 
-def _emit(doc: dict, as_json: bool):
-    if as_json:
-        sys.stdout.write(json.dumps(doc, sort_keys=True, allow_nan=False,
-                                    separators=(",", ":")) + "\n")
-    else:
-        for k in sorted(doc):
-            sys.stdout.write(f"{k}: {doc[k]}\n")
+def _emit(doc: dict):
+    sys.stdout.write(json.dumps(doc, sort_keys=True, allow_nan=False,
+                                separators=(",", ":")) + "\n")
 
 
 def _add_common(p: argparse.ArgumentParser, scenario_required=True):
     p.add_argument("--scenario", required=scenario_required,
                    help="scenario JSON file (twistlab/1)")
-    p.add_argument("--json", action=argparse.BooleanOptionalAction, default=True,
-                   help="JSON output (default on)")
 
 
 def _add_probe(p: argparse.ArgumentParser):
-    """--scenario, --json, and the label and branch triple to probe."""
+    """--scenario, and the label and branch triple to probe."""
     _add_common(p)
     p.add_argument("--label", type=int, default=1,
                    help="1-based probe label (default 1)")
@@ -455,7 +449,7 @@ def cmd_eval(args) -> int:
     value = eval_branch2(sf.fam.functions[i], bt, args.z1, args.z2)
     _emit({"command": "eval", "scenario": sf.name, "label": args.label,
            "branch": list(bt), "z1": _c(args.z1), "z2": _c(args.z2),
-           "value": _c(value)}, args.json)
+           "value": _c(value)})
     return 0
 
 
@@ -480,7 +474,7 @@ def cmd_expand(args) -> int:
                              args.z1, args.z2)
         doc.update({"z1": _c(args.z1), "z2": _c(args.z2), "value": _c(value),
                     "defect": abs(value - exact)})
-    _emit(doc, args.json)
+    _emit(doc)
     return 0
 
 
@@ -499,7 +493,7 @@ def cmd_continue(args) -> int:
            "value": _c(res.end_value), "certificate": res.certificate,
            "samples": res.samples, "windings": list(res.crossings),
            "oracleGap": abs(res.oracle_value - res.end_value)}
-    _emit(doc, args.json)
+    _emit(doc)
     return 0
 
 
@@ -515,7 +509,7 @@ def cmd_transform(args) -> int:
     else:
         fam = contragredient_family(sc.fam, sc.qp, sign)
     out = replace(sc, name=f"{sc.name}:{args.op}", fam=fam)
-    _emit(serialize_scenario(out), args.json)
+    _emit(serialize_scenario(out))
     return 0
 
 
@@ -528,7 +522,7 @@ def cmd_verify(args) -> int:
                         None if args.check == "all" else args.check)
     ok = suite_ok(reports)
     _emit({"command": "verify", "pass": ok,
-           "reports": [r.to_dict() for r in reports]}, args.json)
+           "reports": [r.to_dict() for r in reports]})
     return 0 if ok else 1
 
 

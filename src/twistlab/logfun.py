@@ -706,23 +706,24 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
     grow with the batch; a part's values have the same bits whatever other
     parts are in the batch.
 
-    A pass first evaluates its units at every point: a function's terms,
-    and the blocks its series terms come from.  A unit multiplies its
-    coefficient (1 for a block) and its three powers, made once per run of
-    equal exponents as _sum_terms makes them: a whole exponent k (as
-    _exponent has it) takes the single-valued z ** k (below 100 in size
-    numpy's repeated squaring, else CPython's), any other c takes exp(c L).
-    It then multiplies the log powers of each column in which any unit of
-    its part has one.  A function's terms are its units (each its own
-    block, at k = 0); a series term is its coefficient times its block's
-    unit times x^k, x = inner / outer being the ratio of the series' region
-    at the point and x^k a product of squares (_ratio_powers).  So a series
-    makes its powers once per block and point, not once per term, and a
-    term whose powers of z1 and z2 would overflow apart stays as small as
-    it is.  A part adds its groups' subtotals in order, carrying the sum
-    from one pass to the next.  The values agree with _sum_terms' up to
-    rounding, which for a series is less: _sum_terms' exp((a - k) L)
-    magnifies the rounding of its argument up to k times.
+    Every term is coeff * x^k * unit.  A series' units are its whole block
+    table, each at coefficient 1, and x = inner / outer is the ratio of its
+    region at the point; a function is a series whose terms are their own
+    units, with the terms' coefficients, each term at coeff 1 and k = 0.  A
+    pass first evaluates its units at every point: a unit multiplies its
+    coefficient and its three powers, made once per run of equal exponents
+    as _sum_terms makes them: a whole exponent k (as _exponent has it)
+    takes the single-valued z ** k (below 100 in size numpy's repeated
+    squaring, else CPython's), any other c takes exp(c L).  It then
+    multiplies the log powers of each column in which any unit of its part
+    has one.  Each term is then its coeff times its unit, times x^k (a
+    product of squares, _ratio_powers) where the pass holds a series; x^0 is
+    exactly 1.  So a series makes its powers once per block and point, not
+    once per term, and a term whose powers of z1 and z2 would overflow apart
+    stays as small as it is.  A part adds its groups' subtotals in order,
+    carrying the sum from one pass to the next.  The values agree with
+    _sum_terms' up to rounding, which for a series is less: _sum_terms'
+    exp((a - k) L) magnifies the rounding of its argument up to k times.
 
     Raises OverflowError where a value is not finite, naming the first
     such part's first such point.  Nothing checks a series' modulus
@@ -732,12 +733,6 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
     points = logs[0].shape[0] if parts else 0
     values = np.zeros((len(parts), points), dtype=complex)
     for pieces in _passes(parts, points) if points else ():
-        # Functions first, series after, each in pass order: a function's
-        # units are its terms, so the units' first columns are the terms'.
-        is_series = [isinstance(parts[i], RegionExpansion) for i, _, _ in pieces]
-        nf = is_series.count(False)
-        pieces = ([p for p, s in zip(pieces, is_series) if not s]
-                  + [p for p, s in zip(pieces, is_series) if s])
         # The logs arrays side by side, (point, 6 * arrays); each unit's
         # own columns z1, z2, w and their logs begin at its base.
         tables = {id(logs[i]): logs[i] for i, _, _ in pieces}
@@ -745,32 +740,44 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
         table = np.concatenate(list(tables.values()), axis=1)
         sizes = [hi - lo for _, lo, hi in pieces]
         offsets = [0, *itertools.accumulate(sizes)]
-        group_starts, groups = [], [0]
-        for (i, lo, hi), offset in zip(pieces, offsets):
-            starts = parts[i].starts if isinstance(parts[i], RegionExpansion) else []
-            inner = starts[bisect.bisect_right(starts, lo):bisect.bisect_left(starts, hi)]
-            group_starts += [offset, *map((offset - lo).__add__, inner)]
-            groups.append(len(group_starts))
-        # Each piece's units: a series piece takes its series' whole block
-        # table, or only the blocks its terms use where it has fewer terms.
-        coeffs, exps, lmn, unit_of = [], [], [], []
-        subset = []  # the pieces that take only some of their blocks
-        for row, (i, lo, hi) in enumerate(pieces):
+        # Each piece's units: a function's terms, with their coefficients,
+        # or a series' whole block table, with coefficient 1.
+        coeffs, exps, lmn = [], [], []
+        for i, lo, hi in pieces:
             part = parts[i]
-            if row < nf:
-                coeffs.append(part.coeffs)
-                exps.append(part.exps)
-                lmn.append(part.lmn)
-                continue
-            used, unit = slice(None), part.block[lo:hi]
-            if hi - lo < len(part.block_lmn):
-                used, unit = np.unique(unit, return_inverse=True)
-                subset.append(row)
-            unit_of.append(unit + sum(map(len, coeffs)))
-            exps.append(part.block_exps[used])
-            lmn.append(part.block_lmn[used])
-            coeffs.append(np.ones(len(lmn[-1]), dtype=complex))
-        unit_sizes = [len(c) for c in coeffs]
+            if isinstance(part, RegionExpansion):
+                exps.append(part.block_exps)
+                lmn.append(part.block_lmn)
+                coeffs.append(np.ones(len(part.block_lmn), dtype=complex))
+            else:
+                exps.append(part.exps[lo:hi])
+                lmn.append(part.lmn[lo:hi])
+                coeffs.append(part.coeffs[lo:hi])
+        unit_sizes = [len(u) for u in lmn]
+        unit_offsets = [0, *itertools.accumulate(unit_sizes)]
+        # Each term's coefficient, unit, ratio and power k of it, and the
+        # term where each group begins: a function's term is its own unit, at
+        # coefficient 1 and k = 0, and a function is one group.
+        tcoef = np.ones(offsets[-1], dtype=complex)
+        unit_of = np.arange(offsets[-1]) + np.repeat(
+            np.subtract(unit_offsets[:-1], offsets[:-1]), sizes)
+        ratio = np.zeros(offsets[-1], dtype=np.int64)
+        k = np.zeros(offsets[-1], dtype=np.int64)
+        ratio_of = {}  # (logs array, region) -> ratio
+        group_starts, groups = [], [0]
+        for (i, lo, hi), offset, unit_offset in zip(pieces, offsets, unit_offsets):
+            part = parts[i]
+            group_starts.append(offset)
+            if isinstance(part, RegionExpansion):
+                inner = part.starts[bisect.bisect_right(part.starts, lo):
+                                    bisect.bisect_left(part.starts, hi)]
+                group_starts += map((offset - lo).__add__, inner)
+                at = slice(offset, offset + hi - lo)
+                tcoef[at] = part.coeffs[lo:hi]
+                unit_of[at] = part.block[lo:hi] + unit_offset
+                ratio[at] = ratio_of.setdefault((id(logs[i]), part.region), len(ratio_of))
+                k[at] = part.k[lo:hi]
+            groups.append(len(group_starts))
         coeffs, exps, lmn = (np.concatenate(a) for a in (coeffs, exps, lmn))
         base = np.repeat([base_of[id(logs[i])] for i, _, _ in pieces], unit_sizes)
         col, first, runs = _exponent_runs(exps, base)
@@ -796,36 +803,19 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
             units *= powers[:, runs[1]]
             units *= powers[:, runs[2]]
             del powers
-            # Which log columns each piece's whole part has.
-            has_log = np.logical_or.reduceat(
-                lmn != 0, [0, *itertools.accumulate(unit_sizes[:-1])], axis=0)
-            for row in subset:
-                has_log[row] = (parts[pieces[row][0]].block_lmn != 0).any(axis=0)
+            # The log columns in which each piece has a unit with a power.
+            has_log = np.logical_or.reduceat(lmn != 0, unit_offsets[:-1], axis=0)
             for j in np.flatnonzero(has_log.any(axis=0)):  # log powers l, m, n
                 cols = (slice(None) if has_log[:, j].all()
                         else np.flatnonzero(np.repeat(has_log[:, j], unit_sizes)))
                 units[:, cols] *= np.power(table[:, base[cols] + 3 + j], lmn[cols, j])
-            if nf == len(pieces):
-                terms = units
-            else:
-                nt = offsets[nf]
-                terms = np.empty((points, offsets[-1]), dtype=complex)
-                terms[:, :nt] = units[:, :nt]
-                series = pieces[nf:]
-                np.multiply(np.concatenate([parts[i].coeffs[lo:hi] for i, lo, hi in series]),
-                            units[:, np.concatenate(unit_of)], out=terms[:, nt:])
-                del units
-                # x^k for each term, x per ratio (logs array and region).
-                ratio_of = {}
-                for i, _, _ in series:
-                    ratio_of.setdefault((id(logs[i]), parts[i].region), len(ratio_of))
+            terms = tcoef * units[:, unit_of]
+            del units
+            if ratio_of:  # times x^k, x = inner / outer per ratio
                 outer_col, inner_col = np.array([[base_of[key] + u for u in _OUTER_INNER[region]]
                                                  for key, region in ratio_of]).T
-                ratio = np.repeat([ratio_of[id(logs[i]), parts[i].region] for i, _, _ in series],
-                                  sizes[nf:])
-                k = np.concatenate([parts[i].k[lo:hi] for i, lo, hi in series])
                 x = table[:, inner_col] / table[:, outer_col]
-                terms[:, nt:] *= _ratio_powers(x, ratio, k)
+                terms *= _ratio_powers(x, ratio, k)
             sub = np.add.reduceat(terms, group_starts, axis=1)
         for (i, lo, hi), g0, g1 in zip(pieces, groups, groups[1:]):
             chunk = sub[:, g0:g1]

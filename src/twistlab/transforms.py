@@ -70,9 +70,9 @@ def _sign_value(sign) -> int:
 class AutomorphismAction:
     """Automorphism matrices acting on the probe labels, with g3 = g1*g2.
 
-    phases1/2/3, when present, give exact diagonal phases: g_k is the
+    phases1/2, when present, give exact diagonal phases: g_k is the
     diagonal matrix with entries exp(2*pi*i*phases_k[j]), each phase a
-    Fraction taken mod 1.  Exact phases make composition checks exact.
+    Fraction taken mod 1.
     """
 
     g1: np.ndarray
@@ -80,7 +80,6 @@ class AutomorphismAction:
     g3: np.ndarray
     phases1: tuple[Fraction, ...] | None = None
     phases2: tuple[Fraction, ...] | None = None
-    phases3: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
         self.g1 = np.asarray(self.g1, dtype=complex)
@@ -95,15 +94,6 @@ class AutomorphismAction:
         """Max entry gap between g3 and g1 @ g2."""
         return float(np.max(np.abs(self.g3 - self.g1 @ self.g2)))
 
-    def exact_composition_ok(self) -> bool | None:
-        """Whether phases3 == phases1 + phases2 mod 1; None without exact data."""
-        if self.phases1 is None or self.phases2 is None or self.phases3 is None:
-            return None
-        return all(
-            (a + b - c) % 1 == 0
-            for a, b, c in zip(self.phases1, self.phases2, self.phases3)
-        )
-
 
 def diagonal_action(phases1: Sequence[Fraction], phases2: Sequence[Fraction]) -> AutomorphismAction:
     """Diagonal action with exact phases; g3 composed exactly."""
@@ -111,7 +101,7 @@ def diagonal_action(phases1: Sequence[Fraction], phases2: Sequence[Fraction]) ->
     p2 = tuple(Fraction(x) % 1 for x in phases2)
     p3 = tuple((a + b) % 1 for a, b in zip(p1, p2))
     mk = lambda ps: np.diag([cmath.exp(2j * math.pi * float(x)) for x in ps])
-    return AutomorphismAction(mk(p1), mk(p2), mk(p3), p1, p2, p3)
+    return AutomorphismAction(mk(p1), mk(p2), mk(p3), p1, p2)
 
 
 @dataclass(eq=False)
@@ -177,7 +167,6 @@ def phi_precompose(fam: CorrelationFamily, h: np.ndarray) -> CorrelationFamily:
         h @ act.g1 @ hinv, h @ act.g2 @ hinv, h @ act.g3 @ hinv,
         act.phases1 if diag else None,
         act.phases2 if diag else None,
-        act.phases3 if diag else None,
     )
     return CorrelationFamily(functions, action)
 
@@ -275,16 +264,6 @@ def _matrix_inv(g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.asarray(g, dtype=complex))
 
 
-def _neg_phases(ps):
-    return None if ps is None else tuple((-x) % 1 for x in ps)
-
-
-def _add_phases(a, b):
-    if a is None or b is None:
-        return None
-    return tuple((x + y) % 1 for x, y in zip(a, b))
-
-
 def omega_action(action: AutomorphismAction, sign) -> AutomorphismAction:
     """Automorphism action of the exchanged family.
 
@@ -303,7 +282,7 @@ def omega_action(action: AutomorphismAction, sign) -> AutomorphismAction:
         new2 = g1
     return AutomorphismAction(
         new1, new2, g3,
-        phases1=action.phases2, phases2=action.phases1, phases3=action.phases3,
+        phases1=action.phases2, phases2=action.phases1,
     )
 
 
@@ -316,12 +295,9 @@ def a_action(action: AutomorphismAction) -> AutomorphismAction:
     Both rewrite signs induce the same bookkeeping.
     """
     g3inv = _matrix_inv(action.g3)
-    return AutomorphismAction(
-        action.g1, g3inv, action.g1 @ g3inv,
-        phases1=action.phases1,
-        phases2=_neg_phases(action.phases3),
-        phases3=_add_phases(action.phases1, _neg_phases(action.phases3)),
-    )
+    p1, p2 = action.phases1, action.phases2
+    p3inv = None if p1 is None or p2 is None else tuple(-(a + b) % 1 for a, b in zip(p1, p2))
+    return AutomorphismAction(action.g1, g3inv, action.g1 @ g3inv, p1, p3inv)
 
 
 def omega_family(fam: CorrelationFamily, sign) -> CorrelationFamily:

@@ -137,18 +137,18 @@ def test_homotopic_loops_and_exact_composition():
     cfg = VerifyConfig()
     worst = 0.0
     ok = True
-    exact_ok = True
+    composition = 0.0
     for seed in range(1, 21):
         sc = make_random(seed)
         rep = check_monodromy_composition(sc, cfg)
         ok = ok and rep.passed
         worst = max(worst, rep.max_defect)
-        exact_ok = exact_ok and sc.fam.action.exact_composition_ok() is True
+        composition = max(composition, sc.fam.action.composition_defect())
     controls = [s for s in default_scenarios() if s.control == "composition"]
     control_rep = check_monodromy_composition(controls[0], cfg)
     report("homotopic loops and exact composition",
-           ok and worst < 1e-9 and exact_ok and not control_rep.passed,
-           f"worst defect {worst:.2e}; exact phase composition on all 20; "
+           ok and worst < 1e-9 and composition < 1e-15 and not control_rep.passed,
+           f"worst defect {worst:.2e}; g3 = g1 g2 to {composition:.1e} on all 20; "
            f"perturbed-composition control fails")
 
 

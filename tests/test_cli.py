@@ -64,13 +64,6 @@ def test_eval_output_is_deterministic(capsys):
     assert out1 == out2
 
 
-def test_eval_plain_output(capsys):
-    code, out, _ = run_cli(capsys, "eval", "--scenario", SQRT,
-                           "--z1", "2.5,0", "--z2", "1,0", "--no-json")
-    assert code == 0
-    assert "value:" in out and "{" not in out
-
-
 @pytest.mark.parametrize("z1", ["1e155,0", "1e300,0"], ids=["sum-overflows", "power-overflows"])
 def test_eval_non_finite_value_names_the_point(capsys, z1):
     code, out, err = run_cli(capsys, "eval", "--scenario", LOG_PAIR, "--z1", z1, "--z2", "1,0")
@@ -523,7 +516,9 @@ def test_shipped_scenarios_parse_and_validate():
         assert sf.fam.dim >= 1
         assert sf.paths
         # Exact phases should be derivable for both shipped files.
-        assert sf.fam.action.exact_composition_ok() is True
+        act = sf.fam.action
+        assert act.phases1 is not None and act.phases2 is not None
+        assert act.composition_defect() < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -1124,6 +1124,32 @@ def test_kernel_batches_series_and_functions_with_the_bits_of_each_alone(region,
         assert [_bits(v) for v in exp.eval_many(points)] == [_bits(v) for v in values]
 
 
+def test_kernel_sums_series_pieces_shorter_than_their_block_table(monkeypatch):
+    # Passes of at most five terms: MIXED's two and the series' first two
+    # groups, 3 of its 124 terms; then pieces of the series alone; then its
+    # last term and INTEGER_EXPONENTS.  Every series piece has fewer terms
+    # than its 7 blocks, yet takes the whole block table as its units, after
+    # the units of the piece before it in its pass.
+    bt = BranchTriple(1, -1, 0)
+    series = expand_region(LOG_HEAVY, "product", bt, 20)
+    points = _region_points("product", 3, 5)
+    logs = point_logs((series.designated, z1, z2) for z1, z2 in points)
+    other = point_logs((bt, z1, z2) for z1, z2 in points)
+    parts, tables = [MIXED, series, INTEGER_EXPONENTS], [other, logs, other]
+    alone = [eval_parts([part], [table])[0] for part, table in zip(parts, tables)]
+    expected = series.eval_many(points)
+    monkeypatch.setattr(logfun, "_PASS_TERM_POINTS", 5 * len(points))
+    passes = list(logfun._passes(parts, len(points)))
+    assert passes[0] == [(0, 0, 2), (1, 0, 3)]
+    assert passes[-1] == [(1, 123, 124), (2, 0, 3)]
+    assert len(series.block_lmn) == 7
+    assert all(hi - lo < 7 for pieces in passes for i, lo, hi in pieces if i == 1)
+    batch = eval_parts(parts, tables)
+    for values, own in zip(batch, alone):
+        assert values.tobytes() == own.tobytes()
+    assert [_bits(v) for v in batch[1]] == [_bits(v) for v in expected]
+
+
 def test_kernel_passes_keep_groups_whole():
     # A function is one group: over the bound it takes a pass alone, and
     # whatever follows starts a new pass.

@@ -48,15 +48,16 @@ def test_make_abelian_basic_structure():
     act = sc.fam.action
     assert act.phases1 == (Fraction(-1, 3) % 1,)
     assert act.phases2 == (Fraction(-1, 2) % 1,)
-    assert act.exact_composition_ok() is True
+    assert act.composition_defect() < 1e-15
 
 
 def test_make_abelian_float_exponents_stay_exact():
     # Plain floats are exact dyadic rationals, so the exact phase channel
     # still engages.
     sc = make_abelian(0.5, 1.2, 1.0 / 3.0)
-    assert sc.fam.action.phases1 is not None
-    assert sc.fam.action.exact_composition_ok() is True
+    assert sc.fam.action.phases1 == (-Fraction(1.0 / 3.0) % 1,)
+    assert sc.fam.action.phases2 == (Fraction(1, 2),)
+    assert sc.fam.action.composition_defect() < 1e-15
 
 
 def test_make_abelian_complex_exponent_falls_back():

@@ -272,15 +272,19 @@ def test_diagonal_action_exact_channel():
                           [Fraction(1, 2), Fraction(1, 4)])
     assert act.dim == 2
     assert act.composition_defect() < 1e-14
-    assert act.exact_composition_ok() is True
-    assert act.phases3 == (Fraction(5, 6), Fraction(11, 12))
+    assert (act.phases1, act.phases2) == ((Fraction(1, 3), Fraction(2, 3)),
+                                          (Fraction(1, 2), Fraction(1, 4)))
+    # g3 is diagonal in the summed phases, 5/6 and 11/12.
+    assert np.allclose(np.diagonal(act.g3), np.exp(2j * np.pi * np.array([5 / 6, 11 / 12])),
+                       rtol=0.0, atol=1e-15)
 
 
-def test_action_without_phases_reports_none():
+def test_action_without_phases_keeps_none():
     g = np.eye(2, dtype=complex)
     act = AutomorphismAction(g, g, g)
-    assert act.exact_composition_ok() is None
+    assert act.phases1 is None and act.phases2 is None
     assert act.composition_defect() == 0.0
+    assert a_action(act).phases2 is None
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -290,9 +294,8 @@ def test_omega_action_swaps_diagonal_phases(sign):
     swapped = omega_action(act, sign)
     assert swapped.phases1 == act.phases2
     assert swapped.phases2 == act.phases1
-    assert swapped.phases3 == act.phases3
     assert swapped.composition_defect() < 1e-14
-    assert swapped.exact_composition_ok() is True
+    assert float(np.max(np.abs(swapped.g3 - act.g3))) == 0.0
 
 
 def test_omega_action_involution():
@@ -308,9 +311,9 @@ def test_a_action_frozen_phases():
     got = a_action(act)
     assert got.phases1 == (Fraction(1, 3),)
     assert got.phases2 == (Fraction(1, 6),)
-    assert got.phases3 == (Fraction(1, 2),)
     assert got.composition_defect() < 1e-14
-    assert got.exact_composition_ok() is True
+    # g2' = g3^{-1}, diagonal in -(1/3 + 1/2) = 1/6 mod 1.
+    assert abs(got.g2[0, 0] - cmath.exp(2j * math.pi / 6)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
