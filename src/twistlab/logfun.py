@@ -772,11 +772,11 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
                 inner = part.starts[bisect.bisect_right(part.starts, lo):
                                     bisect.bisect_left(part.starts, hi)]
                 group_starts += map((offset - lo).__add__, inner)
-                at = slice(offset, offset + hi - lo)
-                tcoef[at] = part.coeffs[lo:hi]
-                unit_of[at] = part.block[lo:hi] + unit_offset
-                ratio[at] = ratio_of.setdefault((id(logs[i]), part.region), len(ratio_of))
-                k[at] = part.k[lo:hi]
+                here = slice(offset, offset + hi - lo)
+                tcoef[here] = part.coeffs[lo:hi]
+                unit_of[here] = part.block[lo:hi] + unit_offset
+                ratio[here] = ratio_of.setdefault((id(logs[i]), part.region), len(ratio_of))
+                k[here] = part.k[lo:hi]
             groups.append(len(group_starts))
         coeffs, exps, lmn = (np.concatenate(a) for a in (coeffs, exps, lmn))
         base = np.repeat([base_of[id(logs[i])] for i, _, _ in pieces], unit_sizes)
@@ -795,8 +795,8 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
                 # CPython's own z ** k: past 100 it is |z| ** k at angle
                 # k arg z, so an arg z rounded otherwise, as numpy's atan2
                 # may round it, would be off by k times as much.
-                ks = [int(k) for k in re[large].tolist()]
-                powers[:, large] = [[zj ** k for zj, k in zip(zs, ks)]
+                ns = [int(n) for n in re[large].tolist()]
+                powers[:, large] = [[zj ** n for zj, n in zip(zs, ns)]
                                     for zs in table[:, at[large]].tolist()]
             # coeffs * pr * ps * pt, each power gathered (point, unit) in turn
             units = coeffs * powers[:, runs[0]]

@@ -574,6 +574,14 @@ def test_continue_has_no_steps_flag(capsys):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("flag", ["--json", "--no-json"])
+def test_output_is_always_json(capsys, flag):
+    code, out, err = run_cli(capsys, "eval", "--scenario", SQRT, "--z1", "2.5,0", "--z2", "1,0",
+                             flag)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag}" in err
+
+
 def test_label_out_of_range(capsys):
     code, _, err = run_cli(capsys, "eval", "--scenario", SQRT,
                            "--label", "4", "--z1", "2.5,0", "--z2", "1,0")
