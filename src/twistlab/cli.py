@@ -251,7 +251,15 @@ def parse_scenario(doc, source: str = "scenario") -> Scenario:
         action = AutomorphismAction(g1, g2, g3)
     else:
         # The abelian action of each label's leading term; exact when the
-        # side channel covers r and t of every label.
+        # side channel covers r and t of every label.  A branch shift adds
+        # 2*pi*i to log z1 or log(z1 - z2), which no scalar absorbs.
+        for i, row in enumerate(terms):
+            for j, t in enumerate(row):
+                for name, log in (("l", "log z1"), ("n", "log(z1 - z2)")):
+                    if t.get(name, 0):
+                        raise ScenarioError(
+                            f"{source}.terms[{i}][{j}].{name}: no scalar action absorbs "
+                            f"a {log} power; give automorphisms")
         action = abelian_action(leading)
 
     qp = QuasiPrimaryData()

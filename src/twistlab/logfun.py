@@ -79,8 +79,10 @@ _KEY_TOL = 1e-12  # relative tolerance to which term_distance matches exponents
 SERIES_BUDGET = 1 << 20
 
 # Most term-points (one term at one point) one numpy pass of eval_parts
-# evaluates, so the kernel's memory does not grow with its batch.
-_PASS_TERM_POINTS = 2048
+# evaluates, so the kernel's memory does not grow with its batch: 256 KiB
+# per complex array of one value per term-point.  Each suite check's kernel
+# call fits in one pass.
+_PASS_TERM_POINTS = 1 << 14
 
 Region = Literal["product", "reversed", "iterate"]
 

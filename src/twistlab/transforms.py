@@ -381,9 +381,10 @@ def one_var_shadow(f: LogFunction) -> LogFunction:
                        for k, a in sorted(acc.items()) if abs(a) > 0.0)
 
 
-def a_eval_relation(f: LogFunction, qp: QuasiPrimaryData, p: int, z: complex,
-                    sign) -> float:
-    """Defect of the one-variable contragredient evaluation identity.
+def a_eval_relations(f: LogFunction, qp: QuasiPrimaryData,
+                     probes: Sequence[tuple[int, complex]], sign) -> list[float]:
+    """Defects of the one-variable contragredient evaluation identity, one
+    per (p, z) of probes.
 
     Let X be the one-variable shadow of f.  The contragredient rewrite of
     X evaluated on branch p at z must equal
@@ -394,12 +395,15 @@ def a_eval_relation(f: LogFunction, qp: QuasiPrimaryData, p: int, z: complex,
     -p - 1 off it).  The left side never consults inv_branch, making the
     comparison a two-route test of the index arithmetic.  Both sides are
     functions of z2 alone: one on branch q at x is eval_branch2 of it on
-    (0, q, 0) at z1 = -x, z2 = x, where z1 and z1 - z2 are nonzero.  The
+    (0, q, 0) at z1 = -x, z2 = x, where z1 and z1 - z2 are nonzero.  Each
     gap is relative to the larger of 1 and the two compared magnitudes.
+
+    X and the rewritten left side are made once for all probes.  Raises
+    ValueError, before evaluating any probe, when a z is zero.
     """
     sgn = _sign_value(sign)
-    z = complex(z)
-    if z == 0:
+    probes = [(p, complex(z)) for p, z in probes]
+    if any(z == 0 for _, z in probes):
         raise ValueError("z must be nonzero")
     X = one_var_shadow(f)
     h1 = complex(qp.h1)
@@ -410,10 +414,19 @@ def a_eval_relation(f: LogFunction, qp: QuasiPrimaryData, p: int, z: complex,
         LogMonomial(phase * u.coeff * (-1.0) ** u.m, s=-2.0 * h1 - u.s, m=u.m)
         for u in X.terms
     )
-    left = eval_branch2(left_series, BranchTriple(0, p, 0), -z, z)
+    defects = []
+    for p, z in probes:
+        left = eval_branch2(left_series, BranchTriple(0, p, 0), -z, z)
+        pp = inv_branch(p, z)
+        zinv = 1.0 / z
+        right = (phase * cmath.exp(2.0 * h1 * lp(pp, zinv))
+                 * eval_branch2(X, BranchTriple(0, pp, 0), -zinv, zinv))
+        defects.append(relative_gap(left, right))
+    return defects
 
-    pp = inv_branch(p, z)
-    zinv = 1.0 / z
-    right = (phase * cmath.exp(2.0 * h1 * lp(pp, zinv))
-             * eval_branch2(X, BranchTriple(0, pp, 0), -zinv, zinv))
-    return relative_gap(left, right)
+
+def a_eval_relation(f: LogFunction, qp: QuasiPrimaryData, p: int, z: complex,
+                    sign) -> float:
+    """Defect of the one-variable contragredient evaluation identity at one
+    probe: a_eval_relations at (p, z) alone."""
+    return a_eval_relations(f, qp, [(p, z)], sign)[0]

@@ -65,7 +65,7 @@ from .models import Scenario, _uniform, default_scenarios
 from .paths import path_end
 from .transforms import (
     a_transform,
-    a_eval_relation,
+    a_eval_relations,
     check_shifts,
     shift_defects,
     shift_stage,
@@ -539,6 +539,13 @@ def check_monodromy_composition(sc: Scenario, config: VerifyConfig) -> CheckRepo
 def check_omega_duality(sc: Scenario, config: VerifyConfig) -> CheckReport:
     """Exchange transform: relocation law, swapped action, involution.
 
+    For each sign: (i) the exchanged family at (z1, z2) against the original
+    at (z1 - z2, -z2) with the outer indices traded; (ii) the shift
+    identities with the swapped action; (iii) the exchanged family's region
+    series; (iv) the involution: the opposite sign's rewrite of each
+    exchanged function, the one the family already holds, gives back the
+    original, and the opposite sign's action undoes the swap.
+
     Both signs draw their samples first; then each region's series of both
     exchanged families come from one build, and every value from one kernel
     call per point count.
@@ -566,10 +573,10 @@ def check_omega_duality(sc: Scenario, config: VerifyConfig) -> CheckReport:
         # exchange can enlarge exponents, slowing the tail).
         families.append(gfam.functions)
         region_points.append(_region_samples(rng, 2))
-        # (iv) involution: the opposite sign undoes the transform exactly.
-        for f in sc.fam.functions:
-            back = omega_transform(omega_transform(f, sign), -sign)
-            invol = max(invol, term_distance(back, f))
+        # (iv) involution: the opposite sign undoes the transform of each
+        # exchanged function exactly.
+        for f, g in zip(sc.fam.functions, gfam.functions):
+            invol = max(invol, term_distance(omega_transform(g, -sign), f))
         act2 = omega_action(omega_action(sc.fam.action, sign), -sign)
         for a, b in ((act2.g1, sc.fam.action.g1), (act2.g2, sc.fam.action.g2),
                      (act2.g3, sc.fam.action.g3)):
@@ -602,12 +609,24 @@ def _exchange_pair(rng, sign: int) -> tuple[complex, complex]:
 
 
 def check_contragredient_duality(sc: Scenario, config: VerifyConfig) -> CheckReport:
-    """Contragredient transform: inversion law, induced action, involution.
+    """Contragredient transform: inversion law, induced action, one-variable
+    relation, involution.
 
-    The inversion law evaluated here: the transformed function at
+    For each sign: (i) the inversion law: the transformed function at
     (z1, z2) on (P1, P2, P12) equals the weight-modified original at
     (1/z1, 1/z2) on (inv P1, inv P2, P12 - P1 - P2 - q [- 1 for sign -])
-    with q the product branch offset of (z1, z2).
+    with q the product branch offset of (z1, z2); (ii) the shift identities
+    with the induced action; (iii) the one-variable relation of each
+    function (a_eval_relations, one shadow per function) at three probes
+    (p, z), z on and off the positive real axis and p within one of the
+    scenario's p2; (iv) the transformed family's region series; (v) the
+    involutions: the opposite sign's rewrite of each transformed function,
+    the one the family already holds, gives back the weight-modified
+    original, and with the weight factors taken off, the original.
+
+    Both signs draw their samples first; then each region's series of both
+    transformed families come from one build, and every value from one
+    kernel call per point count.
     """
     rng = _rng(config, sc.seed, 67)
     tr = _Tracker()
@@ -636,22 +655,19 @@ def check_contragredient_duality(sc: Scenario, config: VerifyConfig) -> CheckRep
         zs = [complex(_uniform(rng, 0.4, 2.0), 0.0), _annulus(rng, 0.4, 2.0),
               _annulus(rng, 0.4, 2.0)]
         for f in sc.fam.functions:
-            for z in zs:
-                p = sc.bt.p2 + int(rng.integers(-1, 2))
-                relation = max(relation, a_eval_relation(f, sc.qp, p, z, sign))
-                tr.samples += 1
+            probes = [(sc.bt.p2 + int(rng.integers(-1, 2)), z) for z in zs]
+            relation = max([relation, *a_eval_relations(f, sc.qp, probes, sign)])
+            tr.samples += len(probes)
         # (iv) region series of the transformed family (deeper order: the
         # contragredient exponents grow with the weights).
         families.append(hfam.functions)
         region_points.append(_region_samples(rng, 2))
-        # (v) involutions: plain rewrite, then the full weighted pipeline.
-        for f, fmod in zip(sc.fam.functions, fmods):
-            invol = max(invol, term_distance(
-                a_transform(a_transform(fmod, sign), -sign), fmod))
-            back = quasi_primary_unmodify(
-                a_transform(a_transform(quasi_primary_modify(f, sc.qp, sign),
-                                        sign), -sign),
-                sc.qp, sign)
+        # (v) involutions: the opposite sign undoes the rewrite of each
+        # transformed function, and the weight factors come off again.
+        for f, fmod, h in zip(sc.fam.functions, fmods, hfam.functions):
+            round_trip = a_transform(h, -sign)
+            invol = max(invol, term_distance(round_trip, fmod))
+            back = quasi_primary_unmodify(round_trip, sc.qp, sign)
             invol = max(invol, term_distance(back, normalize(f)))
     regions = _duality_stages(families, sc.bt, max(config.order, 100), region_points)
     _run_stages(tr, [s for own, more in zip(stages, regions) for s in own + more])

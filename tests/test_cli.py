@@ -186,6 +186,8 @@ def test_transform_round_trip_through_files(capsys, tmp_path):
 ])
 def test_transform_over_series_budget_is_error(capsys, tmp_path, power, op, check, terms):
     doc = json.loads(Path(LOG_PAIR).read_text())
+    # The file's own action, given explicitly: a log(z1 - z2) power needs one.
+    doc["phases"] = serialize_scenario(load_scenario(LOG_PAIR))["phases"]
     doc["terms"][0][0][power] = 2 ** 62 if power == "m" else 183
     big = tmp_path / "big.json"
     big.write_text(json.dumps(doc))
@@ -439,7 +441,28 @@ def test_log_power_past_int64_rejected_with_path(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err == "error: power.json.terms[0][0].l: must be below 2**63\n"
     doc["terms"][0][0]["l"] = 2 ** 63 - 1
+    # The file's own action, given explicitly: a log z1 power needs one.
+    doc["phases"] = serialize_scenario(load_scenario(SQRT))["phases"]
     assert parse_scenario(doc).fam.functions[0].terms[0].l == 2 ** 63 - 1
+
+
+@pytest.mark.parametrize("power, log", [("l", "log z1"), ("n", "log(z1 - z2)")])
+def test_log_power_without_an_action_is_refused(capsys, tmp_path, power, log):
+    # One label, no phases and no automorphisms: the leading term's scalar
+    # action cannot absorb the 2*pi*i a shift adds to the log.
+    doc = {"version": "twistlab/1", "labels": 1,
+           "terms": [[{"coeff": [1.0, 0.0], "r": [0.5, 0], "s": [0.25, 0], "t": [0.5, 0],
+                       power: 1}]]}
+    bad = tmp_path / "logs.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (("eval", "--z1", "2.5,0", "--z2", "1,0"),
+                 ("verify", "--check", "shift-identities")):
+        code, out, err = run_cli(capsys, argv[0], "--scenario", str(bad), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == (f"error: logs.json.terms[0][0].{power}: no scalar action absorbs "
+                       f"a {log} power; give automorphisms\n")
+    doc["automorphisms"] = {"g1": [[1.0]], "g2": [[1.0]]}
+    assert getattr(parse_scenario(doc).fam.functions[0].terms[0], power) == 1
 
 
 HUGE = 10 ** 400  # past the float range

@@ -36,6 +36,17 @@ def _quasi_primary_modify_unchanged(monkeypatch):
         monkeypatch.setattr(module, "quasi_primary_modify", lambda f, qp, sign: f)
 
 
+def _a_inverse_ignores_sign(monkeypatch):
+    # verify's name alone: the family's own rewrite keeps its sign, so only
+    # the involution round trip goes wrong.
+    monkeypatch.setattr(verify, "a_transform", lambda f, s: transforms.a_transform(f, 1))
+
+
+def _omega_inverse_ignores_sign(monkeypatch):
+    monkeypatch.setattr(verify, "omega_transform",
+                        lambda f, s: transforms.omega_transform(f, 1))
+
+
 def _difference_crossing_flipped(monkeypatch):
     winding_profile = logfun.winding_profile
 
@@ -52,6 +63,8 @@ MUTANTS = {
     "quasi-primary-modify-unchanged": (_quasi_primary_modify_unchanged,
                                        "contragredient-duality"),
     "difference-crossing-flipped": (_difference_crossing_flipped, "region-swap"),
+    "a-inverse-ignores-sign": (_a_inverse_ignores_sign, "contragredient-duality"),
+    "omega-inverse-ignores-sign": (_omega_inverse_ignores_sign, "omega-duality"),
 }
 
 

@@ -16,6 +16,7 @@ from twistlab import (
     QuasiPrimaryData,
     a_action,
     a_eval_relation,
+    a_eval_relations,
     a_transform,
     check_g1_shift,
     check_g2_shift,
@@ -468,3 +469,24 @@ def test_a_eval_relation_on_and_off_axis():
 def test_a_eval_relation_rejects_zero():
     with pytest.raises(ValueError):
         a_eval_relation(MIXED, QuasiPrimaryData(), 0, 0.0, "+")
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_eval_relations_equal_the_one_probe_function(sign):
+    qp = QuasiPrimaryData(wt_u=1, h1=0.75)
+    p2 = 2
+    probes = [(p, z) for z in (0.9, 2.0 + 0.0j, 1.3 * cmath.exp(2.2j), 0.6 * cmath.exp(-2.9j))
+              for p in (p2 - 1, p2, p2 + 1)]
+    defects = a_eval_relations(MIXED, qp, probes, sign)
+    assert [d.hex() for d in defects] == [a_eval_relation(MIXED, qp, p, z, sign).hex()
+                                          for p, z in probes]
+    assert max(defects) < 1e-9
+
+
+def test_a_eval_relations_reject_a_zero_before_evaluating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(transforms, "eval_branch2", lambda *args: calls.append(args) or 0j)
+    with pytest.raises(ValueError, match="z must be nonzero"):
+        a_eval_relations(MIXED, QuasiPrimaryData(), [(0, 2.0), (1, 1j), (0, 0.0)], 1)
+    assert calls == []
+    assert a_eval_relations(MIXED, QuasiPrimaryData(), [], 1) == []
