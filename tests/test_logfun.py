@@ -1101,7 +1101,7 @@ def test_family_build_counts_every_function_against_the_budget(monkeypatch):
 @pytest.mark.parametrize("region", REGIONS)
 def test_kernel_batches_series_and_functions_with_the_bits_of_each_alone(monkeypatch, region,
                                                                          count):
-    if count == 3:  # passes of the old, smaller bound, so that series split at 3 points too
+    if count == 3:  # at 2,048 term-points a pass, series split at 3 points too
         monkeypatch.setattr(logfun, "_PASS_TERM_POINTS", 2048)
     bt = BranchTriple(1, -1, 0)
     functions = list(SERIES_FUNCTIONS.values())

@@ -249,9 +249,7 @@ def test_run_suite_makes_one_kernel_call_per_check_and_point_count(monkeypatch):
     # Point by point: monodromy-composition's three values per function
     # and continue_along's end values; region-swap's control is batched.
     assert len(pointwise) == 290
-    # Kernel passes of at most 16,384 term-points: one per call (240 at
-    # 2,048 term-points, 504 one-pass calls when each stage made its own
-    # call).
+    # Kernel passes of at most 16,384 term-points: one per call.
     assert sum(map(len, passes)) == 142
     assert sum(map(len, passes)) == len(verify_calls) + len(shift_calls)
 
