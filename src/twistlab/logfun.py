@@ -616,17 +616,15 @@ class RegionExpansion:
         return eval_parts([self], [logs])[0].tolist()
 
 
-def _exponent_runs(exps: np.ndarray, source: np.ndarray | None = None):
-    """Column by column, the runs of terms whose exponents have equal bits
-    (-0.0 and +0.0 differ) and, given source (one entry per term), equal
-    sources: each run's column and first term, in column order, and each
-    term's run, shape (3, terms)."""
+def _exponent_runs(exps: np.ndarray):
+    """Column by column, the runs of consecutive terms whose exponents have
+    equal bits (-0.0 and +0.0 differ): each run's column and first term, in
+    column order, and each term's run, shape (3, terms).  RegionExpansion.rows
+    shares one exponent object per run."""
     bits = exps.view(np.int64)  # (terms, 6): each exponent's real and imaginary bits
     changed = bits[1:] != bits[:-1]
     new_run = np.ones(exps.shape, dtype=bool)
     new_run[1:] = changed[:, 0::2] | changed[:, 1::2]
-    if source is not None:
-        new_run[1:] |= (source[1:] != source[:-1])[:, None]
     col, first = np.nonzero(new_run.T)
     return col, first, np.cumsum(new_run.T).reshape(3, -1) - 1
 
@@ -701,31 +699,32 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
     A part is a RegionExpansion or a LogFunction; its points are logs[i],
     point_logs rows made on the triple it is to be summed on (a series'
     designated triple; any triple, or one per point, for a function), the
-    same number of points for every part.  Parts that share one logs array
-    share its powers.  The batch is evaluated in consecutive numpy passes,
-    each over whole groups of at most _PASS_TERM_POINTS term-points (one
-    term at one point; a larger group goes alone), so its memory does not
-    grow with the batch; a part's values have the same bits whatever other
-    parts are in the batch.
+    same number of points for every part.  The batch is evaluated in
+    consecutive numpy passes, each over whole groups of at most
+    _PASS_TERM_POINTS term-points (one term at one point; a larger group
+    goes alone), so its memory does not grow with the batch; a part's
+    values have the same bits whatever other parts are in the batch.
 
     Every term is coeff * x^k * unit.  A series' units are its whole block
     table, each at coefficient 1, and x = inner / outer is the ratio of its
     region at the point; a function is a series whose terms are their own
     units, with the terms' coefficients, each term at coeff 1 and k = 0.  A
     pass first evaluates its units at every point: a unit multiplies its
-    coefficient and its three powers, made once per run of equal exponents
-    as _sum_terms makes them: a whole exponent k (as _exponent has it)
-    takes the single-valued z ** k (below 100 in size numpy's repeated
-    squaring, else CPython's), any other c takes exp(c L).  It then
-    multiplies the log powers of each column in which any unit of its part
-    has one.  Each term is then its coeff times its unit, times x^k (a
-    product of squares, _ratio_powers) where the pass holds a series; x^0 is
-    exactly 1.  So a series makes its powers once per block and point, not
-    once per term, and a term whose powers of z1 and z2 would overflow apart
-    stays as small as it is.  A part adds its groups' subtotals in order,
-    carrying the sum from one pass to the next.  The values agree with
-    _sum_terms' up to rounding, which for a series is less: _sum_terms'
-    exp((a - k) L) magnifies the rounding of its argument up to k times.
+    coefficient and its own three powers, each made as _sum_terms makes it
+    (so equal exponents on the same logs give equal bits): a whole
+    exponent k (as _exponent has it) takes the single-valued z ** k (below
+    100 in size numpy's repeated squaring, else CPython's), any other c
+    takes exp(c L).  It then multiplies the log powers of each column in
+    which any unit of its part has one.  Each term is then its coeff times
+    its unit, times x^k (a product of squares, _ratio_powers) where the
+    pass holds a series; x^0 is exactly 1.  So a series makes its powers
+    once per block and point, not once per term, and a term whose powers
+    of z1 and z2 would overflow apart stays as small as it is.  A part
+    adds its groups' subtotals in order, carrying the sum from one pass to
+    the next; a part of one group takes its subtotal.  The values agree
+    with _sum_terms' up to rounding, which for a series is less:
+    _sum_terms' exp((a - k) L) magnifies the rounding of its argument up
+    to k times.
 
     Raises OverflowError where a value is not finite, naming the first
     such part's first such point.  Nothing checks a series' modulus
@@ -782,9 +781,8 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
             groups.append(len(group_starts))
         coeffs, exps, lmn = (np.concatenate(a) for a in (coeffs, exps, lmn))
         base = np.repeat([base_of[id(logs[i])] for i, _, _ in pieces], unit_sizes)
-        col, first, runs = _exponent_runs(exps, base)
-        c = exps[first, col]
-        at = base[first] + col  # each run's z column, its log 3 columns on
+        c = exps.T.ravel()  # column by column, each unit's exponent
+        at = (base + np.arange(3)[:, None]).ravel()  # its z column, its log 3 columns on
         re = c.real
         whole = (c.imag == 0.0) & (re == np.trunc(re))
         small = whole & (np.abs(re) < 100.0)
@@ -800,10 +798,11 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
                 ns = [int(n) for n in re[large].tolist()]
                 powers[:, large] = [[zj ** n for zj, n in zip(zs, ns)]
                                     for zs in table[:, at[large]].tolist()]
-            # coeffs * pr * ps * pt, each power gathered (point, unit) in turn
-            units = coeffs * powers[:, runs[0]]
-            units *= powers[:, runs[1]]
-            units *= powers[:, runs[2]]
+            # coeffs * pr * ps * pt, each power (point, unit) in turn
+            size = len(coeffs)
+            units = coeffs * powers[:, :size]
+            units *= powers[:, size:2 * size]
+            units *= powers[:, 2 * size:]
             del powers
             # The log columns in which each piece has a unit with a power.
             has_log = np.logical_or.reduceat(lmn != 0, unit_offsets[:-1], axis=0)
@@ -823,7 +822,7 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
             chunk = sub[:, g0:g1]
             if lo:  # the rest of a part split between passes
                 chunk = np.concatenate([values[i][:, None], chunk], axis=1)
-            values[i] = np.cumsum(chunk, axis=1)[:, -1]
+            values[i] = chunk[:, 0] if chunk.shape[1] == 1 else np.cumsum(chunk, axis=1)[:, -1]
     finite = np.isfinite(values)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]

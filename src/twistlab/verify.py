@@ -203,18 +203,50 @@ def _small_triple(rng, base: BranchTriple, spread: int = 1) -> BranchTriple:
 # ---------------------------------------------------------------------------
 
 
+def _annuli(rng, n: int, lo: float, hi: float) -> np.ndarray:
+    """n points drawn as _annulus draws one, as arrays: the moduli, then
+    the angles."""
+    return (lo + (hi - lo) * rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+def _branch_samples(rng, n: int) -> tuple[list, ...]:
+    """branch-identities' n samples, each quantity drawn as one array:
+
+      z, p      a point of modulus in [0.2, 2.5], every eighth exactly on
+                the positive axis, and an index in [-3, 3];
+      z1, z2    a generic pair, drawn as _generic_pair draws one (the pairs
+                with |z1 - z2| <= 0.15 drawn again), and indices p1, p2 in
+                [-2, 2];
+      z1r, z2r  a pair with 0.05 |z2r| <= |z1r - z2r| <= 0.6 |z2r|, for
+                ratio_arg_decomposition.
+
+    Returns (z, p, z1, z2, p1, p2, z1r, z2r), each a list of Python
+    numbers."""
+    modulus = 0.2 + 2.3 * rng.random(n)
+    z = modulus * np.exp(2j * np.pi * rng.random(n))
+    z[7::8] = modulus[7::8]  # exactly on the axis
+    p = rng.integers(-3, 4, n)
+    z1, z2 = _annuli(rng, n, 0.3, 2.2), _annuli(rng, n, 0.3, 2.2)
+    for _ in range(256):
+        near = np.flatnonzero(np.abs(z1 - z2) <= 0.15)
+        if not near.size:
+            break
+        z1[near], z2[near] = _annuli(rng, near.size, 0.3, 2.2), _annuli(rng, near.size, 0.3, 2.2)
+    else:
+        raise RuntimeError("pair sampling failed")
+    p1, p2 = rng.integers(-2, 3, n), rng.integers(-2, 3, n)
+    z2r = _annuli(rng, n, 0.8, 2.0)
+    z1r = z2r + z2r * _annuli(rng, n, 0.05, 0.6)
+    return tuple(a.tolist() for a in (z, p, z1, z2, p1, p2, z1r, z2r))
+
+
 def check_branch_identities(sc: Scenario | None, config: VerifyConfig) -> CheckReport:
     """Randomized identities of lp, neg/inv branches and the offset laws."""
-    rng = _rng(config, 0 if sc is None else sc.seed, 11)
     tr = _Tracker()
     q_seen = set()
-    for i in range(config.branch_samples):
-        if i % 8 == 7:
-            z = complex(_uniform(rng, 0.2, 2.5), 0.0)  # exactly on the axis
-        else:
-            z = _annulus(rng, 0.2, 2.5)
-        p = int(rng.integers(-3, 4))
-
+    samples = _branch_samples(_rng(config, 0 if sc is None else sc.seed, 11),
+                              config.branch_samples)
+    for z, p, z1, z2, p1, p2, z1r, z2r in zip(*samples):
         log_z = lp(p, z)
         d = abs(cmath.exp(log_z) - z) / max(1.0, abs(z))
         d = max(d, abs(lp(p + 1, z) - log_z - 2j * math.pi))
@@ -223,7 +255,6 @@ def check_branch_identities(sc: Scenario | None, config: VerifyConfig) -> CheckR
         d = max(d, abs(lp(inv_branch(p, z), 1.0 / z) + log_z))
         tr.add(d, (z, z))
 
-        z1, z2 = _generic_pair(rng)
         q = q_offset_product(z1, z2)
         q_seen.add(q)
         lhs = principal_arg((z1 - z2) / (z1 * (-z2)))
@@ -232,18 +263,12 @@ def check_branch_identities(sc: Scenario | None, config: VerifyConfig) -> CheckR
         d2 = abs(lhs - rhs)
         if not (0.0 <= lhs < TWO_PI) or q not in (-1, 0, 1, 2):
             d2 = math.inf
-        p1 = int(rng.integers(-2, 3))
-        p2 = int(rng.integers(-2, 3))
         k, residual = diff_inv_branch(p1, p2, z1, z2)
         d2 = max(d2, residual)
         if k != -p2:
             d2 = math.inf
         tr.add(d2, (z1, z2))
 
-        # ratio decomposition needs its preconditions; build a valid pair.
-        z2r = _annulus(rng, 0.8, 2.0)
-        z1r = z2r + z2r * _uniform(rng, 0.05, 0.6) * cmath.exp(
-            2j * math.pi * rng.random())
         try:
             qr, dr = ratio_arg_decomposition(z1r, z2r)
         except (ValueError, ArithmeticError):

@@ -239,9 +239,9 @@ def test_transform_output_is_frozen(capsys, src, op):
 # continuation along every named path.
 CLI_SHA256 = {
     ("verify", "--scenario", SQRT):
-        "824be406507c356f8bff21add9d5eb153f3f98c2099ec5814786678050e18a58",
+        "07e3df811a89fedd7c276dc805044ae99ff5a1befe16ba5bb721d95f6451a1fd",
     ("verify", "--scenario", LOG_PAIR):
-        "a78cd2c5e8d60168b553bdc35e8b7b00d97d987357c62d431dfa27c3bbc8cd86",
+        "da82545c874bdcc064add91866e29f572b46d79f5ef089e8cc62f4f1a2e3900f",
     ("expand", "--scenario", LOG_PAIR, "--label", "2", "--region", "product", "--order", "40",
      "--z1", "2.5,0.3", "--z2", "0.8,-0.2"):
         "42cfdf6d3ad7a72524e3ecc65f2f5b100cf6a7a3e26941d56856057565ec3aaa",

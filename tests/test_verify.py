@@ -1,5 +1,7 @@
 """Tests for the verification checks, controls and the suite runner."""
 
+import cmath
+import math
 from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cached_property
@@ -31,6 +33,8 @@ from twistlab import (
     validate_path,
     winding_profile,
 )
+from twistlab import verify
+from twistlab.branchcalc import principal_arg, ratio_arg_decomposition
 from twistlab.verify import TOL_BRANCH
 
 LIGHT = VerifyConfig(branch_samples=300, shift_points=3, duality_points=2,
@@ -96,6 +100,64 @@ def test_branch_identities_check():
     assert rep.max_defect < TOL_BRANCH
     assert rep.samples > 0
     assert set(rep.extras["qValues"]) <= {-1, 0, 1, 2}
+
+
+class _CountingGenerator:
+    """A numpy Generator that counts the calls made to it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_branch_identities_draws_its_samples_as_arrays(monkeypatch):
+    generators, rng_of = [], verify._rng
+
+    def counting_rng(*args):
+        generators.append(_CountingGenerator(rng_of(*args)))
+        return generators[-1]
+
+    monkeypatch.setattr(verify, "_rng", counting_rng)
+    rep = check_branch_identities(None, VerifyConfig())
+    assert rep.passed
+    (rng,) = generators
+    # a call per quantity and per redraw round, not a call per sample
+    assert 0 < rng.calls <= 40
+
+
+def test_branch_samples_keep_their_contract():
+    config = VerifyConfig()
+    z, p, z1, z2, p1, p2, z1r, z2r = verify._branch_samples(verify._rng(config, 0, 11),
+                                                            config.branch_samples)
+    assert all(len(q) == 2000 for q in (z, p, z1, z2, p1, p2, z1r, z2r))
+    assert all(isinstance(zi, complex) for q in (z, z1, z2, z1r, z2r) for zi in q)
+    assert all(isinstance(pi, int) for q in (p, p1, p2) for pi in q)
+    axis = [i for i, zi in enumerate(z) if zi.imag == 0.0]
+    assert axis == list(range(7, 2000, 8)) and all(z[i].real > 0.0 for i in axis)
+    assert all(0.2 <= abs(zi) <= 2.5 + 1e-12 for zi in z)
+    assert set(p) == set(range(-3, 4)) and set(p1) == set(p2) == set(range(-2, 3))
+    assert all(abs(a - b) > 0.15 for a, b in zip(z1, z2))
+    assert all(0.3 <= abs(zi) <= 2.2 + 1e-12 for zi in (*z1, *z2))
+    refused = 0
+    for a, b in zip(z1r, z2r):
+        # |z2r| > |z1r - z2r| > 0 and arg(z1r / z2r) within pi/2 ...
+        assert 0.0 < abs(a - b) < abs(b)
+        assert abs(cmath.phase(a / b)) < math.pi / 2
+        try:
+            ratio_arg_decomposition(a, b)
+        except ValueError:
+            # ... so only the principal arguments' wrap at 0 refuses a pair
+            assert abs(principal_arg(a) - principal_arg(b)) > 3 * math.pi / 2
+            refused += 1
+    assert refused < 100
+    assert check_branch_identities(None, config) == check_branch_identities(None, config)
 
 
 @pytest.mark.parametrize("check_name", [
