@@ -66,16 +66,10 @@ def _difference_crossing_flipped(monkeypatch):
 
 
 def _apply_transposed(monkeypatch):
-    def mutant(self, g, label):
-        g = np.asarray(g, dtype=complex)
-        out = logfun.LogFunction()
-        for j in range(self.dim):
-            c = complex(g[label, j])
-            if c != 0:
-                out = out + c * self.functions[j]
-        return out
-
-    monkeypatch.setattr(transforms.CorrelationFamily, "apply", mutant)
+    apply = transforms.CorrelationFamily.apply
+    # sum_j g[label, j] * f_j in place of sum_j g[j, label] * f_j
+    monkeypatch.setattr(transforms.CorrelationFamily, "apply",
+                        lambda self, g, label: apply(self, np.asarray(g).T, label))
 
 
 def _composed_in_reverse(monkeypatch):
