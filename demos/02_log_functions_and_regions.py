@@ -58,6 +58,6 @@ for region in REGIONS:
 print()
 
 exp_f = expand_region(f, "product", bt, 12)
-keys = exp_f.group_keys()
+keys = exp_f.keys
 print(f"group structure of the product series (order 12): {len(keys)} groups")
 print("  first keys:", ", ".join(f"{k.real:+.3f}{k.imag:+.3f}j" for k in keys[:5]))

@@ -17,7 +17,7 @@ from twistlab import (
     LogFunction,
     LogMonomial,
     QuasiPrimaryData,
-    a_eval_relation,
+    a_eval_relations,
     a_transform,
     eval_branch2,
     inv_branch,
@@ -76,6 +76,6 @@ print()
 print("one-variable shadow relation, both signs, on and off the cut")
 for sign in (+1, -1):
     for z in (1.3 + 0.0j, 0.9 * cmath.exp(2.2j)):
-        d = a_eval_relation(f, qp, 1, z, sign)
+        d = a_eval_relations(f, qp, [(1, z)], sign)[0]
         tag = "on axis" if z.imag == 0 else "generic"
         print(f"  sign {sign:+d}, {tag} z = {z:.3f}: defect {d:.2e}")

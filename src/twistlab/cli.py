@@ -2,9 +2,10 @@
 
 Scenario files are JSON documents versioned "twistlab/1".  Complex numbers
 serialize as two-element arrays [re, im]; exponents may carry an exact
-rational side channel ({"num": .., "den": ..} for the real part), which
-feeds the exact phase arithmetic of the automorphism action.  Unknown
-fields anywhere in the document are rejected with a field-path diagnostic.
+rational side channel ({"num": .., "den": ..} for the real part), from
+which the automorphism action takes exact phases, feeding its diagonal g3
+and the phases field of a serialized scenario.  Unknown fields anywhere
+in the document are rejected with a field-path diagnostic.
 
 Exit codes: 0 success, 1 verification failure, 2 input error (parse or
 flag problems; diagnostics go to stderr only in that case).
@@ -31,20 +32,18 @@ from pathlib import Path
 import numpy as np
 
 from .logfun import (
-    Arc,
     BranchTriple,
     LogFunction,
     LogMonomial,
     POWER_LIMIT,
-    PathSpec,
     REGIONS,
-    Segment,
     continue_along,
     eval_branch2,
     expand_region,
     normalize,
 )
 from .models import Scenario, abelian_action
+from .paths import Arc, PathSpec, Segment
 from .transforms import (
     AutomorphismAction,
     CorrelationFamily,
@@ -472,8 +471,8 @@ def cmd_expand(args) -> int:
     doc = {"command": "expand", "scenario": sf.name, "label": args.label,
            "region": args.region, "order": args.order, "branch": list(bt),
            "designated": list(exp_f.designated),
-           "groups": len(exp_f.group_keys()),
-           "groupKeys": [_c(k) for k in exp_f.group_keys()]}
+           "groups": len(exp_f.keys),
+           "groupKeys": [_c(k) for k in exp_f.keys]}
     if args.z1 is not None:
         # Through the kernel, whose powers of the region's ratio keep a
         # convergent series finite at any scale.

@@ -65,9 +65,8 @@ from typing import Iterable, Literal, NamedTuple
 import numpy as np
 
 from .branchcalc import TWO_PI, lp, principal_arg
-from .paths import (  # noqa: F401  (the path names stay importable from logfun)
-    Arc, Move, PathSpec, Segment, _oracle, _Step, _walk_moves, path_end, sample_path,
-    validate_path)
+from .paths import PathSpec, _oracle, _Step, _walk_moves, path_end, validate_path
+from .paths import sample_path  # noqa: F401  (bench/tracing.py times it under this name)
 
 _COEFF_DROP = 1e-15
 
@@ -381,38 +380,6 @@ def eval_branch2(f: LogFunction, bt: BranchTriple, z1: complex, z2: complex) -> 
     return _sum_at("function", f.rows, (), _point_logs(bt, z1, z2))
 
 
-def differentiate(f: LogFunction, var: str) -> LogFunction:
-    """Partial derivative with respect to "z1" or "z2", in canonical form.
-
-    Uses d log z1 / d z1 = 1/z1 and d log(z1-z2)/d z1 = 1/(z1-z2)
-    (= -1/(z1-z2) for z2), which hold for every branch simultaneously.
-    """
-    if var not in ("z1", "z2"):
-        raise ValueError("var must be 'z1' or 'z2'")
-    out = []
-    for u in f.terms:
-        a, r, s, t, l, m, n = u.coeff, u.r, u.s, u.t, u.l, u.m, u.n
-        if var == "z1":
-            if r != 0:
-                out.append(LogMonomial(a * r, r - 1, s, t, l, m, n))
-            if t != 0:
-                out.append(LogMonomial(a * t, r, s, t - 1, l, m, n))
-            if l:
-                out.append(LogMonomial(a * l, r - 1, s, t, l - 1, m, n))
-            if n:
-                out.append(LogMonomial(a * n, r, s, t - 1, l, m, n - 1))
-        else:
-            if s != 0:
-                out.append(LogMonomial(a * s, r, s - 1, t, l, m, n))
-            if t != 0:
-                out.append(LogMonomial(-a * t, r, s, t - 1, l, m, n))
-            if m:
-                out.append(LogMonomial(a * m, r, s - 1, t, l, m - 1, n))
-            if n:
-                out.append(LogMonomial(-a * n, r, s, t - 1, l, m, n - 1))
-    return normalize(LogFunction(out))
-
-
 # ---------------------------------------------------------------------------
 # Region expansions
 # ---------------------------------------------------------------------------
@@ -561,9 +528,6 @@ class RegionExpansion:
     @cached_property
     def lmn(self) -> np.ndarray:
         return self.block_lmn[self.block]
-
-    def group_keys(self) -> list[complex]:
-        return list(self.keys)
 
     @cached_property
     def rows(self) -> list[tuple]:

@@ -15,7 +15,9 @@ rejected because no scalar matches the extra 2*pi*i such a power picks up
 under an index shift.
 
 Rational exponents get an exact phase side channel (Fractions, multiples
-of a full turn), making composition checks exact where possible.
+of a full turn).  It feeds the diagonal g3, composed from the summed
+phases rather than by a matrix product, and the phases field that
+serialize_scenario writes.
 
 make_random and make_random_loop draw a family and a closed test path
 from a seed, within fixed ranges.  The independent continuation
@@ -33,8 +35,8 @@ from fractions import Fraction
 import numpy as np
 
 from .logfun import BranchTriple, LogFunction, LogMonomial
-from .paths import (  # noqa: F401  (the oracle stays importable from models)
-    Arc, PathSpec, Segment, oracle_continue, sample_path, validate_path)
+from .paths import Arc, PathSpec, Segment, validate_path
+from .paths import oracle_continue  # noqa: F401  (bench/tracing.py times it under this name)
 from .transforms import (
     AutomorphismAction,
     CorrelationFamily,

@@ -37,7 +37,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 from typing import Sequence
 
 import numpy as np
@@ -260,10 +259,6 @@ def quasi_primary_unmodify(f: LogFunction, qp: QuasiPrimaryData, sign) -> LogFun
     return _weight_factors(f, qp, sign, -1)
 
 
-def _matrix_inv(g: np.ndarray) -> np.ndarray:
-    return np.linalg.inv(np.asarray(g, dtype=complex))
-
-
 def omega_action(action: AutomorphismAction, sign) -> AutomorphismAction:
     """Automorphism action of the exchanged family.
 
@@ -276,9 +271,9 @@ def omega_action(action: AutomorphismAction, sign) -> AutomorphismAction:
     g1, g2, g3 = action.g1, action.g2, action.g3
     if sgn == 1:
         new1 = g2
-        new2 = _matrix_inv(g2) @ g1 @ g2
+        new2 = np.linalg.inv(g2) @ g1 @ g2
     else:
-        new1 = g1 @ g2 @ _matrix_inv(g1)
+        new1 = g1 @ g2 @ np.linalg.inv(g1)
         new2 = g1
     return AutomorphismAction(
         new1, new2, g3,
@@ -294,7 +289,7 @@ def a_action(action: AutomorphismAction) -> AutomorphismAction:
     g1 and the p1-shift automorphism becomes g3^{-1}; g3' = g1 g3^{-1}.
     Both rewrite signs induce the same bookkeeping.
     """
-    g3inv = _matrix_inv(action.g3)
+    g3inv = np.linalg.inv(action.g3)
     p1, p2 = action.phases1, action.phases2
     p3inv = None if p1 is None or p2 is None else tuple(-(a + b) % 1 for a, b in zip(p1, p2))
     return AutomorphismAction(action.g1, g3inv, action.g1 @ g3inv, p1, p3inv)
@@ -424,9 +419,3 @@ def a_eval_relations(f: LogFunction, qp: QuasiPrimaryData,
         defects.append(relative_gap(left, right))
     return defects
 
-
-def a_eval_relation(f: LogFunction, qp: QuasiPrimaryData, p: int, z: complex,
-                    sign) -> float:
-    """Defect of the one-variable contragredient evaluation identity at one
-    probe: a_eval_relations at (p, z) alone."""
-    return a_eval_relations(f, qp, [(p, z)], sign)[0]

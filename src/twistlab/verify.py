@@ -45,11 +45,8 @@ from .branchcalc import (
     ratio_arg_decomposition,
 )
 from .logfun import (
-    Arc,
     BranchTriple,
-    PathSpec,
     REGIONS,
-    Segment,
     continue_family,
     designated_triple,
     eval_branch2,
@@ -62,7 +59,7 @@ from .logfun import (
     term_distance,
 )
 from .models import Scenario, _uniform, default_scenarios
-from .paths import path_end
+from .paths import Arc, PathSpec, Segment, path_end
 from .transforms import (
     a_transform,
     a_eval_relations,
@@ -190,12 +187,9 @@ def _region_pair(rng, region: str) -> tuple[complex, complex]:
     raise RuntimeError(f"region sampling failed for {region}")
 
 
-def _small_triple(rng, base: BranchTriple, spread: int = 1) -> BranchTriple:
-    return BranchTriple(
-        base.p1 + int(rng.integers(-spread, spread + 1)),
-        base.p2 + int(rng.integers(-spread, spread + 1)),
-        base.p12 + int(rng.integers(-spread, spread + 1)),
-    )
+def _small_triple(rng, base: BranchTriple) -> BranchTriple:
+    """base with each index moved by a draw from {-1, 0, 1}, in order."""
+    return BranchTriple(*(p + int(rng.integers(-1, 2)) for p in base))
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +203,19 @@ def _annuli(rng, n: int, lo: float, hi: float) -> np.ndarray:
     return (lo + (hi - lo) * rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
 
 
+def _redrawn_pairs(n: int, draw, refused) -> tuple[np.ndarray, np.ndarray]:
+    """n pairs a, b = draw(n), the pairs that refused(a, b) marks drawn
+    again, at most 256 rounds."""
+    a, b = draw(n)
+    todo = np.arange(n)
+    for _ in range(256):
+        todo = todo[refused(a[todo], b[todo])]
+        if not todo.size:
+            return a, b
+        a[todo], b[todo] = draw(todo.size)
+    raise RuntimeError("pair sampling failed")
+
+
 def _branch_samples(rng, n: int) -> tuple[list, ...]:
     """branch-identities' n samples, each quantity drawn as one array:
 
@@ -217,8 +224,10 @@ def _branch_samples(rng, n: int) -> tuple[list, ...]:
       z1, z2    a generic pair, drawn as _generic_pair draws one (the pairs
                 with |z1 - z2| <= 0.15 drawn again), and indices p1, p2 in
                 [-2, 2];
-      z1r, z2r  a pair with 0.05 |z2r| <= |z1r - z2r| <= 0.6 |z2r|, for
-                ratio_arg_decomposition.
+      z1r, z2r  a pair with 0.05 |z2r| <= |z1r - z2r| <= 0.6 |z2r| and
+                principal arguments less than pi/2 apart (the pairs farther
+                apart drawn again), inside ratio_arg_decomposition's
+                hypotheses.
 
     Returns (z, p, z1, z2, p1, p2, z1r, z2r), each a list of Python
     numbers."""
@@ -226,17 +235,19 @@ def _branch_samples(rng, n: int) -> tuple[list, ...]:
     z = modulus * np.exp(2j * np.pi * rng.random(n))
     z[7::8] = modulus[7::8]  # exactly on the axis
     p = rng.integers(-3, 4, n)
-    z1, z2 = _annuli(rng, n, 0.3, 2.2), _annuli(rng, n, 0.3, 2.2)
-    for _ in range(256):
-        near = np.flatnonzero(np.abs(z1 - z2) <= 0.15)
-        if not near.size:
-            break
-        z1[near], z2[near] = _annuli(rng, near.size, 0.3, 2.2), _annuli(rng, near.size, 0.3, 2.2)
-    else:
-        raise RuntimeError("pair sampling failed")
+    z1, z2 = _redrawn_pairs(n, lambda m: (_annuli(rng, m, 0.3, 2.2), _annuli(rng, m, 0.3, 2.2)),
+                            lambda z1, z2: np.abs(z1 - z2) <= 0.15)
     p1, p2 = rng.integers(-2, 3, n), rng.integers(-2, 3, n)
-    z2r = _annuli(rng, n, 0.8, 2.0)
-    z1r = z2r + z2r * _annuli(rng, n, 0.05, 0.6)
+
+    def ratio_pairs(m):
+        z2r = _annuli(rng, m, 0.8, 2.0)
+        return z2r + z2r * _annuli(rng, m, 0.05, 0.6), z2r
+
+    def too_wide(z1r, z2r):  # fails the decomposition's own argument-gap hypothesis
+        return np.array([not abs(principal_arg(a) - principal_arg(b)) < math.pi / 2.0
+                         for a, b in zip(z1r.tolist(), z2r.tolist())], dtype=bool)
+
+    z1r, z2r = _redrawn_pairs(n, ratio_pairs, too_wide)
     return tuple(a.tolist() for a in (z, p, z1, z2, p1, p2, z1r, z2r))
 
 
@@ -271,10 +282,10 @@ def check_branch_identities(sc: Scenario | None, config: VerifyConfig) -> CheckR
 
         try:
             qr, dr = ratio_arg_decomposition(z1r, z2r)
+            if qr not in (0, -1):
+                dr = math.inf
         except (ValueError, ArithmeticError):
-            continue
-        if qr not in (0, -1):
-            dr = math.inf
+            dr = math.inf  # every pair is drawn inside the hypotheses
         tr.add(dr, (z1r, z2r))
     passed = tr.max_defect < TOL_BRANCH
     return CheckReport("branch-identities", passed, tr.max_defect,

@@ -239,9 +239,9 @@ def test_transform_output_is_frozen(capsys, src, op):
 # continuation along every named path.
 CLI_SHA256 = {
     ("verify", "--scenario", SQRT):
-        "07e3df811a89fedd7c276dc805044ae99ff5a1befe16ba5bb721d95f6451a1fd",
+        "dda2ffcefdaf46e70d73a8abddcc3a67d2a7de9688286b77c48067c246aa5e6d",
     ("verify", "--scenario", LOG_PAIR):
-        "da82545c874bdcc064add91866e29f572b46d79f5ef089e8cc62f4f1a2e3900f",
+        "16add6cc9b2bae7f55feb5df85cb687361e6ac59dd735712746dc1822707c6ea",
     ("expand", "--scenario", LOG_PAIR, "--label", "2", "--region", "product", "--order", "40",
      "--z1", "2.5,0.3", "--z2", "0.8,-0.2"):
         "42cfdf6d3ad7a72524e3ecc65f2f5b100cf6a7a3e26941d56856057565ec3aaa",

@@ -117,6 +117,16 @@ def _lp_phase_off_at_large_index(monkeypatch):
         monkeypatch.setattr(module, "lp", mutant)
 
 
+def _ratio_decomposition_refuses(error):
+    def apply(monkeypatch):
+        def mutant(z1, z2):
+            raise error("refused")
+
+        for module in (branchcalc, verify):
+            monkeypatch.setattr(module, "ratio_arg_decomposition", mutant)
+    return apply
+
+
 def _not_caught_yet(reason):
     # raises=AssertionError: a mutant that cannot be built errors instead
     return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
@@ -135,6 +145,10 @@ MUTANTS = {
     "omega-swap-unconjugated": (_omega_swap_unconjugated, "omega-duality"),
     "binom-coeffs-off-from-k3": (_binom_coeffs_off_from_k3, "duality-regions"),
     "lp-phase-off-at-large-index": (_lp_phase_off_at_large_index, "branch-identities"),
+    "ratio-decomposition-raises-value-error": (_ratio_decomposition_refuses(ValueError),
+                                               "branch-identities"),
+    "ratio-decomposition-raises-arithmetic-error": (
+        _ratio_decomposition_refuses(ArithmeticError), "branch-identities"),
 }
 
 NOT_CAUGHT_YET = {

@@ -15,7 +15,6 @@ from twistlab import (
     LogMonomial,
     QuasiPrimaryData,
     a_action,
-    a_eval_relation,
     a_eval_relations,
     a_transform,
     check_g1_shift,
@@ -463,12 +462,12 @@ def test_a_eval_relation_on_and_off_axis():
     for sign in (1, -1):
         for z in (2.0, 1.3 * cmath.exp(2.2j)):
             for p in (-1, 0, 1):
-                assert a_eval_relation(MIXED, qp, p, z, sign) < 1e-9
+                assert a_eval_relations(MIXED, qp, [(p, z)], sign)[0] < 1e-9
 
 
 def test_a_eval_relation_rejects_zero():
     with pytest.raises(ValueError):
-        a_eval_relation(MIXED, QuasiPrimaryData(), 0, 0.0, "+")
+        a_eval_relations(MIXED, QuasiPrimaryData(), [(0, 0.0)], "+")
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -478,7 +477,7 @@ def test_a_eval_relations_equal_the_one_probe_function(sign):
     probes = [(p, z) for z in (0.9, 2.0 + 0.0j, 1.3 * cmath.exp(2.2j), 0.6 * cmath.exp(-2.9j))
               for p in (p2 - 1, p2, p2 + 1)]
     defects = a_eval_relations(MIXED, qp, probes, sign)
-    assert [d.hex() for d in defects] == [a_eval_relation(MIXED, qp, p, z, sign).hex()
+    assert [d.hex() for d in defects] == [a_eval_relations(MIXED, qp, [(p, z)], sign)[0].hex()
                                           for p, z in probes]
     assert max(defects) < 1e-9
 

@@ -1,6 +1,5 @@
 """Tests for the verification checks, controls and the suite runner."""
 
-import cmath
 import math
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -11,7 +10,6 @@ import pytest
 from twistlab import (
     CHECKS,
     Arc,
-    BranchTriple,
     CheckReport,
     PathSpec,
     QuasiPrimaryData,
@@ -98,7 +96,7 @@ def test_branch_identities_check():
     assert rep.name == "branch-identities"
     assert rep.passed
     assert rep.max_defect < TOL_BRANCH
-    assert rep.samples > 0
+    assert rep.samples == 3 * LIGHT.branch_samples  # no sample of any identity dropped
     assert set(rep.extras["qValues"]) <= {-1, 0, 1, 2}
 
 
@@ -145,18 +143,12 @@ def test_branch_samples_keep_their_contract():
     assert set(p) == set(range(-3, 4)) and set(p1) == set(p2) == set(range(-2, 3))
     assert all(abs(a - b) > 0.15 for a, b in zip(z1, z2))
     assert all(0.3 <= abs(zi) <= 2.2 + 1e-12 for zi in (*z1, *z2))
-    refused = 0
     for a, b in zip(z1r, z2r):
-        # |z2r| > |z1r - z2r| > 0 and arg(z1r / z2r) within pi/2 ...
+        # inside ratio_arg_decomposition's hypotheses: |z2r| > |z1r - z2r| > 0
+        # and principal arguments less than pi/2 apart, so none is refused
         assert 0.0 < abs(a - b) < abs(b)
-        assert abs(cmath.phase(a / b)) < math.pi / 2
-        try:
-            ratio_arg_decomposition(a, b)
-        except ValueError:
-            # ... so only the principal arguments' wrap at 0 refuses a pair
-            assert abs(principal_arg(a) - principal_arg(b)) > 3 * math.pi / 2
-            refused += 1
-    assert refused < 100
+        assert abs(principal_arg(a) - principal_arg(b)) < math.pi / 2
+        assert ratio_arg_decomposition(a, b)[0] in (0, -1)
     assert check_branch_identities(None, config) == check_branch_identities(None, config)
 
 
