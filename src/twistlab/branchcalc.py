@@ -69,6 +69,11 @@ def lp(p: int, z: complex) -> complex:
         raise ValueError("log of zero is undefined")
     if not cmath.isfinite(z):
         raise ValueError(f"log of non-finite {z} is undefined")
+    return _lp(p, z)
+
+
+def _lp(p: int, z: complex) -> complex:
+    """lp of a complex z already known to be finite and nonzero."""
     return complex(math.log(abs(z)), _arg(z) + TWO_PI * p)
 
 
@@ -120,8 +125,18 @@ def q_offset_product(z1: complex, z2: complex) -> int:
     w = z1 - z2
     if z1 == 0 or z2 == 0 or w == 0:
         raise ValueError("z1, z2 and z1 - z2 must all be nonzero")
+    return _q_offset(z1, z2, w)
+
+
+def _q_offset(z1: complex, z2: complex, w: complex) -> int:
+    """q_offset_product of complex z1, z2 and w = z1 - z2, all nonzero.
+
+    Only the quotient's principal_arg checks its value: where the quotient
+    is finite and nonzero, so are w, z1 and z2 (a non-finite one makes it
+    nan, inf or 0), so their arguments need no check.
+    """
     lhs = principal_arg(w / (z1 * (-z2)))
-    base = principal_arg(w) - principal_arg(z1) - principal_arg(z2)
+    base = _arg(w) - _arg(z1) - _arg(z2)
     q = round((lhs - base - math.pi) / TWO_PI)
     # The rounded q must reproduce lhs up to float noise; anything larger
     # signals an argument inconsistency upstream.
@@ -152,11 +167,11 @@ def diff_inv_branch(p1: int, p2: int, z1: complex, z2: complex) -> tuple[int, fl
     w = z1 - z2
     if z1 == 0 or z2 == 0 or w == 0:
         raise ValueError("z1, z2 and z1 - z2 must all be nonzero")
-    q = q_offset_product(z1, z2)
-    value = lp(p1 + q, w) - lp(p1, z1) - lp(p2, z2) + complex(0.0, math.pi)
+    q = _q_offset(z1, z2, w)  # which leaves w, z1 and z2 checked
+    value = _lp(p1 + q, w) - _lp(p1, z1) - _lp(p2, z2) + complex(0.0, math.pi)
     target = 1.0 / z1 - 1.0 / z2
     k = round((value.imag - principal_arg(target)) / TWO_PI)
-    residual = abs(value - lp(k, target))
+    residual = abs(value - _lp(k, target))
     return k, residual
 
 

@@ -24,8 +24,12 @@ branch triple built from the input triple:
 The windows are exactly the conditions under which the auxiliary ratio
 (z2/z1, z1/z2 or (z1-z2)/z2) has its principal log consistent with the
 indexed logs above, so each group series converges to the right branch.
-expand_family builds the series of several functions in one pass, and
-expand_region is its one-function case.
+expand_family builds the series of several functions in one region in one
+numpy pass, and expand_region is its one-function case.  _expand_regions
+builds them in several regions at once: one pass sorts and merges the
+candidate monomials of consecutive regions while they number at most
+_PASS_CANDIDATES in all (a region over it is built alone), so the memory of
+a pass stays bounded; every series has the same bits however it is built.
 
 A function packs its terms as columns (coeffs, exps, lmn).  A series term
 is coeff * x^k * B, x = inner / outer being its region's ratio and B the
@@ -64,7 +68,7 @@ from typing import Iterable, Literal, NamedTuple
 
 import numpy as np
 
-from .branchcalc import TWO_PI, lp, principal_arg
+from .branchcalc import TWO_PI, _lp, principal_arg
 from .paths import PathSpec, _oracle, _Step, _walk_moves, path_end, validate_path
 from .paths import sample_path  # noqa: F401  (bench/tracing.py times it under this name)
 
@@ -82,6 +86,11 @@ SERIES_BUDGET = 1 << 20
 # per complex array of one value per term-point.  Each suite check's kernel
 # call fits in one pass.
 _PASS_TERM_POINTS = 1 << 14
+
+# Most candidate monomials one build pass of _expand_regions sorts and
+# merges, so that building several regions at once does not raise the
+# build's memory: a region's build over it goes alone.
+_PASS_CANDIDATES = 1 << 12
 
 Region = Literal["product", "reversed", "iterate"]
 
@@ -284,7 +293,7 @@ def _exponents(x: np.ndarray) -> np.ndarray:
 
 def _point_logs(bt: BranchTriple, z1: complex, z2: complex) -> tuple[complex, ...]:
     """(z1, z2, z1 - z2) and their logs on bt, for _sum_terms; raises
-    ValueError unless all three are finite and nonzero."""
+    ValueError, as lp would, unless all three are finite and nonzero."""
     p1, p2, p12 = bt
     z1 = complex(z1)
     z2 = complex(z2)
@@ -293,7 +302,10 @@ def _point_logs(bt: BranchTriple, z1: complex, z2: complex) -> tuple[complex, ..
         raise ValueError("z1 and z2 must be finite")
     if z1 == 0 or z2 == 0 or w == 0:
         raise ValueError("z1, z2 and z1 - z2 must all be nonzero")
-    return z1, z2, w, lp(p1, z1), lp(p2, z2), lp(p12, w)
+    logs = _lp(p1, z1), _lp(p2, z2)  # abs raises OverflowError past the float range
+    if not cmath.isfinite(w):
+        raise ValueError(f"log of non-finite {w} is undefined")
+    return z1, z2, w, *logs, _lp(p12, w)
 
 
 def point_logs(samples: Iterable[tuple[BranchTriple, complex, complex]]) -> np.ndarray:
@@ -441,13 +453,14 @@ def in_region(region: str, z1: complex, z2: complex, margin: float = 0.0) -> boo
     return -half_pi + margin < d < half_pi - margin
 
 
-def _binom_coeffs(c, order: int, sign: float) -> np.ndarray:
+def _binom_coeffs(c, order: int, sign) -> np.ndarray:
     """Coefficients of (1 + sign*x)^c up to x^order, as a cumulative product.
-    For an array of exponents c, one row of coefficients per exponent."""
+    For an array of exponents c, one row of coefficients per exponent, with
+    sign one number or one per exponent."""
     c = np.asarray(c, dtype=complex)[..., None]
     k = np.arange(1, order + 1)
     out = np.ones(c.shape[:-1] + (order + 1,), dtype=complex)
-    out[..., 1:] = np.cumprod((c - (k - 1)) / k * sign, axis=-1)
+    out[..., 1:] = np.cumprod((c - (k - 1)) / k * np.asarray(sign)[..., None], axis=-1)
     return out
 
 
@@ -810,7 +823,8 @@ def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> 
 def expand_family(functions: Iterable[LogFunction], region: str, bt: BranchTriple,
                   order: int) -> list[RegionExpansion]:
     """expand_region of each function, built together in one pass; each
-    series has the same bits as when its function is expanded alone.
+    series has the same bits as when its function is expanded alone.  It is
+    _expand_regions in one region.
 
     Each input term and log-power split contributes one block of
     order + 1 candidate monomials, one per power k of the auxiliary ratio.
@@ -826,124 +840,169 @@ def expand_family(functions: Iterable[LogFunction], region: str, bt: BranchTripl
     SERIES_BUDGET candidate monomials in all or an expanded log power
     reaches 2**63.
     """
-    functions = list(functions)
-    if region not in REGIONS:
-        raise ValueError(f"unknown region {region!r}")
+    return _expand_regions(functions, (region,), bt, order)[0]
+
+
+def _expand_regions(functions: Iterable[LogFunction], regions: Iterable[str],
+                    bt: BranchTriple, order: int) -> list[list[RegionExpansion]]:
+    """expand_family of the functions in each of regions, as one list per
+    region, each series with the same bits as when built alone.
+
+    Consecutive regions share a build pass while their candidates number at
+    most _PASS_CANDIDATES in all, and a region over it is built alone, so a
+    pass sorts and merges several regions' candidates at once and its
+    memory stays that of one bounded build.  Raises ValueError, before
+    building any, for an unknown region, a negative order or a region of
+    more than SERIES_BUDGET candidates.
+    """
+    functions, regions = list(functions), list(regions)
+    for region in regions:
+        if region not in REGIONS:
+            raise ValueError(f"unknown region {region!r}")
     if order < 0:
         raise ValueError("order must be non-negative")
     terms = [u for f in functions for u in f.terms]
-    # Blocks per term: one per log-power split of the expanded log.
-    blocks_per_order = sum(
-        u.n + 1 if region == "product"
-        else (u.n + 1) * (u.n + 2) // 2 if region == "reversed"
-        else u.l + 1
-        for u in terms)
-    candidates = (order + 1) * blocks_per_order
-    if candidates > SERIES_BUDGET:
-        raise ValueError(
-            f"{region} series of order {order} needs {candidates} candidate monomials, "
-            f"over the series budget (SERIES_BUDGET = {SERIES_BUDGET})")
+    counts = []
+    for region in regions:
+        # Blocks per term: one per log-power split of the expanded log.
+        candidates = (order + 1) * sum(
+            u.n + 1 if region == "product"
+            else (u.n + 1) * (u.n + 2) // 2 if region == "reversed"
+            else u.l + 1
+            for u in terms)
+        if candidates > SERIES_BUDGET:
+            raise ValueError(
+                f"{region} series of order {order} needs {candidates} candidate monomials, "
+                f"over the series budget (SERIES_BUDGET = {SERIES_BUDGET})")
+        counts.append(candidates)
     bt = BranchTriple(*bt)
-    designated = designated_triple(region, bt)
-    expansions = [RegionExpansion(region, bt, designated, order) for _ in functions]
+    out, batch, size = [], [], 0
+    for region, count in zip(regions, counts):
+        if batch and size + count > _PASS_CANDIDATES:
+            out += _build_pass(functions, terms, batch, bt, order)
+            batch, size = [], 0
+        batch.append(region)
+        size += count
+    if batch:
+        out += _build_pass(functions, terms, batch, bt, order)
+    return out
+
+
+def _build_pass(functions: list[LogFunction], terms: list[LogMonomial], regions: list[str],
+                bt: BranchTriple, order: int) -> list[list[RegionExpansion]]:
+    """One build pass of _expand_regions: the series of the functions, whose
+    terms are terms, in each of regions, all candidates sorted and merged
+    together.  A series is one function in one region, numbered region by
+    region, and its number ranks first in the sort."""
     if not terms:
-        return expansions
-    # Per term: the binomial exponent, and the exponents that fall
-    # (falling - k) and rise (rising + k) with the power k of the auxiliary
-    # ratio, in Python's association, (r + t) - k and so on, so signatures
-    # match bit for bit.  Per block: (term, log power j, scale, (l, m, n));
-    # the block's coefficients are scale * (binomial row * j-th log power).
+        return [[RegionExpansion(region, bt, designated_triple(region, bt), order)
+                 for _ in functions] for region in regions]
+    # Per row, one per region and term, region by region: the binomial
+    # exponent, and the exponents that fall (falling - k) and rise
+    # (rising + k) with the power k of the auxiliary ratio, in Python's
+    # association, (r + t) - k and so on, so signatures match bit for bit.
+    # Per block: (row, log power j, scale, log powers); the block's
+    # coefficients are scale * (binomial row * j-th log power), and its log
+    # powers leave out the column of the region whose exponent and log power
+    # are 0 (t, or r for iterate): (l, m), or (m, n) for iterate.
     binom_exps, falling, rising, blocks = [], [], [], []
     minus_pi_i = complex(0.0, -math.pi)
-    for i, u in enumerate(terms):
-        a, r, s, t, l, m, n = (complex(u.coeff), complex(u.r), complex(u.s),
-                               complex(u.t), u.l, u.m, u.n)
-        if region == "product":
-            # (z1-z2)^t = z1^t (1-w)^t and log(z1-z2) = log z1 + log(1-w),
-            # w = z2/z1; within the window the principal log(1-w) is the
-            # consistent choice, so the branch constant vanishes.
-            c, fall, rise = t, r + t, s
-            blocks += [(i, j, a * math.comb(n, j), (l + n - j, m, 0)) for j in range(n + 1)]
-        elif region == "reversed":
-            # (z1-z2)^t = exp(t (lp(p2,z2) - pi*i)) (1-u)^t, u = z1/z2; the
-            # window is exactly where negation lands past the cut, so the
-            # constant -pi*i (not +pi*i) matches the designated branch.
-            c, fall, rise = t, s + t, r
-            phase = cmath.exp(t * minus_pi_i)
-            blocks += [(i, j, a * ((math.comb(n, j) * math.comb(n - j, h)
-                                    * minus_pi_i ** (n - j - h)) * phase), (l, m + h, 0))
-                       for j in range(n + 1) for h in range(n - j + 1)]
-        else:  # iterate
-            # z1^r = z2^r (1+v)^r and log z1 = log z2 + log(1+v),
-            # v = (z1-z2)/z2.
-            c, fall, rise = r, r + s, t
-            blocks += [(i, j, a * math.comb(l, j), (0, m + l - j, n)) for j in range(l + 1)]
-        binom_exps.append(c)
-        falling.append(fall)
-        rising.append(rise)
+    for q, region in enumerate(regions):
+        for i, u in enumerate(terms, q * len(terms)):
+            a, r, s, t, l, m, n = (complex(u.coeff), complex(u.r), complex(u.s),
+                                   complex(u.t), u.l, u.m, u.n)
+            if region == "product":
+                # (z1-z2)^t = z1^t (1-w)^t and log(z1-z2) = log z1 + log(1-w),
+                # w = z2/z1; within the window the principal log(1-w) is the
+                # consistent choice, so the branch constant vanishes.
+                c, fall, rise = t, r + t, s
+                blocks += [(i, j, a * math.comb(n, j), (l + n - j, m)) for j in range(n + 1)]
+            elif region == "reversed":
+                # (z1-z2)^t = exp(t (lp(p2,z2) - pi*i)) (1-u)^t, u = z1/z2; the
+                # window is exactly where negation lands past the cut, so the
+                # constant -pi*i (not +pi*i) matches the designated branch.
+                c, fall, rise = t, s + t, r
+                phase = cmath.exp(t * minus_pi_i)
+                blocks += [(i, j, a * ((math.comb(n, j) * math.comb(n - j, h)
+                                        * minus_pi_i ** (n - j - h)) * phase), (l, m + h))
+                           for j in range(n + 1) for h in range(n - j + 1)]
+            else:  # iterate
+                # z1^r = z2^r (1+v)^r and log z1 = log z2 + log(1+v),
+                # v = (z1-z2)/z2.
+                c, fall, rise = r, r + s, t
+                blocks += [(i, j, a * math.comb(l, j), (m + l - j, n)) for j in range(l + 1)]
+            binom_exps.append(c)
+            falling.append(fall)
+            rising.append(rise)
 
-    term, power, scale, lmn = zip(*blocks)
+    row, power, scale, lmn = zip(*blocks)
     try:
         lmn = np.array(lmn, dtype=np.int64)
     except OverflowError:
+        region = next(regions[i // len(terms)] for i, _, _, powers in blocks
+                      if max(powers) >= POWER_LIMIT)
         raise ValueError(f"{region} series has a log power past int64 "
                          "(expanded powers must be below 2**63)") from None
-    sign = 1.0 if region == "iterate" else -1.0
-    binom = _binom_coeffs(binom_exps, order, sign)
+    signs = [1.0 if region == "iterate" else -1.0 for region in regions]
+    binom = _binom_coeffs(binom_exps, order,
+                          [sign for sign in signs for _ in range(len(terms))])
     # Convolving a row with the unit row (j = 0) gives it back exactly, but
     # with its zero parts +0.0; adding 0.0 does the same.
-    ser = (binom + 0.0)[list(term)]
+    ser = (binom + 0.0)[list(row)]
     if max(power):
-        logs = _poly_powers(_log1_series(order, sign), max(power), order)
+        top = {}  # the largest log power of each sign's log series
+        for i, j in zip(row, power):
+            sign = signs[i // len(terms)]
+            top[sign] = max(top.get(sign, 0), j)
+        logs = {sign: _poly_powers(_log1_series(order, sign), j, order)
+                for sign, j in top.items()}
         conv = {}
-        for b, (i, j) in enumerate(zip(term, power)):
+        for b, (i, j) in enumerate(zip(row, power)):
             if j:
                 if (i, j) not in conv:
-                    conv[i, j] = np.convolve(binom[i], logs[j])[:order + 1]
+                    conv[i, j] = np.convolve(binom[i], logs[signs[i // len(terms)]][j])[:order + 1]
                 ser[b] = conv[i, j]
     live = ser != 0  # never empty: each term's k = 0 coefficient is 1
     block, k = np.nonzero(live)
     coeff = np.array(scale)[block] * ser[live]
-    term = np.array(term)
-    term_fn = np.repeat(np.arange(len(functions)), [len(f.terms) for f in functions])
-    of_term = term[block]
-    fn = term_fn[of_term]
-    # Columns r, s, t: the outer quantity's exponent falls with k, the
-    # inner one's rises, the third is 0, as is its log power column.
-    down, up = _OUTER_INNER[region]
-    zero = 3 - down - up
-    live_cols = [c for c in range(3) if c != zero]
+    row = np.array(row)
+    of_row = row[block]
+    # Each row's series: its region's number times the function count, plus
+    # its function's number.
+    fn_of_term = [j for j, f in enumerate(functions) for _ in f.terms]
+    row_series = np.array([q * len(functions) + j
+                           for q in range(len(regions)) for j in fn_of_term])
+    series = row_series[of_row]
     # A candidate is held as (block, k), and its signature as one
     # contiguous row per part, so that sorting copies none of it; complex
     # exponents are kept only per block.  Each array here holds one entry
-    # per candidate: drop every one as soon as it is used, as all
-    # functions' candidates are alive at once.
-    lmn_rows = lmn.T[live_cols][:, block]
+    # per candidate: drop every one as soon as it is used, as all series'
+    # candidates are alive at once.  The signature of LogMonomial.key,
+    # with -0.0 made +0.0 and leaving out the region's zero column, which
+    # orders nothing: the inner column's exponent (the group key, ranked
+    # first in its series), the outer one's, then the block's log powers.
+    # The exponents and the log powers are compared apart: a shared float
+    # dtype would round log powers past 2**53.  Adding the integer k to a
+    # complex exponent moves only its real part.
+    lmn_rows = lmn.T[:, block]
     del ser, live, binom
     falling, rising = np.array(falling), np.array(rising)
-    # The signature of LogMonomial.key: exponent parts with -0.0 made +0.0,
-    # then log powers, leaving out the zero columns, which order nothing.
-    # The two blocks of rows are compared apart: a shared float dtype
-    # would round log powers past 2**53.  Adding the integer k to a complex
-    # exponent moves only its real part.
-    parts = np.empty((2 * len(live_cols), k.size))
-    for j, c in enumerate(live_cols):
-        base, shift = (falling, np.subtract) if c == down else (rising, np.add)
-        shift(base.real[of_term], k, out=parts[2 * j])
-        parts[2 * j + 1] = base.imag[of_term]
-    del of_term
+    parts = np.empty((4, k.size))
+    np.add(rising.real[of_row], k, out=parts[0])
+    parts[1] = rising.imag[of_row]
+    np.subtract(falling.real[of_row], k, out=parts[2])
+    parts[3] = falling.imag[of_row]
+    del of_row
     parts += 0.0
-    key_part = 2 * live_cols.index(up)
-    # One stable sort by function, group key (the inner column's parts),
-    # then signature: equal signatures meet with their order kept, and
-    # each group comes out in normalize's order.
-    perm = np.lexsort((*lmn_rows[::-1], *parts[::-1], parts[key_part + 1], parts[key_part], fn))
-    fn = fn[perm]
-    new_sig = fn[1:] != fn[:-1]
-    for row in (*parts, *lmn_rows):
-        row = row[perm]
-        new_sig |= row[1:] != row[:-1]
-    del parts, row, lmn_rows
+    # One stable sort by series, then signature: equal signatures meet
+    # with their order kept, and each group comes out in normalize's order.
+    perm = np.lexsort((*lmn_rows[::-1], *parts[::-1], series))
+    series = series[perm]
+    new_sig = series[1:] != series[:-1]
+    for part in (*parts, *lmn_rows):
+        part = part[perm]
+        new_sig |= part[1:] != part[:-1]
+    del parts, part, lmn_rows
     starts = np.flatnonzero(np.concatenate(([True], new_sig)))
     del new_sig
     total = np.add.reduceat(coeff[perm], starts)
@@ -953,42 +1012,55 @@ def expand_family(functions: Iterable[LogFunction], region: str, bt: BranchTripl
     # its block's k = 0 exponents, moved by its k.
     rep = perm[starts[keep]]
     del perm
-    total, fn = total[keep], fn[starts[keep]]
+    total, series = total[keep], series[starts[keep]]
     block, k = block[rep], k[rep]
     del starts, keep, rep
-    # The blocks some term survives in, function by function (block numbers
-    # rise with the function), as tables of k = 0 exponents and log powers.
-    used = np.zeros(term.size, dtype=bool)
+    # The blocks some term survives in, series by series (block numbers
+    # rise with the series), as tables of k = 0 exponents and log powers,
+    # and each series' first block.
+    used = np.zeros(row.size, dtype=bool)
     used[block] = True
     block = (np.cumsum(used) - 1)[block]
     used = np.flatnonzero(used)
+    used_row = row[used]
+    numbers = np.arange(len(regions) * len(functions) + 1)
+    first_block = np.searchsorted(row_series[used_row], numbers).tolist()
+    rise = rising[used_row] + 0.0
     block_exps = np.zeros((used.size, 3), dtype=complex)
-    block_exps[:, down] = falling[term[used]]
-    block_exps[:, up] = rising[term[used]] + 0.0
-    block_lmn = lmn[used]
+    block_lmn = np.zeros((used.size, 3), dtype=np.int64)
+    for q, region in enumerate(regions):
+        down, up = _OUTER_INNER[region]
+        at = slice(first_block[q * len(functions)], first_block[(q + 1) * len(functions)])
+        block_exps[at, down] = falling[used_row[at]]
+        block_exps[at, up] = rise[at]
+        lo = 1 if region == "iterate" else 0
+        block_lmn[at, lo:lo + 2] = lmn[used[at]]
     if not (np.isfinite(total).all() and np.isfinite(block_exps).all()):
         raise ValueError("coefficient and exponents must be finite")
-    if not total.size:
-        return expansions
-    key = block_exps[block, up] + k + 0.0
-    # Where each group begins, and each function's first term, group and block.
-    new_group = (key[1:] != key[:-1]) | (fn[1:] != fn[:-1])
-    firsts = np.flatnonzero(np.concatenate(([True], new_group)))
-    bounds = np.searchsorted(fn, np.arange(len(functions) + 1))
+    key = rise[block] + k + 0.0
+    # Where each group begins, and each series' first term and group.
+    new_group = np.ones(key.size, dtype=bool)
+    new_group[1:] = (key[1:] != key[:-1]) | (series[1:] != series[:-1])
+    firsts = np.flatnonzero(new_group)
+    bounds = np.searchsorted(series, numbers)
     first_group = np.searchsorted(firsts, bounds).tolist()
-    first_block = np.searchsorted(term_fn[term[used]], np.arange(len(functions) + 1)).tolist()
     keys, firsts, bounds = key[firsts].tolist(), firsts.tolist(), bounds.tolist()
-    for i, expansion in enumerate(expansions):
-        lo, hi = bounds[i], bounds[i + 1]
-        if lo == hi:
-            continue
-        b0, b1 = first_block[i], first_block[i + 1]
-        expansion.coeffs, expansion.k = total[lo:hi], k[lo:hi]
-        expansion.block = block[lo:hi] - b0
-        expansion.block_exps, expansion.block_lmn = block_exps[b0:b1], block_lmn[b0:b1]
-        groups = slice(first_group[i], first_group[i + 1])
-        expansion.starts = [s - lo for s in firsts[groups][1:]]
-        expansion.keys = keys[groups]
+    expansions = []
+    for q, region in enumerate(regions):
+        designated = designated_triple(region, bt)
+        family = []
+        for i in range(q * len(functions), (q + 1) * len(functions)):
+            lo, hi = bounds[i], bounds[i + 1]
+            if lo == hi:  # every term dropped
+                family.append(RegionExpansion(region, bt, designated, order))
+                continue
+            b0, b1 = first_block[i], first_block[i + 1]
+            groups = slice(first_group[i], first_group[i + 1])
+            family.append(RegionExpansion(
+                region, bt, designated, order, starts=[s - lo for s in firsts[groups][1:]],
+                keys=keys[groups], coeffs=total[lo:hi], k=k[lo:hi], block=block[lo:hi] - b0,
+                block_exps=block_exps[b0:b1], block_lmn=block_lmn[b0:b1]))
+        expansions.append(family)
     return expansions
 
 

@@ -303,10 +303,15 @@ def omega_family(fam: CorrelationFamily, sign) -> CorrelationFamily:
 
 def contragredient_family(fam: CorrelationFamily, qp: QuasiPrimaryData, sign) -> CorrelationFamily:
     """Weight modification followed by the contragredient rewrite, per label."""
-    return fam.map_functions(
-        lambda f: a_transform(quasi_primary_modify(f, qp, sign), sign),
-        a_action(fam.action),
-    )
+    return _contragredient_rewrite(fam.map_functions(lambda f: quasi_primary_modify(f, qp, sign)),
+                                   sign)
+
+
+def _contragredient_rewrite(modified: CorrelationFamily, sign) -> CorrelationFamily:
+    """contragredient_family's second step, for a family whose functions
+    are weight-modified already: the rewrite of each, with the induced
+    action."""
+    return modified.map_functions(lambda f: a_transform(f, sign), a_action(modified.action))
 
 
 def shift_stage(fam: CorrelationFamily, bt: BranchTriple,

@@ -47,6 +47,7 @@ from .branchcalc import (
 from .logfun import (
     BranchTriple,
     REGIONS,
+    _expand_regions,
     continue_family,
     designated_triple,
     eval_branch2,
@@ -61,12 +62,12 @@ from .logfun import (
 from .models import Scenario, _uniform, default_scenarios
 from .paths import Arc, PathSpec, Segment, path_end
 from .transforms import (
+    _contragredient_rewrite,
     a_transform,
     a_eval_relations,
     check_shifts,
     shift_defects,
     shift_stage,
-    contragredient_family,
     omega_action,
     omega_family,
     omega_transform,
@@ -138,8 +139,9 @@ class _Tracker:
         self.worst = None
         self.samples = 0
 
-    def add(self, defect: float, point=None):
-        self.samples += 1
+    def add(self, defect: float, point=None, samples: int = 1):
+        """Count samples samples, all with this defect at this point."""
+        self.samples += samples
         if defect > self.max_defect:
             self.max_defect = float(defect)
             self.worst = point
@@ -374,11 +376,12 @@ def _duality_stages(families, bt: BranchTriple, order: int, samples,
     """For each family (a list of functions), the stages of its region
     series against its designated-triple values, one per region at that
     region's points of the family's samples (_region_samples).  Every
-    family's series of one region come from one expand_family call, and
-    the stages share one kernel call under _run_stages.  Both sides share
-    the designated triple's logs, unless p12_bump moves the exact side's."""
-    built = {region: expand_family([f for functions in families for f in functions],
-                                   region, bt, order) for region in REGIONS}
+    family's series of all three regions come from one _expand_regions
+    call, and the stages share one kernel call under _run_stages.  Both
+    sides share the designated triple's logs, unless p12_bump moves the
+    exact side's."""
+    built = dict(zip(REGIONS, _expand_regions([f for functions in families for f in functions],
+                                              REGIONS, bt, order)))
     out, at = [], 0
     for functions, per_region in zip(families, samples):
         stages = []
@@ -463,15 +466,15 @@ def check_region_swap(sc: Scenario, config: VerifyConfig) -> CheckReport:
     at_ends = [dict(zip(ends, values)) for values in
                eval_parts([*series, *functions], [logs] * (2 * len(series))).tolist()]
     for i, path in enumerate(paths):
-        if i not in ends:
-            tr.add(math.inf, (path.z1, path.z2))
+        if i not in ends:  # each function's two samples, at defect inf
+            tr.add(math.inf, (path.z1, path.z2), 2 * len(functions))
             continue
         a1_end, _ = ends[i]
         # tol=inf: a finite certificate over tol_series fails the report below.
         continued = continue_family(functions, start_bt, path, tol=math.inf)
         for res, f_ends, f_unshifted in zip(continued, at_ends, at_ends[len(series):]):
-            if res.end_triple != lowered:
-                tr.add(math.inf, (path.z1, path.z2))
+            if res.end_triple != lowered:  # its two samples, at defect inf
+                tr.add(math.inf, (path.z1, path.z2), 2)
                 continue
             # The certificate is the gap between the oracle and f on the
             # lowered triple at the end point.
@@ -546,7 +549,7 @@ def check_monodromy_composition(sc: Scenario, config: VerifyConfig) -> CheckRepo
     for i, (f, res_a, res_b) in enumerate(zip(functions, continued_a, continued_b)):
         windings = res_a.crossings
         if res_a.end_triple != expected or res_b.end_triple != expected:
-            tr.add(math.inf, start)
+            tr.add(math.inf, start, 4)  # its four samples, at defect inf
             continue
         # Each certificate is the gap between the tracked end value and the
         # oracle on that loop.
@@ -670,8 +673,10 @@ def check_contragredient_duality(sc: Scenario, config: VerifyConfig) -> CheckRep
     relation = 0.0
     families, stages, region_points = [], [], []
     for sign in (1, -1):
-        hfam = contragredient_family(sc.fam, sc.qp, sign)
-        fmods = [quasi_primary_modify(f, sc.qp, sign) for f in sc.fam.functions]
+        # contragredient_family, keeping the weight-modified functions
+        modified = sc.fam.map_functions(lambda f: quasi_primary_modify(f, sc.qp, sign))
+        fmods = modified.functions
+        hfam = _contragredient_rewrite(modified, sign)
         # (i) inverted-variable pointwise law.
         samples, inverted = [], []
         for _ in range(config.pointwise_points):

@@ -48,6 +48,7 @@ from twistlab import (
 
 from twistlab import logfun, paths
 from twistlab.cli import load_scenario
+from twistlab.transforms import contragredient_family
 
 TWO_PI = 2.0 * math.pi
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -1071,6 +1072,79 @@ def test_family_build_counts_every_function_against_the_budget(monkeypatch):
     assert len(expand_family([f] * 3, "product", BranchTriple(0, 0, 0), 10)) == 3
     with pytest.raises(ValueError, match="needs 44 candidate"):
         expand_family([f] * 4, "product", BranchTriple(0, 0, 0), 10)
+
+
+def _stored_bits(exp: RegionExpansion) -> tuple:
+    return (exp.region, exp.bt, exp.designated, exp.order, exp.coeffs.tobytes(),
+            exp.k.tobytes(), exp.block.tobytes(), exp.block_exps.tobytes(),
+            exp.block_lmn.tobytes(), exp.starts, [_bits(k) for k in exp.keys])
+
+
+def _checked_families():
+    """Each default scenario's family, and both signs' exchanged and
+    contragredient families together, as the duality checks build them; then
+    a family with l, m and n powers, which splits blocks in every region,
+    among the edge functions; then one whose every coefficient drops."""
+    for sc in default_scenarios():
+        yield list(sc.fam.functions), sc.bt
+        yield [f for sign in (1, -1) for f in omega_family(sc.fam, sign).functions], sc.bt
+        yield [f for sign in (1, -1)
+               for f in contragredient_family(sc.fam, sc.qp, sign).functions], sc.bt
+    yield [*EDGE_FAMILY[:2], LOG_HEAVY, ALL_LOG_POWERS, MIXED, *EDGE_FAMILY[2:]], BranchTriple(1, -1, 0)
+    yield [EDGE_FAMILY[2]], BranchTriple(0, 0, 0)
+
+
+def _candidates(functions, region: str, order: int) -> int:
+    # order + 1 per block, a block per term and log-power split
+    return (order + 1) * sum(u.n + 1 if region == "product"
+                             else (u.n + 1) * (u.n + 2) // 2 if region == "reversed"
+                             else u.l + 1
+                             for f in functions for u in f.terms)
+
+
+@pytest.mark.parametrize("bound", [None, 1, 1 << 30],
+                         ids=["default-bound", "a-region-a-pass", "one-pass"])
+def test_multi_region_build_has_the_bits_of_each_region_built_alone(monkeypatch, bound):
+    if bound is not None:
+        monkeypatch.setattr(logfun, "_PASS_CANDIDATES", bound)
+    passes, build_pass = [], logfun._build_pass
+    monkeypatch.setattr(logfun, "_build_pass",
+                        lambda *args: passes.append(args[2]) or build_pass(*args))
+    for functions, bt in _checked_families():
+        built = logfun._expand_regions(functions, REGIONS, bt, 100)
+        assert len(built) == len(REGIONS)
+        for region, family in zip(REGIONS, built):
+            alone = expand_family(functions, region, bt, 100)
+            assert [_stored_bits(s) for s in family] == [_stored_bits(s) for s in alone]
+    shared = [regions for regions in passes if len(regions) > 1]
+    assert bool(shared) == (bound != 1)
+    if bound == 1 << 30:
+        assert shared == [list(REGIONS)] * len(shared)
+
+
+@pytest.mark.parametrize("bound", [None, 1500], ids=["default-bound", "bound-1500"])
+def test_build_pass_holds_at_most_the_bound_unless_one_region_alone(monkeypatch, bound):
+    if bound is not None:
+        monkeypatch.setattr(logfun, "_PASS_CANDIDATES", bound)
+    passes, build_pass = [], logfun._build_pass
+    monkeypatch.setattr(logfun, "_build_pass",
+                        lambda *args: passes.append(args[2]) or build_pass(*args))
+    alone = shared = 0
+    for functions, bt in _checked_families():
+        for order in (60, 100):
+            passes.clear()
+            logfun._expand_regions(functions, REGIONS, bt, order)
+            assert [region for regions in passes for region in regions] == list(REGIONS)
+            for regions in passes:
+                size = sum(_candidates(functions, region, order) for region in regions)
+                if len(regions) > 1:
+                    assert size <= logfun._PASS_CANDIDATES
+                    shared += 1
+                elif size > logfun._PASS_CANDIDATES:
+                    alone += 1
+    # Both kinds of pass occur, except that at the default bound no region
+    # here is over it alone.
+    assert shared and (alone or bound is None)
 
 
 @pytest.mark.parametrize("count", [3, 20], ids=["3-points", "20-points"])

@@ -26,12 +26,13 @@ from twistlab import (
     make_abelian,
     make_random,
     monodromy_loops,
+    REGIONS,
     run_suite,
     suite_ok,
     validate_path,
     winding_profile,
 )
-from twistlab import verify
+from twistlab import logfun, verify
 from twistlab.branchcalc import principal_arg, ratio_arg_decomposition
 from twistlab.verify import TOL_BRANCH
 
@@ -204,6 +205,56 @@ def test_monodromy_composition_reports_measured_windings(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# a check that cannot take a sample counts it at defect inf
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("error", [ValueError, ArithmeticError])
+def test_branch_identities_counts_a_refused_decomposition(monkeypatch, error):
+    def refuse(z1, z2):
+        raise error("refused")
+
+    healthy = check_branch_identities(None, LIGHT)
+    monkeypatch.setattr(verify, "ratio_arg_decomposition", refuse)
+    rep = check_branch_identities(None, LIGHT)
+    assert rep.max_defect == math.inf and not rep.passed
+    assert rep.samples == healthy.samples == 3 * LIGHT.branch_samples
+
+
+def test_region_swap_counts_an_arc_that_starts_outside_its_window(monkeypatch):
+    sc, config = curated_scenario(), replace(LIGHT, swap_paths=2)
+    healthy = check_region_swap(sc, config)
+    monkeypatch.setattr(verify, "in_region", lambda *args: False)
+    rep = check_region_swap(sc, config)
+    assert rep.max_defect == math.inf and not rep.passed
+    assert rep.samples == healthy.samples == 2 * 2 * sc.fam.dim
+
+
+def _p12_crossing_off_by_one(monkeypatch):
+    winding_profile = logfun.winding_profile
+    monkeypatch.setattr(logfun, "winding_profile",
+                        lambda path: (*winding_profile(path)[:2], winding_profile(path)[2] + 1))
+
+
+def test_region_swap_counts_an_arc_that_ends_on_another_triple(monkeypatch):
+    sc, config = curated_scenario(), replace(LIGHT, swap_paths=2)
+    healthy = check_region_swap(sc, config)
+    _p12_crossing_off_by_one(monkeypatch)
+    rep = check_region_swap(sc, config)
+    assert rep.max_defect == math.inf and not rep.passed
+    assert rep.samples == healthy.samples == 2 * 2 * sc.fam.dim
+
+
+def test_monodromy_composition_counts_a_loop_that_ends_on_another_triple(monkeypatch):
+    sc = make_random(7)
+    healthy = check_monodromy_composition(sc, LIGHT)
+    _p12_crossing_off_by_one(monkeypatch)
+    rep = check_monodromy_composition(sc, LIGHT)
+    assert rep.max_defect == math.inf and not rep.passed
+    assert rep.samples == healthy.samples == 4 * sc.fam.dim + 1
+
+
+# ---------------------------------------------------------------------------
 # controls must fail their targeted checks
 # ---------------------------------------------------------------------------
 
@@ -280,7 +331,9 @@ def test_run_suite_makes_one_kernel_call_per_check_and_point_count(monkeypatch):
 
     monkeypatch.setattr(verify, "eval_parts", counting(verify_calls, eval_parts))
     monkeypatch.setattr(transforms, "eval_parts", counting(shift_calls, eval_parts))
-    monkeypatch.setattr(verify, "expand_family", counting(builds, expand_family))
+    build_pass = logfun._build_pass
+    monkeypatch.setattr(logfun, "_build_pass", lambda *args: builds.append(
+        (tuple(args[2]), args[4])) or build_pass(*args))
     counted = counting(pointwise, logfun.eval_branch2)
     for module in (logfun, verify):
         monkeypatch.setattr(module, "eval_branch2", counted)
@@ -298,8 +351,13 @@ def test_run_suite_makes_one_kernel_call_per_check_and_point_count(monkeypatch):
     # shift-identities on 21 one through check_shifts.
     assert len(verify_calls) == 21 + 20 + 2 * 20 + 2 * 20
     assert len(shift_calls) == 21
-    # One family build per region and check: both signs' families together.
-    assert len(builds) == 3 * 21 + 20 + 2 * 3 * 20
+    # Build passes, each of at most _PASS_CANDIDATES candidates or one region
+    # alone: duality-regions makes one per check, its three regions at order
+    # 60 together; region-swap one; omega- and contragredient-duality,
+    # both signs' families together, 62 over their 40 checks, one to three
+    # regions each.
+    assert builds.count((REGIONS, 60)) == 21
+    assert len(builds) == 21 + 20 + 62
     # Point by point: monodromy-composition's three values per function
     # and continue_along's end values; region-swap's control is batched.
     assert len(pointwise) == 290
