@@ -474,9 +474,7 @@ def cmd_expand(args) -> int:
            "groups": len(exp_f.keys),
            "groupKeys": [_c(k) for k in exp_f.keys]}
     if args.z1 is not None:
-        # Through the kernel, whose powers of the region's ratio keep a
-        # convergent series finite at any scale.
-        [value] = exp_f.eval_many([(args.z1, args.z2)])
+        value = exp_f.eval(args.z1, args.z2)
         exact = eval_branch2(sf.fam.functions[i], exp_f.designated,
                              args.z1, args.z2)
         doc.update({"z1": _c(args.z1), "z2": _c(args.z2), "value": _c(value),

@@ -40,12 +40,14 @@ of functions and series at their points (point_logs rows, each point on
 its own triple) in numpy passes of bounded size, making each block's
 powers once per point and x^k as a product of squares, so that a
 convergent series stays finite where its terms' powers of z1 and z2
-overflow apart.  A single point goes through the scalar row loop
-_sum_terms instead (eval_branch2 and RegionExpansion.eval), term by term
-with each power made apart, which at one point costs a small share of the
-kernel's fixed numpy overhead, and which is also the kernel's test
-reference.  Both raise OverflowError naming the point where a value is not
-finite.
+overflow apart.  It is the one series evaluator: RegionExpansion.eval is
+eval_many at one point.  eval_branch2, a function at one point, keeps the
+scalar term loop _sum_terms, each power made apart, on purpose: a call
+costs about 9 us against the kernel's fixed 110-200 us (2 cores, Python
+3.11, numpy 2.4).  Through the kernel, the continuation benchmark's median
+item ran 24-28 % slower, and batching the suite's 770 one-point calls per
+run_suite() into kernel calls made the run 7-8 % slower.  Both evaluators
+raise OverflowError naming the point where a value is not finite.
 
 winding_profile counts how the sheet indices of z1, z2 and z1 - z2 change
 along a path (paths.PathSpec), in closed form for each segment and arc.
@@ -164,9 +166,9 @@ class LogFunction:
 
     Its terms are also kept packed, as a one-group series is: coeffs, exps
     (columns r, s, t) and lmn (int64 columns l, m, n), in term order, for
-    eval_parts; and rows, the terms as tuples for _sum_terms.  Each is made
-    on first use and kept; equality, hashing, copies and pickles see only
-    terms.
+    eval_parts; and rows, the terms as tuples with r, s, t classified by
+    _exponent, for eval_branch2's _sum_terms.  Each is made on first use
+    and kept; equality, hashing, copies and pickles see only terms.
     """
 
     terms: tuple[LogMonomial, ...]
@@ -282,15 +284,6 @@ def _exponent(c) -> int | complex:
     return int(c.real) if c.imag == 0.0 and c.real == int(c.real) else c
 
 
-def _exponents(x: np.ndarray) -> np.ndarray:
-    """_exponent of each entry of a complex array of finite numbers, as an
-    object array; an int exponent is exact at any size, as int(float) is."""
-    out = x.astype(object)
-    whole = (x.imag == 0.0) & (x.real == np.trunc(x.real))
-    out[whole] = [int(v) for v in x.real[whole].tolist()]
-    return out
-
-
 def _point_logs(bt: BranchTriple, z1: complex, z2: complex) -> tuple[complex, ...]:
     """(z1, z2, z1 - z2) and their logs on bt, for _sum_terms; raises
     ValueError, as lp would, unless all three are finite and nonzero."""
@@ -321,47 +314,30 @@ def point_logs(samples: Iterable[tuple[BranchTriple, complex, complex]]) -> np.n
     return np.array(rows, dtype=complex).reshape(-1, 6)
 
 
-def _sum_terms(rows: list, starts: Iterable[int], z1: complex, z2: complex,
-               w: complex, L1: complex, L2: complex, L12: complex) -> complex:
-    """Sum at a point, given its logs (_point_logs), of rows (a, r, s, t, l, m, n)
-    with r, s, t classified by _exponent: each row adds to its group's subtotal and
-    each subtotal to the total.  starts lists where each group but the first begins.
-    A column's power is made again only where the row's exponent is another object
-    than the row before's, so rows sharing an exponent object share its power."""
-    total = sub = 0.0 + 0.0j
-    starts = iter(starts)
-    start = next(starts, None)
-    r0 = s0 = t0 = None
-    for i, (a, r, s, t, l, m, n) in enumerate(rows):
-        if i == start:
-            total += sub
-            sub = 0.0 + 0.0j
-            start = next(starts, None)
-        if r is not r0:
-            r0 = r
-            pr = z1 ** r if r.__class__ is int else cmath.exp(r * L1)
-        if s is not s0:
-            s0 = s
-            ps = z2 ** s if s.__class__ is int else cmath.exp(s * L2)
-        if t is not t0:
-            t0 = t
-            pt = w ** t if t.__class__ is int else cmath.exp(t * L12)
-        v = a * pr * ps * pt
+def _sum_terms(rows: list, z1: complex, z2: complex, w: complex,
+               L1: complex, L2: complex, L12: complex) -> complex:
+    """Sum at a point, given its logs (_point_logs), of a function's rows
+    (a, r, s, t, l, m, n) with r, s, t classified by _exponent, term by term."""
+    total = 0.0 + 0.0j
+    for a, r, s, t, l, m, n in rows:
+        v = (a * (z1 ** r if r.__class__ is int else cmath.exp(r * L1))
+             * (z2 ** s if s.__class__ is int else cmath.exp(s * L2))
+             * (w ** t if t.__class__ is int else cmath.exp(t * L12)))
         if l:
             v *= L1 ** l
         if m:
             v *= L2 ** m
         if n:
             v *= L12 ** n
-        sub += v
-    return total + sub
+        total += v
+    return total
 
 
 def _cpython_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b rounded as CPython rounds a complex product.  numpy's may fuse
-    a multiply and an add, and exp magnifies its argument's rounding by the
-    argument's size."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    """a * b, a broadcasting against b's shape, rounded as CPython rounds a
+    complex product.  numpy's may fuse a multiply and an add, and exp
+    magnifies its argument's rounding by the argument's size."""
+    out = np.empty(b.shape, dtype=complex)
     np.multiply(a.real, b.real, out=out.real)
     out.real -= a.imag * b.imag
     np.multiply(a.real, b.imag, out=out.imag)
@@ -373,23 +349,17 @@ def _not_finite(kind: str, z1: complex, z2: complex) -> OverflowError:
     return OverflowError(f"{kind} value at z1 = {z1}, z2 = {z2} is not finite")
 
 
-def _sum_at(kind: str, rows: list, starts: Iterable[int], logs: tuple) -> complex:
-    """_sum_terms at a point given its logs (_point_logs); raises OverflowError
-    naming the point where the sum is not finite, or a power on the way
-    overflows."""
+def eval_branch2(f: LogFunction, bt: BranchTriple, z1: complex, z2: complex) -> complex:
+    """Evaluate f at (z1, z2) on the branch triple bt; raises OverflowError
+    naming the point where the value is not finite."""
+    logs = _point_logs(bt, z1, z2)
     try:
-        value = _sum_terms(rows, starts, *logs)
+        value = _sum_terms(f.rows, *logs)
         if cmath.isfinite(value):
             return value
     except OverflowError:  # cmath.exp or ** past the float range
         pass
-    raise _not_finite(kind, *logs[:2])
-
-
-def eval_branch2(f: LogFunction, bt: BranchTriple, z1: complex, z2: complex) -> complex:
-    """Evaluate f at (z1, z2) on the branch triple bt; raises OverflowError
-    naming the point where the value is not finite."""
-    return _sum_at("function", f.rows, (), _point_logs(bt, z1, z2))
+    raise _not_finite("function", *logs[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +470,9 @@ class RegionExpansion:
 
     exps and lmn, each term's exponents and log powers, follow from them
     exactly: the outer quantity's exponent falls by k and the inner one's
-    rises by k.  They, rows, the terms as tuples (a, r, s, t, l, m, n) for
-    _sum_terms, and groups, each key's LogFunction in the order
-    expand_region met them, are built on first use and kept.  eval adds
-    each group's subtotal, what eval_branch2 gives for it, in key order;
-    eval_many is eval_parts of this series alone.
+    rises by k.  They and groups, each key's LogFunction in the order
+    expand_region met them, are built on first use and kept.  eval_many
+    is eval_parts of this series alone, and eval is eval_many at one point.
     """
 
     region: str
@@ -543,19 +511,12 @@ class RegionExpansion:
         return self.block_lmn[self.block]
 
     @cached_property
-    def rows(self) -> list[tuple]:
-        # A run of rows shares one exponent object per column, so _sum_terms
-        # makes the run's power once.
-        col, first, runs = _exponent_runs(self.exps)
-        rst = _exponents(self.exps[first, col])[runs].tolist()
-        return list(zip(self.coeffs.tolist(), *rst, *self.lmn.T.tolist()))
-
-    @cached_property
     def groups(self) -> dict[complex, LogFunction]:
-        groups = [(key, LogFunction(LogMonomial(a, complex(r), complex(s), complex(t), *lmn)
-                                    for a, r, s, t, *lmn in self.rows[lo:hi]))
-                  for key, lo, hi in zip(self.keys, [0, *self.starts],
-                                         [*self.starts, len(self.rows)])]
+        terms = [LogMonomial(a, r, s, t, *lmn) for a, (r, s, t), lmn
+                 in zip(self.coeffs.tolist(), self.exps.tolist(), self.lmn.tolist())]
+        bounds = [0, *self.starts, len(terms)]
+        groups = [(key, LogFunction(terms[lo:hi]))
+                  for key, lo, hi in zip(self.keys, bounds, bounds[1:])]
         # expand_region met each group at its first term, the least by key().
         return dict(sorted(groups, key=lambda kg: kg[1].terms[0].key()))
 
@@ -569,41 +530,24 @@ class RegionExpansion:
         return self.designated, z1, z2
 
     def eval(self, z1: complex, z2: complex) -> complex:
-        """Sum of the series at (z1, z2) on the designated triple.
-
-        Raises ValueError where the region's modulus ordering fails, since
-        the series diverges there, and OverflowError naming the point where
-        the sum is not finite.  The argument window is not checked: a
-        series may be evaluated past it on purpose, to show it then sums
-        to another branch.
-        """
-        return _sum_at("series", self.rows, self.starts, _point_logs(*self._checked(z1, z2)))
+        """Sum of the series at (z1, z2) on the designated triple: eval_many
+        at that one point, with its checks and its bits."""
+        return self.eval_many([(z1, z2)])[0]
 
     def eval_many(self, points: Iterable[tuple[complex, complex]]) -> list[complex]:
-        """eval at each (z1, z2) of points: eval_parts of this series alone,
-        every term at every point in one numpy pass.  The values agree with
-        eval's up to rounding.
+        """Sum of the series at each (z1, z2) of points on the designated
+        triple: eval_parts of this series alone.
 
-        Each point is checked as eval checks it, and a ValueError names the
-        first bad one; an OverflowError names the first point whose value is
-        not finite.
+        Raises ValueError naming the first point where the region's modulus
+        ordering fails, since the series diverges there, or a log is
+        undefined, and OverflowError naming the first point whose value is
+        not finite.  The argument window is not checked: a series may be
+        evaluated past it on purpose, to show it then sums to another
+        branch.
         """
         points = [(complex(z1), complex(z2)) for z1, z2 in points]
         logs = point_logs(self._checked(z1, z2) for z1, z2 in points)
         return eval_parts([self], [logs])[0].tolist()
-
-
-def _exponent_runs(exps: np.ndarray):
-    """Column by column, the runs of consecutive terms whose exponents have
-    equal bits (-0.0 and +0.0 differ): each run's column and first term, in
-    column order, and each term's run, shape (3, terms).  RegionExpansion.rows
-    shares one exponent object per run."""
-    bits = exps.view(np.int64)  # (terms, 6): each exponent's real and imaginary bits
-    changed = bits[1:] != bits[:-1]
-    new_run = np.ones(exps.shape, dtype=bool)
-    new_run[1:] = changed[:, 0::2] | changed[:, 1::2]
-    col, first = np.nonzero(new_run.T)
-    return col, first, np.cumsum(new_run.T).reshape(3, -1) - 1
 
 
 def _passes(parts: list, points: int):
@@ -698,10 +642,12 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
     once per block and point, not once per term, and a term whose powers
     of z1 and z2 would overflow apart stays as small as it is.  A part
     adds its groups' subtotals in order, carrying the sum from one pass to
-    the next; a part of one group takes its subtotal.  The values agree
-    with _sum_terms' up to rounding, which for a series is less:
-    _sum_terms' exp((a - k) L) magnifies the rounding of its argument up
-    to k times.
+    the next; a part of one group takes its subtotal.  A function's values
+    agree with eval_branch2's up to rounding.  This is the one series
+    evaluator (RegionExpansion.eval and eval_many call it): a term loop
+    making each term's powers of z1 and z2 apart would round worse, its
+    exp((a - k) L) magnifying the rounding of its argument up to k times,
+    and would overflow at high orders where the series does not.
 
     Raises OverflowError where a value is not finite, naming the first
     such part's first such point.  Nothing checks a series' modulus

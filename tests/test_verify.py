@@ -320,11 +320,14 @@ def test_run_suite_and_suite_ok():
 
 def test_run_suite_makes_one_kernel_call_per_check_and_point_count(monkeypatch):
     from twistlab import logfun, transforms, verify
-    built, verify_calls, shift_calls, builds, passes, pointwise = [], [], [], [], [], []
-    make_rows = RegionExpansion.rows.func
-    rows = cached_property(lambda self: built.append(self) or make_rows(self))
-    rows.__set_name__(RegionExpansion, "rows")
-    monkeypatch.setattr(RegionExpansion, "rows", rows)
+    verify_calls, shift_calls, builds, passes, pointwise = [], [], [], [], []
+    series_reads = []  # RegionExpansion.eval calls and .groups reads
+    make_groups, eval_one = RegionExpansion.groups.func, RegionExpansion.eval
+    groups = cached_property(lambda self: series_reads.append(self) or make_groups(self))
+    groups.__set_name__(RegionExpansion, "groups")
+    monkeypatch.setattr(RegionExpansion, "groups", groups)
+    monkeypatch.setattr(RegionExpansion, "eval",
+                        lambda *args: series_reads.append(args[0]) or eval_one(*args))
 
     def counting(seen, fn):
         return lambda *args: seen.append(args[0]) or fn(*args)
@@ -342,7 +345,7 @@ def test_run_suite_makes_one_kernel_call_per_check_and_point_count(monkeypatch):
                         or passes[-1])
     reports = run_suite()
     assert len(reports) == 124 and suite_ok(reports)
-    assert built == []
+    assert series_reads == []
     # Every series the suite expands, evaluated in the check's batch.
     assert sum(isinstance(p, RegionExpansion) for parts in verify_calls for p in parts) == 643
     # One call per check and point count: duality-regions on 21 scenarios
