@@ -10,20 +10,20 @@ Such a sum is multivalued; a branch triple (p1, p2, p12) makes it single
 valued by substituting the indexed logarithms lp(p1, z1), lp(p2, z2),
 lp(p12, z1 - z2) for the three logs (powers are exp of exponent times log).
 
-Three expansion regions, each a modulus ordering plus an argument window,
-admit convergent series whose sum is the evaluation at a *designated*
-branch triple built from the input triple:
+Three expansion regions admit convergent series.  Every region rule
+derives from one table, _REGIONS, a row per region:
 
-    product:  |z1| > |z2| > 0,  arg(z1-z2) - arg z1 in (-pi/2, pi/2),
-              designated triple (p1, p2, p1);
-    reversed: |z2| > |z1| > 0,  arg(z1-z2) - arg z2 in (-3pi/2, -pi/2),
-              designated triple (p1, p2, p2);
-    iterate:  |z2| > |z1-z2| > 0,  arg z1 - arg z2 in (-pi/2, pi/2),
-              designated triple (p2, p2, p12).
+    region    outer  inner    expanded  sign  const
+    product   z1     z2       z1 - z2   -1    0
+    reversed  z2     z1       z1 - z2   -1    -pi i
+    iterate   z2     z1 - z2  z1        +1    0
 
-The windows are exactly the conditions under which the auxiliary ratio
-(z2/z1, z1/z2 or (z1-z2)/z2) has its principal log consistent with the
-indexed logs above, so each group series converges to the right branch.
+A row means expanded = e^const outer (1 + sign x), x = inner / outer.  The
+series in powers of x converges where |inner| < |outer| (the modulus
+ordering) to the value on the *designated* triple, the input triple with
+expanded's index made outer's, inside the argument window, where
+arg expanded - arg outer is within pi/2 of Im const: exactly where
+log expanded = const + log outer + Log(1 + sign x) there, Log principal.
 expand_family builds the series of several functions in one region in one
 numpy pass, and expand_region is its one-function case.  _expand_regions
 builds them in several regions at once: one pass sorts and merges the
@@ -66,7 +66,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -93,10 +93,6 @@ _PASS_TERM_POINTS = 1 << 14
 # merges, so that building several regions at once does not raise the
 # build's memory: a region's build over it goes alone.
 _PASS_CANDIDATES = 1 << 12
-
-Region = Literal["product", "reversed", "iterate"]
-
-REGIONS: tuple[str, ...] = ("product", "reversed", "iterate")
 
 
 class BranchTriple(NamedTuple):
@@ -367,60 +363,78 @@ def eval_branch2(f: LogFunction, bt: BranchTriple, z1: complex, z2: complex) -> 
 # ---------------------------------------------------------------------------
 
 
-def designated_triple(region: str, bt: BranchTriple) -> BranchTriple:
-    """Branch triple to which the region series converges."""
-    p1, p2, p12 = bt
-    if region == "product":
-        return BranchTriple(p1, p2, p1)
-    if region == "reversed":
-        return BranchTriple(p1, p2, p2)
-    if region == "iterate":
-        return BranchTriple(p2, p2, p12)
-    raise ValueError(f"unknown region {region!r}")
+class _Region(NamedTuple):
+    outer: int
+    inner: int
+    expanded: int
+    sign: float
+    const: complex
+
+    @property
+    def log_columns(self) -> tuple[int, int]:
+        """The log columns a series block keeps: all but expanded's."""
+        return ((1, 2), (0, 2), (0, 1))[self.expanded]
 
 
-# The columns (of r, s, t, and of z1, z2, z1 - z2) of each region's outer
-# and inner quantities: its series' ratio is inner / outer, and a term's
-# outer exponent falls by k as its inner one rises.
-_OUTER_INNER = {"product": (0, 1), "reversed": (1, 0), "iterate": (1, 2)}
+# The region table of the module docstring.  The columns 0, 1 and 2 stand
+# for z1, z2 and z1 - z2 alike in (z1, z2, z1 - z2), in the exponents
+# (r, s, t) and in the log powers (l, m, n).  reversed's window is exactly
+# where negation lands past the cut, so its constant is -pi i, not +pi i.
+_REGIONS = {
+    "product": _Region(outer=0, inner=1, expanded=2, sign=-1.0, const=0j),
+    "reversed": _Region(outer=1, inner=0, expanded=2, sign=-1.0, const=complex(0.0, -math.pi)),
+    "iterate": _Region(outer=1, inner=2, expanded=0, sign=1.0, const=0j),
+}
 
-_MODULUS_ORDERING = {"product": "|z2| < |z1|", "reversed": "|z1| < |z2|",
-                     "iterate": "|z1 - z2| < |z2|"}
+REGIONS: tuple[str, ...] = tuple(_REGIONS)
+
+_QUANTITIES = ("z1", "z2", "z1 - z2")  # the columns' names, for messages
 
 
-def _inner_outer(region: str, z1: complex, z2: complex) -> tuple[complex, complex]:
-    """The region's inner and outer quantities: its modulus ordering is
-    |inner| < |outer|, and its series diverge where that fails."""
-    if region not in _OUTER_INNER:
+def _region(region: str) -> _Region:
+    """region's row of _REGIONS; ValueError for an unknown region."""
+    if region not in REGIONS:
         raise ValueError(f"unknown region {region!r}")
-    outer, inner = _OUTER_INNER[region]
-    zs = (z1, z2, z1 - z2)
-    return zs[inner], zs[outer]
+    return _REGIONS[region]
+
+
+def _region_point(region: str, outer: complex, inner: complex) -> tuple[complex, complex]:
+    """The (z1, z2) at which region's outer and inner quantities are outer
+    and inner, the third of z1, z2 and z1 - z2 following from the two."""
+    row = _region(region)
+    zs = [None] * 3
+    zs[row.outer], zs[row.inner] = outer, inner
+    z1, z2, w = zs
+    return (z2 + w if z1 is None else z1), (z1 - w if z2 is None else z2)
+
+
+def designated_triple(region: str, bt: BranchTriple) -> BranchTriple:
+    """Branch triple to which the region series converges: bt with the
+    expanded quantity's index made the outer one's."""
+    row = _region(region)
+    triple = list(bt)
+    triple[row.expanded] = triple[row.outer]
+    return BranchTriple(*triple)
 
 
 def in_region(region: str, z1: complex, z2: complex, margin: float = 0.0) -> bool:
-    """Membership in a region's modulus ordering and argument window.
+    """Membership in a region's modulus ordering, |inner| < |outer|, and
+    argument window, arg expanded - arg outer within pi/2 of Im const.
 
     margin shrinks the window and strictifies the modulus inequalities,
     which sampling code uses to stay away from boundaries.
     """
-    z1 = complex(z1)
-    z2 = complex(z2)
-    w = z1 - z2
-    if z1 == 0 or z2 == 0 or w == 0:
+    row = _region(region)
+    z1, z2 = complex(z1), complex(z2)
+    zs = (z1, z2, z1 - z2)
+    if z1 == 0 or z2 == 0 or zs[2] == 0:
         return False
-    inner, outer = _inner_outer(region, z1, z2)
-    if not abs(outer) * (1.0 - margin) > abs(inner):
+    outer = zs[row.outer]
+    if not abs(outer) * (1.0 - margin) > abs(zs[row.inner]):
         return False
-    half_pi = math.pi / 2.0
-    if region == "product":
-        d = principal_arg(w) - principal_arg(z1)
-        return -half_pi + margin < d < half_pi - margin
-    if region == "reversed":
-        d = principal_arg(w) - principal_arg(z2)
-        return -3.0 * half_pi + margin < d < -half_pi - margin
-    d = principal_arg(z1) - principal_arg(z2)
-    return -half_pi + margin < d < half_pi - margin
+    centre, half_pi = row.const.imag, math.pi / 2.0
+    d = principal_arg(zs[row.expanded]) - principal_arg(outer)
+    return centre - half_pi + margin < d < centre + half_pi - margin
 
 
 def _binom_coeffs(c, order: int, sign) -> np.ndarray:
@@ -455,18 +469,18 @@ def _poly_powers(base: np.ndarray, max_pow: int, order: int) -> np.ndarray:
 class RegionExpansion:
     """Truncated region series, grouped by inner-variable total exponent.
 
-    A group's key is the total exponent of the region's inner quantity (z2
-    for product, z1 for reversed, z1 - z2 for iterate).  Every term is
-    coeff * x^k * B, x = inner / outer being the region's ratio
-    (_inner_outer) and B the k = 0 monomial of the term's block, the input
-    term and log-power split it came from.  The terms are packed one entry
-    each, group by group in (real, imag) key order and each group in
-    normalize's order: coeffs, k (int64) and block (int64, a row of the
-    block table).  The block table holds each block's k = 0 exponents,
-    block_exps (columns r, s, t), and its log powers, block_lmn (int64
-    columns l, m, n).  keys lists the group keys, starts the term where
-    each group but the first begins.  These are what eval_parts reads,
-    with a series' points on its designated triple.
+    A group's key is the total exponent of the region's inner quantity
+    (_REGIONS).  Every term is coeff * x^k * B, x = inner / outer being the
+    region's ratio and B the k = 0 monomial of the term's block, the input
+    term and log-power split it came from, in which the expanded quantity
+    has exponent and log power 0.  The terms are packed one entry each,
+    group by group in (real, imag) key order and each group in normalize's
+    order: coeffs, k (int64) and block (int64, a row of the block table).
+    The block table holds each block's k = 0 exponents, block_exps
+    (columns r, s, t), and its log powers, block_lmn (int64 columns l, m,
+    n).  keys lists the group keys, starts the term where each group but
+    the first begins.  eval_parts reads these, at points on the designated
+    triple.
 
     exps and lmn, each term's exponents and log powers, follow from them
     exactly: the outer quantity's exponent falls by k and the inner one's
@@ -500,10 +514,10 @@ class RegionExpansion:
 
     @cached_property
     def exps(self) -> np.ndarray:
-        down, up = _OUTER_INNER[self.region]
+        row = _region(self.region)
         exps = self.block_exps[self.block]
-        exps[:, down] -= self.k
-        exps[:, up] += self.k
+        exps[:, row.outer] -= self.k
+        exps[:, row.inner] += self.k
         return exps
 
     @cached_property
@@ -522,11 +536,12 @@ class RegionExpansion:
 
     def _checked(self, z1: complex, z2: complex) -> tuple[BranchTriple, complex, complex]:
         """(designated, z1, z2), once the region's modulus ordering holds."""
-        inner, outer = _inner_outer(self.region, complex(z1), complex(z2))
-        if not abs(inner) < abs(outer):
+        row = _region(self.region)
+        zs = (complex(z1), complex(z2), complex(z1) - complex(z2))
+        if not abs(zs[row.inner]) < abs(zs[row.outer]):
             raise ValueError(
                 f"z1 = {z1}, z2 = {z2} is outside the {self.region} region: its series "
-                f"needs {_MODULUS_ORDERING[self.region]}")
+                f"needs |{_QUANTITIES[row.inner]}| < |{_QUANTITIES[row.outer]}|")
         return self.designated, z1, z2
 
     def eval(self, z1: complex, z2: complex) -> complex:
@@ -736,7 +751,7 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
             terms = tcoef * units[:, unit_of]
             del units
             if ratio_of:  # times x^k, x = inner / outer per ratio
-                outer_col, inner_col = np.array([[base_of[key] + u for u in _OUTER_INNER[region]]
+                outer_col, inner_col = np.array([[base_of[key] + col for col in _REGIONS[region][:2]]
                                                  for key, region in ratio_of]).T
                 x = table[:, inner_col] / table[:, outer_col]
                 terms *= _ratio_powers(x, ratio, k)
@@ -760,8 +775,7 @@ def expand_region(f: LogFunction, region: str, bt: BranchTriple, order: int) -> 
 
     Within the region the partial sums converge (as order grows) to
     eval_branch2(f, designated_triple(region, bt), z1, z2).  Group keys
-    follow the inner variable: z2-exponent (product), z1-exponent
-    (reversed), (z1-z2)-exponent (iterate).
+    are exponents of the region's inner quantity (_REGIONS).
     """
     return expand_family([f], region, bt, order)[0]
 
@@ -802,20 +816,17 @@ def _expand_regions(functions: Iterable[LogFunction], regions: Iterable[str],
     more than SERIES_BUDGET candidates.
     """
     functions, regions = list(functions), list(regions)
-    for region in regions:
-        if region not in REGIONS:
-            raise ValueError(f"unknown region {region!r}")
+    rows = [_region(region) for region in regions]
     if order < 0:
         raise ValueError("order must be non-negative")
     terms = [u for f in functions for u in f.terms]
     counts = []
-    for region in regions:
-        # Blocks per term: one per log-power split of the expanded log.
+    for region, row in zip(regions, rows):
+        # Blocks per term: one per split of its expanded log power (u[at]),
+        # as _build_pass splits it.
+        at, const = 4 + row.expanded, row.const
         candidates = (order + 1) * sum(
-            u.n + 1 if region == "product"
-            else (u.n + 1) * (u.n + 2) // 2 if region == "reversed"
-            else u.l + 1
-            for u in terms)
+            (u[at] + 1) * (u[at] + 2) // 2 if const else u[at] + 1 for u in terms)
         if candidates > SERIES_BUDGET:
             raise ValueError(
                 f"{region} series of order {order} needs {candidates} candidate monomials, "
@@ -844,42 +855,37 @@ def _build_pass(functions: list[LogFunction], terms: list[LogMonomial], regions:
         return [[RegionExpansion(region, bt, designated_triple(region, bt), order)
                  for _ in functions] for region in regions]
     # Per row, one per region and term, region by region: the binomial
-    # exponent, and the exponents that fall (falling - k) and rise
-    # (rising + k) with the power k of the auxiliary ratio, in Python's
-    # association, (r + t) - k and so on, so signatures match bit for bit.
-    # Per block: (row, log power j, scale, log powers); the block's
-    # coefficients are scale * (binomial row * j-th log power), and its log
-    # powers leave out the column of the region whose exponent and log power
-    # are 0 (t, or r for iterate): (l, m), or (m, n) for iterate.
+    # exponent c (expanded's) and the exponents that fall (outer's + c,
+    # falling - k) and rise (inner's, rising + k) with the power k of x, so
+    # that signatures match bit for bit.  Per block: (row, log power j,
+    # scale, log powers).  As log expanded = const + log outer + Log(1 +
+    # sign x), a term's power e of it (u[4 + col]: column col's log power)
+    # splits into j (to the log series), h (to log outer) and e - j - h (to
+    # const), weighted by the multinomial and e^(c const); with const = 0, h
+    # is e - j.  A block's coefficients are scale * (binomial row * j-th log
+    # power), its log powers its term's in log_columns, h added to outer's.
     binom_exps, falling, rising, blocks = [], [], [], []
-    minus_pi_i = complex(0.0, -math.pi)
+    coeffs = [complex(u.coeff) for u in terms]
+    exps = [(complex(u.r), complex(u.s), complex(u.t)) for u in terms]
     for q, region in enumerate(regions):
-        for i, u in enumerate(terms, q * len(terms)):
-            a, r, s, t, l, m, n = (complex(u.coeff), complex(u.r), complex(u.s),
-                                   complex(u.t), u.l, u.m, u.n)
-            if region == "product":
-                # (z1-z2)^t = z1^t (1-w)^t and log(z1-z2) = log z1 + log(1-w),
-                # w = z2/z1; within the window the principal log(1-w) is the
-                # consistent choice, so the branch constant vanishes.
-                c, fall, rise = t, r + t, s
-                blocks += [(i, j, a * math.comb(n, j), (l + n - j, m)) for j in range(n + 1)]
-            elif region == "reversed":
-                # (z1-z2)^t = exp(t (lp(p2,z2) - pi*i)) (1-u)^t, u = z1/z2; the
-                # window is exactly where negation lands past the cut, so the
-                # constant -pi*i (not +pi*i) matches the designated branch.
-                c, fall, rise = t, s + t, r
-                phase = cmath.exp(t * minus_pi_i)
-                blocks += [(i, j, a * ((math.comb(n, j) * math.comb(n - j, h)
-                                        * minus_pi_i ** (n - j - h)) * phase), (l, m + h))
-                           for j in range(n + 1) for h in range(n - j + 1)]
-            else:  # iterate
-                # z1^r = z2^r (1+v)^r and log z1 = log z2 + log(1+v),
-                # v = (z1-z2)/z2.
-                c, fall, rise = r, r + s, t
-                blocks += [(i, j, a * math.comb(l, j), (m + l - j, n)) for j in range(l + 1)]
+        outer, inner, expanded, _, const = spec = _REGIONS[region]
+        col0, col1 = spec.log_columns
+        first = col0 == outer  # whether h goes to the first log power
+        for i, (u, a, zs) in enumerate(zip(terms, coeffs, exps), q * len(terms)):
+            c, e, pow0, pow1 = zs[expanded], u[4 + expanded], u[4 + col0], u[4 + col1]
+            if const:
+                phase = cmath.exp(c * const)
+                blocks += [(i, j, a * ((math.comb(e, j) * math.comb(e - j, h)
+                                        * const ** (e - j - h)) * phase),
+                            (pow0 + h, pow1) if first else (pow0, pow1 + h))
+                           for j in range(e + 1) for h in range(e - j + 1)]
+            else:
+                blocks += [(i, j, a * math.comb(e, j),
+                            (pow0 + e - j, pow1) if first else (pow0, pow1 + e - j))
+                           for j in range(e + 1)]
             binom_exps.append(c)
-            falling.append(fall)
-            rising.append(rise)
+            falling.append(zs[outer] + c)
+            rising.append(zs[inner])
 
     row, power, scale, lmn = zip(*blocks)
     try:
@@ -889,7 +895,7 @@ def _build_pass(functions: list[LogFunction], terms: list[LogMonomial], regions:
                       if max(powers) >= POWER_LIMIT)
         raise ValueError(f"{region} series has a log power past int64 "
                          "(expanded powers must be below 2**63)") from None
-    signs = [1.0 if region == "iterate" else -1.0 for region in regions]
+    signs = [_REGIONS[region].sign for region in regions]
     binom = _binom_coeffs(binom_exps, order,
                           [sign for sign in signs for _ in range(len(terms))])
     # Convolving a row with the unit row (j = 0) gives it back exactly, but
@@ -975,12 +981,12 @@ def _build_pass(functions: list[LogFunction], terms: list[LogMonomial], regions:
     block_exps = np.zeros((used.size, 3), dtype=complex)
     block_lmn = np.zeros((used.size, 3), dtype=np.int64)
     for q, region in enumerate(regions):
-        down, up = _OUTER_INNER[region]
+        spec = _REGIONS[region]
         at = slice(first_block[q * len(functions)], first_block[(q + 1) * len(functions)])
-        block_exps[at, down] = falling[used_row[at]]
-        block_exps[at, up] = rise[at]
-        lo = 1 if region == "iterate" else 0
-        block_lmn[at, lo:lo + 2] = lmn[used[at]]
+        block_exps[at, spec.outer] = falling[used_row[at]]
+        block_exps[at, spec.inner] = rise[at]
+        col0, col1 = spec.log_columns  # as a slice, which numpy assigns fastest
+        block_lmn[at, col0:col1 + 1:col1 - col0] = lmn[used[at]]
     if not (np.isfinite(total).all() and np.isfinite(block_exps).all()):
         raise ValueError("coefficient and exponents must be finite")
     key = rise[block] + k + 0.0

@@ -48,6 +48,7 @@ from .logfun import (
     BranchTriple,
     REGIONS,
     _expand_regions,
+    _region_point,
     continue_family,
     designated_triple,
     eval_branch2,
@@ -175,15 +176,8 @@ def _region_pair(rng, region: str) -> tuple[complex, complex]:
     for _ in range(4096):
         ratio = _uniform(rng, _RATIO_LO, _RATIO_HI)
         phi = 2j * math.pi * rng.random()
-        if region == "product":
-            z1 = _annulus(rng, 0.8, 2.0)
-            z2 = z1 * ratio * cmath.exp(phi)
-        elif region == "reversed":
-            z2 = _annulus(rng, 0.8, 2.0)
-            z1 = z2 * ratio * cmath.exp(phi)
-        else:
-            z2 = _annulus(rng, 0.8, 2.0)
-            z1 = z2 + z2 * ratio * cmath.exp(phi)
+        outer = _annulus(rng, 0.8, 2.0)
+        z1, z2 = _region_point(region, outer, outer * ratio * cmath.exp(phi))
         if in_region(region, z1, z2, _REGION_MARGIN):
             return z1, z2
     raise RuntimeError(f"region sampling failed for {region}")

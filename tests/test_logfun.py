@@ -293,9 +293,21 @@ def test_designated_triples():
     assert designated_triple("product", bt) == BranchTriple(3, -2, 3)
     assert designated_triple("reversed", bt) == BranchTriple(3, -2, -2)
     assert designated_triple("iterate", bt) == BranchTriple(-2, -2, 7)
-    with pytest.raises(ValueError):
-        designated_triple("inner", bt)
     assert REGIONS == ("product", "reversed", "iterate")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: designated_triple("x", BranchTriple(0, 0, 0)),
+    lambda: in_region("x", 2.5, 1.0),
+    lambda: in_region("x", 0.0, 1.0),
+    lambda: expand_region(MIXED, "x", BranchTriple(0, 0, 0), 5),
+    lambda: expand_family([MIXED], "x", BranchTriple(0, 0, 0), 5),
+    lambda: logfun._expand_regions([MIXED], ["product", "x"], BranchTriple(0, 0, 0), 5),
+], ids=["designated_triple", "in_region", "in_region-singular", "expand_region",
+        "expand_family", "_expand_regions"])
+def test_unknown_region_is_refused(call):
+    with pytest.raises(ValueError, match=r"^unknown region 'x'$"):
+        call()
 
 
 def test_in_region_frozen_points():
@@ -308,8 +320,6 @@ def test_in_region_frozen_points():
     assert not in_region("reversed", 0.5, 2.0)
     assert in_region("iterate", 2.0 + 0.5 * cmath.exp(0.4j), 2.0)
     assert not in_region("iterate", 4.5, 2.0)
-    with pytest.raises(ValueError):
-        in_region("outer", 2.5, 1.0)
 
 
 def test_in_region_margin_strictifies():
@@ -366,8 +376,6 @@ def test_expand_region_metadata(region):
 
 def test_expand_region_validation():
     with pytest.raises(ValueError):
-        expand_region(MIXED, "spiral", BranchTriple(0, 0, 0), 10)
-    with pytest.raises(ValueError):
         expand_region(MIXED, "product", BranchTriple(0, 0, 0), -1)
 
 
@@ -389,7 +397,11 @@ def test_region_series_refuses_points_outside_modulus_ordering(region):
     # Make the inner quantity the larger one in modulus.
     outside = {"product": (z2, z1), "reversed": (z2, z1),
                "iterate": (z2 + 5.0 * (z1 - z2), z2)}[region]
-    with pytest.raises(ValueError, match="outside the " + region):
+    ordering = {"product": "|z2| < |z1|", "reversed": "|z1| < |z2|",
+                "iterate": "|z1 - z2| < |z2|"}[region]
+    message = (f"z1 = {outside[0]}, z2 = {outside[1]} is outside the {region} region: "
+               f"its series needs {ordering}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         exp.eval(*outside)
 
 
