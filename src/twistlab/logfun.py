@@ -751,9 +751,9 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
             terms = tcoef * units[:, unit_of]
             del units
             if ratio_of:  # times x^k, x = inner / outer per ratio
-                outer_col, inner_col = np.array([[base_of[key] + col for col in _REGIONS[region][:2]]
-                                                 for key, region in ratio_of]).T
-                x = table[:, inner_col] / table[:, outer_col]
+                rows = [(base_of[key], _REGIONS[region]) for key, region in ratio_of]
+                x = (table[:, [first + row.inner for first, row in rows]]
+                     / table[:, [first + row.outer for first, row in rows]])
                 terms *= _ratio_powers(x, ratio, k)
             sub = np.add.reduceat(terms, group_starts, axis=1)
         for (i, lo, hi), g0, g1 in zip(pieces, groups, groups[1:]):
