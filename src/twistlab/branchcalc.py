@@ -1,13 +1,19 @@
 """Arithmetic of indexed logarithm branches.
 
 Every multivalued quantity in this package is resolved through a single
-convention: the principal argument of a nonzero complex number lies in
-[0, 2*pi), so the branch cut sits on the positive real axis and points on
-the axis itself belong to the 0 side.  The indexed logarithm
+convention, stated here alone: the principal argument of a nonzero
+complex number lies in [0, 2*pi), so the branch cut sits on the positive
+real axis and points on the axis itself belong to the 0 side.  The
+indexed logarithm
 
     lp(p, z) = log|z| + i*(arg z + 2*pi*p),        p any integer,
 
 then enumerates all values of log z.  Raising p by one adds 2*pi*i.
+
+The convention includes a snap band: Re z > 0 and |Im z| <= 1e-14 * Re z
+put z on the axis, argument exactly 0.  A sheet index means something
+only against that rule, so each rule below relating two sheets rounds a
+sum or difference of snapped arguments to whole turns.
 
 The helper functions below track how the index transforms under negation,
 inversion, and the two-variable difference z1 - z2.  These rules are the
@@ -22,10 +28,8 @@ import math
 
 TWO_PI = 2.0 * math.pi
 
-# Points this close to the positive real axis (relative to the scale of the
-# real part) are treated as lying exactly on the axis, so that the frequent
-# "arg z = 0" special cases in the transform formulas trigger reliably for
-# inputs like complex(2.0, 0.0) that picked up rounding noise upstream.
+# The snap band's width: it makes the "arg z = 0" cases of the transform
+# formulas hold for inputs like complex(2.0, 0.0) with rounding noise.
 _AXIS_SNAP = 1e-14
 
 
@@ -42,6 +46,16 @@ def _arg(z: complex) -> float:
     return a
 
 
+def _checked(z: complex, what: str) -> complex:
+    """complex(z), or a ValueError naming what when z is zero or not finite."""
+    z = complex(z)
+    if z == 0:
+        raise ValueError(f"{what} of zero is undefined")
+    if not cmath.isfinite(z):
+        raise ValueError(f"{what} of non-finite {z} is undefined")
+    return z
+
+
 def principal_arg(z: complex) -> float:
     """Principal argument of z in [0, 2*pi).
 
@@ -49,12 +63,7 @@ def principal_arg(z: complex) -> float:
     1e-14 (relative) of the positive real axis are snapped to argument
     exactly 0.0.
     """
-    z = complex(z)
-    if z == 0:
-        raise ValueError("argument of zero is undefined")
-    if not cmath.isfinite(z):
-        raise ValueError(f"argument of non-finite {z} is undefined")
-    return _arg(z)
+    return _arg(_checked(z, "argument"))
 
 
 def lp(p: int, z: complex) -> complex:
@@ -64,12 +73,7 @@ def lp(p: int, z: complex) -> complex:
     exp(lp(p, z)) = z for every integer p.  Raises ValueError for z = 0
     and for a non-finite z.
     """
-    z = complex(z)
-    if z == 0:
-        raise ValueError("log of zero is undefined")
-    if not cmath.isfinite(z):
-        raise ValueError(f"log of non-finite {z} is undefined")
-    return _lp(p, z)
+    return _lp(p, _checked(z, "log"))
 
 
 def _lp(p: int, z: complex) -> complex:
@@ -84,24 +88,25 @@ def neg_branch(p: int, z: complex) -> tuple[int, int]:
 
         lp(p, -z) = lp(p, z) + sigma * pi * i.
 
-    sigma = +1 when arg z < pi (negating rotates the argument up by pi
-    without crossing the cut) and -1 when arg z >= pi (the rotation up by
-    pi would cross the cut, so the principal representative drops by pi).
+    sigma is the sign of arg(-z) - arg z: the snapped arguments differ by
+    pi up to the snap, so the identity holds to the snap band's width in
+    argument, about 1e-14.
     """
-    sigma = 1 if principal_arg(z) < math.pi else -1
-    return p, sigma
+    z = _checked(z, "argument")
+    return p, 1 if _arg(-z) > _arg(z) else -1
 
 
 def inv_branch(p: int, z: complex) -> int:
     """Branch index q such that lp(q, 1/z) = -lp(p, z).
 
-    On the positive real axis arg z = 0 and arg(1/z) = 0, so q = -p.
-    Off the axis arg(1/z) = 2*pi - arg z, which overshoots by one full
-    turn when negated, so q = -p - 1.
+    The identity asks that the snapped arguments sum to -2*pi*(p + q).
+    Their sum is 0 or one turn up to rounding and the snap, so
+    q = -p - round((arg(1/z) + arg z) / (2*pi)).
     """
-    if principal_arg(z) == 0.0:
-        return -p
-    return -p - 1
+    z = _checked(z, "argument")
+    u = 1.0 / z
+    u = u if u and cmath.isfinite(u) else z.conjugate()  # conj z where 1/z is out of range
+    return -p - round((_arg(u) + _arg(z)) / TWO_PI)
 
 
 def q_offset_product(z1: complex, z2: complex) -> int:
@@ -120,12 +125,17 @@ def q_offset_product(z1: complex, z2: complex) -> int:
     {-1, 0, 1, 2}; the extremes occur only when the three principal
     arguments pile up near the ends of [0, 2*pi).
     """
+    return _q_offset(*_pair(z1, z2))
+
+
+def _pair(z1: complex, z2: complex) -> tuple[complex, complex, complex]:
+    """(z1, z2, z1 - z2) as complex numbers, or a ValueError if one is 0."""
     z1 = complex(z1)
     z2 = complex(z2)
     w = z1 - z2
     if z1 == 0 or z2 == 0 or w == 0:
         raise ValueError("z1, z2 and z1 - z2 must all be nonzero")
-    return _q_offset(z1, z2, w)
+    return z1, z2, w
 
 
 def _q_offset(z1: complex, z2: complex, w: complex) -> int:
@@ -162,11 +172,7 @@ def diff_inv_branch(p1: int, p2: int, z1: complex, z2: complex) -> tuple[int, fl
     noise.  The recovered index always equals -p2 (an identity exercised by
     the test suite rather than assumed here).
     """
-    z1 = complex(z1)
-    z2 = complex(z2)
-    w = z1 - z2
-    if z1 == 0 or z2 == 0 or w == 0:
-        raise ValueError("z1, z2 and z1 - z2 must all be nonzero")
+    z1, z2, w = _pair(z1, z2)
     q = _q_offset(z1, z2, w)  # which leaves w, z1 and z2 checked
     value = _lp(p1 + q, w) - _lp(p1, z1) - _lp(p2, z2) + complex(0.0, math.pi)
     target = 1.0 / z1 - 1.0 / z2

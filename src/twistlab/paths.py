@@ -6,9 +6,10 @@ path_end, sample_path and the closed-form crossing count in logfun are
 built on it.
 
 oracle_continue re-derives analytic continuation with none of the branch
-index machinery: it unwraps phases stepwise along the sampled path as
-plain floats and evaluates the monomials from those accumulated logs.  It
-shares only the path geometry with the crossing count it checks, so
+index machinery: from branchcalc's lp at the start, the one cut rule, it
+unwraps phases stepwise along the sampled path as plain floats and
+evaluates the monomials from those accumulated logs.  It shares only the
+path geometry and lp with the crossing count it checks, so
 agreement between the two is evidence, not tautology.  The oracle serves a
 whole family at once (_oracle, behind logfun.continue_family): each
 refinement level samples the path and unwraps its logs once for every
@@ -26,7 +27,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .branchcalc import TWO_PI, _lp
 
 # Most points sample_path gives one variable of one path: a path that needs
 # more (a huge turn count, or an arc grazing a singular point) is refused.
@@ -256,27 +257,11 @@ def sample_path(path: PathSpec, scale: int = 1) -> tuple[np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def _anchor_log(z: complex, p: int) -> complex:
-    """log|z| + i*(arg in [0, 2*pi) + 2*pi*p), from cmath.phase directly."""
-    ph = cmath.phase(z)
-    if ph < 0.0:
-        ph += TWO_PI
-    if z.real > 0.0 and abs(z.imag) <= 1e-14 * max(1.0, z.real):
-        ph = 0.0
-    return complex(math.log(abs(z)), ph + TWO_PI * p)
-
-
-def _unwrapped_end_log(arr: np.ndarray, anchor: complex) -> complex:
-    """Accumulate phase increments along arr starting from the anchor log."""
-    steps = np.angle(arr[1:] / arr[:-1])
-    theta = anchor.imag + float(np.sum(steps))
-    return complex(math.log(abs(complex(arr[-1]))), theta)
-
-
 def _end_logs(bt, a1: np.ndarray, a2: np.ndarray) -> tuple[complex, complex, complex]:
-    """The three logs at the end of the sampled path, unwrapped from bt's
-    sheets at its start."""
-    return tuple(_unwrapped_end_log(a, _anchor_log(complex(a[0]), p))
+    """The three logs at the end of the sampled path: lp on bt's sheets at
+    its start, each phase then accumulated step by step along the path."""
+    return tuple(complex(math.log(abs(complex(a[-1]))),
+                         _lp(p, complex(a[0])).imag + float(np.sum(np.angle(a[1:] / a[:-1]))))
                  for a, p in zip((a1, a2, a1 - a2), bt))
 
 

@@ -391,12 +391,13 @@ def a_eval_relations(f: LogFunction, qp: QuasiPrimaryData,
 
         e^{+-pi*i*h1} * exp(2*h1*lp(p', 1/z)) * X evaluated on branch p' at 1/z
 
-    with p' = inv_branch(p, z) (so p' = -p on the positive real axis and
-    -p - 1 off it).  The left side never consults inv_branch, making the
-    comparison a two-route test of the index arithmetic.  Both sides are
-    functions of z2 alone: one on branch q at x is eval_branch2 of it on
-    (0, q, 0) at z1 = -x, z2 = x, where z1 and z1 - z2 are nonzero.  Each
-    gap is relative to the larger of 1 and the two compared magnitudes.
+    with p' = inv_branch(p, z) (-p on the positive real axis, -p - 1 off
+    it, as the snapped arguments of z and 1/z say).  The left side never
+    consults inv_branch, making the comparison a two-route test of the
+    index arithmetic.  Both sides are functions of z2 alone: one on branch
+    q at x is eval_branch2 of it on (0, q, 0) at z1 = -x, z2 = x, where z1
+    and z1 - z2 are nonzero.  Each gap is relative to the larger of 1 and
+    the two compared magnitudes.
 
     X and the rewritten left side are made once for all probes.  Raises
     ValueError, before evaluating any probe, when a z is zero.

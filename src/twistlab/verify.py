@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .branchcalc import (
+    _AXIS_SNAP,
     TWO_PI,
     diff_inv_branch,
     inv_branch,
@@ -229,6 +230,11 @@ def _branch_samples(rng, n: int) -> tuple[list, ...]:
     numbers."""
     modulus = 0.2 + 2.3 * rng.random(n)
     z = modulus * np.exp(2j * np.pi * rng.random(n))
+    # the fourth and sixth of every eight at the snap band's edge by each
+    # half-axis, |Im| = _AXIS_SNAP |Re|: 2 ulps under to 2 over, both sides
+    k, edge = np.arange(n) // 8, _AXIS_SNAP * modulus
+    band = modulus + 1j * np.where(k % 2, -1.0, 1.0) * (edge + (k % 5 - 2) * np.spacing(edge))
+    z[3::8], z[5::8] = band[3::8], -band[5::8]
     z[7::8] = modulus[7::8]  # exactly on the axis
     p = rng.integers(-3, 4, n)
     z1, z2 = _redrawn_pairs(n, lambda m: (_annuli(rng, m, 0.3, 2.2), _annuli(rng, m, 0.3, 2.2)),

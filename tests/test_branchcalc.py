@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -36,6 +37,33 @@ nonzero = st.builds(
     st.one_of(st.just(0.0), angle_clear),
 )
 branch_index = st.integers(min_value=-5, max_value=5)
+
+
+def near_axis(rad, side, slope):
+    """A point of modulus about rad by the positive (side 1) or negative
+    (side -1) real half-axis, its direction slope * 1e-14 from the axis:
+    inside the snap band for |slope| <= 1, just outside it above."""
+    return side * complex(rad, slope * 1e-14 * rad)
+
+
+def band_edge(re, ulps):
+    """Re z * 1e-14, the snap band's edge at Re z, moved by ulps ulps."""
+    y = 1e-14 * re
+    for _ in range(abs(ulps)):
+        y = math.nextafter(y, math.copysign(math.inf, ulps))
+    return y
+
+
+# Points in and just beyond the snap band of either half-axis, and at its
+# edge to within 2 ulps, on both sides.  The snap moves an argument by up
+# to 1e-14, so there the identities hold to that plus rounding.
+band = st.one_of(
+    st.builds(near_axis, st.floats(min_value=0.05, max_value=20.0), st.sampled_from([1, -1]),
+              st.floats(min_value=-3.0, max_value=3.0)),
+    st.builds(lambda re, ulps, side, below: side * complex(re, below * band_edge(re, ulps)),
+              st.floats(min_value=0.05, max_value=20.0), st.integers(-2, 2),
+              st.sampled_from([1, -1]), st.sampled_from([1, -1])))
+BAND_TOL = 2e-14
 
 
 def off_axis(u, margin=1e-3):
@@ -145,11 +173,22 @@ def test_lp_imag_window(z, p):
 # ---------------------------------------------------------------------------
 
 
-@given(nonzero, branch_index)
+@given(st.one_of(nonzero, band), branch_index)
 def test_neg_branch_identity(z, p):
     pn, sigma = neg_branch(p, z)
     assert sigma in (-1, 1)
-    assert lp(pn, -z) == pytest.approx(lp(p, z) + sigma * 1j * math.pi)
+    assert abs(lp(pn, -z) - lp(p, z) - sigma * 1j * math.pi) < BAND_TOL
+
+
+@pytest.mark.parametrize("p", [-3, 0, 5])
+@pytest.mark.parametrize("re, side", [(1.0, 1), (1.0, -1), (-1.0, 1), (-1.0, -1)])
+def test_neg_branch_identity_across_the_band(re, side, p):
+    # z = -1 + 1e-15i is not snapped, but -z is: no test of arg z alone
+    # decides sigma there.
+    for k in range(1, 201):
+        z = complex(re, side * k * 1e-16)
+        pn, sigma = neg_branch(p, z)
+        assert abs(lp(pn, -z) - lp(p, z) - sigma * 1j * math.pi) < BAND_TOL, z
 
 
 def test_neg_branch_sides():
@@ -159,10 +198,31 @@ def test_neg_branch_sides():
     assert neg_branch(0, -1j) == (0, -1)        # arg 3*pi/2
 
 
-@given(nonzero, branch_index)
+@given(st.one_of(nonzero, band), branch_index)
 def test_inv_branch_identity(z, p):
     q = inv_branch(p, z)
-    assert lp(q, 1.0 / z) == pytest.approx(-lp(p, z), abs=1e-10)
+    assert abs(lp(q, 1.0 / z) + lp(p, z)) < BAND_TOL
+
+
+@pytest.mark.parametrize("below", [1, -1], ids=["above", "below"])
+def test_inv_branch_identity_at_the_band_edge(below):
+    # At the edge |Im z| = 1e-14 Re z rounding can snap 1/z and not z (or
+    # the other way), so no test of z alone decides the index.
+    res = np.random.default_rng(26).uniform(0.05, 40.0, 400).tolist()
+    points = [complex(re, below * band_edge(re, ulps)) for re in res for ulps in range(-2, 3)]
+    points.append(complex(1.5161307659532586, below * 1.5161307659532587e-14))
+    for z in points:
+        for p in (-2, 0, 3):
+            assert abs(lp(inv_branch(p, z), 1.0 / z) + lp(p, z)) < BAND_TOL, z
+
+
+@pytest.mark.parametrize("z", [complex(1e308, 1e308), complex(1e-310, 1e-310),
+                               complex(-1e-310, 1e-320), complex(5e-324, 0.0)])
+def test_inv_branch_where_the_inverse_leaves_the_float_range(z):
+    # 1/z rounds to 0 or overflows: the index is that of the exact 1/z,
+    # the same as at a point of ordinary size with z's direction.
+    assert 1.0 / z == 0 or not cmath.isfinite(1.0 / z)
+    assert inv_branch(2, z) == inv_branch(2, z / abs(z))
 
 
 def test_inv_branch_frozen_values():

@@ -152,6 +152,20 @@ def test_continue_difference_loop_frozen(capsys):
     assert doc["oracleGap"] < 1e-9
 
 
+def test_continue_from_the_snap_band_exits_zero(capsys, tmp_path):
+    # z1 = 0.5 - 7e-15i is outside lp's snap band, |Im z| <= 1e-14 Re z,
+    # but inside 1e-14 max(1, Re z): the oracle has to start on lp's sheets.
+    doc = json.loads(Path(SQRT).read_text())
+    doc["terms"][0][0].update({"r": [0.5, 0.0], "t": [0.0, 0.0],
+                               "rExact": {"num": 1, "den": 2}, "tExact": {"num": 0, "den": 1}})
+    doc["paths"] = {"band-start": {"z1": [0.5, -7e-15], "z2": [-3.0, 0.0], "moves": [
+        {"var": "z1", "kind": "segment", "to": [0.5, -0.5]}]}}
+    scenario = tmp_path / "band_start.json"
+    scenario.write_text(json.dumps(doc))
+    out = run_json(capsys, "continue", "--scenario", str(scenario), "--path", "band-start")
+    assert out["certificate"] < 1e-12
+
+
 def test_continue_unknown_path_is_input_error(capsys):
     code, _, err = run_cli(capsys, "continue", "--scenario", SQRT,
                            "--path", "no-such-path")
@@ -239,9 +253,9 @@ def test_transform_output_is_frozen(capsys, src, op):
 # continuation along every named path.
 CLI_SHA256 = {
     ("verify", "--scenario", SQRT):
-        "dda2ffcefdaf46e70d73a8abddcc3a67d2a7de9688286b77c48067c246aa5e6d",
+        "1fb1c4e466c867e04d02842111ac8685c8646cbb17fbb07f95f91cc712be95d0",
     ("verify", "--scenario", LOG_PAIR):
-        "16add6cc9b2bae7f55feb5df85cb687361e6ac59dd735712746dc1822707c6ea",
+        "72114f396d547843a20ab386e49df06b3855da3147321823c0e23b69d128b17d",
     ("expand", "--scenario", LOG_PAIR, "--label", "2", "--region", "product", "--order", "40",
      "--z1", "2.5,0.3", "--z2", "0.8,-0.2"):
         "42cfdf6d3ad7a72524e3ecc65f2f5b100cf6a7a3e26941d56856057565ec3aaa",

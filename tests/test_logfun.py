@@ -35,6 +35,7 @@ from twistlab import (
     expand_family,
     expand_region,
     in_region,
+    lp,
     make_random_loop,
     monodromy_loops,
     normalize,
@@ -1633,20 +1634,44 @@ def test_continue_certificate_is_gap_to_oracle():
         continue_along(f, bt, path, tol=res.certificate)
 
 
+@pytest.mark.parametrize("moves", [[Segment("z1", 0.5 - 0.5j)], [Arc("z1", turns=-1.25)]],
+                         ids=["segment", "arc"])
+@pytest.mark.parametrize("re", [1e-3, 0.5, 0.9, 1.0, 2.0, 30.0])
+def test_continue_from_the_snap_band(re, moves):
+    # Starts within 3e-14 of the positive axis, inside the snap band for
+    # |Im z1| <= 1e-14 Re z1 and outside it beyond.  The oracle has to
+    # start on lp's sheets: a band of 1e-14 max(1, Re z) would put it on
+    # another for 0 < Re z1 < 1 (a gap of 1.68 from 0.5 - 7e-15i).
+    f = LogFunction([LogMonomial(1.0, r=0.5)])
+    for k in range(-300, 301, 2):
+        res = continue_along(f, BranchTriple(0, 0, 0), PathSpec(complex(re, k * 1e-16), -3.0, moves))
+        assert res.certificate < 1e-12, k
+
+
+def test_oracle_anchors_on_the_sheets_of_lp():
+    # In the band and at its edge, for real parts on both sides of 1, the
+    # oracle's start logs are lp's bit for bit: one cut rule.
+    for re in (1e-3, 0.5, 0.9, 1.0, 2.0, 30.0):
+        for im in (1e-16, 7e-15, 1e-14 * re, 2e-14 * re, 3e-14):
+            for z in (complex(re, im), complex(re, -im), complex(-re, im)):
+                a1, a2 = np.array([z]), np.array([-3.0 + 0.0j])
+                want = (lp(2, z), lp(-1, -3.0), lp(0, z + 3.0))
+                assert paths._end_logs((2, -1, 0), a1, a2) == want, z
+
+
 def _per_label_oracle(f, bt, path):
     """The family oracle's reference: one function at a time, every level
     sampled anew at scales 1, 2, 4, ..., as the oracle was before it
     served families."""
     validate_path(path)
-    p1, p2, p12 = bt
     prev = None
     scale = 1
     for _ in range(paths._MAX_REFINE + 1):
         a1, a2 = paths.sample_path(path, scale)
-        a12 = a1 - a2
-        L1 = paths._unwrapped_end_log(a1, paths._anchor_log(complex(a1[0]), p1))
-        L2 = paths._unwrapped_end_log(a2, paths._anchor_log(complex(a2[0]), p2))
-        L12 = paths._unwrapped_end_log(a12, paths._anchor_log(complex(a12[0]), p12))
+        # each log from lp at the start, its phase unwrapped along the path
+        L1, L2, L12 = (complex(math.log(abs(complex(a[-1]))),
+                               lp(p, complex(a[0])).imag + float(np.sum(np.angle(a[1:] / a[:-1]))))
+                       for a, p in zip((a1, a2, a1 - a2), bt))
         total = 0.0 + 0.0j
         for u in f.terms:
             v = complex(u.coeff) * cmath.exp(u.r * L1 + u.s * L2 + u.t * L12)

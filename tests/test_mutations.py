@@ -119,6 +119,24 @@ def _lp_phase_off_at_large_index(monkeypatch):
         monkeypatch.setattr(module, "_lp", mutant)
 
 
+def _neg_branch_sigma_from_arg_z(monkeypatch):
+    # the sign read from arg z < pi alone, wrong where -z is snapped and z not
+    def mutant(p, z):
+        return p, 1 if branchcalc.principal_arg(z) < np.pi else -1
+
+    for module in (branchcalc, verify):
+        monkeypatch.setattr(module, "neg_branch", mutant)
+
+
+def _inv_branch_axis_test(monkeypatch):
+    # the index read from arg z == 0 alone, wrong where 1/z is snapped and z not
+    def mutant(p, z):
+        return -p if branchcalc.principal_arg(z) == 0.0 else -p - 1
+
+    for module in (branchcalc, transforms, verify):
+        monkeypatch.setattr(module, "inv_branch", mutant)
+
+
 def _ratio_decomposition_refuses(error):
     def apply(monkeypatch):
         def mutant(z1, z2):
@@ -147,6 +165,8 @@ MUTANTS = {
     "omega-swap-unconjugated": (_omega_swap_unconjugated, "omega-duality"),
     "binom-coeffs-off-from-k3": (_binom_coeffs_off_from_k3, "duality-regions"),
     "lp-phase-off-at-large-index": (_lp_phase_off_at_large_index, "branch-identities"),
+    "neg-branch-sigma-from-arg-z": (_neg_branch_sigma_from_arg_z, "branch-identities"),
+    "inv-branch-axis-test": (_inv_branch_axis_test, "branch-identities"),
     "ratio-decomposition-raises-value-error": (_ratio_decomposition_refuses(ValueError),
                                                "branch-identities"),
     "ratio-decomposition-raises-arithmetic-error": (

@@ -140,6 +140,14 @@ def test_branch_samples_keep_their_contract():
     assert all(isinstance(pi, int) for q in (p, p1, p2) for pi in q)
     axis = [i for i, zi in enumerate(z) if zi.imag == 0.0]
     assert axis == list(range(7, 2000, 8)) and all(z[i].real > 0.0 for i in axis)
+    # by each half-axis, at the snap band's edge |Im| = 1e-14 |Re| to within
+    # 2 ulps, every offset on both sides of the axis
+    for start, half in ((3, 1.0), (5, -1.0)):
+        band = [half * zi for zi in z[start::8]]
+        assert all(zi.real > 0.0 for zi in band)
+        offsets = [(zi.imag > 0.0, round((abs(zi.imag) - 1e-14 * zi.real) / math.ulp(1e-14 * zi.real)))
+                   for zi in band]
+        assert set(offsets) == {(above, k) for above in (True, False) for k in range(-2, 3)}
     assert all(0.2 <= abs(zi) <= 2.5 + 1e-12 for zi in z)
     assert set(p) == set(range(-3, 4)) and set(p1) == set(p2) == set(range(-2, 3))
     assert all(abs(a - b) > 0.15 for a, b in zip(z1, z2))
