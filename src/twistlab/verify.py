@@ -216,8 +216,10 @@ def _redrawn_pairs(n: int, draw, refused) -> tuple[np.ndarray, np.ndarray]:
 def _branch_samples(rng, n: int) -> tuple[list, ...]:
     """branch-identities' n samples, each quantity drawn as one array:
 
-      z, p      a point of modulus in [0.2, 2.5], every eighth exactly on
-                the positive axis, and an index in [-3, 3];
+      z, p      a point of modulus in [0.2, 2.5], and an index in [-3, 3];
+                of every eight, the fourth and sixth at the snap band's edge
+                by the positive and the negative half-axis, the eighth
+                exactly on the positive axis;
       z1, z2    a generic pair, drawn as _generic_pair draws one (the pairs
                 with |z1 - z2| <= 0.15 drawn again), and indices p1, p2 in
                 [-2, 2];
@@ -230,8 +232,7 @@ def _branch_samples(rng, n: int) -> tuple[list, ...]:
     numbers."""
     modulus = 0.2 + 2.3 * rng.random(n)
     z = modulus * np.exp(2j * np.pi * rng.random(n))
-    # the fourth and sixth of every eight at the snap band's edge by each
-    # half-axis, |Im| = _AXIS_SNAP |Re|: 2 ulps under to 2 over, both sides
+    # |Im| = _AXIS_SNAP |Re| moved by -2 to 2 ulps, above and below in turn
     k, edge = np.arange(n) // 8, _AXIS_SNAP * modulus
     band = modulus + 1j * np.where(k % 2, -1.0, 1.0) * (edge + (k % 5 - 2) * np.spacing(edge))
     z[3::8], z[5::8] = band[3::8], -band[5::8]

@@ -1644,8 +1644,8 @@ def test_continue_from_the_snap_band(re, moves):
     # another for 0 < Re z1 < 1 (a gap of 1.68 from 0.5 - 7e-15i).
     f = LogFunction([LogMonomial(1.0, r=0.5)])
     for k in range(-300, 301, 2):
-        res = continue_along(f, BranchTriple(0, 0, 0), PathSpec(complex(re, k * 1e-16), -3.0, moves))
-        assert res.certificate < 1e-12, k
+        path = PathSpec(complex(re, k * 1e-16), -3.0, moves)
+        assert continue_along(f, BranchTriple(0, 0, 0), path).certificate < 1e-12, k
 
 
 def test_oracle_anchors_on_the_sheets_of_lp():

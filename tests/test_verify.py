@@ -145,8 +145,9 @@ def test_branch_samples_keep_their_contract():
     for start, half in ((3, 1.0), (5, -1.0)):
         band = [half * zi for zi in z[start::8]]
         assert all(zi.real > 0.0 for zi in band)
-        offsets = [(zi.imag > 0.0, round((abs(zi.imag) - 1e-14 * zi.real) / math.ulp(1e-14 * zi.real)))
-                   for zi in band]
+        edges = [1e-14 * zi.real for zi in band]
+        offsets = [(zi.imag > 0.0, round((abs(zi.imag) - e) / math.ulp(e)))
+                   for zi, e in zip(band, edges)]
         assert set(offsets) == {(above, k) for above in (True, False) for k in range(-2, 3)}
     assert all(0.2 <= abs(zi) <= 2.5 + 1e-12 for zi in z)
     assert set(p) == set(range(-3, 4)) and set(p1) == set(p2) == set(range(-2, 3))
