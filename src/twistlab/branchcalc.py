@@ -166,17 +166,19 @@ def diff_inv_branch(p1: int, p2: int, z1: complex, z2: complex) -> tuple[int, fl
         lp(p1 + q, z1 - z2) - lp(p1, z1) - lp(p2, z2) + pi*i
 
     is a value of log(1/z1 - 1/z2) because 1/z1 - 1/z2 = (z2 - z1)/(z1*z2)
-    = (z1 - z2) * (-1) / (z1*z2).  Returns (k, residual) where k is the
+    = (z1 - z2) / (z1 * (-z2)).  Returns (k, residual) where k is the
     branch index recovered numerically from that value and residual is the
-    distance |combination - lp(k, 1/z1 - 1/z2)|, which should sit at float
-    noise.  The recovered index always equals -p2 (an identity exercised by
+    distance |combination - lp(k, 1/z1 - 1/z2)|, which sits at float noise
+    or, where the snap band moves an argument, at its width.  1/z1 - 1/z2 is computed as that quotient, the one q reads, so
+    that q and k read one snapped argument: the recovered index then equals
+    -p2 at every float, the snap band included (an identity exercised by
     the test suite rather than assumed here).
     """
     z1, z2, w = _pair(z1, z2)
-    q = _q_offset(z1, z2, w)  # which leaves w, z1 and z2 checked
+    q = _q_offset(z1, z2, w)  # which leaves w, z1, z2 and the quotient checked
     value = _lp(p1 + q, w) - _lp(p1, z1) - _lp(p2, z2) + complex(0.0, math.pi)
-    target = 1.0 / z1 - 1.0 / z2
-    k = round((value.imag - principal_arg(target)) / TWO_PI)
+    target = w / (z1 * (-z2))
+    k = round((value.imag - _arg(target)) / TWO_PI)
     residual = abs(value - _lp(k, target))
     return k, residual
 

@@ -8,8 +8,11 @@ built on it.
 oracle_continue re-derives analytic continuation with none of the branch
 index machinery: from branchcalc's lp at the start, the one cut rule, it
 unwraps phases stepwise along the sampled path as plain floats and
-evaluates the monomials from those accumulated logs.  It shares only the
-path geometry and lp with the crossing count it checks, so
+evaluates the monomials from those accumulated logs.  Only the quantities
+a move moves are unwrapped: z1 or z2 when some move names it, z1 - z2
+when any move does.  An unmoved one keeps its start log exactly, since
+its stepwise increments would be only the rounding of x/x.  It shares
+only the path geometry and lp with the crossing count it checks, so
 agreement between the two is evidence, not tautology.  The oracle serves a
 whole family at once (_oracle, behind logfun.continue_family): each
 refinement level samples the path and unwraps its logs once for every
@@ -257,12 +260,16 @@ def sample_path(path: PathSpec, scale: int = 1) -> tuple[np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def _end_logs(bt, a1: np.ndarray, a2: np.ndarray) -> tuple[complex, complex, complex]:
+def _end_logs(bt, a1: np.ndarray, a2: np.ndarray,
+              moved: tuple[bool, bool, bool]) -> tuple[complex, complex, complex]:
     """The three logs at the end of the sampled path: lp on bt's sheets at
-    its start, each phase then accumulated step by step along the path."""
-    return tuple(complex(math.log(abs(complex(a[-1]))),
-                         _lp(p, complex(a[0])).imag + float(np.sum(np.angle(a[1:] / a[:-1]))))
-                 for a, p in zip((a1, a2, a1 - a2), bt))
+    its start, each moved quantity's phase then accumulated step by step
+    along the path.  An unmoved quantity keeps its start log exactly: its
+    steps would add only the rounding of x/x."""
+    return tuple((complex(math.log(abs(complex(a[-1]))),
+                          _lp(p, complex(a[0])).imag + float(np.sum(np.angle(a[1:] / a[:-1]))))
+                  if m else _lp(p, complex(a[0])))
+                 for a, p, m in zip((a1, a2, a1 - a2), bt, moved))
 
 
 def _end_value(f, logs: tuple[complex, complex, complex]) -> complex:
@@ -285,13 +292,17 @@ def _oracle(functions, bt, path: PathSpec) -> list[tuple[complex, int]]:
     """oracle_continue's end value of each function and the number of
     samples it accepted.
 
-    Refinement level i samples the path once, at scale 2**i.  The level's
-    coarse side, scale 2**(i - 1), is every other point of it, bit for bit
-    (sample_path's grid is dyadic), and was the fine side of level i - 1;
-    only level 1 reads it from its own sampling.  Each function leaves at
-    the first level where its two sides agree, as it would alone.
+    Which of z1, z2 and z1 - z2 the path moves is read once from the move
+    list; an unmoved quantity keeps its start log on both sides of every
+    level.  Refinement level i samples the path once, at scale 2**i.  The
+    level's coarse side, scale 2**(i - 1), is every other point of it, bit
+    for bit (sample_path's grid is dyadic), and was the fine side of level
+    i - 1; only level 1 reads it from its own sampling.  Each function
+    leaves at the first level where its two sides agree, as it would alone.
     """
     validate_path(path)
+    named = {move.var for move in path.moves}
+    moved = ("z1" in named, "z2" in named, bool(named))
     functions = list(functions)
     out: list = [None] * len(functions)
     prev = None
@@ -301,9 +312,9 @@ def _oracle(functions, bt, path: PathSpec) -> list[tuple[complex, int]]:
         if prev is None:
             # Contiguous copies, like sample_path's own arrays, so that
             # numpy takes the same loops over them.
-            coarse =_end_logs(bt, a1[::2].copy(), a2[::2].copy())
+            coarse = _end_logs(bt, a1[::2].copy(), a2[::2].copy(), moved)
             prev = {i: _end_value(f, coarse) for i, f in enumerate(functions)}
-        logs = _end_logs(bt, a1, a2)
+        logs = _end_logs(bt, a1, a2, moved)
         for i in list(prev):
             total = _end_value(functions[i], logs)
             if abs(total - prev[i]) < _ORACLE_TOL * max(1.0, abs(total)):
@@ -324,7 +335,9 @@ def oracle_continue(f, bt, path: PathSpec) -> complex:
 
     No branch indices are formed along the way: the three logs are carried
     as accumulated floats and the monomials are evaluated from them at the
-    endpoint.  Sampling is doubled until two successive refinements agree
+    endpoint.  A log whose quantity no move moves (z2 on a path of z1
+    moves, say) stays lp on bt's sheet at the start, exactly: its stepwise
+    increments would be only the rounding of x/x.  Sampling is doubled until two successive refinements agree
     within 1e-10 relative to the larger of 1 and the end magnitude
     (step-doubling acceptance), at most 12 times; a path that would need
     more than SAMPLE_BUDGET points raises ArithmeticError.  This is the

@@ -281,15 +281,31 @@ def test_q_offset_rejects_degenerate():
 
 
 @settings(max_examples=200)
-@given(nonzero, nonzero, branch_index, branch_index)
-def test_diff_inv_branch_is_minus_p2(z1, z2, p1, p2):
+@given(st.one_of(st.tuples(st.just(False), nonzero, nonzero), st.tuples(st.just(True), band, band)),
+       branch_index, branch_index)
+def test_diff_inv_branch_is_minus_p2(pair, p1, p2):
+    # Band pairs put z1, z2, z1 - z2 and w / (z1 (-z2)) in or by the snap
+    # band (the quotient when z1 and z2 lie by opposite half-axes).
+    in_band, z1, z2 = pair
     w = z1 - z2
     assume(abs(w) > 1e-6 * max(abs(z1), abs(z2)))
-    assume(off_axis(w) and off_axis(w / (z1 * (-z2)))
+    assume(in_band or off_axis(w) and off_axis(w / (z1 * (-z2)))
            and off_axis(1.0 / z1 - 1.0 / z2))
     k, residual = diff_inv_branch(p1, p2, z1, z2)
     assert residual < 1e-9
     assert k == -p2
+
+
+def test_diff_inv_branch_at_the_snap_band():
+    # Here 1/z1 - 1/z2 rounds to argument 2 pi - 1e-14 and the quotient
+    # w / (z1 (-z2)) that q reads into the snap band: k reads the quotient
+    # too, or it comes out as -p2 - 1.
+    z1 = 1.276517333851333 + 1.2765173338513332e-14j
+    z2 = -1.9747314429842797 - 1.97473144298428e-14j
+    for p1 in (-1, 0, 3):
+        for p2 in (-1, 0, 2):
+            k, residual = diff_inv_branch(p1, p2, z1, z2)
+            assert (k, residual < BAND_TOL) == (-p2, True), (p1, p2)
 
 
 def test_diff_inv_branch_frozen():

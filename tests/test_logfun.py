@@ -1648,15 +1648,110 @@ def test_continue_from_the_snap_band(re, moves):
         assert continue_along(f, BranchTriple(0, 0, 0), path).certificate < 1e-12, k
 
 
+# Starts whose z2 or z1 - z2 (or z1, for moves of z2) lies at the band
+# point b, the other variable at -3.  The quantity then moves along a
+# segment to 0.5 - 0.5i or round a -1.25-turn arc, or stays where it
+# started while the other variable moves (or nothing does), so that the
+# oracle's exact start log is what the certificate checks.
+_BAND_STARTS = {"z1": lambda b: (b, -3.0), "z2": lambda b: (-3.0, b),
+                "z1 - z2": lambda b: (b - 3.0, -3.0)}
+_BAND_MOVES = {
+    "z2-segment": ("z2", [Segment("z2", 0.5 - 0.5j)]),
+    "z2-arc": ("z2", [Arc("z2", turns=-1.25)]),
+    "z2-stays-segment": ("z2", [Segment("z1", 0.5 - 0.5j)]),
+    "z2-stays-arc": ("z2", [Arc("z1", turns=-1.25)]),
+    "z1-stays-segment": ("z1", [Segment("z2", 0.5 - 0.5j)]),
+    "z1-stays-arc": ("z1", [Arc("z2", turns=-1.25)]),
+    "z1-z2-segment": ("z1 - z2", [Segment("z1", -2.5 - 0.5j)]),
+    "z1-z2-arc": ("z1 - z2", [Arc("z1", turns=-1.25, about="other")]),
+    "z1-z2-stays": ("z1 - z2", []),
+}
+
+
+@pytest.mark.parametrize("case", _BAND_MOVES)
+@pytest.mark.parametrize("re", [1e-3, 0.5, 0.9, 1.0, 2.0, 30.0])
+def test_continue_from_the_snap_band_of_each_quantity(re, case):
+    quantity, moves = _BAND_MOVES[case]
+    f = LogFunction([LogMonomial(1.0, r=0.5), LogMonomial(1.0, s=0.5), LogMonomial(1.0, t=0.5)])
+    for k in range(-300, 301, 4):
+        path = PathSpec(*_BAND_STARTS[quantity](complex(re, k * 1e-16)), moves)
+        assert continue_along(f, BranchTriple(0, 0, 0), path).certificate < 1e-12, k
+
+
+def _benchmark_like_paths():
+    """Closed loops of make_random_loop and arcs of 12 to 100 turns about 0,
+    the other variable and a third point, each circle clear of 0 and of the
+    other variable by half its radius: the paths the continuation
+    benchmark runs, drawn anew."""
+    rng = np.random.default_rng(1)
+
+    def polar(lo, hi):
+        return cmath.rect(rng.uniform(lo, hi), rng.uniform(0.0, TWO_PI))
+
+    out = [make_random_loop(1_000_000 + k) for k in range(24)]
+    for turns in (12.0, -14.5, 16.0, -18.25, 20.5, -23.0, 25.75, -29.0, 32.0, -36.5, 40.0,
+                  -45.0, 50.0, -60.5, 75.0, 100.0):
+        for about in ("origin", "other", "point"):
+            while True:
+                var = "z1" if rng.random() < 0.7 else "z2"
+                moving, other = polar(0.5, 2.0), polar(0.5, 2.0)
+                center = {"origin": 0j, "other": other, "point": moving + polar(0.3, 1.5)}[about]
+                radius = abs(moving - center)
+                if min(abs(abs(center) - radius), abs(abs(other - center) - radius)) >= radius / 2:
+                    break
+            z1, z2 = (moving, other) if var == "z1" else (other, moving)
+            out.append(PathSpec(z1, z2, [Arc(var, turns=turns, about=about, center=center)]))
+    return out
+
+
+def test_oracle_keeps_the_log_of_an_unmoved_variable():
+    # Unwrapping a variable that no move names would add the rounding of
+    # x/x at every sample, up to about 1e-12 rad over a 100-turn arc.  The
+    # oracle keeps lp at the start instead, so a function of that variable
+    # alone continues to exactly its value on the end triple.
+    bt = BranchTriple(1, -2, 0)
+    of_fixed = {"z2": LogFunction([LogMonomial(1.0, s=0.75 + 0.1j, m=2)]),
+                "z1": LogFunction([LogMonomial(1.0, r=0.75 + 0.1j, l=1)])}
+    checked = 0
+    for path in _benchmark_like_paths():
+        movers = {move.var for move in path.moves}
+        end_triple = BranchTriple(*(p + k for p, k in zip(bt, winding_profile(path))))
+        for var, f in of_fixed.items():
+            if var not in movers:
+                want = eval_branch2(f, end_triple, *paths.path_end(path))
+                assert rel_gap(paths.oracle_continue(f, bt, path), want) == 0.0, (path, var)
+                checked += 1
+    assert checked == 63
+
+
+def test_oracle_unwraps_every_log_of_a_path_moving_both():
+    # The control: z1 winds once about 0, then z2 once the other way inside
+    # it, so the end triple is the start's plus (1, -1, 1), and each value
+    # is right only if the oracle unwraps all three logs.
+    bt = BranchTriple(1, -2, 0)
+    path = PathSpec(2.0, 0.5j, [Arc("z1", turns=1.0), Arc("z2", turns=-1.0)])
+    functions = [LogFunction([LogMonomial(1.0, r=0.75 + 0.1j, l=1)]),
+                 LogFunction([LogMonomial(1.0, s=0.75 + 0.1j, m=2)]),
+                 LogFunction([LogMonomial(1.0, t=1.0 / 3.0, n=1)])]
+    for f, res in zip(functions, continue_family(functions, bt, path)):
+        assert res.end_triple == (2, -3, 1)
+        assert res.certificate < 1e-12
+        # Kept on its start sheet, any one of the three would be far off.
+        assert rel_gap(eval_branch2(f, bt, *paths.path_end(path)), res.oracle_value) > 0.1
+
+
 def test_oracle_anchors_on_the_sheets_of_lp():
     # In the band and at its edge, for real parts on both sides of 1, the
-    # oracle's start logs are lp's bit for bit: one cut rule.
+    # oracle's start logs are lp's bit for bit, unwrapped or kept: one cut
+    # rule.
     for re in (1e-3, 0.5, 0.9, 1.0, 2.0, 30.0):
         for im in (1e-16, 7e-15, 1e-14 * re, 2e-14 * re, 3e-14):
             for z in (complex(re, im), complex(re, -im), complex(-re, im)):
                 a1, a2 = np.array([z]), np.array([-3.0 + 0.0j])
                 want = (lp(2, z), lp(-1, -3.0), lp(0, z + 3.0))
-                assert paths._end_logs((2, -1, 0), a1, a2) == want, z
+                for moved in ((True, True, True), (True, False, True),
+                              (False, True, True), (False, False, False)):
+                    assert paths._end_logs((2, -1, 0), a1, a2, moved) == want, (z, moved)
 
 
 def _per_label_oracle(f, bt, path):
@@ -1664,14 +1759,18 @@ def _per_label_oracle(f, bt, path):
     sampled anew at scales 1, 2, 4, ..., as the oracle was before it
     served families."""
     validate_path(path)
+    movers = [move.var for move in path.moves]
     prev = None
     scale = 1
     for _ in range(paths._MAX_REFINE + 1):
         a1, a2 = paths.sample_path(path, scale)
         # each log from lp at the start, its phase unwrapped along the path
+        # if a move moves it
         L1, L2, L12 = (complex(math.log(abs(complex(a[-1]))),
                                lp(p, complex(a[0])).imag + float(np.sum(np.angle(a[1:] / a[:-1]))))
-                       for a, p in zip((a1, a2, a1 - a2), bt))
+                       if moves else lp(p, complex(a[0]))
+                       for a, p, moves in zip((a1, a2, a1 - a2), bt,
+                                              ("z1" in movers, "z2" in movers, bool(movers))))
         total = 0.0 + 0.0j
         for u in f.terms:
             v = complex(u.coeff) * cmath.exp(u.r * L1 + u.s * L2 + u.t * L12)
