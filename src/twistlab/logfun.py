@@ -1120,7 +1120,7 @@ def continue_family(functions: Iterable[LogFunction], bt: BranchTriple, path: Pa
     triple and one oracle walk for them all; each result has the same bits
     as when its function is continued alone.
 
-    The oracle samples the path once per refinement level and unwraps the
+    The oracle samples the path once per refinement level and reads the
     three logs once per level for the whole family; each function settles
     at the level it would settle at alone.  Raises ArithmeticError when a
     certificate is not below tol.

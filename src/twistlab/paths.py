@@ -7,18 +7,17 @@ built on it.
 
 oracle_continue re-derives analytic continuation with none of the branch
 index machinery: from branchcalc's lp at the start, the one cut rule, it
-unwraps phases stepwise along the sampled path as plain floats and
-evaluates the monomials from those accumulated logs.  Only the quantities
-a move moves are unwrapped: z1 or z2 when some move names it, z1 - z2
-when any move does.  An unmoved one keeps its start log exactly, since
-its stepwise increments would be only the rounding of x/x.  It shares
-only the path geometry and lp with the crossing count it checks, so
-agreement between the two is evidence, not tautology.  The oracle serves a
-whole family at once (_oracle, behind logfun.continue_family): each
-refinement level samples the path and unwraps its logs once for every
-function, its coarse side being every other point of the same sampling.
-This module imports nothing from logfun, which calls the oracle for its
-certificate.
+follows each of z1, z2 and z1 - z2 along the sampled path by the angles
+of its samples, counting exactly the steps that wrap past the cut at -pi,
+and evaluates the monomials from the end logs.  A quantity no move
+touches keeps its start log exactly, since its angles never change.  It
+shares only the path geometry and lp with the crossing count it checks,
+so agreement between the two is evidence, not tautology.  The oracle
+serves a whole family at once (_oracle, behind logfun.continue_family):
+each refinement level samples the path and takes each quantity's angles
+once for every function, its coarse side being every other point of the
+same sampling.  This module imports nothing from logfun, which calls the
+oracle for its certificate.
 """
 
 from __future__ import annotations
@@ -124,8 +123,11 @@ def _resolve_center(move: Arc, other: complex) -> complex:
 def _walk_moves(path: PathSpec) -> Iterator[_Step]:
     """The geometry of each move of the path, in order.
 
-    Raises ValueError for an unknown variable or move type and for an arc
-    of zero radius that turns.
+    Raises ValueError for an unknown variable or move type, for a move
+    whose track leaves the float range (a segment whose span overflows, an
+    arc whose sweep 2*pi*turns or whose reach |center| + radius does), so
+    that no sample of it is inf or nan, and for an arc of zero radius that
+    turns.
     """
     pos = {"z1": path.z1, "z2": path.z2}
     for idx, move in enumerate(path.moves):
@@ -133,14 +135,24 @@ def _walk_moves(path: PathSpec) -> Iterator[_Step]:
             raise ValueError(f"move {idx}: var must be 'z1' or 'z2'")
         start, other = pos[move.var], pos["z2" if move.var == "z1" else "z1"]
         if isinstance(move, Segment):
-            step = _Step(move.var, start, complex(move.to), other, None, 0.0, 0.0, 0.0, 0.0)
+            end = complex(move.to)
+            if not cmath.isfinite(end - start):
+                raise ValueError(
+                    f"move {idx}: segment from {start} to {end} leaves the float range")
+            step = _Step(move.var, start, end, other, None, 0.0, 0.0, 0.0, 0.0)
         elif isinstance(move, Arc):
+            sweep = TWO_PI * move.turns
+            if not math.isfinite(sweep):
+                raise ValueError(
+                    f"move {idx}: arc of {move.turns} turns sweeps a non-finite angle")
             center = _resolve_center(move, other)
             radius = abs(start - center)
+            if not math.isfinite(abs(center) + radius):
+                raise ValueError(
+                    f"move {idx}: arc from {start} about {center} leaves the float range")
             if radius == 0.0 and move.turns != 0.0:
                 raise ValueError(f"move {idx}: arc of zero radius")
             theta0 = cmath.phase(start - center)
-            sweep = TWO_PI * move.turns
             end = center + radius * cmath.exp(1j * (theta0 + sweep))
             step = _Step(move.var, start, end, other, center, radius, theta0, move.turns, sweep)
         else:
@@ -158,13 +170,13 @@ def path_end(path: PathSpec) -> tuple[complex, complex]:
 
 
 def _seg_point_dist(a: complex, b: complex, c: complex) -> float:
-    """Distance from point c to segment [a, b]."""
+    """Distance from point c to segment [a, b]; projects by a quotient, not
+    a squared length, so a segment far past the square root of the float
+    range does not overflow."""
     ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
+    if ab == 0:
         return abs(c - a)
-    u = ((c - a) * ab.conjugate()).real / denom
-    u = min(1.0, max(0.0, u))
+    u = min(1.0, max(0.0, ((c - a) / ab).real))
     return abs(c - (a + u * ab))
 
 
@@ -260,16 +272,23 @@ def sample_path(path: PathSpec, scale: int = 1) -> tuple[np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def _end_logs(bt, a1: np.ndarray, a2: np.ndarray,
-              moved: tuple[bool, bool, bool]) -> tuple[complex, complex, complex]:
-    """The three logs at the end of the sampled path: lp on bt's sheets at
-    its start, each moved quantity's phase then accumulated step by step
-    along the path.  An unmoved quantity keeps its start log exactly: its
-    steps would add only the rounding of x/x."""
-    return tuple((complex(math.log(abs(complex(a[-1]))),
-                          _lp(p, complex(a[0])).imag + float(np.sum(np.angle(a[1:] / a[:-1]))))
-                  if m else _lp(p, complex(a[0])))
-                 for a, p, m in zip((a1, a2, a1 - a2), bt, moved))
+def _end_logs(bt, a1: np.ndarray, a2: np.ndarray) -> tuple[tuple, tuple]:
+    """The three logs at the end of the sampled path, read on the fine grid
+    (every sample) and on the coarse grid (every other one).  Each is lp on
+    bt's sheet at the start plus its quantity's angle change, end minus
+    start, from one np.angle pass: 2*pi more for each step that falls by
+    over pi (a counterclockwise pass of the cut at -pi), 2*pi less for each
+    that rises by over pi."""
+    sides: tuple[list, list] = ([], [])
+    for a, p in zip((a1, a2, a1 - a2), bt):
+        start = _lp(p, complex(a[0])).imag
+        end = math.log(abs(complex(a[-1])))
+        theta = np.angle(a)
+        for logs, th in zip(sides, (theta, theta[::2])):
+            steps = th[1:] - th[:-1]
+            wraps = np.count_nonzero(steps < -math.pi) - np.count_nonzero(steps > math.pi)
+            logs.append(complex(end, start + float(th[-1] - th[0]) + TWO_PI * wraps))
+    return tuple(sides[0]), tuple(sides[1])
 
 
 def _end_value(f, logs: tuple[complex, complex, complex]) -> complex:
@@ -292,37 +311,25 @@ def _oracle(functions, bt, path: PathSpec) -> list[tuple[complex, int]]:
     """oracle_continue's end value of each function and the number of
     samples it accepted.
 
-    Which of z1, z2 and z1 - z2 the path moves is read once from the move
-    list; an unmoved quantity keeps its start log on both sides of every
-    level.  Refinement level i samples the path once, at scale 2**i.  The
-    level's coarse side, scale 2**(i - 1), is every other point of it, bit
-    for bit (sample_path's grid is dyadic), and was the fine side of level
-    i - 1; only level 1 reads it from its own sampling.  Each function
-    leaves at the first level where its two sides agree, as it would alone.
+    Refinement level i samples the path once, at scale 2**i; its coarse
+    side, scale 2**(i - 1), is every other point of that sampling, bit for
+    bit (sample_path's grid is dyadic).  Each function leaves at the first
+    level where its two sides agree, as it would alone.
     """
     validate_path(path)
-    named = {move.var for move in path.moves}
-    moved = ("z1" in named, "z2" in named, bool(named))
     functions = list(functions)
     out: list = [None] * len(functions)
-    prev = None
+    left = range(len(functions))
     scale = 2
     for _ in range(_MAX_REFINE):
         a1, a2 = sample_path(path, scale)
-        if prev is None:
-            # Contiguous copies, like sample_path's own arrays, so that
-            # numpy takes the same loops over them.
-            coarse = _end_logs(bt, a1[::2].copy(), a2[::2].copy(), moved)
-            prev = {i: _end_value(f, coarse) for i, f in enumerate(functions)}
-        logs = _end_logs(bt, a1, a2, moved)
-        for i in list(prev):
-            total = _end_value(functions[i], logs)
-            if abs(total - prev[i]) < _ORACLE_TOL * max(1.0, abs(total)):
+        fine, coarse = _end_logs(bt, a1, a2)
+        for i in left:
+            total = _end_value(functions[i], fine)
+            if abs(total - _end_value(functions[i], coarse)) < _ORACLE_TOL * max(1.0, abs(total)):
                 out[i] = (total, len(a1))
-                del prev[i]
-            else:
-                prev[i] = total
-        if not prev:
+        left = [i for i in left if out[i] is None]
+        if not left:
             return out
         scale *= 2
     raise ArithmeticError(
@@ -331,13 +338,15 @@ def _oracle(functions, bt, path: PathSpec) -> list[tuple[complex, int]]:
 
 
 def oracle_continue(f, bt, path: PathSpec) -> complex:
-    """End value of f continued along the path, by stepwise phase unwrapping.
+    """End value of f continued along the path, by counting phase wraps.
 
-    No branch indices are formed along the way: the three logs are carried
-    as accumulated floats and the monomials are evaluated from them at the
-    endpoint.  A log whose quantity no move moves (z2 on a path of z1
-    moves, say) stays lp on bt's sheet at the start, exactly: its stepwise
-    increments would be only the rounding of x/x.  Sampling is doubled until two successive refinements agree
+    No branch indices are formed along the way: each log's imaginary part
+    is lp on bt's sheet at the start plus the change of its quantity's
+    sampled angle, end minus start, with 2*pi for each step that wraps past
+    the cut at -pi counterclockwise less 2*pi for each clockwise one; the
+    monomials are evaluated from those logs at the endpoint.  A quantity no
+    move touches (z2 on a path of z1 moves, say) keeps its start log
+    exactly.  Sampling is doubled until two successive refinements agree
     within 1e-10 relative to the larger of 1 and the end magnitude
     (step-doubling acceptance), at most 12 times; a path that would need
     more than SAMPLE_BUDGET points raises ArithmeticError.  This is the

@@ -166,6 +166,30 @@ def test_continue_from_the_snap_band_exits_zero(capsys, tmp_path):
     assert out["certificate"] < 1e-12
 
 
+_FAR_MOVES = {
+    # 2*pi*1e308 is not finite: refused, naming the move, not nan downstream.
+    "non-finite-sweep": [{"var": "z2", "kind": "segment", "to": [-2.0, 0.0]},
+                         {"var": "z1", "kind": "arc", "about": "origin", "turns": 1e308}],
+    # A segment past 1.3e154 long, 0.141 clear of 0: a valid path.
+    "far-segment": [{"var": "z1", "kind": "segment", "to": [1e200, 1e200]}],
+}
+
+
+@pytest.mark.parametrize("name", _FAR_MOVES)
+def test_continue_at_the_ends_of_the_float_range(capsys, tmp_path, name):
+    doc = json.loads(Path(SQRT).read_text())
+    doc["paths"] = {name: {"z1": [-1.8, -1.0], "z2": [-1.0, 0.0], "moves": _FAR_MOVES[name]}}
+    scenario = tmp_path / "far.json"
+    scenario.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "continue", "--scenario", str(scenario), "--path", name)
+    if name == "non-finite-sweep":
+        assert (code, out) == (2, "")
+        assert err == "error: move 1: arc of 1e+308 turns sweeps a non-finite angle\n"
+    else:
+        assert code == 0, err
+        assert json.loads(out)["certificate"] < 1e-12
+
+
 def test_continue_unknown_path_is_input_error(capsys):
     code, _, err = run_cli(capsys, "continue", "--scenario", SQRT,
                            "--path", "no-such-path")
@@ -255,7 +279,7 @@ CLI_SHA256 = {
     ("verify", "--scenario", SQRT):
         "1fb1c4e466c867e04d02842111ac8685c8646cbb17fbb07f95f91cc712be95d0",
     ("verify", "--scenario", LOG_PAIR):
-        "72114f396d547843a20ab386e49df06b3855da3147321823c0e23b69d128b17d",
+        "7a26bf8bb19df1161e326b04025eac5da50f6492ba770abbcbad830da792d9ae",
     ("expand", "--scenario", LOG_PAIR, "--label", "2", "--region", "product", "--order", "40",
      "--z1", "2.5,0.3", "--z2", "0.8,-0.2"):
         "42cfdf6d3ad7a72524e3ecc65f2f5b100cf6a7a3e26941d56856057565ec3aaa",
@@ -266,9 +290,9 @@ CLI_SHA256 = {
     ("continue", "--scenario", SQRT, "--path", "outer-loop"):
         "aef0bda5c75d69285dc006fadbaa8b8afa3b2deb26d504424d673a3861205661",
     ("continue", "--scenario", LOG_PAIR, "--path", "outer-loop"):
-        "0ca7d444d7d8d27ecaba73923cd8f9d71eeda7f554c760f871ae21a3772bb4d9",
+        "b93a95aff3fc1302d44638b8c6c6ccb9175598bdb5303e2b59d1796ad3287de3",
     ("continue", "--scenario", LOG_PAIR, "--path", "there-and-back"):
-        "09ccc1d70e7a04221bbe0f86f674eb20d1f13e985397f77ae20820c4a4b9bf63",
+        "2c39bd7cbf74a61fc75e27257fff8ffcc393dcd1fd7bc30f4423d4b011e9b8b7",
 }
 
 

@@ -1439,6 +1439,52 @@ def test_validate_path_clearance():
     assert abs(clearance - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("path, message", [
+    # 1e308 turns is a finite float, but 2*pi times it is not.
+    (PathSpec(2.0, 0.5, [Segment("z2", 0.25), Arc("z1", turns=1e308)]),
+     r"move 1: arc of 1e\+308 turns sweeps a non-finite angle"),
+    # The span b - a overflows, so the samples between the ends are nan,
+    # where a wrap count (nan compares false) would see no step at all.
+    (PathSpec(-1e308 - 1e308j, -1.0, [Segment("z1", 1e308 + 1e307j)]),
+     r"move 0: segment from .* leaves the float range"),
+    (PathSpec(1e308, -1.0, [Arc("z1", turns=0.5, about="point", center=-1e308)]),
+     r"move 0: arc from .* leaves the float range"),
+], ids=["sweep", "segment", "arc"])
+def test_move_leaving_the_float_range_is_refused_naming_it(path, message):
+    for call in (validate_path, paths.path_end, sample_path, winding_profile,
+                 lambda p: continue_along(LogFunction([LogMonomial(1.0, r=0.5)]),
+                                          BranchTriple(0, 0, 0), p)):
+        with pytest.raises(ValueError, match="^" + message):
+            call(path)
+
+
+def test_segment_far_past_the_square_root_of_the_float_range():
+    # |b - a| ** 2 would overflow for this segment; it passes 0.141 from 0
+    # (at -0.1 - 0.1i), and its path continues.
+    path = PathSpec(-1.8 - 1j, -1.0, [Segment("z1", 1e200 + 1e200j)])
+    assert abs(validate_path(path) - 0.1 * math.sqrt(2.0)) < 1e-12
+    assert winding_profile(path) == (0, 0, 1)
+    f = LogFunction([LogMonomial(1.0, r=0.5, s=0.25, t=1.0 / 3.0)])
+    assert continue_along(f, BranchTriple(0, 0, 0), path).certificate < 1e-12
+
+
+def _squared_seg_point_dist(a, b, c):
+    """The segment distance projected through |b - a| ** 2."""
+    ab = b - a
+    denom = abs(ab) ** 2
+    if denom == 0.0:
+        return abs(c - a)
+    u = min(1.0, max(0.0, ((c - a) * ab.conjugate()).real / denom))
+    return abs(c - (a + u * ab))
+
+
+def test_random_loops_do_not_move_with_the_segment_projection(monkeypatch):
+    # The continuation benchmark's inputs are built from these loops.
+    loops = [make_random_loop(seed) for seed in range(3000)]
+    monkeypatch.setattr(paths, "_seg_point_dist", _squared_seg_point_dist)
+    assert [make_random_loop(seed) for seed in range(3000)] == loops
+
+
 def test_sample_path_endpoints_and_scale():
     path = PathSpec(2.5, 1.0, [Arc("z1", turns=1.0, about="other")])
     z1s, z2s = sample_path(path)
@@ -1749,9 +1795,7 @@ def test_oracle_anchors_on_the_sheets_of_lp():
             for z in (complex(re, im), complex(re, -im), complex(-re, im)):
                 a1, a2 = np.array([z]), np.array([-3.0 + 0.0j])
                 want = (lp(2, z), lp(-1, -3.0), lp(0, z + 3.0))
-                for moved in ((True, True, True), (True, False, True),
-                              (False, True, True), (False, False, False)):
-                    assert paths._end_logs((2, -1, 0), a1, a2, moved) == want, (z, moved)
+                assert paths._end_logs((2, -1, 0), a1, a2) == (want, want), z
 
 
 def _per_label_oracle(f, bt, path):
@@ -1759,18 +1803,21 @@ def _per_label_oracle(f, bt, path):
     sampled anew at scales 1, 2, 4, ..., as the oracle was before it
     served families."""
     validate_path(path)
-    movers = [move.var for move in path.moves]
     prev = None
     scale = 1
     for _ in range(paths._MAX_REFINE + 1):
         a1, a2 = paths.sample_path(path, scale)
-        # each log from lp at the start, its phase unwrapped along the path
-        # if a move moves it
-        L1, L2, L12 = (complex(math.log(abs(complex(a[-1]))),
-                               lp(p, complex(a[0])).imag + float(np.sum(np.angle(a[1:] / a[:-1]))))
-                       if moves else lp(p, complex(a[0]))
-                       for a, p, moves in zip((a1, a2, a1 - a2), bt,
-                                              ("z1" in movers, "z2" in movers, bool(movers))))
+        logs = []
+        for a, p in zip((a1, a2, a1 - a2), bt):
+            # lp at the start, then the change of the sampled angles, with
+            # 2 pi for each step down past -pi and -2 pi for each step up
+            theta = np.angle(a)
+            steps = theta[1:] - theta[:-1]
+            wraps = int(np.sum(steps < -math.pi)) - int(np.sum(steps > math.pi))
+            logs.append(complex(math.log(abs(complex(a[-1]))),
+                                lp(p, complex(a[0])).imag + float(theta[-1] - theta[0])
+                                + TWO_PI * wraps))
+        L1, L2, L12 = logs
         total = 0.0 + 0.0j
         for u in f.terms:
             v = complex(u.coeff) * cmath.exp(u.r * L1 + u.s * L2 + u.t * L12)
@@ -1809,34 +1856,58 @@ def _settle_level(res, path):
     return int(math.log2((res.samples - 1) // per_scale))
 
 
-# z1 = 1 circles a point once, so the end value of z1**r keeps modulus 1
-# while rounding in the unwrapped phase grows with r: a large r settles
-# later than a small one.  The levels are those of the 64-bit build these
-# tests run on, with the start triple below.
+# Paths sampled at 2 points a move at scale 1 (paths._base_samples
+# patched), far too few: the oracle's wrap counts come right at different
+# refinement levels for the quantities the moves wind, so the functions
+# below settle at different levels.  z1**1 cannot see a miscounted wrap
+# and settles at the first.
 _STAGGERED = [
-    (PathSpec(1.0, -2.0, [Arc("z1", turns=-1.0, about="point", center=0.4)]),
-     [1e4, 3e5, 1e6], {1, 2}),
-    (PathSpec(1.0, -2.0, [Arc("z1", turns=-1.0, about="point", center=-0.3j)]),
-     [1e4, 3e5, 3e4], {1, 4}),
+    (PathSpec(1.0, 3.0, [Arc("z1", turns=-1.0, about="point", center=0.4),
+                         Arc("z2", turns=-3.0)]), [1, 2, 3, 3, 3]),
+    (PathSpec(1.0, -2.0, [Arc("z1", turns=-5.0, about="point", center=0.4)]),
+     [1, 5, 1, 1, 2]),
 ]
 
+_STAGGERED_FUNCTIONS = [
+    LogFunction([LogMonomial(1.0, r=1.0)]),
+    LogFunction([LogMonomial(1.0, r=0.3)]),
+    LogFunction([LogMonomial(1.0, s=0.3)]),
+    LogFunction([LogMonomial(1.0, t=0.3)]),
+    LogFunction([LogMonomial(0.5 - 1j, r=0.5, t=1.0 / 3.0, n=2),
+                 LogMonomial(0.25j, s=-0.5, m=1)]),
+]
 
 _STAGGERED_BT = BranchTriple(2, -1, 1)
 
 
-@pytest.mark.parametrize("path, powers, levels", _STAGGERED)
-def test_continue_family_keeps_the_bits_of_each_label_alone(path, powers, levels):
-    functions = [LogFunction([LogMonomial(1.0, r=r)]) for r in powers]
-    functions.append(LogFunction([LogMonomial(0.5 - 1j, r=0.5, t=1.0 / 3.0, n=2),
-                                  LogMonomial(0.25j, s=-0.5, m=1)]))
-    bt = _STAGGERED_BT
+@pytest.fixture
+def under_sampled(monkeypatch):
+    monkeypatch.setattr(paths, "_base_samples", lambda step: 2)
+
+
+@pytest.mark.parametrize("path, levels", _STAGGERED)
+def test_continue_family_keeps_the_bits_of_each_label_alone(under_sampled, path, levels):
+    functions, bt = _STAGGERED_FUNCTIONS, _STAGGERED_BT
     got = continue_family(functions, bt, path, tol=math.inf)
     want = [_per_label_continue(f, bt, path) for f in functions]
     assert [_result_bits(r) for r in got] == [_result_bits(r) for r in want]
-    assert {_settle_level(r, path) for r in got} == levels
+    assert [_settle_level(r, path) for r in got] == levels
     for f, res in zip(functions, got):
+        assert res.certificate < 1e-12
         assert _result_bits(continue_along(f, bt, path, tol=math.inf)) == _result_bits(res)
         assert _bits(paths.oracle_continue(f, bt, path)) == _bits(res.oracle_value)
+
+
+def test_oracle_phase_error_does_not_grow_with_the_power():
+    # z1 = 1 circles -0.3i once, so |z1**1e6| stays 1 and a phase error e
+    # shows as a gap of about 1e6 e.  The counted wraps give the same end
+    # phase at every scale, and the oracle settles at the first level.  A
+    # float sum of the step angles read it 1.8e-15 low at scales 2, 8 and 16
+    # and exact at 1 and 4, so it settled only at scale 16, 2.3e-9 off.
+    path = PathSpec(1.0, -2.0, [Arc("z1", turns=-1.0, about="point", center=-0.3j)])
+    res = continue_along(LogFunction([LogMonomial(1.0, r=1e6)]), _STAGGERED_BT, path)
+    assert res.samples == len(sample_path(path, 2)[0])
+    assert res.certificate < 5e-10
 
 
 def test_continue_family_keeps_the_bits_on_the_suite_loops():
@@ -1858,20 +1929,19 @@ def _counting_samples(monkeypatch):
     return scales
 
 
-def test_continue_family_samples_the_path_once_per_level(monkeypatch):
-    path, powers, _ = _STAGGERED[1]
-    functions = [LogFunction([LogMonomial(1.0, r=r)]) for r in powers]
+def test_continue_family_samples_the_path_once_per_level(under_sampled, monkeypatch):
+    path, levels = _STAGGERED[0]
     scales = _counting_samples(monkeypatch)
-    results = continue_family(functions, _STAGGERED_BT, path, tol=math.inf)
-    assert [_settle_level(r, path) for r in results] == [1, 4, 1]
-    assert scales == [2, 4, 8, 16]
+    results = continue_family(_STAGGERED_FUNCTIONS, _STAGGERED_BT, path, tol=math.inf)
+    assert [_settle_level(r, path) for r in results] == levels == [1, 2, 3, 3, 3]
+    assert scales == [2, 4, 8]
     # Before families, every label sampled every level again: two for a
     # label that settles at the first comparison.
     scales.clear()
-    _per_label_oracle(functions[0], _STAGGERED_BT, path)
+    _per_label_oracle(_STAGGERED_FUNCTIONS[0], _STAGGERED_BT, path)
     assert scales == [1, 2]
     scales.clear()
-    continue_along(functions[0], _STAGGERED_BT, path, tol=math.inf)
+    continue_along(_STAGGERED_FUNCTIONS[0], _STAGGERED_BT, path, tol=math.inf)
     assert scales == [2]
 
 
