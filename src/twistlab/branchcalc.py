@@ -70,15 +70,19 @@ def lp(p: int, z: complex) -> complex:
     """Value of the p-th branch of log at z.
 
     lp(p, z) = log|z| + i*(principal_arg(z) + 2*pi*p).  Satisfies
-    exp(lp(p, z)) = z for every integer p.  Raises ValueError for z = 0
-    and for a non-finite z.
+    exp(lp(p, z)) = z for every integer p.  Raises ValueError for z = 0,
+    for a non-finite z and for a z whose modulus is past the float range.
     """
     return _lp(p, _checked(z, "log"))
 
 
 def _lp(p: int, z: complex) -> complex:
-    """lp of a complex z already known to be finite and nonzero."""
-    return complex(math.log(abs(z)), _arg(z) + TWO_PI * p)
+    """lp of a finite, nonzero complex z; a ValueError where |z| overflows."""
+    try:
+        modulus = abs(z)
+    except OverflowError:
+        raise ValueError(f"log of {z} is undefined: its modulus is past the float range") from None
+    return complex(math.log(modulus), _arg(z) + TWO_PI * p)
 
 
 def neg_branch(p: int, z: complex) -> tuple[int, int]:

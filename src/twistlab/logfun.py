@@ -202,19 +202,6 @@ class LogFunction:
             for u in self.terms
         )
 
-    def __mul__(self, other):
-        if isinstance(other, LogFunction):
-            out = []
-            for u in self.terms:
-                for v in other.terms:
-                    out.append(LogMonomial(
-                        u.coeff * v.coeff,
-                        u.r + v.r, u.s + v.s, u.t + v.t,
-                        u.l + v.l, u.m + v.m, u.n + v.n,
-                    ))
-            return LogFunction(out)
-        return self.__rmul__(other)
-
 
 def normalize(f: LogFunction) -> LogFunction:
     """Canonical form: merge equal-exponent terms, drop tiny coefficients.
@@ -291,7 +278,7 @@ def _point_logs(bt: BranchTriple, z1: complex, z2: complex) -> tuple[complex, ..
         raise ValueError("z1 and z2 must be finite")
     if z1 == 0 or z2 == 0 or w == 0:
         raise ValueError("z1, z2 and z1 - z2 must all be nonzero")
-    logs = _lp(p1, z1), _lp(p2, z2)  # abs raises OverflowError past the float range
+    logs = _lp(p1, z1), _lp(p2, z2)
     if not cmath.isfinite(w):
         raise ValueError(f"log of non-finite {w} is undefined")
     return z1, z2, w, *logs, _lp(p12, w)
@@ -429,12 +416,21 @@ def in_region(region: str, z1: complex, z2: complex, margin: float = 0.0) -> boo
     zs = (z1, z2, z1 - z2)
     if z1 == 0 or z2 == 0 or zs[2] == 0:
         return False
-    outer = zs[row.outer]
-    if not abs(outer) * (1.0 - margin) > abs(zs[row.inner]):
+    if not _moduli_ordered(row, zs, margin):
         return False
     centre, half_pi = row.const.imag, math.pi / 2.0
-    d = principal_arg(zs[row.expanded]) - principal_arg(outer)
+    d = principal_arg(zs[row.expanded]) - principal_arg(zs[row.outer])
     return centre - half_pi + margin < d < centre + half_pi - margin
+
+
+def _moduli_ordered(row: _Region, zs: tuple, margin: float = 0.0) -> bool:
+    """|inner| < |outer| (1 - margin) among zs = (z1, z2, z1 - z2); a
+    ValueError naming the point where either modulus is past the float range."""
+    try:
+        return abs(zs[row.outer]) * (1.0 - margin) > abs(zs[row.inner])
+    except OverflowError:
+        raise ValueError(f"z1 = {zs[0]}, z2 = {zs[1]}: |{_QUANTITIES[row.inner]}| or "
+                         f"|{_QUANTITIES[row.outer]}| is past the float range") from None
 
 
 def _binom_coeffs(c, order: int, sign) -> np.ndarray:
@@ -480,18 +476,17 @@ class RegionExpansion:
     (columns r, s, t), and its log powers, block_lmn (int64 columns l, m,
     n).  keys lists the group keys, starts the term where each group but
     the first begins.  eval_parts reads these, at points on the designated
-    triple.
+    triple, designated_triple of region and bt.
 
     exps and lmn, each term's exponents and log powers, follow from them
     exactly: the outer quantity's exponent falls by k and the inner one's
-    rises by k.  They and groups, each key's LogFunction in the order
-    expand_region met them, are built on first use and kept.  eval_many
+    rises by k.  They, designated and groups, each key's LogFunction in
+    the order expand_region met them, are built on first use and kept.  eval_many
     is eval_parts of this series alone, and eval is eval_many at one point.
     """
 
     region: str
     bt: BranchTriple
-    designated: BranchTriple
     order: int
     starts: list[int] = field(default_factory=list, repr=False)
     keys: list[complex] = field(default_factory=list)
@@ -506,11 +501,14 @@ class RegionExpansion:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.region, self.bt, self.designated, self.order, self.starts, self.keys)
-                == (other.region, other.bt, other.designated, other.order, other.starts,
-                    other.keys)
+        return ((self.region, self.bt, self.order, self.starts, self.keys)
+                == (other.region, other.bt, other.order, other.starts, other.keys)
                 and all(np.array_equal(getattr(self, name), getattr(other, name))
                         for name in ("coeffs", "k", "block", "block_exps", "block_lmn")))
+
+    @cached_property
+    def designated(self) -> BranchTriple:
+        return designated_triple(self.region, self.bt)
 
     @cached_property
     def exps(self) -> np.ndarray:
@@ -537,8 +535,7 @@ class RegionExpansion:
     def _checked(self, z1: complex, z2: complex) -> tuple[BranchTriple, complex, complex]:
         """(designated, z1, z2), once the region's modulus ordering holds."""
         row = _region(self.region)
-        zs = (complex(z1), complex(z2), complex(z1) - complex(z2))
-        if not abs(zs[row.inner]) < abs(zs[row.outer]):
+        if not _moduli_ordered(row, (complex(z1), complex(z2), complex(z1) - complex(z2))):
             raise ValueError(
                 f"z1 = {z1}, z2 = {z2} is outside the {self.region} region: its series "
                 f"needs |{_QUANTITIES[row.inner]}| < |{_QUANTITIES[row.outer]}|")
@@ -852,8 +849,7 @@ def _build_pass(functions: list[LogFunction], terms: list[LogMonomial], regions:
     together.  A series is one function in one region, numbered region by
     region, and its number ranks first in the sort."""
     if not terms:
-        return [[RegionExpansion(region, bt, designated_triple(region, bt), order)
-                 for _ in functions] for region in regions]
+        return [[RegionExpansion(region, bt, order) for _ in functions] for region in regions]
     # Per row, one per region and term, region by region: the binomial
     # exponent c (expanded's) and the exponents that fall (outer's + c,
     # falling - k) and rise (inner's, rising + k) with the power k of x, so
@@ -999,17 +995,16 @@ def _build_pass(functions: list[LogFunction], terms: list[LogMonomial], regions:
     keys, firsts, bounds = key[firsts].tolist(), firsts.tolist(), bounds.tolist()
     expansions = []
     for q, region in enumerate(regions):
-        designated = designated_triple(region, bt)
         family = []
         for i in range(q * len(functions), (q + 1) * len(functions)):
             lo, hi = bounds[i], bounds[i + 1]
             if lo == hi:  # every term dropped
-                family.append(RegionExpansion(region, bt, designated, order))
+                family.append(RegionExpansion(region, bt, order))
                 continue
             b0, b1 = first_block[i], first_block[i + 1]
             groups = slice(first_group[i], first_group[i + 1])
             family.append(RegionExpansion(
-                region, bt, designated, order, starts=[s - lo for s in firsts[groups][1:]],
+                region, bt, order, starts=[s - lo for s in firsts[groups][1:]],
                 keys=keys[groups], coeffs=total[lo:hi], k=k[lo:hi], block=block[lo:hi] - b0,
                 block_exps=block_exps[b0:b1], block_lmn=block_lmn[b0:b1]))
         expansions.append(family)

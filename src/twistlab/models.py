@@ -109,9 +109,9 @@ def _exact_real(x):
 
 
 def make_abelian(r, s, t, log_powers=(0, 0, 0), qp: QuasiPrimaryData | None = None,
-                 coeff: complex = 1.0, bt: BranchTriple = BranchTriple(0, 0, 0),
+                 bt: BranchTriple = BranchTriple(0, 0, 0),
                  name: str | None = None) -> Scenario:
-    """One-dimensional scalar family for a single monomial.
+    """One-dimensional scalar family for a single monomial of coefficient 1.
 
     r, s, t may be ints, Fractions, or complex numbers; rational r and t
     feed the exact phase channel.  log_powers is (l, m, n); only m (the
@@ -124,8 +124,7 @@ def make_abelian(r, s, t, log_powers=(0, 0, 0), qp: QuasiPrimaryData | None = No
         raise ValueError(
             "scalar automorphisms cannot absorb log z1 or log(z1 - z2) powers; "
             "only the log z2 power may be nonzero in the abelian model")
-    f = LogFunction([LogMonomial(complex(coeff), complex(r), complex(s),
-                                 complex(t), 0, m, 0)])
+    f = LogFunction([LogMonomial(1.0 + 0.0j, complex(r), complex(s), complex(t), 0, m, 0)])
     action = abelian_action([(_exact_real(r), _exact_real(t))])
     fam = CorrelationFamily((f,), action)
     if name is None:

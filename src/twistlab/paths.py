@@ -146,8 +146,12 @@ def _walk_moves(path: PathSpec) -> Iterator[_Step]:
                 raise ValueError(
                     f"move {idx}: arc of {move.turns} turns sweeps a non-finite angle")
             center = _resolve_center(move, other)
-            radius = abs(start - center)
-            if not math.isfinite(abs(center) + radius):
+            try:
+                radius = abs(start - center)
+                reach = abs(center) + radius
+            except OverflowError:  # a modulus past the float range
+                reach = math.inf
+            if not math.isfinite(reach):
                 raise ValueError(
                     f"move {idx}: arc from {start} about {center} leaves the float range")
             if radius == 0.0 and move.turns != 0.0:
@@ -202,13 +206,18 @@ def _arc_point_dist(center: complex, radius: float, theta0: float,
 
 def _clearance(step: _Step) -> float:
     """Distance from the move's track to 0 and to the fixed variable
-    (infinite for an arc of zero turns, which does not move)."""
-    if step.center is None:
-        return min(_seg_point_dist(step.start, step.end, c) for c in (0j, step.other))
-    if step.sweep == 0.0:
-        return math.inf
-    return min(_arc_point_dist(step.center, step.radius, step.theta0, step.sweep, c)
-               for c in (0j, step.other))
+    (infinite for an arc of zero turns, which does not move); a ValueError
+    naming the move where a distance is past the float range."""
+    try:
+        if step.center is None:
+            return min(_seg_point_dist(step.start, step.end, c) for c in (0j, step.other))
+        if step.sweep == 0.0:
+            return math.inf
+        return min(_arc_point_dist(step.center, step.radius, step.theta0, step.sweep, c)
+                   for c in (0j, step.other))
+    except OverflowError:
+        raise ValueError(f"{step.var} move from {step.start} to {step.end}: its distance "
+                         f"to 0 or to {step.other} is past the float range") from None
 
 
 def validate_path(path: PathSpec) -> float:
@@ -281,8 +290,7 @@ def _end_logs(bt, a1: np.ndarray, a2: np.ndarray) -> tuple[tuple, tuple]:
     that rises by over pi."""
     sides: tuple[list, list] = ([], [])
     for a, p in zip((a1, a2, a1 - a2), bt):
-        start = _lp(p, complex(a[0])).imag
-        end = math.log(abs(complex(a[-1])))
+        start, end = _lp(p, complex(a[0])).imag, _lp(p, complex(a[-1])).real
         theta = np.angle(a)
         for logs, th in zip(sides, (theta, theta[::2])):
             steps = th[1:] - th[:-1]

@@ -58,11 +58,9 @@ PI_I = complex(0.0, math.pi)
 
 
 def _sign_value(sign) -> int:
-    if sign in (1, +1, "+", "plus"):
-        return 1
-    if sign in (-1, "-", "minus"):
-        return -1
-    raise ValueError(f"sign must be +1/-1 (or 'plus'/'minus'), got {sign!r}")
+    if sign in (1, -1):
+        return 1 if sign == 1 else -1
+    raise ValueError(f"sign must be 1 or -1, got {sign!r}")
 
 
 @dataclass(eq=False)

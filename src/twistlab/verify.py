@@ -84,19 +84,21 @@ TOL_BRANCH = 1e-12  # bound on the defects of exact index and coefficient arithm
 # in_region margin they must clear.
 _RATIO_LO, _RATIO_HI, _REGION_MARGIN = 0.3, 0.6, 0.05
 
+# Each check's sample count, read when it runs: it passes on these or fails.
+_BRANCH_SAMPLES = 2000  # branch-identities
+_SHIFT_POINTS = 6  # shift-identities, and each sign's shift stage of the transform checks
+_DUALITY_POINTS = 4  # duality-regions, per region
+_SWAP_PATHS = 2  # region-swap
+_POINTWISE_POINTS = 6  # the transform checks' pointwise laws, per sign
+
 
 @dataclass
 class VerifyConfig:
-    """Series tolerance, series order, seed and sample counts for the checks."""
+    """Series tolerance, series order and seed for the checks."""
 
     tol_series: float = 1e-9
     order: int = 60
     seed: int = 0
-    branch_samples: int = 2000
-    shift_points: int = 6
-    duality_points: int = 4
-    swap_paths: int = 2
-    pointwise_points: int = 6
 
 
 @dataclass
@@ -258,8 +260,7 @@ def check_branch_identities(sc: Scenario | None, config: VerifyConfig) -> CheckR
     """Randomized identities of lp, neg/inv branches and the offset laws."""
     tr = _Tracker()
     q_seen = set()
-    samples = _branch_samples(_rng(config, 0 if sc is None else sc.seed, 11),
-                              config.branch_samples)
+    samples = _branch_samples(_rng(config, 0 if sc is None else sc.seed, 11), _BRANCH_SAMPLES)
     for z, p, z1, z2, p1, p2, z1r, z2r in zip(*samples):
         log_z = lp(p, z)
         d = abs(cmath.exp(log_z) - z) / max(1.0, abs(z))
@@ -304,7 +305,7 @@ def check_branch_identities(sc: Scenario | None, config: VerifyConfig) -> CheckR
 def check_shift_identities(sc: Scenario, config: VerifyConfig) -> CheckReport:
     """The two automorphism/branch-shift identities on generic points."""
     rng = _rng(config, sc.seed, 23)
-    points = [_generic_pair(rng) for _ in range(config.shift_points)]
+    points = [_generic_pair(rng) for _ in range(_SHIFT_POINTS)]
     d1, d2 = check_shifts(sc.fam, sc.bt, points)
     defect = max(d1, d2)
     passed = defect < TOL_BRANCH
@@ -408,7 +409,7 @@ def check_duality_regions(sc: Scenario, config: VerifyConfig) -> CheckReport:
     rng = _rng(config, sc.seed, 37)
     bump = 1 if sc.control == "duality-branch" else 0
     tr = _Tracker()
-    samples = _region_samples(rng, config.duality_points)
+    samples = _region_samples(rng, _DUALITY_POINTS)
     _run_stages(tr, _duality_stages([sc.fam.functions], sc.bt, config.order, [samples],
                                     bump)[0])
     passed = tr.max_defect < config.tol_series
@@ -421,12 +422,11 @@ def check_duality_regions(sc: Scenario, config: VerifyConfig) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _swap_path(rng) -> tuple[PathSpec, float]:
+def _swap_path(rng) -> PathSpec:
     """Clockwise arc of z1 about z2 crossing the z1 - z2 cut exactly once.
 
     The start sits in the reversed window, the end in its complement; the
-    whole arc keeps |z1| < |z2| and z1 clear of its own cut.  Returns the
-    path and the start argument of z2.
+    whole arc keeps |z1| < |z2| and z1 clear of its own cut.
     """
     a2 = _uniform(rng, 2.95, 3.45)
     z2 = _uniform(rng, 1.0, 2.0) * cmath.exp(1j * a2)
@@ -436,7 +436,7 @@ def _swap_path(rng) -> tuple[PathSpec, float]:
     w0 = wfrac * abs(z2) * cmath.exp(1j * s0)
     z1 = z2 + w0
     turns = -(s0 + s1) / TWO_PI
-    return PathSpec(z1, z2, [Arc("z1", turns=turns, about="other")]), a2
+    return PathSpec(z1, z2, [Arc("z1", turns=turns, about="other")])
 
 
 def check_region_swap(sc: Scenario, config: VerifyConfig) -> CheckReport:
@@ -455,7 +455,7 @@ def check_region_swap(sc: Scenario, config: VerifyConfig) -> CheckReport:
     neg_applicable = 0
     start_bt = designated_triple("reversed", sc.bt)
     lowered = BranchTriple(start_bt.p1, start_bt.p2, start_bt.p12 - 1)
-    paths = [_swap_path(rng)[0] for _ in range(config.swap_paths)]
+    paths = [_swap_path(rng) for _ in range(_SWAP_PATHS)]
     ends = {i: (path_end(path)[0], path.z2) for i, path in enumerate(paths)
             if in_region("reversed", path.z1, path.z2, 0.04)}
     # The family's series, built once, and the family itself on the
@@ -599,14 +599,14 @@ def check_omega_duality(sc: Scenario, config: VerifyConfig) -> CheckReport:
         # (i) pointwise relocation: the exchanged function at (z1, z2) is
         # the original at (z1 - z2, -z2) with the outer indices traded.
         samples = []
-        for _ in range(config.pointwise_points):
+        for _ in range(_POINTWISE_POINTS):
             z1, z2 = _exchange_pair(rng, sign)
             samples.append((_small_triple(rng, sc.bt), z1, z2))
         lhs = point_logs(samples)
         rhs = point_logs((BranchTriple(P.p12, P.p2, P.p1), z1 - z2, -z2)
                          for P, z1, z2 in samples)
         # (ii) shift identities with the swapped action.
-        pts = [_generic_pair(rng) for _ in range(config.shift_points)]
+        pts = [_generic_pair(rng) for _ in range(_SHIFT_POINTS)]
         stages.append([_pointwise_stage(gfam.functions, lhs, sc.fam.functions, rhs, samples),
                        _shift_stage(gfam, sc.bt, pts)])
         # (iii) region series of the exchanged family (deeper order: the
@@ -680,7 +680,7 @@ def check_contragredient_duality(sc: Scenario, config: VerifyConfig) -> CheckRep
         hfam = _contragredient_rewrite(modified, sign)
         # (i) inverted-variable pointwise law.
         samples, inverted = [], []
-        for _ in range(config.pointwise_points):
+        for _ in range(_POINTWISE_POINTS):
             z1, z2 = _generic_pair(rng)
             P = _small_triple(rng, sc.bt)
             q = q_offset_product(z1, z2)
@@ -689,7 +689,7 @@ def check_contragredient_duality(sc: Scenario, config: VerifyConfig) -> CheckRep
             samples.append((P, z1, z2))
             inverted.append((inv_bt, 1.0 / z1, 1.0 / z2))
         # (ii) shift identities with the induced action (integral wt_u).
-        pts = [_generic_pair(rng) for _ in range(config.shift_points)]
+        pts = [_generic_pair(rng) for _ in range(_SHIFT_POINTS)]
         stages.append([_pointwise_stage(hfam.functions, point_logs(samples), fmods,
                                         point_logs(inverted), samples),
                        _shift_stage(hfam, sc.bt, pts)])
@@ -771,23 +771,17 @@ def run_suite(scenarios: list[Scenario] | None = None,
     if check in (None, "branch-identities"):
         reports.append(check_branch_identities(None, config))
     for sc in scenarios:
+        names = _SCENARIO_CHECKS
         if sc.control is not None:
-            target = _CONTROL_TARGET.get(sc.control)
-            if target is None:
+            if sc.control not in _CONTROL_TARGET:
                 raise ValueError(f"unknown control kind {sc.control!r}")
-            if check not in (None, target):
-                continue
-            rep = CHECKS[target](sc, config)
-            rep.name = f"{sc.name}/{rep.name}"
-            rep.expect_fail = True
-            reports.append(rep)
-            continue
-        for check_name in _SCENARIO_CHECKS:
-            if check not in (None, check_name):
-                continue
-            rep = CHECKS[check_name](sc, config)
-            rep.name = f"{sc.name}/{rep.name}"
-            reports.append(rep)
+            names = (_CONTROL_TARGET[sc.control],)
+        for name in names:
+            if check in (None, name):
+                rep = CHECKS[name](sc, config)
+                rep.name = f"{sc.name}/{rep.name}"
+                rep.expect_fail = sc.control is not None
+                reports.append(rep)
     return reports
 
 

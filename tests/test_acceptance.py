@@ -40,6 +40,7 @@ from twistlab import (
 from twistlab import models as _models
 from twistlab.cli import load_scenario
 from twistlab import logfun as _logfun
+from twistlab import verify
 
 
 def report(name: str, passed: bool, detail: str):
@@ -69,10 +70,11 @@ def _region_point(rng, region):
     raise RuntimeError(f"no point found in {region}")
 
 
-def test_branch_calculus_identities():
+def test_branch_calculus_identities(monkeypatch):
     """10^4 randomized checks of the branch index identities, < 1e-12, < 5 s."""
+    monkeypatch.setattr(verify, "_BRANCH_SAMPLES", 10_000)
     t0 = time.perf_counter()
-    rep = check_branch_identities(None, VerifyConfig(branch_samples=10_000))
+    rep = check_branch_identities(None, VerifyConfig())
     dt = time.perf_counter() - t0
     report("branch calculus identities",
            rep.passed and rep.max_defect < 1e-12 and dt < 5.0,

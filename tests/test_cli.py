@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -64,12 +65,16 @@ def test_eval_output_is_deterministic(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("z1", ["1e155,0", "1e300,0"], ids=["sum-overflows", "power-overflows"])
-def test_eval_non_finite_value_names_the_point(capsys, z1):
+@pytest.mark.parametrize("z1, message", [
+    ("1e155,0", "function value at z1 = (1e+155+0j), z2 = (1+0j) is not finite"),
+    ("1e300,0", "function value at z1 = (1e+300+0j), z2 = (1+0j) is not finite"),
+    # finite parts, but a modulus past the float range
+    ("1.5e308,1.5e308",
+     "log of (1.5e+308+1.5e+308j) is undefined: its modulus is past the float range"),
+], ids=["sum-overflows", "power-overflows", "modulus-overflows"])
+def test_eval_non_finite_value_names_the_point(capsys, z1, message):
     code, out, err = run_cli(capsys, "eval", "--scenario", LOG_PAIR, "--z1", z1, "--z2", "1,0")
-    assert code == 2 and out == ""
-    point = complex(float(z1.split(",")[0]), 0.0)
-    assert err == f"error: function value at z1 = {point}, z2 = (1+0j) is not finite\n"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +177,10 @@ _FAR_MOVES = {
                          {"var": "z1", "kind": "arc", "about": "origin", "turns": 1e308}],
     # A segment past 1.3e154 long, 0.141 clear of 0: a valid path.
     "far-segment": [{"var": "z1", "kind": "segment", "to": [1e200, 1e200]}],
+    # z2 moves to a point of finite parts past the float range in modulus,
+    # so z1's segment ends farther from it than a float holds.
+    "far-other": [{"var": "z2", "kind": "segment", "to": [1.5e308, 1.5e308]},
+                  {"var": "z1", "kind": "segment", "to": [2.0, 0.0]}],
 }
 
 
@@ -185,6 +194,10 @@ def test_continue_at_the_ends_of_the_float_range(capsys, tmp_path, name):
     if name == "non-finite-sweep":
         assert (code, out) == (2, "")
         assert err == "error: move 1: arc of 1e+308 turns sweeps a non-finite angle\n"
+    elif name == "far-other":
+        assert (code, out) == (2, "")
+        assert err == ("error: z1 move from (-1.8-1j) to (2+0j): its distance to 0 or to "
+                       "(1.5e+308+1.5e+308j) is past the float range\n")
     else:
         assert code == 0, err
         assert json.loads(out)["certificate"] < 1e-12
@@ -350,6 +363,21 @@ def test_verify_scenario_reports_are_run_suites(capsys, src):
     # The scenario-independent check is named as in the shipped suite.
     assert [r.name for r in reports] == ["branch-identities"] + [
         f"{sc.name}/{c}" for c in verify.CHECKS if c != "branch-identities"]
+
+
+def test_verify_flags_set_every_config_field(capsys, monkeypatch):
+    # A VerifyConfig field that no verify flag sets is a setting nothing
+    # varies: it fails here, so it is made a constant instead.
+    configs = []
+    monkeypatch.setattr(cli, "run_suite", lambda scenarios, config, check: configs.append(config)
+                        or [])
+    code, _, err = run_cli(capsys, "verify", "--check", "branch-identities", "--seed", "3",
+                           "--order", "7", "--tol", "1e-8")
+    assert (code, err) == (0, "")
+    [config] = configs
+    default = VerifyConfig()
+    assert [f.name for f in fields(VerifyConfig)
+            if getattr(config, f.name) == getattr(default, f.name)] == []
 
 
 def test_parsed_scenario_goes_straight_into_a_check():

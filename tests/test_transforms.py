@@ -71,17 +71,14 @@ POINTS = [
 
 
 def test_sign_spellings_agree():
+    # A sign is the number 1 or -1, int or float; no string spells one.
     f = LogFunction([LogMonomial(1.0, s=0.25)])
-    plus = omega_transform(f, 1)
-    assert term_distance(omega_transform(f, "+"), plus) == 0.0
-    assert term_distance(omega_transform(f, "plus"), plus) == 0.0
-    minus = omega_transform(f, -1)
-    assert term_distance(omega_transform(f, "-"), minus) == 0.0
-    assert term_distance(omega_transform(f, "minus"), minus) == 0.0
-    with pytest.raises(ValueError):
-        omega_transform(f, 2)
-    with pytest.raises(ValueError):
-        a_transform(f, "pm")
+    assert term_distance(omega_transform(f, 1.0), omega_transform(f, 1)) == 0.0
+    assert term_distance(omega_transform(f, -1.0), omega_transform(f, -1)) == 0.0
+    for sign in (2, 0, "+", "plus", "-", "minus"):
+        for transform in (omega_transform, a_transform):
+            with pytest.raises(ValueError, match="^sign must be 1 or -1, got "):
+                transform(f, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +91,7 @@ def test_omega_frozen_single_term():
     want = LogFunction([
         LogMonomial(2.0 * cmath.exp(PI_I / 3.0), r=1.5, s=1.0 / 3.0, t=0.5),
     ])
-    assert term_distance(omega_transform(f, "+"), want) < 1e-15
+    assert term_distance(omega_transform(f, 1), want) < 1e-15
 
 
 def test_omega_frozen_log_binomial():
@@ -105,12 +102,12 @@ def test_omega_frozen_log_binomial():
         LogMonomial(ph, s=0.25, m=1),
         LogMonomial(-PI_I * ph, s=0.25),
     ])
-    assert term_distance(omega_transform(f, "-"), want) < 1e-15
+    assert term_distance(omega_transform(f, -1), want) < 1e-15
 
 
 def test_omega_swaps_outer_log_slots():
     f = LogFunction([LogMonomial(1.0, l=2, n=1)])
-    g = omega_transform(f, "+")
+    g = omega_transform(f, 1)
     assert len(g.terms) == 1
     u = g.terms[0]
     assert (u.l, u.m, u.n) == (1, 0, 2)
@@ -126,7 +123,7 @@ def test_omega_involution_opposite_signs():
 
 def test_omega_same_sign_twice_is_phase_not_identity():
     f = LogFunction([LogMonomial(1.0, s=1.0 / 3.0)])
-    twice = omega_transform(omega_transform(f, "+"), "+")
+    twice = omega_transform(omega_transform(f, 1), 1)
     assert term_distance(twice, f) > 0.5
     want = LogFunction([LogMonomial(cmath.exp(2.0 * PI_I / 3.0), s=1.0 / 3.0)])
     assert term_distance(twice, want) < 1e-15
@@ -169,14 +166,14 @@ def test_a_frozen_difference_log_multinomial():
         LogMonomial(-1j, r=-0.5, s=-0.5, t=0.5, m=1),
         LogMonomial(-math.pi, r=-0.5, s=-0.5, t=0.5),
     ])
-    assert term_distance(a_transform(f, "+"), want) < 1e-15
+    assert term_distance(a_transform(f, 1), want) < 1e-15
 
 
 def test_a_frozen_log_parity():
     # Plain outer logs only flip sign with the parity of l + m.
     f = LogFunction([LogMonomial(1.0, r=0.5, l=1)])
     want = LogFunction([LogMonomial(-1.0, r=-0.5, l=1)])
-    assert term_distance(a_transform(f, "-"), want) < 1e-15
+    assert term_distance(a_transform(f, -1), want) < 1e-15
 
 
 def test_a_involution_opposite_signs():
@@ -235,7 +232,7 @@ def test_a_pointwise_inversion(sign):
 def test_quasi_primary_modify_frozen():
     qp = QuasiPrimaryData(wt_u=1, h1=0.75)
     f = LogFunction([LogMonomial(1.0, r=0.5)])
-    got = quasi_primary_modify(f, qp, "+")
+    got = quasi_primary_modify(f, qp, 1)
     scale = cmath.exp(PI_I) * cmath.exp(0.75 * PI_I)
     want = LogFunction([LogMonomial(scale, r=2.5, s=1.5)])
     assert term_distance(got, want) < 1e-15
@@ -467,7 +464,7 @@ def test_a_eval_relation_on_and_off_axis():
 
 def test_a_eval_relation_rejects_zero():
     with pytest.raises(ValueError):
-        a_eval_relations(MIXED, QuasiPrimaryData(), [(0, 0.0)], "+")
+        a_eval_relations(MIXED, QuasiPrimaryData(), [(0, 0.0)], 1)
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -36,9 +36,6 @@ from twistlab import logfun, verify
 from twistlab.branchcalc import principal_arg, ratio_arg_decomposition
 from twistlab.verify import TOL_BRANCH
 
-LIGHT = VerifyConfig(branch_samples=300, shift_points=3, duality_points=2,
-                     swap_paths=1, pointwise_points=3)
-
 CONTROL_TARGET = {
     "shift": "shift-identities",
     "composition": "monodromy-composition",
@@ -78,9 +75,7 @@ def test_verify_config_defaults():
     assert TOL_BRANCH == 1e-12
     assert cfg.tol_series == 1e-9
     assert cfg.order == 60
-    assert [f.name for f in fields(VerifyConfig)] == [
-        "tol_series", "order", "seed", "branch_samples", "shift_points",
-        "duality_points", "swap_paths", "pointwise_points"]
+    assert [f.name for f in fields(VerifyConfig)] == ["tol_series", "order", "seed"]
     assert set(CHECKS) == {
         "branch-identities", "shift-identities", "duality-regions",
         "region-swap", "monodromy-composition", "omega-duality",
@@ -93,11 +88,11 @@ def test_verify_config_defaults():
 
 
 def test_branch_identities_check():
-    rep = check_branch_identities(None, LIGHT)
+    rep = check_branch_identities(None, VerifyConfig())
     assert rep.name == "branch-identities"
     assert rep.passed
     assert rep.max_defect < TOL_BRANCH
-    assert rep.samples == 3 * LIGHT.branch_samples  # no sample of any identity dropped
+    assert rep.samples == 3 * verify._BRANCH_SAMPLES  # no sample of any identity dropped
     assert set(rep.extras["qValues"]) <= {-1, 0, 1, 2}
 
 
@@ -134,7 +129,7 @@ def test_branch_identities_draws_its_samples_as_arrays(monkeypatch):
 def test_branch_samples_keep_their_contract():
     config = VerifyConfig()
     z, p, z1, z2, p1, p2, z1r, z2r = verify._branch_samples(verify._rng(config, 0, 11),
-                                                            config.branch_samples)
+                                                            verify._BRANCH_SAMPLES)
     assert all(len(q) == 2000 for q in (z, p, z1, z2, p1, p2, z1r, z2r))
     assert all(isinstance(zi, complex) for q in (z, z1, z2, z1r, z2r) for zi in q)
     assert all(isinstance(pi, int) for q in (p, p1, p2) for pi in q)
@@ -169,16 +164,16 @@ def test_branch_samples_keep_their_contract():
                          ids=["curated", "random"])
 def test_scenario_checks_pass(check_name, maker):
     sc = maker()
-    rep = CHECKS[check_name](sc, LIGHT)
+    rep = CHECKS[check_name](sc, VerifyConfig())
     assert rep.name == check_name
     assert rep.passed, f"{check_name} defect {rep.max_defect}"
 
 
 def test_region_swap_negative_control_engages():
-    rep = check_region_swap(curated_scenario(), LIGHT)
+    rep = check_region_swap(curated_scenario(), VerifyConfig())
     assert rep.passed
     assert rep.extras["negativeApplicable"] >= 1
-    assert rep.extras["negativeGap"] > 10.0 * LIGHT.tol_series
+    assert rep.extras["negativeGap"] > 10.0 * VerifyConfig().tol_series
 
 
 def test_region_swap_builds_one_series_per_function(monkeypatch):
@@ -190,14 +185,15 @@ def test_region_swap_builds_one_series_per_function(monkeypatch):
         return expand_family(functions, *args)
 
     monkeypatch.setattr(verify, "expand_family", counting_expand)
+    monkeypatch.setattr(verify, "_SWAP_PATHS", 3)
     sc = curated_scenario()
-    rep = check_region_swap(sc, replace(LIGHT, swap_paths=3))
+    rep = check_region_swap(sc, VerifyConfig())
     assert rep.passed
     assert built == [list(sc.fam.functions)]  # one build of the whole family
 
 
 def test_monodromy_composition_details():
-    rep = check_monodromy_composition(make_random(7), LIGHT)
+    rep = check_monodromy_composition(make_random(7), VerifyConfig())
     assert rep.passed
     assert rep.extras["windings"] == (-1, 0, -1)
     assert rep.extras["compositionDefect"] < TOL_BRANCH
@@ -208,7 +204,7 @@ def test_monodromy_composition_reports_measured_windings(monkeypatch):
     loop_a, loop_b = monodromy_loops()
     twice = PathSpec(loop_a.z1, loop_a.z2, [Arc("z1", turns=-2, about="origin")])
     monkeypatch.setattr(verify, "monodromy_loops", lambda: (twice, loop_b))
-    rep = check_monodromy_composition(make_random(7), LIGHT)
+    rep = check_monodromy_composition(make_random(7), VerifyConfig())
     assert rep.extras["windings"] == winding_profile(twice) == (-2, 0, -2)
     assert not rep.passed  # loop A no longer ends on the expected triple
 
@@ -223,15 +219,15 @@ def test_branch_identities_counts_a_refused_decomposition(monkeypatch, error):
     def refuse(z1, z2):
         raise error("refused")
 
-    healthy = check_branch_identities(None, LIGHT)
+    healthy = check_branch_identities(None, VerifyConfig())
     monkeypatch.setattr(verify, "ratio_arg_decomposition", refuse)
-    rep = check_branch_identities(None, LIGHT)
+    rep = check_branch_identities(None, VerifyConfig())
     assert rep.max_defect == math.inf and not rep.passed
-    assert rep.samples == healthy.samples == 3 * LIGHT.branch_samples
+    assert rep.samples == healthy.samples == 3 * verify._BRANCH_SAMPLES
 
 
 def test_region_swap_counts_an_arc_that_starts_outside_its_window(monkeypatch):
-    sc, config = curated_scenario(), replace(LIGHT, swap_paths=2)
+    sc, config = curated_scenario(), VerifyConfig()
     healthy = check_region_swap(sc, config)
     monkeypatch.setattr(verify, "in_region", lambda *args: False)
     rep = check_region_swap(sc, config)
@@ -246,7 +242,7 @@ def _p12_crossing_off_by_one(monkeypatch):
 
 
 def test_region_swap_counts_an_arc_that_ends_on_another_triple(monkeypatch):
-    sc, config = curated_scenario(), replace(LIGHT, swap_paths=2)
+    sc, config = curated_scenario(), VerifyConfig()
     healthy = check_region_swap(sc, config)
     _p12_crossing_off_by_one(monkeypatch)
     rep = check_region_swap(sc, config)
@@ -256,9 +252,9 @@ def test_region_swap_counts_an_arc_that_ends_on_another_triple(monkeypatch):
 
 def test_monodromy_composition_counts_a_loop_that_ends_on_another_triple(monkeypatch):
     sc = make_random(7)
-    healthy = check_monodromy_composition(sc, LIGHT)
+    healthy = check_monodromy_composition(sc, VerifyConfig())
     _p12_crossing_off_by_one(monkeypatch)
-    rep = check_monodromy_composition(sc, LIGHT)
+    rep = check_monodromy_composition(sc, VerifyConfig())
     assert rep.max_defect == math.inf and not rep.passed
     assert rep.samples == healthy.samples == 4 * sc.fam.dim + 1
 
@@ -272,26 +268,26 @@ def test_controls_fail_targeted_checks():
     controls = [s for s in default_scenarios() if s.control]
     assert len(controls) == 3
     for sc in controls:
-        rep = CHECKS[CONTROL_TARGET[sc.control]](sc, LIGHT)
+        rep = CHECKS[CONTROL_TARGET[sc.control]](sc, VerifyConfig())
         assert not rep.passed, sc.name
         assert rep.max_defect > 10.0 * rep.tol
 
 
 def test_duality_branch_bump_only_with_marker():
     sc = curated_scenario()
-    healthy = check_duality_regions(sc, LIGHT)
+    healthy = check_duality_regions(sc, VerifyConfig())
     assert healthy.passed
-    bad = check_duality_regions(replace(sc, control="duality-branch"), LIGHT)
+    bad = check_duality_regions(replace(sc, control="duality-branch"), VerifyConfig())
     assert not bad.passed
-    assert bad.max_defect > 10.0 * LIGHT.tol_series
+    assert bad.max_defect > 10.0 * VerifyConfig().tol_series
 
 
 def test_shift_check_flags_perturbed_action():
     sc = make_random(101)
-    rep0 = check_shift_identities(sc, LIGHT)
+    rep0 = check_shift_identities(sc, VerifyConfig())
     assert rep0.passed
     sc.fam.action.g1 = sc.fam.action.g1 * 1.05
-    rep1 = check_shift_identities(sc, LIGHT)
+    rep1 = check_shift_identities(sc, VerifyConfig())
     assert not rep1.passed
 
 
@@ -315,7 +311,7 @@ def test_monodromy_loops_are_homotopic_windings():
 
 def test_run_suite_and_suite_ok():
     scenarios = [make_random(7)] + [s for s in default_scenarios() if s.control]
-    reports = run_suite(scenarios, LIGHT)
+    reports = run_suite(scenarios, VerifyConfig())
     # one global check + six scenario checks + three controls
     assert len(reports) == 1 + 6 + 3
     assert suite_ok(reports)
@@ -380,12 +376,14 @@ def test_run_suite_makes_one_kernel_call_per_check_and_point_count(monkeypatch):
 
 def test_run_suite_refuses_an_unknown_check():
     with pytest.raises(ValueError, match="unknown check 'no-such-check'"):
-        run_suite([], LIGHT, check="no-such-check")
+        run_suite([], VerifyConfig(), check="no-such-check")
+    with pytest.raises(ValueError, match="unknown control kind 'bogus'"):
+        run_suite([replace(make_random(7), control="bogus")], VerifyConfig())
 
 
 def test_suite_ok_requires_expectations():
     scenarios = [s for s in default_scenarios() if s.control][:1]
-    reports = run_suite(scenarios, LIGHT)
+    reports = run_suite(scenarios, VerifyConfig())
     assert suite_ok(reports)
     reports[0].passed = not reports[0].passed
     assert not suite_ok(reports)
