@@ -71,7 +71,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .branchcalc import TWO_PI, _lp, principal_arg
-from .paths import PathSpec, _oracle, _Step, _walk_moves, path_end, validate_path
+from .paths import PathSpec, _oracle, _phase, _Step, _walk_moves, path_end, validate_path
 from .paths import sample_path  # noqa: F401  (bench/tracing.py times it under this name)
 
 _COEFF_DROP = 1e-15
@@ -1027,10 +1027,10 @@ def _arg_change(step: _Step, a: complex, b: complex) -> float:
     phi1 = step.theta0 + step.sweep
     if abs(a) < abs(b):
         k = a / b
-        return (step.sweep + cmath.phase(1.0 + k * cmath.exp(-1j * phi1))
-                - cmath.phase(1.0 + k * cmath.exp(-1j * phi0)))
+        return (step.sweep + _phase(1.0 + k * cmath.exp(-1j * phi1))
+                - _phase(1.0 + k * cmath.exp(-1j * phi0)))
     k = b / a
-    return cmath.phase(1.0 + k * cmath.exp(1j * phi1)) - cmath.phase(1.0 + k * cmath.exp(1j * phi0))
+    return _phase(1.0 + k * cmath.exp(1j * phi1)) - _phase(1.0 + k * cmath.exp(1j * phi0))
 
 
 def _index_change(q0: complex, q1: complex, delta: float) -> int:
@@ -1048,8 +1048,8 @@ def _move_crossings(step: _Step) -> tuple[int, int, int]:
         w0, w1 = o - s, o - e
     if step.center is None:
         # A segment that misses 0 turns by less than pi.
-        dv = cmath.phase(e / s)
-        dw = cmath.phase(w1 / w0)
+        dv = _phase(e / s)
+        dw = _phase(w1 / w0)
     else:
         c, radius = step.center, step.radius
         dv = _arg_change(step, c, radius)

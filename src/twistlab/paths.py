@@ -2,8 +2,9 @@
 
 A PathSpec moves one variable at a time along segments and arcs.  One
 walker, _walk_moves, resolves the geometry of each move; validate_path,
-path_end, sample_path and the closed-form crossing count in logfun are
-built on it.
+path_end, sample_path, the oracle and the closed-form crossing count in
+logfun are built on it.  One sampling rule, _move_samples, places the
+points of a move, for sample_path and for the oracle.
 
 oracle_continue re-derives analytic continuation with none of the branch
 index machinery: from branchcalc's lp at the start, the one cut rule, it
@@ -14,10 +15,12 @@ touches keeps its start log exactly, since its angles never change.  It
 shares only the path geometry and lp with the crossing count it checks,
 so agreement between the two is evidence, not tautology.  The oracle
 serves a whole family at once (_oracle, behind logfun.continue_family):
-each refinement level samples the path and takes each quantity's angles
-once for every function, its coarse side being every other point of the
-same sampling.  This module imports nothing from logfun, which calls the
-oracle for its certificate.
+it walks the path once, and each refinement level samples each move once
+and takes the angles of only the moving variable and of z1 - z2 along it
+for every function, its coarse side being every other point of the same
+sampling.  The samples of one move are held at a time; only the angles
+of a quantity the moves change span the path.  This module imports
+nothing from logfun, which calls the oracle for its certificate.
 """
 
 from __future__ import annotations
@@ -120,6 +123,12 @@ def _resolve_center(move: Arc, other: complex) -> complex:
     raise ValueError(f"unknown arc center kind {move.about!r}")
 
 
+def _phase(z: complex) -> float:
+    """arg z in [-pi, pi], cmath.phase's value; also where cmath.phase
+    raises OverflowError because the angle underflows (2.2 - 5e-324j)."""
+    return math.atan2(z.imag, z.real)
+
+
 def _walk_moves(path: PathSpec) -> Iterator[_Step]:
     """The geometry of each move of the path, in order.
 
@@ -156,7 +165,7 @@ def _walk_moves(path: PathSpec) -> Iterator[_Step]:
                     f"move {idx}: arc from {start} about {center} leaves the float range")
             if radius == 0.0 and move.turns != 0.0:
                 raise ValueError(f"move {idx}: arc of zero radius")
-            theta0 = cmath.phase(start - center)
+            theta0 = _phase(start - center)
             end = center + radius * cmath.exp(1j * (theta0 + sweep))
             step = _Step(move.var, start, end, other, center, radius, theta0, move.turns, sweep)
         else:
@@ -193,7 +202,7 @@ def _arc_point_dist(center: complex, radius: float, theta0: float,
         return radius
     if abs(sweep) >= TWO_PI:
         return abs(abs(d) - radius)
-    phi = cmath.phase(d)
+    phi = _phase(d)
     rel = math.fmod((phi - theta0) * math.copysign(1.0, sweep), TWO_PI)
     if rel < 0.0:
         rel += TWO_PI
@@ -247,29 +256,50 @@ def _base_samples(step: _Step) -> int:
     return max(64, math.ceil(64 * turns), math.ceil(32 * turns * quality))
 
 
-def sample_path(path: PathSpec, scale: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled positions (z1 array, z2 array) along the path.
+def _move_samples(step: _Step, n: int) -> np.ndarray:
+    """The n samples of the moving variable after the move's start, evenly
+    spaced in the segment's parameter or the arc's angle, the last of them
+    exactly the move's end."""
+    # np.linspace(0.0, 1.0, n + 1)[1:] but for its last point, which step.end
+    # replaces; linspace's own overhead is most of a short move's sampling.
+    ts = np.arange(1, n + 1) * (1.0 / n)
+    if step.center is None:
+        pos = ts * (step.end - step.start)
+        pos += step.start
+    else:
+        ts *= step.sweep
+        ts += step.theta0
+        pos = ts * 1j
+        np.exp(pos, out=pos)
+        pos *= step.radius
+        pos += step.center
+    pos[-1] = step.end  # exact endpoint, no rounding
+    return pos
 
-    Each move adds scale times its base count of points after its start,
-    the last of them exactly the move's end.  Raises ArithmeticError,
-    before allocating, when the path needs more than SAMPLE_BUDGET points.
-    """
-    steps = list(_walk_moves(path))
-    counts = [_base_samples(step) * scale for step in steps]
-    total = 1 + sum(counts)
+
+def _check_budget(total: int, scale: int) -> None:
+    """Refuse a sampling of total points at scale before allocating it."""
     if total > SAMPLE_BUDGET:
         raise ArithmeticError(
             f"path needs {total} samples at scale {scale}, over the sample "
             f"budget (SAMPLE_BUDGET = {SAMPLE_BUDGET})")
+
+
+def sample_path(path: PathSpec, scale: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled positions (z1 array, z2 array) along the path.
+
+    Each move adds scale times its base count of points after its start,
+    _move_samples of the moving variable and the fixed one's position.
+    Raises ArithmeticError, before allocating, when the path needs more
+    than SAMPLE_BUDGET points.
+    """
+    steps = list(_walk_moves(path))
+    counts = [_base_samples(step) * scale for step in steps]
+    _check_budget(1 + sum(counts), scale)
     zs1: list[np.ndarray] = [np.array([path.z1])]
     zs2: list[np.ndarray] = [np.array([path.z2])]
     for step, n in zip(steps, counts):
-        ts = np.linspace(0.0, 1.0, n + 1)[1:]
-        if step.center is None:
-            pos = step.start + ts * (step.end - step.start)
-        else:
-            pos = step.center + step.radius * np.exp(1j * (step.theta0 + step.sweep * ts))
-        pos[-1] = step.end  # exact endpoint, no rounding
+        pos = _move_samples(step, n)
         fixed = np.full(n, step.other)
         zs1.append(pos if step.var == "z1" else fixed)
         zs2.append(fixed if step.var == "z1" else pos)
@@ -281,21 +311,52 @@ def sample_path(path: PathSpec, scale: int = 1) -> tuple[np.ndarray, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def _end_logs(bt, a1: np.ndarray, a2: np.ndarray) -> tuple[tuple, tuple]:
-    """The three logs at the end of the sampled path, read on the fine grid
-    (every sample) and on the coarse grid (every other one).  Each is lp on
-    bt's sheet at the start plus its quantity's angle change, end minus
-    start, from one np.angle pass: 2*pi more for each step that falls by
-    over pi (a counterclockwise pass of the cut at -pi), 2*pi less for each
-    that rises by over pi."""
+def _level_logs(bt, z1: complex, z2: complex, moves) -> tuple[tuple, tuple]:
+    """The three logs at the end of the path from (z1, z2) sampled move by
+    move, (step, n) for each move taking n samples of it, read on the fine
+    grid (every sample) and on the coarse grid (every other one).  Each n
+    is even, so every move ends on the coarse grid.
+
+    Each log is lp on bt's sheet at the start plus its quantity's angle
+    change, end minus start: 2*pi more for each step between successive
+    angles that falls by over pi (a counterclockwise pass of the cut at
+    -pi), 2*pi less for each that rises by over pi.  Each quantity's track
+    holds its start angle and then its angles along each move that changes
+    it: a move samples its variable, takes the angles of those samples and
+    of z1 - z2 along them, and drops the samples.  The fixed variable's
+    angle does not change, so it is not sampled, and a quantity no move
+    touches keeps its start log exactly.
+    """
+    start = (z1, z2, z1 - z2)
+    end = list(start)
+    tracks = [np.empty(1 + sum(n for step, n in moves if step.var == var)) for var in ("z1", "z2")]
+    tracks.append(np.empty(1 + sum(n for _, n in moves)))
+    for track, theta in zip(tracks, np.angle(np.array(start))):
+        track[0] = theta
+    filled = [1, 1, 1]
+
+    def record(k: int, z: np.ndarray) -> None:
+        """np.angle(z), written into track k after the angles before it."""
+        np.arctan2(z.imag, z.real, out=tracks[k][filled[k]:filled[k] + len(z)])
+        filled[k] += len(z)
+
+    for step, n in moves:
+        q = 0 if step.var == "z1" else 1
+        pos = _move_samples(step, n)
+        record(q, pos)
+        if q == 0:
+            np.subtract(pos, step.other, out=pos)
+        else:
+            np.subtract(step.other, pos, out=pos)
+        record(2, pos)
+        end[q], end[2] = step.end, complex(pos[-1])
     sides: tuple[list, list] = ([], [])
-    for a, p in zip((a1, a2, a1 - a2), bt):
-        start, end = _lp(p, complex(a[0])).imag, _lp(p, complex(a[-1])).real
-        theta = np.angle(a)
+    for p, s, e, theta in zip(bt, start, end, tracks):
+        re, im = _lp(p, e).real, _lp(p, s).imag
         for logs, th in zip(sides, (theta, theta[::2])):
             steps = th[1:] - th[:-1]
             wraps = np.count_nonzero(steps < -math.pi) - np.count_nonzero(steps > math.pi)
-            logs.append(complex(end, start + float(th[-1] - th[0]) + TWO_PI * wraps))
+            logs.append(complex(re, im + float(th[-1] - th[0]) + TWO_PI * wraps))
     return tuple(sides[0]), tuple(sides[1])
 
 
@@ -319,23 +380,30 @@ def _oracle(functions, bt, path: PathSpec) -> list[tuple[complex, int]]:
     """oracle_continue's end value of each function and the number of
     samples it accepted.
 
-    Refinement level i samples the path once, at scale 2**i; its coarse
-    side, scale 2**(i - 1), is every other point of that sampling, bit for
-    bit (sample_path's grid is dyadic).  Each function leaves at the first
-    level where its two sides agree, as it would alone.
+    The path is walked once; refinement level i then samples each move
+    once, at scale 2**i, and its coarse side, scale 2**(i - 1), is every
+    other point of that sampling, bit for bit (_move_samples' grid is
+    dyadic).  The samples are those of sample_path at the same scale.
+    Each function leaves at the first level where its two sides agree, as
+    it would alone.
     """
     validate_path(path)
     functions = list(functions)
+    steps = list(_walk_moves(path))
+    base = [_base_samples(step) for step in steps]
+    per_scale = sum(base)
     out: list = [None] * len(functions)
     left = range(len(functions))
     scale = 2
     for _ in range(_MAX_REFINE):
-        a1, a2 = sample_path(path, scale)
-        fine, coarse = _end_logs(bt, a1, a2)
+        total = 1 + scale * per_scale
+        _check_budget(total, scale)
+        fine, coarse = _level_logs(bt, path.z1, path.z2,
+                                   [(step, scale * n) for step, n in zip(steps, base)])
         for i in left:
-            total = _end_value(functions[i], fine)
-            if abs(total - _end_value(functions[i], coarse)) < _ORACLE_TOL * max(1.0, abs(total)):
-                out[i] = (total, len(a1))
+            value = _end_value(functions[i], fine)
+            if abs(value - _end_value(functions[i], coarse)) < _ORACLE_TOL * max(1.0, abs(value)):
+                out[i] = (value, total)
         left = [i for i in left if out[i] is None]
         if not left:
             return out
@@ -359,6 +427,7 @@ def oracle_continue(f, bt, path: PathSpec) -> complex:
     (step-doubling acceptance), at most 12 times; a path that would need
     more than SAMPLE_BUDGET points raises ArithmeticError.  This is the
     one-function case of the family oracle behind continue_family, which
-    samples the path once per refinement level for all its functions.
+    samples each move once per refinement level for all its functions,
+    holding the samples of one move at a time.
     """
     return _oracle([f], bt, path)[0][0]

@@ -223,8 +223,9 @@ def test_oracle_agreement_on_random_loops():
     """
     oracle_src = inspect.getsource(_models.oracle_continue)
     assert "_crossings_and_reps" not in oracle_src
-    assert "_end_logs" not in inspect.getsource(_logfun.continue_along)
-    assert "_end_logs" not in inspect.getsource(_logfun.continue_family)
+    for helper in ("_level_logs", "_move_samples"):
+        assert helper not in inspect.getsource(_logfun.continue_along)
+        assert helper not in inspect.getsource(_logfun.continue_family)
     worst = 0.0
     t0 = time.perf_counter()
     for seed in range(200):

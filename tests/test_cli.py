@@ -27,6 +27,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
@@ -181,6 +185,10 @@ _FAR_MOVES = {
     # so z1's segment ends farther from it than a float holds.
     "far-other": [{"var": "z2", "kind": "segment", "to": [1.5e308, 1.5e308]},
                   {"var": "z1", "kind": "segment", "to": [2.0, 0.0]}],
+    # An arc from 2.2 - 5e-324i, whose angle underflows: cmath.phase raised
+    # a bare OverflowError there.
+    "subnormal-arc": [{"var": "z1", "kind": "segment", "to": [2.2, -5e-324]},
+                      {"var": "z1", "kind": "arc", "about": "origin", "turns": 1.0}],
 }
 
 
@@ -200,7 +208,7 @@ def test_continue_at_the_ends_of_the_float_range(capsys, tmp_path, name):
                        "(1.5e+308+1.5e+308j) is past the float range\n")
     else:
         assert code == 0, err
-        assert json.loads(out)["certificate"] < 1e-12
+        assert json.loads(out, parse_constant=_refuse_constant)["certificate"] < 1e-12
 
 
 def test_continue_unknown_path_is_input_error(capsys):

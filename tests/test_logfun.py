@@ -1490,6 +1490,16 @@ def test_segment_far_past_the_square_root_of_the_float_range():
     assert continue_along(f, BranchTriple(0, 0, 0), path).certificate < 1e-12
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_arc_from_a_subnormal_angle_continues(sign):
+    # cmath.phase(2.2 - 5e-324j) raises OverflowError: its angle underflows.
+    # The arc's start angle and the crossing counts read atan2 instead.
+    path = PathSpec(complex(2.2, sign * 5e-324), 0.5j, [Arc("z1", turns=1.0)])
+    res = continue_along(LogFunction([LogMonomial(1.0, r=0.5)]), BranchTriple(0, 0, 0), path)
+    assert res.end_triple == (1, 0, 1)
+    assert res.certificate < 1e-12
+
+
 def _squared_seg_point_dist(a, b, c):
     """The segment distance projected through |b - a| ** 2."""
     ab = b - a
@@ -1811,13 +1821,12 @@ def test_oracle_unwraps_every_log_of_a_path_moving_both():
 def test_oracle_anchors_on_the_sheets_of_lp():
     # In the band and at its edge, for real parts on both sides of 1, the
     # oracle's start logs are lp's bit for bit, unwrapped or kept: one cut
-    # rule.
+    # rule.  With no moves, the end logs are the start logs.
     for re in (1e-3, 0.5, 0.9, 1.0, 2.0, 30.0):
         for im in (1e-16, 7e-15, 1e-14 * re, 2e-14 * re, 3e-14):
             for z in (complex(re, im), complex(re, -im), complex(-re, im)):
-                a1, a2 = np.array([z]), np.array([-3.0 + 0.0j])
                 want = (lp(2, z), lp(-1, -3.0), lp(0, z + 3.0))
-                assert paths._end_logs((2, -1, 0), a1, a2) == (want, want), z
+                assert paths._level_logs((2, -1, 0), z, -3.0 + 0.0j, []) == (want, want), z
 
 
 def _per_label_oracle(f, bt, path):
@@ -1920,6 +1929,55 @@ def test_continue_family_keeps_the_bits_of_each_label_alone(under_sampled, path,
         assert _bits(paths.oracle_continue(f, bt, path)) == _bits(res.oracle_value)
 
 
+# The oracle samples a path one move at a time; _per_label_oracle reads
+# whole-path arrays of sample_path.  They must agree bit for bit on paths
+# of one long arc of either variable and on paths whose moves alternate,
+# where a quantity's angles run on from one move that changes it to the
+# next.
+_BITS_PATHS = {
+    "benchmark-like": _benchmark_like_paths,
+    "staggered": lambda: [path for path, _ in _STAGGERED],
+    "z2-arcs": lambda: [
+        PathSpec(1.5, 0.5 + 0.3j, [Arc("z2", turns=3.25)]),
+        PathSpec(1.5, 0.5 + 0.3j, [Arc("z2", turns=-7.5, about="other")]),
+        PathSpec(-1.2j, 2.0 - 0.5j, [Arc("z2", turns=12.0, about="point", center=1.5 + 1j)]),
+        PathSpec(1.5, 0.5 + 0.3j, [Segment("z2", -0.4 - 0.6j), Arc("z2", turns=-2.75)]),
+    ],
+    "z1-z2-z1": lambda: [
+        PathSpec(2.0, 0.5j, [Arc("z1", turns=1.0), Arc("z2", turns=-2.0),
+                             Segment("z1", -1.5 - 0.5j), Arc("z1", turns=2.5, about="other")]),
+        PathSpec(2.0, 0.5j, [Segment("z1", -2.0 + 0.1j), Segment("z2", 0.5 - 0.5j),
+                             Arc("z1", turns=-3.0, about="other")]),
+    ],
+}
+
+
+@pytest.mark.parametrize("group", _BITS_PATHS)
+def test_continue_family_keeps_the_bits_of_whole_path_sampling(group):
+    functions, bt = _STAGGERED_FUNCTIONS, _STAGGERED_BT
+    for path in _BITS_PATHS[group]():
+        got = continue_family(functions, bt, path)
+        want = [_per_label_continue(f, bt, path) for f in functions]
+        assert [_result_bits(r) for r in got] == [_result_bits(r) for r in want], path
+
+
+def test_oracle_memory_per_sample_is_bounded():
+    # A 1,000-turn arc of z1, 128,001 samples a level.  The oracle holds
+    # one move's samples at a time and never samples the fixed variable;
+    # whole-path arrays of both variables peaked at 72 bytes a sample.
+    f = LogFunction([LogMonomial(1.0, r=0.5, t=1.0 / 3.0)])
+    bt = BranchTriple(0, 0, 0)
+    path = PathSpec(2.0, 0.5j, [Arc("z1", turns=1000.0)])
+    samples = continue_along(f, bt, path).samples
+    tracemalloc.start()
+    try:
+        paths.oracle_continue(f, bt, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * samples, peak / samples
+
+
 def test_oracle_phase_error_does_not_grow_with_the_power():
     # z1 = 1 circles -0.3i once, so |z1**1e6| stays 1 and a phase error e
     # shows as a gap of about 1e6 e.  The counted wraps give the same end
@@ -1941,30 +1999,41 @@ def test_continue_family_keeps_the_bits_on_the_suite_loops():
 
 
 def _counting_samples(monkeypatch):
-    scales = []
-    real = paths.sample_path
+    """Record the scale of each sample_path call and, as (step, scale),
+    each _move_samples call; under under_sampled a move's base count is 2,
+    so its scale is its sample count over 2."""
+    scales, moves = [], []
+    real_path, real_move = paths.sample_path, paths._move_samples
 
-    def counting(path, scale=1):
+    def counting_path(path, scale=1):
         scales.append(scale)
-        return real(path, scale)
-    monkeypatch.setattr(paths, "sample_path", counting)
-    return scales
+        return real_path(path, scale)
+
+    def counting_move(step, n):
+        moves.append((step, n // 2))
+        return real_move(step, n)
+    monkeypatch.setattr(paths, "sample_path", counting_path)
+    monkeypatch.setattr(paths, "_move_samples", counting_move)
+    return scales, moves
 
 
 def test_continue_family_samples_the_path_once_per_level(under_sampled, monkeypatch):
     path, levels = _STAGGERED[0]
-    scales = _counting_samples(monkeypatch)
+    steps = list(paths._walk_moves(path))
+    scales, moves = _counting_samples(monkeypatch)
     results = continue_family(_STAGGERED_FUNCTIONS, _STAGGERED_BT, path, tol=math.inf)
+    # Each level samples each move once, in order, and builds no path.
+    assert (scales, moves) == ([], [(step, scale) for scale in (2, 4, 8) for step in steps])
     assert [_settle_level(r, path) for r in results] == levels == [1, 2, 3, 3, 3]
-    assert scales == [2, 4, 8]
     # Before families, every label sampled every level again: two for a
     # label that settles at the first comparison.
     scales.clear()
     _per_label_oracle(_STAGGERED_FUNCTIONS[0], _STAGGERED_BT, path)
     assert scales == [1, 2]
     scales.clear()
+    moves.clear()
     continue_along(_STAGGERED_FUNCTIONS[0], _STAGGERED_BT, path, tol=math.inf)
-    assert scales == [2]
+    assert (scales, moves) == ([], [(step, 2) for step in steps])
 
 
 def test_continue_family_beyond_sample_budget_raises():
