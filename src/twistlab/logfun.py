@@ -51,10 +51,12 @@ raise OverflowError naming the point where a value is not finite.
 
 winding_profile counts how the sheet indices of z1, z2 and z1 - z2 change
 along a path (paths.PathSpec), in closed form for each segment and arc.
-continue_family adds the counts to a branch triple and certifies each
-function's end value against the sampled oracle (paths.oracle_continue,
-which it runs once for the whole family) by relative_gap, the gap measure
-the checks use as well; continue_along is its one-function case.
+continue_family validates and walks the path once (paths._walk); from
+that walk it takes the counts, which it adds to a branch triple, the end
+point, and the moves of the sampled oracle (paths.oracle_continue, which
+it runs once for the whole family), against which it certifies each
+function's end value by relative_gap, the gap measure the checks use as
+well; continue_along is its one-function case.
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .branchcalc import TWO_PI, _lp, principal_arg
-from .paths import PathSpec, _oracle, _phase, _Step, _walk_moves, path_end, validate_path
+from .paths import PathSpec, _end_point, _oracle, _phase, _Step, _walk
 from .paths import sample_path  # noqa: F401  (bench/tracing.py times it under this name)
+from .paths import validate_path  # noqa: F401  (bench/tracing.py times it under this name)
 
 _COEFF_DROP = 1e-15
 
@@ -1062,6 +1065,16 @@ def _move_crossings(step: _Step) -> tuple[int, int, int]:
     return (kv, 0, kw) if step.var == "z1" else (0, kv, kw)
 
 
+def _crossings(walk: list[tuple[_Step, float]]) -> tuple[int, int, int]:
+    """Net sheet index changes of (z1, z2, z1 - z2) over the moves of a
+    validated walk (paths._walk)."""
+    k1 = k2 = k12 = 0
+    for step, _ in walk:
+        d1, d2, d12 = _move_crossings(step)
+        k1, k2, k12 = k1 + d1, k2 + d2, k12 + d12
+    return k1, k2, k12
+
+
 def winding_profile(path: PathSpec) -> tuple[int, int, int]:
     """Net sheet index changes of (z1, z2, z1 - z2) along the path.
 
@@ -1069,12 +1082,7 @@ def winding_profile(path: PathSpec) -> tuple[int, int, int]:
     quantities around 0.  Each move's change is counted in closed form
     from its geometry, so the cost is O(moves) and nothing is sampled.
     """
-    validate_path(path)
-    k1 = k2 = k12 = 0
-    for step in _walk_moves(path):
-        d1, d2, d12 = _move_crossings(step)
-        k1, k2, k12 = k1 + d1, k2 + d2, k12 + d12
-    return k1, k2, k12
+    return _crossings(_walk(path))
 
 
 @dataclass(frozen=True)
@@ -1112,22 +1120,26 @@ def continue_along(f: LogFunction, bt: BranchTriple, path: PathSpec,
 def continue_family(functions: Iterable[LogFunction], bt: BranchTriple, path: PathSpec,
                     tol: float = 1e-9) -> list[ContinuationResult]:
     """continue_along of each function, with one winding count, one end
-    triple and one oracle walk for them all; each result has the same bits
+    triple and one oracle run for them all; each result has the same bits
     as when its function is continued alone.
 
-    The oracle samples the path once per refinement level and reads the
-    three logs once per level for the whole family; each function settles
-    at the level it would settle at alone.  Raises ArithmeticError when a
-    certificate is not below tol.
+    The path is validated and walked once (paths._walk), and that walk
+    gives the crossing count, the end point and the oracle's moves.  The
+    oracle samples the path once per refinement level and reads the three
+    logs once per level for the whole family; each function settles at
+    the level it would settle at alone.  Raises validate_path's
+    ValueError for a path that touches a singular point, and
+    ArithmeticError when a certificate is not below tol.
     """
     functions = list(functions)
     bt = BranchTriple(*bt)
-    crossings = winding_profile(path)
+    walk = _walk(path)
+    crossings = _crossings(walk)
     end_triple = BranchTriple(*(p + k for p, k in zip(bt, crossings)))
-    end = path_end(path)
+    end = _end_point(path, (step for step, _ in walk))
     end_values = [eval_branch2(f, end_triple, *end) for f in functions]
     results = []
-    for end_value, (oracle, samples) in zip(end_values, _oracle(functions, bt, path)):
+    for end_value, (oracle, samples) in zip(end_values, _oracle(functions, bt, path, walk)):
         certificate = relative_gap(end_value, oracle)
         if not certificate < tol:
             raise ArithmeticError(

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .logfun import BranchTriple, LogFunction, LogMonomial
-from .paths import Arc, PathSpec, Segment, validate_path
+from .paths import SAMPLE_BUDGET, Arc, PathSpec, Segment, _base_samples, _walk
 from .paths import oracle_continue  # noqa: F401  (bench/tracing.py times it under this name)
 from .transforms import (
     AutomorphismAction,
@@ -196,8 +196,10 @@ def make_random_loop(seed: int) -> PathSpec:
     """Closed path (both variables return to their start) from a seed.
 
     Mixes full arcs about the origin or the other variable (which wind)
-    with out-and-back segment pairs (which do not), then validates; draws
-    are retried until a valid path appears.
+    with out-and-back segment pairs (which do not).  A draw is retried
+    until validate_path accepts it and the oracle's first refinement
+    (scale 2) samples it within SAMPLE_BUDGET points, so that every loop
+    drawn can be continued: an arc grazing a singular point needs more.
     """
     rng = np.random.default_rng(seed)
     for _ in range(64):
@@ -221,8 +223,10 @@ def make_random_loop(seed: int) -> PathSpec:
                 moves.append(Segment(var, base))
         path = PathSpec(z1, z2, moves)
         try:
-            validate_path(path)
+            walk = _walk(path)
         except ValueError:
+            continue
+        if 1 + 2 * sum(_base_samples(step, clearance) for step, clearance in walk) > SAMPLE_BUDGET:
             continue
         return path
     raise RuntimeError(f"no valid random loop found for seed {seed}")

@@ -1,10 +1,15 @@
 """Piecewise paths of (z1, z2) and the sampled continuation oracle.
 
 A PathSpec moves one variable at a time along segments and arcs.  One
-walker, _walk_moves, resolves the geometry of each move; validate_path,
-path_end, sample_path, the oracle and the closed-form crossing count in
-logfun are built on it.  One sampling rule, _move_samples, places the
-points of a move, for sample_path and for the oracle.
+walker, _walk_moves, resolves the geometry of each move; path_end and
+sample_path, which validate nothing, are built on it, and so is _walk,
+the validated walk, which checks the start and computes each move's
+clearance once, raising validate_path's errors in the order the path
+meets them.  validate_path, the oracle and logfun's closed-form crossing
+count read a _walk; continue_family walks a path once and hands that walk
+to the crossing count, the end point and the oracle.  One sampling rule,
+_move_samples, places the points of a move, for sample_path and for the
+oracle, and _base_samples counts them from the move's clearance.
 
 oracle_continue re-derives analytic continuation with none of the branch
 index machinery: from branchcalc's lp at the start, the one cut rule, it
@@ -15,10 +20,10 @@ touches keeps its start log exactly, since its angles never change.  It
 shares only the path geometry and lp with the crossing count it checks,
 so agreement between the two is evidence, not tautology.  The oracle
 serves a whole family at once (_oracle, behind logfun.continue_family):
-it walks the path once, and each refinement level samples each move once
-and takes the angles of only the moving variable and of z1 - z2 along it
-for every function, its coarse side being every other point of the same
-sampling.  The samples of one move are held at a time; only the angles
+it reads the caller's walk, and each refinement level samples each move
+once and takes the angles of only the moving variable and of z1 - z2
+along it for every function, its coarse side being every other point of
+the same sampling.  The samples of one move are held at a time; only the angles
 of a quantity the moves change span the path.  This module imports
 nothing from logfun, which calls the oracle for its certificate.
 """
@@ -174,12 +179,17 @@ def _walk_moves(path: PathSpec) -> Iterator[_Step]:
         pos[move.var] = step.end
 
 
-def path_end(path: PathSpec) -> tuple[complex, complex]:
-    """Positions (z1, z2) at the end of the path."""
+def _end_point(path: PathSpec, steps: Iterable[_Step]) -> tuple[complex, complex]:
+    """Positions (z1, z2) after the path's resolved moves."""
     pos = {"z1": path.z1, "z2": path.z2}
-    for step in _walk_moves(path):
+    for step in steps:
         pos[step.var] = step.end
     return pos["z1"], pos["z2"]
+
+
+def path_end(path: PathSpec) -> tuple[complex, complex]:
+    """Positions (z1, z2) at the end of the path."""
+    return _end_point(path, _walk_moves(path))
 
 
 def _seg_point_dist(a: complex, b: complex, c: complex) -> float:
@@ -229,28 +239,39 @@ def _clearance(step: _Step) -> float:
                          f"to 0 or to {step.other} is past the float range") from None
 
 
+def _walk(path: PathSpec) -> list[tuple[_Step, float]]:
+    """The validated walk: each move's geometry and clearance, in order.
+
+    Raises ValueError if the start has z1, z2 or z1 - z2 zero, for a move
+    _walk_moves refuses, and for a move that touches (within 1e-9) a point
+    where one of them vanishes, move by move in the order the path runs.
+    """
+    if path.z1 == 0 or path.z2 == 0 or path.z1 == path.z2:
+        raise ValueError("path start must have z1, z2, z1 - z2 nonzero")
+    walk = []
+    for idx, step in enumerate(_walk_moves(path)):
+        clearance = _clearance(step)
+        if clearance < _MIN_CLEARANCE:
+            raise ValueError(f"move {idx} passes within {clearance:.3e} of a singular point")
+        walk.append((step, clearance))
+    return walk
+
+
 def validate_path(path: PathSpec) -> float:
     """Check the path avoids all singular points; return the min clearance.
 
     Raises ValueError if any move touches (within 1e-9) a point where z1,
     z2 or z1 - z2 vanishes.
     """
-    if path.z1 == 0 or path.z2 == 0 or path.z1 == path.z2:
-        raise ValueError("path start must have z1, z2, z1 - z2 nonzero")
-    clearance = math.inf
-    for idx, step in enumerate(_walk_moves(path)):
-        clearance = min(clearance, _clearance(step))
-        if clearance < _MIN_CLEARANCE:
-            raise ValueError(f"move {idx} passes within {clearance:.3e} of a singular point")
-    return clearance
+    return min([math.inf, *(clearance for _, clearance in _walk(path))])
 
 
-def _base_samples(step: _Step) -> int:
+def _base_samples(step: _Step, clear: float) -> int:
     """Points per move at scale 1: 64 per segment; per arc at least 64 per
-    turn, and more the closer the circle comes to a singular point."""
+    turn, and more the closer the circle comes to a singular point (clear,
+    the move's _clearance, which a segment's count does not read)."""
     if step.center is None:
         return 64
-    clear = _clearance(step)
     quality = step.radius / clear if clear > 0 else 1.0
     turns = abs(step.turns)
     return max(64, math.ceil(64 * turns), math.ceil(32 * turns * quality))
@@ -294,7 +315,8 @@ def sample_path(path: PathSpec, scale: int = 1) -> tuple[np.ndarray, np.ndarray]
     than SAMPLE_BUDGET points.
     """
     steps = list(_walk_moves(path))
-    counts = [_base_samples(step) * scale for step in steps]
+    counts = [_base_samples(step, math.inf if step.center is None else _clearance(step)) * scale
+              for step in steps]
     _check_budget(1 + sum(counts), scale)
     zs1: list[np.ndarray] = [np.array([path.z1])]
     zs2: list[np.ndarray] = [np.array([path.z2])]
@@ -376,21 +398,20 @@ def _end_value(f, logs: tuple[complex, complex, complex]) -> complex:
     return total
 
 
-def _oracle(functions, bt, path: PathSpec) -> list[tuple[complex, int]]:
+def _oracle(functions, bt, path: PathSpec,
+            walk: list[tuple[_Step, float]]) -> list[tuple[complex, int]]:
     """oracle_continue's end value of each function and the number of
-    samples it accepted.
+    samples it accepted, along the path whose _walk is walk.
 
-    The path is walked once; refinement level i then samples each move
-    once, at scale 2**i, and its coarse side, scale 2**(i - 1), is every
-    other point of that sampling, bit for bit (_move_samples' grid is
-    dyadic).  The samples are those of sample_path at the same scale.
-    Each function leaves at the first level where its two sides agree, as
-    it would alone.
+    Refinement level i samples each move once, at scale 2**i, and its
+    coarse side, scale 2**(i - 1), is every other point of that sampling,
+    bit for bit (_move_samples' grid is dyadic).  The samples are those of
+    sample_path at the same scale.  Each function leaves at the first
+    level where its two sides agree, as it would alone.
     """
-    validate_path(path)
     functions = list(functions)
-    steps = list(_walk_moves(path))
-    base = [_base_samples(step) for step in steps]
+    steps = [step for step, _ in walk]
+    base = [_base_samples(step, clearance) for step, clearance in walk]
     per_scale = sum(base)
     out: list = [None] * len(functions)
     left = range(len(functions))
@@ -430,4 +451,4 @@ def oracle_continue(f, bt, path: PathSpec) -> complex:
     samples each move once per refinement level for all its functions,
     holding the samples of one move at a time.
     """
-    return _oracle([f], bt, path)[0][0]
+    return _oracle([f], bt, path, _walk(path))[0][0]

@@ -1453,10 +1453,29 @@ def test_validate_path_clearance():
      r"move 0: arc from .* leaves the float range"),
 ], ids=["sweep", "segment", "arc", "arc-modulus"])
 def test_move_leaving_the_float_range_is_refused_naming_it(path, message):
+    f, bt = LogFunction([LogMonomial(1.0, r=0.5)]), BranchTriple(0, 0, 0)
     for call in (validate_path, paths.path_end, sample_path, winding_profile,
-                 lambda p: continue_along(LogFunction([LogMonomial(1.0, r=0.5)]),
-                                          BranchTriple(0, 0, 0), p)):
+                 lambda p: paths.oracle_continue(f, bt, p),
+                 lambda p: continue_along(f, bt, p)):
         with pytest.raises(ValueError, match="^" + message):
+            call(path)
+
+
+@pytest.mark.parametrize("path, message", [
+    (PathSpec(1.0, 1.0, []), r"path start must have z1, z2, z1 - z2 nonzero"),
+    # z1's segment passes 1e-10 below 0, after a move of z2 that is clear;
+    # the arc after it would be refused as well, but the walk stops first.
+    (PathSpec(2.5, 1.0, [Segment("z2", 0.5j), Segment("z1", -2.5 - 2e-10j),
+                         Arc("z1", turns=1.0, about="other")]),
+     r"move 1 passes within 1\.000e-10 of a singular point"),
+], ids=["start", "near-singular"])
+def test_every_path_entry_point_refuses_a_singular_path_alike(path, message):
+    f, bt = LogFunction([LogMonomial(1.0, r=0.5, t=1.0 / 3.0)]), BranchTriple(0, 0, 0)
+    for call in (validate_path, winding_profile,
+                 lambda p: paths.oracle_continue(f, bt, p),
+                 lambda p: continue_along(f, bt, p),
+                 lambda p: continue_family([f, f], bt, p)):
+        with pytest.raises(ValueError, match="^" + message + "$"):
             call(path)
 
 
@@ -1532,6 +1551,34 @@ def test_sample_path_segment_endpoint_exact():
     z1s, z2s = sample_path(path)
     assert z2s[-1] == 0.5 + 0.5j
     assert (z1s == 2.5).all()
+
+
+def test_move_samples_lie_on_their_track_in_order():
+    # Each sample of a segment is start + t (end - start) for a real t that
+    # rises to 1, the last sample being the end exactly; each sample of an
+    # arc lies on its circle, at an angle that advances with the sweep's
+    # sign, in all by the sweep.
+    tracks = [*_benchmark_like_paths(),
+              PathSpec(-1.8 - 1j, 0.5j, [Segment("z1", 3.0 + 2.0j), Segment("z2", -4.0 + 0.1j),
+                                         Segment("z1", -1e-3 - 0.7j)])]
+    for path in tracks:
+        for step in paths._walk_moves(path):
+            base = max(64, math.ceil(64 * abs(step.turns)))
+            for n in (base, 2 * base, 3 * base):
+                z = paths._move_samples(step, n)
+                assert len(z) == n and z[-1] == step.end
+                if step.center is None:
+                    t = (z - step.start) / (step.end - step.start)
+                    assert np.all(np.abs(t.imag) <= 1e-12), path
+                    assert t.real[0] > 0.0 and np.all(np.diff(t.real) > 0.0), path
+                    continue
+                w = z - step.center
+                reach = max(1.0, abs(step.center) + step.radius)
+                assert np.all(np.abs(np.abs(w) - step.radius) <= 1e-12 * reach), path
+                turn = np.diff(np.angle(np.concatenate([[step.start - step.center], w])))
+                turn = (turn + math.pi) % TWO_PI - math.pi
+                assert np.all(math.copysign(1.0, step.sweep) * turn > 0.0), path
+                assert abs(turn.sum() - step.sweep) <= 1e-9 * abs(step.sweep), path
 
 
 _PATH_POINTS = st.complex_numbers(min_magnitude=0.25, max_magnitude=4.0,
@@ -1692,6 +1739,39 @@ def test_winding_profile_samples_nothing(monkeypatch):
     monkeypatch.setattr(paths, "sample_path", refuse)
     path = PathSpec(2.0, 0.5, [Arc("z1", turns=1e7)])
     assert winding_profile(path) == (10 ** 7, 0, 10 ** 7)
+
+
+def _counting_walks(monkeypatch):
+    """Count the calls of the path walker and of the clearance rule."""
+    counts = {"walks": 0, "clearances": 0}
+    real_walk, real_clearance = paths._walk_moves, paths._clearance
+
+    def walk(path):
+        counts["walks"] += 1
+        return real_walk(path)
+
+    def clearance(step):
+        counts["clearances"] += 1
+        return real_clearance(step)
+    monkeypatch.setattr(paths, "_walk_moves", walk)
+    monkeypatch.setattr(paths, "_clearance", clearance)
+    return counts
+
+
+def test_each_path_entry_point_walks_once(monkeypatch):
+    f, bt = LogFunction([LogMonomial(1.0, r=0.5, t=1.0 / 3.0)]), BranchTriple(0, 0, 0)
+    counts = _counting_walks(monkeypatch)
+    arc = PathSpec(2.5, 1.0, [Arc("z1", turns=2.0, about="other")])
+    loop = make_random_loop(2)
+    for call in (validate_path, winding_profile,
+                 lambda p: paths.oracle_continue(f, bt, p),
+                 lambda p: continue_along(f, bt, p),
+                 lambda p: continue_family([f, f, f], bt, p)):
+        for path in (arc, loop):
+            counts.update(walks=0, clearances=0)
+            call(path)
+            # One walk, and one clearance for each move.
+            assert counts == {"walks": 1, "clearances": len(path.moves)}, (call, path)
 
 
 def test_continue_beyond_sample_budget_raises():
@@ -1913,7 +1993,7 @@ _STAGGERED_BT = BranchTriple(2, -1, 1)
 
 @pytest.fixture
 def under_sampled(monkeypatch):
-    monkeypatch.setattr(paths, "_base_samples", lambda step: 2)
+    monkeypatch.setattr(paths, "_base_samples", lambda step, clear: 2)
 
 
 @pytest.mark.parametrize("path, levels", _STAGGERED)

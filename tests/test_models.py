@@ -235,6 +235,17 @@ def test_make_random_loop_windings_resolve():
         assert all(isinstance(x, int) for x in w)
 
 
+@pytest.mark.parametrize("seed", [190_000_023, 908_000_017])
+def test_make_random_loop_redraws_a_loop_the_oracle_cannot_sample(seed):
+    # The first draws of these seeds pass 4.1e-5 and 1.3e-4 from a singular
+    # point: validate_path accepts them, but the oracle's first refinement
+    # would need 2,540,129 and 1,480,657 samples, over SAMPLE_BUDGET.
+    path = make_random_loop(seed)
+    res = continue_along(LogFunction([LogMonomial(1.0, r=0.5, t=1.0 / 3.0)]),
+                         BranchTriple(0, 0, 0), path)
+    assert res.certificate < 1e-9
+
+
 def test_random_loop_end_triple_matches_windings():
     f = LogFunction([LogMonomial(1.0, r=0.5, t=1.0 / 3.0)])
     bt = BranchTriple(0, 0, 0)

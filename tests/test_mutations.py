@@ -56,13 +56,13 @@ def _omega_inverse_ignores_sign(monkeypatch):
 
 
 def _difference_crossing_flipped(monkeypatch):
-    winding_profile = logfun.winding_profile
+    crossings = logfun._crossings
 
-    def mutant(path):
-        c1, c2, c12 = winding_profile(path)
+    def mutant(walk):
+        c1, c2, c12 = crossings(walk)
         return c1, c2, -c12
 
-    monkeypatch.setattr(logfun, "winding_profile", mutant)
+    monkeypatch.setattr(logfun, "_crossings", mutant)
 
 
 def _apply_transposed(monkeypatch):

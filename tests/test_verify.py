@@ -236,9 +236,9 @@ def test_region_swap_counts_an_arc_that_starts_outside_its_window(monkeypatch):
 
 
 def _p12_crossing_off_by_one(monkeypatch):
-    winding_profile = logfun.winding_profile
-    monkeypatch.setattr(logfun, "winding_profile",
-                        lambda path: (*winding_profile(path)[:2], winding_profile(path)[2] + 1))
+    crossings = logfun._crossings
+    monkeypatch.setattr(logfun, "_crossings",
+                        lambda walk: (*crossings(walk)[:2], crossings(walk)[2] + 1))
 
 
 def test_region_swap_counts_an_arc_that_ends_on_another_triple(monkeypatch):
