@@ -43,7 +43,7 @@ convergent series stays finite where its terms' powers of z1 and z2
 overflow apart.  It is the one series evaluator: RegionExpansion.eval is
 eval_many at one point.  eval_branch2, a function at one point, keeps the
 scalar term loop _sum_terms, each power made apart, on purpose: a call
-costs about 9 us against the kernel's fixed 110-200 us (2 cores, Python
+costs about 5-8 us against the kernel's fixed 120-170 us (2 cores, Python
 3.11, numpy 2.4).  Through the kernel, the continuation benchmark's median
 item ran 24-28 % slower, and batching the suite's 770 one-point calls per
 run_suite() into kernel calls made the run 7-8 % slower.  Both evaluators
@@ -61,7 +61,6 @@ well; continue_along is its one-function case.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import itertools
 import math
@@ -477,9 +476,10 @@ class RegionExpansion:
     order: coeffs, k (int64) and block (int64, a row of the block table).
     The block table holds each block's k = 0 exponents, block_exps
     (columns r, s, t), and its log powers, block_lmn (int64 columns l, m,
-    n).  keys lists the group keys, starts the term where each group but
-    the first begins.  eval_parts reads these, at points on the designated
-    triple, designated_triple of region and bt.
+    n).  keys lists the group keys, starts (int64) the term where each
+    group but the first begins.  eval_parts reads these, at points on the
+    designated triple, designated_triple of region and bt, and never turns
+    starts into Python ints: only groups does.
 
     exps and lmn, each term's exponents and log powers, follow from them
     exactly: the outer quantity's exponent falls by k and the inner one's
@@ -491,7 +491,7 @@ class RegionExpansion:
     region: str
     bt: BranchTriple
     order: int
-    starts: list[int] = field(default_factory=list, repr=False)
+    starts: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64), repr=False)
     keys: list[complex] = field(default_factory=list)
     coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0, complex), repr=False)
     k: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64), repr=False)
@@ -504,10 +504,11 @@ class RegionExpansion:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.region, self.bt, self.order, self.starts, self.keys)
-                == (other.region, other.bt, other.order, other.starts, other.keys)
+        return ((self.region, self.bt, self.order, self.keys)
+                == (other.region, other.bt, other.order, other.keys)
                 and all(np.array_equal(getattr(self, name), getattr(other, name))
-                        for name in ("coeffs", "k", "block", "block_exps", "block_lmn")))
+                        for name in ("starts", "coeffs", "k", "block", "block_exps",
+                                     "block_lmn")))
 
     @cached_property
     def designated(self) -> BranchTriple:
@@ -529,7 +530,7 @@ class RegionExpansion:
     def groups(self) -> dict[complex, LogFunction]:
         terms = [LogMonomial(a, r, s, t, *lmn) for a, (r, s, t), lmn
                  in zip(self.coeffs.tolist(), self.exps.tolist(), self.lmn.tolist())]
-        bounds = [0, *self.starts, len(terms)]
+        bounds = [0, *self.starts.tolist(), len(terms)]
         groups = [(key, LogFunction(terms[lo:hi]))
                   for key, lo, hi in zip(self.keys, bounds, bounds[1:])]
         # expand_region met each group at its first term, the least by key().
@@ -565,6 +566,9 @@ class RegionExpansion:
         return eval_parts([self], [logs])[0].tolist()
 
 
+_NO_STARTS = np.zeros(0, np.int64)  # a function's: it is one group
+
+
 def _passes(parts: list, points: int):
     """eval_parts' numpy passes over parts, in order: lists of pieces (part,
     first term, end term), a piece being whole groups of one part, each list
@@ -573,21 +577,21 @@ def _passes(parts: list, points: int):
     per = room = max(1, _PASS_TERM_POINTS // points)
     pieces = []
     for i, part in enumerate(parts):
-        starts = part.starts if isinstance(part, RegionExpansion) else []
+        starts = part.starts if isinstance(part, RegionExpansion) else _NO_STARTS
         lo, size = 0, part.coeffs.size
         while lo < size:
             if size - lo <= room:
                 hi = size
             else:  # the last group that fits ends where the next begins
-                j = bisect.bisect_right(starts, lo + room)
-                hi = starts[j - 1] if j and starts[j - 1] > lo else lo
+                j = starts.searchsorted(lo + room, "right")
+                hi = int(starts[j - 1]) if j and starts[j - 1] > lo else lo
             if hi == lo:  # not even the group at lo fits
                 if pieces:
                     yield pieces
                     pieces, room = [], per
                     continue
-                j = bisect.bisect_right(starts, lo)  # a group over the bound goes alone
-                hi = starts[j] if j < len(starts) else size
+                j = starts.searchsorted(lo, "right")  # a group over the bound goes alone
+                hi = int(starts[j]) if j < starts.size else size
             pieces.append((i, lo, hi))
             room -= hi - lo
             lo = hi
@@ -617,15 +621,33 @@ def _ratio_powers(x: np.ndarray, ratio: np.ndarray, k: np.ndarray) -> np.ndarray
             m = min(n, span - n)
             np.multiply(table[..., :m], square[..., None], out=table[..., n:n + m])
             n *= 2
-        return table.reshape(points, -1)[:, ratio * span + k]
+        return table.reshape(points, -1).take(ratio * span + k, axis=1)
     out = np.ones((points, k.size), dtype=complex)
     square = x
     for j in range(span.bit_length()):
         if j:
             square = square * square
         cols = np.flatnonzero((k >> j) & 1)
-        out[:, cols] *= square[:, ratio[cols]]
+        out[:, cols] *= square.take(ratio[cols], axis=1)
     return out
+
+
+def _check_logs(parts: list, logs: list) -> None:
+    """Raise ValueError naming the part, unless logs holds one point_logs
+    array, (points, 6) complex, per part, each with the same points."""
+    if len(logs) != len(parts):
+        n = min(len(logs), len(parts))
+        raise ValueError(f"eval_parts got {len(logs)} logs arrays for {len(parts)} parts: "
+                         + (f"part {n} has none" if n < len(parts) else f"logs[{n}] has no part"))
+    for i, table in enumerate(logs):
+        if not (isinstance(table, np.ndarray) and table.dtype == np.complex128
+                and table.shape[1:] == (6,)):
+            got = (f"shape {table.shape} and dtype {table.dtype}"
+                   if isinstance(table, np.ndarray) else type(table).__name__)
+            raise ValueError(f"part {i}'s logs must be a (points, 6) complex array, as "
+                             f"point_logs makes, not {got}")
+        if len(table) != len(logs[0]):
+            raise ValueError(f"part {i} has {len(table)} points where part 0 has {len(logs[0])}")
 
 
 def eval_parts(parts: list[RegionExpansion | LogFunction],
@@ -664,11 +686,14 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
     exp((a - k) L) magnifying the rounding of its argument up to k times,
     and would overflow at high orders where the series does not.
 
-    Raises OverflowError where a value is not finite, naming the first
+    Raises ValueError naming the part unless logs holds one (points, 6)
+    complex array, as point_logs makes, per part, each with the same
+    points, and OverflowError where a value is not finite, naming the first
     such part's first such point.  Nothing checks a series' modulus
     ordering here: eval_many does, and callers with their own points
     sample them inside the region.
     """
+    _check_logs(parts, logs)
     points = logs[0].shape[0] if parts else 0
     values = np.zeros((len(parts), points), dtype=complex)
     for pieces in _passes(parts, points) if points else ():
@@ -676,7 +701,8 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
         # own columns z1, z2, w and their logs begin at its base.
         tables = {id(logs[i]): logs[i] for i, _, _ in pieces}
         base_of = {key: 6 * u for u, key in enumerate(tables)}
-        table = np.concatenate(list(tables.values()), axis=1)
+        arrays = list(tables.values())
+        table = arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=1)
         sizes = [hi - lo for _, lo, hi in pieces]
         offsets = [0, *itertools.accumulate(sizes)]
         # Each piece's units: a function's terms, with their coefficients,
@@ -696,27 +722,32 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
         unit_offsets = [0, *itertools.accumulate(unit_sizes)]
         # Each term's coefficient, unit, ratio and power k of it, and the
         # term where each group begins: a function's term is its own unit, at
-        # coefficient 1 and k = 0, and a function is one group.
+        # coefficient 1 and k = 0, and a function is one group.  A piece's
+        # groups begin at its offset and at its series' bounds inside it,
+        # shifted there; groups[p] counts the groups before piece p.
         tcoef = np.ones(offsets[-1], dtype=complex)
         unit_of = np.arange(offsets[-1]) + np.repeat(
             np.subtract(unit_offsets[:-1], offsets[:-1]), sizes)
         ratio = np.zeros(offsets[-1], dtype=np.int64)
         k = np.zeros(offsets[-1], dtype=np.int64)
         ratio_of = {}  # (logs array, region) -> ratio
-        group_starts, groups = [], [0]
-        for (i, lo, hi), offset, unit_offset in zip(pieces, offsets, unit_offsets):
+        heads = np.array(offsets[:-1], dtype=np.int64)
+        bounds, done, groups = [], 0, [0]
+        for p, ((i, lo, hi), offset, unit_offset) in enumerate(
+                zip(pieces, offsets, unit_offsets)):
             part = parts[i]
-            group_starts.append(offset)
+            count = 1
             if isinstance(part, RegionExpansion):
-                inner = part.starts[bisect.bisect_right(part.starts, lo):
-                                    bisect.bisect_left(part.starts, hi)]
-                group_starts += map((offset - lo).__add__, inner)
+                j0, j1 = part.starts.searchsorted((lo + 1, hi))
+                bounds += [heads[done:p + 1], part.starts[j0:j1] + (offset - lo)]
+                done, count = p + 1, 1 + j1 - j0
                 here = slice(offset, offset + hi - lo)
                 tcoef[here] = part.coeffs[lo:hi]
                 unit_of[here] = part.block[lo:hi] + unit_offset
                 ratio[here] = ratio_of.setdefault((id(logs[i]), part.region), len(ratio_of))
                 k[here] = part.k[lo:hi]
-            groups.append(len(group_starts))
+            groups.append(groups[-1] + count)
+        group_starts = np.concatenate([*bounds, heads[done:]])
         coeffs, exps, lmn = (np.concatenate(a) for a in (coeffs, exps, lmn))
         base = np.repeat([base_of[id(logs[i])] for i, _, _ in pieces], unit_sizes)
         c = exps.T.ravel()  # column by column, each unit's exponent
@@ -727,15 +758,16 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
         large = whole & ~small
         with np.errstate(all="ignore"):
             powers = np.empty((points, c.size), dtype=complex)
-            powers[:, ~whole] = np.exp(_cpython_product(c[~whole], table[:, at[~whole] + 3]))
-            powers[:, small] = np.power(table[:, at[small]], c[small])
+            powers[:, ~whole] = np.exp(_cpython_product(
+                c[~whole], table.take(at[~whole] + 3, axis=1)))
+            powers[:, small] = np.power(table.take(at[small], axis=1), c[small])
             if large.any():
                 # CPython's own z ** k: past 100 it is |z| ** k at angle
                 # k arg z, so an arg z rounded otherwise, as numpy's atan2
                 # may round it, would be off by k times as much.
                 ns = [int(n) for n in re[large].tolist()]
                 powers[:, large] = [[zj ** n for zj, n in zip(zs, ns)]
-                                    for zs in table[:, at[large]].tolist()]
+                                    for zs in table.take(at[large], axis=1).tolist()]
             # coeffs * pr * ps * pt, each power (point, unit) in turn
             size = len(coeffs)
             units = coeffs * powers[:, :size]
@@ -747,13 +779,14 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
             for j in np.flatnonzero(has_log.any(axis=0)):  # log powers l, m, n
                 cols = (slice(None) if has_log[:, j].all()
                         else np.flatnonzero(np.repeat(has_log[:, j], unit_sizes)))
-                units[:, cols] *= np.power(table[:, base[cols] + 3 + j], lmn[cols, j])
-            terms = tcoef * units[:, unit_of]
+                units[:, cols] *= np.power(table.take(base[cols] + 3 + j, axis=1),
+                                           lmn[cols, j])
+            terms = tcoef * units.take(unit_of, axis=1)
             del units
             if ratio_of:  # times x^k, x = inner / outer per ratio
                 rows = [(base_of[key], _REGIONS[region]) for key, region in ratio_of]
-                x = (table[:, [first + row.inner for first, row in rows]]
-                     / table[:, [first + row.outer for first, row in rows]])
+                x = (table.take([first + row.inner for first, row in rows], axis=1)
+                     / table.take([first + row.outer for first, row in rows], axis=1))
                 terms *= _ratio_powers(x, ratio, k)
             sub = np.add.reduceat(terms, group_starts, axis=1)
         for (i, lo, hi), g0, g1 in zip(pieces, groups, groups[1:]):
@@ -935,7 +968,7 @@ def _build_pass(functions: list[LogFunction], terms: list[LogMonomial], regions:
     # The exponents and the log powers are compared apart: a shared float
     # dtype would round log powers past 2**53.  Adding the integer k to a
     # complex exponent moves only its real part.
-    lmn_rows = lmn.T[:, block]
+    lmn_rows = lmn.T.take(block, axis=1)
     del ser, live, binom
     falling, rising = np.array(falling), np.array(rising)
     parts = np.empty((4, k.size))
@@ -989,13 +1022,17 @@ def _build_pass(functions: list[LogFunction], terms: list[LogMonomial], regions:
     if not (np.isfinite(total).all() and np.isfinite(block_exps).all()):
         raise ValueError("coefficient and exponents must be finite")
     key = rise[block] + k + 0.0
-    # Where each group begins, and each series' first term and group.
+    # Where each group begins, and each series' first term and group; then
+    # each group's first term within its series, so that a series' starts
+    # are a slice of firsts.
     new_group = np.ones(key.size, dtype=bool)
     new_group[1:] = (key[1:] != key[:-1]) | (series[1:] != series[:-1])
     firsts = np.flatnonzero(new_group)
     bounds = np.searchsorted(series, numbers)
     first_group = np.searchsorted(firsts, bounds).tolist()
-    keys, firsts, bounds = key[firsts].tolist(), firsts.tolist(), bounds.tolist()
+    keys = key[firsts].tolist()
+    firsts -= bounds[series[firsts]]
+    bounds = bounds.tolist()
     expansions = []
     for q, region in enumerate(regions):
         family = []
@@ -1007,7 +1044,7 @@ def _build_pass(functions: list[LogFunction], terms: list[LogMonomial], regions:
             b0, b1 = first_block[i], first_block[i + 1]
             groups = slice(first_group[i], first_group[i + 1])
             family.append(RegionExpansion(
-                region, bt, order, starts=[s - lo for s in firsts[groups][1:]],
+                region, bt, order, starts=firsts[groups][1:],
                 keys=keys[groups], coeffs=total[lo:hi], k=k[lo:hi], block=block[lo:hi] - b0,
                 block_exps=block_exps[b0:b1], block_lmn=block_lmn[b0:b1]))
         expansions.append(family)

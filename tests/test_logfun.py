@@ -775,7 +775,7 @@ def test_expand_region_whose_every_coefficient_drops_is_empty():
     f = LogFunction([LogMonomial(1e-16, r=0.5, t=-0.5)])
     for region in REGIONS:
         exp = expand_region(f, region, BranchTriple(0, 0, 0), 10)
-        assert (exp.coeffs.size, exp.starts, exp.keys, exp.groups) == (0, [], [], {})
+        assert (exp.coeffs.size, exp.starts.tolist(), exp.keys, exp.groups) == (0, [], [], {})
         z1, z2 = {"product": (2.0, 0.5j), "reversed": (0.5j, 2.0),
                   "iterate": (2.0 + 0.3j, 1.8)}[region]
         assert exp.eval(z1, z2) == 0j
@@ -1033,7 +1033,7 @@ def test_ratio_powers_have_the_same_bits_from_the_table_and_alone():
 
 def _series_bits(exp: RegionExpansion) -> tuple:
     return (exp.region, exp.bt, exp.designated, exp.order, exp.coeffs.tobytes(),
-            exp.exps.tobytes(), exp.lmn.dtype, exp.lmn.tolist(), exp.starts,
+            exp.exps.tobytes(), exp.lmn.dtype, exp.lmn.tolist(), exp.starts.tolist(),
             [_bits(k) for k in exp.keys])
 
 
@@ -1073,7 +1073,7 @@ def test_family_build_counts_every_function_against_the_budget(monkeypatch):
 def _stored_bits(exp: RegionExpansion) -> tuple:
     return (exp.region, exp.bt, exp.designated, exp.order, exp.coeffs.tobytes(),
             exp.k.tobytes(), exp.block.tobytes(), exp.block_exps.tobytes(),
-            exp.block_lmn.tobytes(), exp.starts, [_bits(k) for k in exp.keys])
+            exp.block_lmn.tobytes(), exp.starts.tolist(), [_bits(k) for k in exp.keys])
 
 
 def _checked_families():
@@ -1306,6 +1306,50 @@ def test_kernel_takes_no_points_and_no_parts():
     assert eval_parts([], []).shape == (0, 0)
 
 
+def _kernel_batch():
+    """MIXED and INTEGER_EXPONENTS at the same two points, as point_logs
+    makes them."""
+    logs = point_logs([(BranchTriple(0, 1, -1), 1.5 + 0.2j, -0.4 + 0.3j),
+                       (BranchTriple(0, 0, 0), -1.0 - 0.3j, 0.8j)])
+    return [MIXED, INTEGER_EXPONENTS], logs
+
+
+def test_kernel_refuses_logs_of_seven_columns_naming_the_part():
+    # The seventh column shifted every later logs array's columns, so the
+    # second part was summed on another part's logs.
+    parts, logs = _kernel_batch()
+    wide = np.concatenate([logs, np.ones((2, 1), dtype=complex)], axis=1)
+    with pytest.raises(ValueError, match=re.escape("part 1's logs must be a (points, 6) "
+                                                   "complex array") + ".*shape \\(2, 7\\)"):
+        eval_parts(parts, [logs, wide])
+
+
+def test_kernel_refuses_fewer_logs_than_parts_naming_the_part():
+    parts, logs = _kernel_batch()
+    with pytest.raises(ValueError, match="1 logs arrays for 2 parts: part 1 has none"):
+        eval_parts(parts, [logs])
+
+
+def test_kernel_refuses_more_logs_than_parts():
+    parts, logs = _kernel_batch()
+    with pytest.raises(ValueError, match=re.escape("3 logs arrays for 2 parts: logs[2] has no part")):
+        eval_parts(parts, [logs] * 3)
+
+
+def test_kernel_refuses_logs_that_are_not_an_array_naming_the_part():
+    parts, logs = _kernel_batch()
+    with pytest.raises(ValueError, match="part 0's logs must be .* not list"):
+        eval_parts(parts, [logs.tolist(), logs])
+    with pytest.raises(ValueError, match="part 1's logs must be .* dtype float64"):
+        eval_parts(parts, [logs, logs.real])
+
+
+def test_kernel_refuses_parts_of_different_point_counts_naming_the_part():
+    parts, logs = _kernel_batch()
+    with pytest.raises(ValueError, match="part 1 has 1 points where part 0 has 2"):
+        eval_parts(parts, [logs, logs[:1]])
+
+
 def test_function_columns_are_packed_once_and_leave_equality_alone():
     f = LogFunction([LogMonomial(1.0 - 2.0j, r=Fraction(1, 2), s=-0.0, t=3, l=1),
                      LogMonomial(0.5j, r=complex(0.25, -0.0), m=2, n=3)])
@@ -1396,11 +1440,65 @@ def test_region_expansion_equality_and_repr():
     assert repr(a) == f"RegionExpansion(region='reversed', bt={bt!r}, order=12, keys={a.keys!r})"
 
 
+def test_series_group_bounds_are_one_int64_array():
+    # Built, with every coefficient dropped, by default and unpickled.
+    bt = BranchTriple(1, -1, 0)
+    built = expand_region(LOG_HEAVY, "product", bt, 12)
+    dropped = expand_region(LogFunction([LogMonomial(1e-16, r=0.5, t=-0.5)]), "product", bt, 12)
+    default = RegionExpansion("product", bt, 12)
+    unpickled = pickle.loads(pickle.dumps(built))
+    for exp in (built, dropped, default, unpickled):
+        assert isinstance(exp.starts, np.ndarray)
+        assert (exp.starts.dtype, exp.starts.ndim) == (np.int64, 1)
+    assert unpickled == built and dropped == default
+    assert built.starts.tolist() == unpickled.starts.tolist() != []
+    # Equality compares the bounds by value.
+    changed = dataclasses.replace(built, starts=built.starts.copy())
+    assert changed == built
+    changed.starts[-1] += 1
+    assert changed != built
+    assert dataclasses.replace(built, starts=built.starts[:-1]) != built
+    # groups splits the terms at the bounds, one group per key in order.
+    sizes = np.diff([0, *built.starts.tolist(), built.coeffs.size]).tolist()
+    assert [len(built.groups[key].terms) for key in built.keys] == sizes
+    assert np.concatenate([built.groups[key].coeffs for key in built.keys]).tobytes() == \
+        built.coeffs.tobytes()
+    assert np.concatenate([built.groups[key].exps for key in built.keys]).tobytes() == \
+        built.exps.tobytes()
+
+
+# eval_parts' passes over LOG_HEAVY's order-200 series and MIXED at five
+# points, at bounds of 64, 257 and 1,000 term-points.
+SPLIT_PASSES = {"product": [101, 24, 7], "reversed": [101, 24, 7], "iterate": [134, 29, 8]}
+
+
+@pytest.mark.parametrize("region", REGIONS)
+def test_series_split_into_many_passes_keeps_the_bits_of_one_pass(region, monkeypatch):
+    # Each pass finds the series' group bounds inside its piece and shifts
+    # them into the pass; each pass after the first carries the series'
+    # running sum, and the function on its own logs comes last.
+    bt = BranchTriple(1, -1, 0)
+    series = expand_region(LOG_HEAVY, region, bt, 200)
+    assert len(series.keys) == len(series.starts) + 1 == 603
+    points = _region_points(region, 5, 11)
+    logs = point_logs((series.designated, z1, z2) for z1, z2 in points)
+    other = point_logs((bt, z1, z2) for z1, z2 in points)
+    parts, tables = [series, MIXED], [logs, other]
+    assert len(list(logfun._passes(parts, len(points)))) == 1
+    whole = eval_parts(parts, tables)
+    counts = []
+    for bound in (64, 257, 1000):
+        monkeypatch.setattr(logfun, "_PASS_TERM_POINTS", bound)
+        counts.append(len(list(logfun._passes(parts, len(points)))))
+        assert eval_parts(parts, tables).tobytes() == whole.tobytes()
+    assert counts == SPLIT_PASSES[region]
+
+
 def _packed_digest(exp: RegionExpansion) -> str:
     arrays = [(a.dtype.str, a.shape, a.tobytes())
               for a in (exp.coeffs, exp.k, exp.block, exp.block_exps, exp.block_lmn)]
     keys = [_bits(k) for k in exp.keys]
-    return hashlib.sha256(repr((arrays, exp.starts, keys)).encode()).hexdigest()[:16]
+    return hashlib.sha256(repr((arrays, exp.starts.tolist(), keys)).encode()).hexdigest()[:16]
 
 
 # sha256 prefixes of LOG_HEAVY's packed arrays (dtype, shape and bytes of
