@@ -100,7 +100,7 @@ def _as_complex(v, path: str) -> complex:
 def _as_fraction(v, path: str) -> Fraction:
     _require_keys(v, {"num", "den"}, {"num", "den"}, path)
     num, den = v["num"], v["den"]
-    if not isinstance(num, int) or not isinstance(den, int) or den == 0:
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (num, den)) or den == 0:
         raise ScenarioError(f"{path}: num/den must be integers, den nonzero")
     return Fraction(num, den)
 

@@ -31,23 +31,22 @@ candidate monomials of consecutive regions while they number at most
 _PASS_CANDIDATES in all (a region over it is built alone), so the memory of
 a pass stays bounded; every series has the same bits however it is built.
 
-A function packs its terms as columns (coeffs, exps, lmn).  A series term
-is coeff * x^k * B, x = inner / outer being its region's ratio and B the
-k = 0 monomial of its block (the input term and log-power split it came
-from), so a series packs coeffs, k and block, and a table of its blocks'
-exponents and log powers.  One evaluation kernel, eval_parts, sums a batch
-of functions and series at their points (point_logs rows, each point on
-its own triple) in numpy passes of bounded size, making each block's
-powers once per point and x^k as a product of squares, so that a
-convergent series stays finite where its terms' powers of z1 and z2
-overflow apart.  It is the one series evaluator: RegionExpansion.eval is
-eval_many at one point.  eval_branch2, a function at one point, keeps the
-scalar term loop _sum_terms, each power made apart, on purpose: a call
-costs about 5-8 us against the kernel's fixed 120-170 us (2 cores, Python
-3.11, numpy 2.4).  Through the kernel, the continuation benchmark's median
-item ran 24-28 % slower, and batching the suite's 770 one-point calls per
-run_suite() into kernel calls made the run 7-8 % slower.  Both evaluators
-raise OverflowError naming the point where a value is not finite.
+A function keeps its terms as rows for _sum_terms, the one function
+evaluator: a scalar loop over its terms, each power made apart.
+eval_branch2 is _sum_terms at one point, and eval_parts sums each function
+it is given point by point through it, so a function's value has the same
+bits from either.  A series term is coeff * x^k * B, x = inner / outer
+being its region's ratio and B the k = 0 monomial of its block (the input
+term and log-power split it came from), so a series packs coeffs, k and
+block, and a table of its blocks' exponents and log powers.  One numpy
+kernel, _sum_series behind eval_parts, sums a batch of series at their
+points (point_logs rows, each point on its own triple) in passes of
+bounded size, making each block's powers once per point and x^k as a
+product of squares, so that a convergent series stays finite where its
+terms' powers of z1 and z2 overflow apart.  It is the one series
+evaluator: RegionExpansion.eval is eval_many at one point.  Both
+evaluators raise OverflowError naming the point where a value is not
+finite.
 
 winding_profile counts how the sheet indices of z1, z2 and z1 - z2 change
 along a path (paths.PathSpec), in closed form for each segment and arc.
@@ -162,11 +161,10 @@ class LogMonomial(_MonomialFields):
 class LogFunction:
     """Finite sum of LogMonomial terms (not automatically normalized).
 
-    Its terms are also kept packed, as a one-group series is: coeffs, exps
-    (columns r, s, t) and lmn (int64 columns l, m, n), in term order, for
-    eval_parts; and rows, the terms as tuples with r, s, t classified by
-    _exponent, for eval_branch2's _sum_terms.  Each is made on first use
-    and kept; equality, hashing, copies and pickles see only terms.
+    Its terms are also kept as rows, tuples with r, s, t classified by
+    _exponent, for _sum_terms, the one function evaluator (eval_branch2 and
+    eval_parts).  They are made on first use and kept; equality, hashing,
+    copies and pickles see only terms.
     """
 
     terms: tuple[LogMonomial, ...]
@@ -181,19 +179,6 @@ class LogFunction:
     def rows(self) -> list[tuple]:
         return [(complex(a), _exponent(r), _exponent(s), _exponent(t), l, m, n)
                 for a, r, s, t, l, m, n in self.terms]
-
-    @cached_property
-    def coeffs(self) -> np.ndarray:
-        return np.array([complex(u.coeff) for u in self.terms], dtype=complex)
-
-    @cached_property
-    def exps(self) -> np.ndarray:
-        return np.array([(complex(u.r), complex(u.s), complex(u.t)) for u in self.terms],
-                        dtype=complex).reshape(-1, 3)
-
-    @cached_property
-    def lmn(self) -> np.ndarray:
-        return np.array([(u.l, u.m, u.n) for u in self.terms], dtype=np.int64).reshape(-1, 3)
 
     def __add__(self, other: "LogFunction") -> "LogFunction":
         return LogFunction(self.terms + other.terms)
@@ -302,19 +287,23 @@ def point_logs(samples: Iterable[tuple[BranchTriple, complex, complex]]) -> np.n
 def _sum_terms(rows: list, z1: complex, z2: complex, w: complex,
                L1: complex, L2: complex, L12: complex) -> complex:
     """Sum at a point, given its logs (_point_logs), of a function's rows
-    (a, r, s, t, l, m, n) with r, s, t classified by _exponent, term by term."""
+    (a, r, s, t, l, m, n) with r, s, t classified by _exponent, term by
+    term; nan where a power leaves the float range."""
     total = 0.0 + 0.0j
-    for a, r, s, t, l, m, n in rows:
-        v = (a * (z1 ** r if r.__class__ is int else cmath.exp(r * L1))
-             * (z2 ** s if s.__class__ is int else cmath.exp(s * L2))
-             * (w ** t if t.__class__ is int else cmath.exp(t * L12)))
-        if l:
-            v *= L1 ** l
-        if m:
-            v *= L2 ** m
-        if n:
-            v *= L12 ** n
-        total += v
+    try:
+        for a, r, s, t, l, m, n in rows:
+            v = (a * (z1 ** r if r.__class__ is int else cmath.exp(r * L1))
+                 * (z2 ** s if s.__class__ is int else cmath.exp(s * L2))
+                 * (w ** t if t.__class__ is int else cmath.exp(t * L12)))
+            if l:
+                v *= L1 ** l
+            if m:
+                v *= L2 ** m
+            if n:
+                v *= L12 ** n
+            total += v
+    except OverflowError:  # cmath.exp or ** past the float range
+        return cmath.nan
     return total
 
 
@@ -338,12 +327,9 @@ def eval_branch2(f: LogFunction, bt: BranchTriple, z1: complex, z2: complex) -> 
     """Evaluate f at (z1, z2) on the branch triple bt; raises OverflowError
     naming the point where the value is not finite."""
     logs = _point_logs(bt, z1, z2)
-    try:
-        value = _sum_terms(f.rows, *logs)
-        if cmath.isfinite(value):
-            return value
-    except OverflowError:  # cmath.exp or ** past the float range
-        pass
+    value = _sum_terms(f.rows, *logs)
+    if cmath.isfinite(value):
+        return value
     raise _not_finite("function", *logs[:2])
 
 
@@ -566,19 +552,15 @@ class RegionExpansion:
         return eval_parts([self], [logs])[0].tolist()
 
 
-_NO_STARTS = np.zeros(0, np.int64)  # a function's: it is one group
-
-
-def _passes(parts: list, points: int):
-    """eval_parts' numpy passes over parts, in order: lists of pieces (part,
-    first term, end term), a piece being whole groups of one part, each list
-    at most _PASS_TERM_POINTS term-points (a term at a point) unless it is
-    one group alone."""
+def _passes(series: list, points: int):
+    """eval_parts' numpy passes over series, in order: lists of pieces
+    (series, first term, end term), a piece being whole groups of one
+    series, each list at most _PASS_TERM_POINTS term-points (a term at a
+    point) unless it is one group alone."""
     per = room = max(1, _PASS_TERM_POINTS // points)
     pieces = []
-    for i, part in enumerate(parts):
-        starts = part.starts if isinstance(part, RegionExpansion) else _NO_STARTS
-        lo, size = 0, part.coeffs.size
+    for i, part in enumerate(series):
+        starts, lo, size = part.starts, 0, part.coeffs.size
         while lo < size:
             if size - lo <= room:
                 hi = size
@@ -657,34 +639,12 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
     A part is a RegionExpansion or a LogFunction; its points are logs[i],
     point_logs rows made on the triple it is to be summed on (a series'
     designated triple; any triple, or one per point, for a function), the
-    same number of points for every part.  The batch is evaluated in
-    consecutive numpy passes, each over whole groups of at most
-    _PASS_TERM_POINTS term-points (one term at one point; a larger group
-    goes alone), so its memory does not grow with the batch; a part's
-    values have the same bits whatever other parts are in the batch.
-
-    Every term is coeff * x^k * unit.  A series' units are its whole block
-    table, each at coefficient 1, and x = inner / outer is the ratio of its
-    region at the point; a function is a series whose terms are their own
-    units, with the terms' coefficients, each term at coeff 1 and k = 0.  A
-    pass first evaluates its units at every point: a unit multiplies its
-    coefficient and its own three powers, each made as _sum_terms makes it
-    (so equal exponents on the same logs give equal bits): a whole
-    exponent k (as _exponent has it) takes the single-valued z ** k (below
-    100 in size numpy's repeated squaring, else CPython's), any other c
-    takes exp(c L).  It then multiplies the log powers of each column in
-    which any unit of its part has one.  Each term is then its coeff times
-    its unit, times x^k (a product of squares, _ratio_powers) where the
-    pass holds a series; x^0 is exactly 1.  So a series makes its powers
-    once per block and point, not once per term, and a term whose powers
-    of z1 and z2 would overflow apart stays as small as it is.  A part
-    adds its groups' subtotals in order, carrying the sum from one pass to
-    the next; a part of one group takes its subtotal.  A function's values
-    agree with eval_branch2's up to rounding.  This is the one series
-    evaluator (RegionExpansion.eval and eval_many call it): a term loop
-    making each term's powers of z1 and z2 apart would round worse, its
-    exp((a - k) L) magnifying the rounding of its argument up to k times,
-    and would overflow at high orders where the series does not.
+    same number of points for every part.  A function is summed at each
+    point by eval_branch2's term loop, _sum_terms, each logs array turned
+    into rows once, so its values are eval_branch2's bit for bit.  The
+    series are summed together by _sum_series, the one series evaluator
+    (RegionExpansion.eval and eval_many call it).  A part's values have the
+    same bits whatever other parts are in the batch.
 
     Raises ValueError naming the part unless logs holds one (points, 6)
     complex array, as point_logs makes, per part, each with the same
@@ -695,9 +655,53 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
     """
     _check_logs(parts, logs)
     points = logs[0].shape[0] if parts else 0
-    values = np.zeros((len(parts), points), dtype=complex)
-    for pieces in _passes(parts, points) if points else ():
-        # The logs arrays side by side, (point, 6 * arrays); each unit's
+    values = np.empty((len(parts), points), dtype=complex)
+    at, rows_of = [], {}  # the series' places in parts; each logs array's rows
+    for i, (part, table) in enumerate(zip(parts, logs)):
+        if isinstance(part, RegionExpansion):
+            at.append(i)
+            continue
+        if id(table) not in rows_of:
+            rows_of[id(table)] = table.tolist()
+        values[i] = [_sum_terms(part.rows, *row) for row in rows_of[id(table)]]
+    values[at] = _sum_series([parts[i] for i in at], [logs[i] for i in at], points)
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        kind = "series" if isinstance(parts[i], RegionExpansion) else "function"
+        raise _not_finite(kind, *logs[i][j, :2].tolist())
+    return values
+
+
+def _sum_series(series: list[RegionExpansion], logs: list[np.ndarray],
+                points: int) -> np.ndarray:
+    """Each series' sum at each of its points, logs[i], as a (series,
+    points) array, in consecutive numpy passes (_passes), each over whole
+    groups of at most _PASS_TERM_POINTS term-points (one term at one point;
+    a larger group goes alone), so its memory does not grow with the batch.
+
+    Every term is coeff * x^k * B, B the k = 0 monomial of its block and x
+    = inner / outer the ratio of its region at the point.  A pass first
+    evaluates the whole block table of each of its pieces at every point:
+    a block multiplies 1 and its own three powers, each made as _sum_terms
+    makes it (so equal exponents on the same logs give equal bits): a whole
+    exponent k (as _exponent has it) takes the single-valued z ** k (below
+    100 in size numpy's repeated squaring, else CPython's), any other c
+    takes exp(c L).  It then multiplies the log powers of each column in
+    which any block of its piece has one.  Each term is then its coeff
+    times its block's value times x^k (a product of squares,
+    _ratio_powers); x^0 is exactly 1.  So a series makes its powers once
+    per block and point, not once per term, and a term whose powers of z1
+    and z2 would overflow apart stays as small as it is.  A series adds its
+    groups' subtotals in order, carrying the sum from one pass to the next;
+    a series of one group takes its subtotal.  A term loop making each
+    term's powers of z1 and z2 apart would round worse, its exp((a - k) L)
+    magnifying the rounding of its argument up to k times, and would
+    overflow at high orders where the series does not.
+    """
+    values = np.zeros((len(series), points), dtype=complex)
+    for pieces in _passes(series, points) if points else ():
+        # The logs arrays side by side, (point, 6 * arrays); each block's
         # own columns z1, z2, w and their logs begin at its base.
         tables = {id(logs[i]): logs[i] for i, _, _ in pieces}
         base_of = {key: 6 * u for u, key in enumerate(tables)}
@@ -705,52 +709,28 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
         table = arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=1)
         sizes = [hi - lo for _, lo, hi in pieces]
         offsets = [0, *itertools.accumulate(sizes)]
-        # Each piece's units: a function's terms, with their coefficients,
-        # or a series' whole block table, with coefficient 1.
-        coeffs, exps, lmn = [], [], []
-        for i, lo, hi in pieces:
-            part = parts[i]
-            if isinstance(part, RegionExpansion):
-                exps.append(part.block_exps)
-                lmn.append(part.block_lmn)
-                coeffs.append(np.ones(len(part.block_lmn), dtype=complex))
-            else:
-                exps.append(part.exps[lo:hi])
-                lmn.append(part.lmn[lo:hi])
-                coeffs.append(part.coeffs[lo:hi])
-        unit_sizes = [len(u) for u in lmn]
-        unit_offsets = [0, *itertools.accumulate(unit_sizes)]
-        # Each term's coefficient, unit, ratio and power k of it, and the
-        # term where each group begins: a function's term is its own unit, at
-        # coefficient 1 and k = 0, and a function is one group.  A piece's
-        # groups begin at its offset and at its series' bounds inside it,
-        # shifted there; groups[p] counts the groups before piece p.
-        tcoef = np.ones(offsets[-1], dtype=complex)
-        unit_of = np.arange(offsets[-1]) + np.repeat(
-            np.subtract(unit_offsets[:-1], offsets[:-1]), sizes)
-        ratio = np.zeros(offsets[-1], dtype=np.int64)
-        k = np.zeros(offsets[-1], dtype=np.int64)
+        block_sizes = [len(series[i].block_lmn) for i, _, _ in pieces]
+        block_offsets = [0, *itertools.accumulate(block_sizes)]
+        # Each term's coefficient, block, ratio and power k of it, and the
+        # term where each group begins: a piece's groups begin at its offset
+        # and at its series' bounds inside it, shifted there; groups[p]
+        # counts the groups before piece p.
+        coeffs, block_of, k, ratios, bounds, groups = [], [], [], [], [], [0]
         ratio_of = {}  # (logs array, region) -> ratio
-        heads = np.array(offsets[:-1], dtype=np.int64)
-        bounds, done, groups = [], 0, [0]
-        for p, ((i, lo, hi), offset, unit_offset) in enumerate(
-                zip(pieces, offsets, unit_offsets)):
-            part = parts[i]
-            count = 1
-            if isinstance(part, RegionExpansion):
-                j0, j1 = part.starts.searchsorted((lo + 1, hi))
-                bounds += [heads[done:p + 1], part.starts[j0:j1] + (offset - lo)]
-                done, count = p + 1, 1 + j1 - j0
-                here = slice(offset, offset + hi - lo)
-                tcoef[here] = part.coeffs[lo:hi]
-                unit_of[here] = part.block[lo:hi] + unit_offset
-                ratio[here] = ratio_of.setdefault((id(logs[i]), part.region), len(ratio_of))
-                k[here] = part.k[lo:hi]
-            groups.append(groups[-1] + count)
-        group_starts = np.concatenate([*bounds, heads[done:]])
-        coeffs, exps, lmn = (np.concatenate(a) for a in (coeffs, exps, lmn))
-        base = np.repeat([base_of[id(logs[i])] for i, _, _ in pieces], unit_sizes)
-        c = exps.T.ravel()  # column by column, each unit's exponent
+        for (i, lo, hi), offset, block_offset in zip(pieces, offsets, block_offsets):
+            part = series[i]
+            j0, j1 = part.starts.searchsorted((lo + 1, hi))
+            bounds += [[offset], part.starts[j0:j1] + (offset - lo)]
+            groups.append(groups[-1] + 1 + j1 - j0)
+            coeffs.append(part.coeffs[lo:hi])
+            block_of.append(part.block[lo:hi] + block_offset)
+            k.append(part.k[lo:hi])
+            ratios.append(ratio_of.setdefault((id(logs[i]), part.region), len(ratio_of)))
+        group_starts = np.concatenate(bounds)
+        exps = np.concatenate([series[i].block_exps for i, _, _ in pieces])
+        lmn = np.concatenate([series[i].block_lmn for i, _, _ in pieces])
+        base = np.repeat([base_of[id(logs[i])] for i, _, _ in pieces], block_sizes)
+        c = exps.T.ravel()  # column by column, each block's exponent
         at = (base + np.arange(3)[:, None]).ravel()  # its z column, its log 3 columns on
         re = c.real
         whole = (c.imag == 0.0) & (re == np.trunc(re))
@@ -768,37 +748,34 @@ def eval_parts(parts: list[RegionExpansion | LogFunction],
                 ns = [int(n) for n in re[large].tolist()]
                 powers[:, large] = [[zj ** n for zj, n in zip(zs, ns)]
                                     for zs in table.take(at[large], axis=1).tolist()]
-            # coeffs * pr * ps * pt, each power (point, unit) in turn
-            size = len(coeffs)
-            units = coeffs * powers[:, :size]
-            units *= powers[:, size:2 * size]
-            units *= powers[:, 2 * size:]
+            # 1 * pr * ps * pt, each power (point, block) in turn, as
+            # _sum_terms makes a term of coefficient 1: the product with 1
+            # turns some -0.0 parts of pr into +0.0.
+            size = len(lmn)
+            blocks = 1.0 * powers[:, :size]
+            blocks *= powers[:, size:2 * size]
+            blocks *= powers[:, 2 * size:]
             del powers
-            # The log columns in which each piece has a unit with a power.
-            has_log = np.logical_or.reduceat(lmn != 0, unit_offsets[:-1], axis=0)
+            # The log columns in which each piece has a block with a power.
+            has_log = np.logical_or.reduceat(lmn != 0, block_offsets[:-1], axis=0)
             for j in np.flatnonzero(has_log.any(axis=0)):  # log powers l, m, n
                 cols = (slice(None) if has_log[:, j].all()
-                        else np.flatnonzero(np.repeat(has_log[:, j], unit_sizes)))
-                units[:, cols] *= np.power(table.take(base[cols] + 3 + j, axis=1),
-                                           lmn[cols, j])
-            terms = tcoef * units.take(unit_of, axis=1)
-            del units
-            if ratio_of:  # times x^k, x = inner / outer per ratio
-                rows = [(base_of[key], _REGIONS[region]) for key, region in ratio_of]
-                x = (table.take([first + row.inner for first, row in rows], axis=1)
-                     / table.take([first + row.outer for first, row in rows], axis=1))
-                terms *= _ratio_powers(x, ratio, k)
+                        else np.flatnonzero(np.repeat(has_log[:, j], block_sizes)))
+                blocks[:, cols] *= np.power(table.take(base[cols] + 3 + j, axis=1),
+                                            lmn[cols, j])
+            terms = np.concatenate(coeffs) * blocks.take(np.concatenate(block_of), axis=1)
+            del blocks
+            # times x^k, x = inner / outer per ratio
+            rows = [(base_of[key], _REGIONS[region]) for key, region in ratio_of]
+            x = (table.take([first + row.inner for first, row in rows], axis=1)
+                 / table.take([first + row.outer for first, row in rows], axis=1))
+            terms *= _ratio_powers(x, np.repeat(ratios, sizes), np.concatenate(k))
             sub = np.add.reduceat(terms, group_starts, axis=1)
         for (i, lo, hi), g0, g1 in zip(pieces, groups, groups[1:]):
             chunk = sub[:, g0:g1]
-            if lo:  # the rest of a part split between passes
+            if lo:  # the rest of a series split between passes
                 chunk = np.concatenate([values[i][:, None], chunk], axis=1)
             values[i] = chunk[:, 0] if chunk.shape[1] == 1 else np.cumsum(chunk, axis=1)[:, -1]
-    finite = np.isfinite(values)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        kind = "series" if isinstance(parts[i], RegionExpansion) else "function"
-        raise _not_finite(kind, *logs[i][j, :2].tolist())
     return values
 
 

@@ -1,11 +1,16 @@
 """Verification checks and the standard suite.
 
-Each check returns a CheckReport with the worst defect it saw.  Defects
-are absolute gaps between two independently computed complex numbers:
-exact index/coefficient arithmetic is held to TOL_BRANCH (1e-12) and
-anything involving truncated series or sampled paths to the configured
-tol_series (1e-9 default).  Scenario generators keep exponents and branch
-indices small enough that these absolute bounds are meaningful.
+Each check returns a CheckReport with the worst defect it saw.  A gap
+between two independently computed values of a function or series is
+relative_gap: relative to the larger of 1 and the two values' sizes.  The
+other defects are absolute: the branch identities' gaps between logs and
+between arguments, the involution defects (term_distance, a coefficient
+gap, and the gaps between action matrix entries) and the composition
+defect.  Exact index/coefficient arithmetic is held to TOL_BRANCH (1e-12)
+and anything involving truncated series or sampled paths to the
+configured tol_series (1e-9 default).  Scenario generators keep exponents,
+coefficients and branch indices small enough that the absolute bounds are
+meaningful.
 
 The checks, by name:
 
@@ -542,6 +547,7 @@ def check_monodromy_composition(sc: Scenario, config: VerifyConfig) -> CheckRepo
     tr = _Tracker()
     act = sc.fam.action
     comp_defect = act.composition_defect()
+    g12 = act.g1 @ act.g2
     windings = None
     functions = sc.fam.functions
     # tol=inf: a finite certificate over tol_series fails the report below.
@@ -558,9 +564,8 @@ def check_monodromy_composition(sc: Scenario, config: VerifyConfig) -> CheckRepo
         tr.add(max(res_a.certificate, res_b.certificate), start)
         # Loop effect = composed automorphism on the probe label.
         lowered_val = eval_branch2(f, expected, *start)
-        g12 = sc.fam.action.g1 @ sc.fam.action.g2
         via_g12 = eval_branch2(sc.fam.apply(g12, i), sc.bt, *start)
-        via_g3 = eval_branch2(sc.fam.apply(sc.fam.action.g3, i), sc.bt, *start)
+        via_g3 = eval_branch2(sc.fam.apply(act.g3, i), sc.bt, *start)
         tr.add(relative_gap(lowered_val, via_g12), start)
         tr.add(relative_gap(via_g3, via_g12), start)
     passed = tr.max_defect < config.tol_series and comp_defect < TOL_BRANCH

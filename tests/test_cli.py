@@ -298,9 +298,9 @@ def test_transform_output_is_frozen(capsys, src, op):
 # continuation along every named path.
 CLI_SHA256 = {
     ("verify", "--scenario", SQRT):
-        "1fb1c4e466c867e04d02842111ac8685c8646cbb17fbb07f95f91cc712be95d0",
+        "c461bb1069b7fbb1472b461136681e4919ddcc081068ebbec7415bde1b49cca1",
     ("verify", "--scenario", LOG_PAIR):
-        "7a26bf8bb19df1161e326b04025eac5da50f6492ba770abbcbad830da792d9ae",
+        "795f9715b55100ddf14f72ff8c524dad9d19623e4bb6ba62bbce937fced6cf25",
     ("expand", "--scenario", LOG_PAIR, "--label", "2", "--region", "product", "--order", "40",
      "--z1", "2.5,0.3", "--z2", "0.8,-0.2"):
         "42cfdf6d3ad7a72524e3ecc65f2f5b100cf6a7a3e26941d56856057565ec3aaa",
@@ -556,6 +556,23 @@ def test_integer_past_float_range_rejected_with_path(capsys, tmp_path, field, ed
     code, out, err = run_cli(capsys, "transform", "--scenario", str(bad), "--op", "a+")
     assert code == 2 and out == ""
     assert err.startswith(f"error: huge.json.{field}: expected") and "finite" in err
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("terms[0][0].tExact", lambda doc: doc["terms"][0][0].update(tExact={"num": True, "den": 2})),
+    ("phases.g1[0]", lambda doc: doc.update(phases={"g1": [{"num": 1, "den": True}],
+                                                    "g2": [{"num": 0, "den": 1}]})),
+], ids=["exact", "phase"])
+def test_boolean_fraction_part_rejected_with_path(capsys, tmp_path, field, edit):
+    # JSON true is a Python int: it parsed as 1, so 1/2 above and 1/1 below.
+    doc = json.loads(Path(SQRT).read_text())
+    edit(doc)
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "eval", "--scenario", str(bad),
+                             "--z1", "2.5,0", "--z2", "1,0")
+    assert (code, out) == (2, "")
+    assert err == f"error: bool.json.{field}: num/den must be integers, den nonzero\n"
 
 
 def test_overflowing_value_is_not_printed(capsys, tmp_path):

@@ -104,7 +104,7 @@ def test_logfun_keeps_group_bounds_an_array():
 def test_the_kernel_and_the_build_are_checked():
     tree = ast.parse(SOURCE.read_text())
     names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert {"_passes", "eval_parts", "_build_pass", "groups"} <= names
+    assert {"_passes", "_sum_series", "_build_pass", "groups"} <= names
 
 
 def test_the_guard_sees_each_kind_of_conversion():

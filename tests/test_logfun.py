@@ -1157,36 +1157,40 @@ def test_kernel_batches_series_and_functions_with_the_bits_of_each_alone(monkeyp
     other = point_logs((bt, z1, z2) for z1, z2 in points)
     parts = [*series, *functions, *functions]
     tables = [logs] * (2 * len(functions)) + [other] * len(functions)
-    # The batch takes several passes of at most the bound each (two at
-    # either count), and series end up split between passes.
-    passes = list(logfun._passes(parts, count))
+    triples = [series[0].designated] * len(functions) + [bt] * len(functions)
+    # The series take several passes of at most the bound each (two at
+    # either count), and end up split between passes.
+    passes = list(logfun._passes(series, count))
     spans = [sum(hi - lo for _, lo, hi in pieces) * count for pieces in passes]
     assert max(spans) <= logfun._PASS_TERM_POINTS
-    assert sum(spans) == count * sum(part.coeffs.size for part in parts)
+    assert sum(spans) == count * sum(exp.coeffs.size for exp in series)
     assert len(passes) >= sum(spans) // logfun._PASS_TERM_POINTS
-    assert any(hi - lo < parts[i].coeffs.size for pieces in passes for i, lo, hi in pieces)
+    assert any(hi - lo < series[i].coeffs.size for pieces in passes for i, lo, hi in pieces)
     batch = eval_parts(parts, tables)
     assert batch.shape == (len(parts), len(points)) and batch.dtype == complex
     for part, table, values in zip(parts, tables, batch):
         assert values.tobytes() == eval_parts([part], [table])[0].tobytes()
     for exp, values in zip(series, batch):
         assert [_bits(v) for v in exp.eval_many(points)] == [_bits(v) for v in values]
+    for f, triple, values in zip(parts[len(series):], triples, batch[len(series):]):
+        assert [_bits(eval_branch2(f, triple, z1, z2)) for z1, z2 in points] == \
+            [_bits(v) for v in values]
 
 
 def test_kernel_sums_series_pieces_shorter_than_their_block_table(monkeypatch):
-    # Passes of at most five terms: MIXED's two and the series' first two
-    # groups, 3 of its 124 terms; then pieces of the series alone; then its
-    # last term and INTEGER_EXPONENTS.  Every series piece has fewer terms
-    # than its 7 blocks, yet takes the whole block table as its units, after
-    # the units of the piece before it in its pass.
+    # Passes of at most five terms: MIXED's order-0 series' two and
+    # LOG_HEAVY's first two groups, 3 of its 124 terms; then pieces of
+    # LOG_HEAVY alone; then its last term and INTEGER_EXPONENTS' order-0
+    # series.  Every LOG_HEAVY piece has fewer terms than its 7 blocks, yet
+    # takes the whole block table, after the blocks of the piece before it
+    # in its pass, which MIXED's series reads on logs of another triple.
     bt = BranchTriple(1, -1, 0)
     series = expand_region(LOG_HEAVY, "product", bt, 20)
+    parts = [expand_region(MIXED, "product", BranchTriple(0, 0, 0), 0), series,
+             expand_region(INTEGER_EXPONENTS, "product", bt, 0)]
     points = _region_points("product", 3, 5)
-    logs = point_logs((series.designated, z1, z2) for z1, z2 in points)
-    other = point_logs((bt, z1, z2) for z1, z2 in points)
-    parts, tables = [MIXED, series, INTEGER_EXPONENTS], [other, logs, other]
+    tables = [point_logs((exp.designated, z1, z2) for z1, z2 in points) for exp in parts]
     alone = [eval_parts([part], [table])[0] for part, table in zip(parts, tables)]
-    expected = series.eval_many(points)
     monkeypatch.setattr(logfun, "_PASS_TERM_POINTS", 5 * len(points))
     passes = list(logfun._passes(parts, len(points)))
     assert passes[0] == [(0, 0, 2), (1, 0, 3)]
@@ -1194,19 +1198,24 @@ def test_kernel_sums_series_pieces_shorter_than_their_block_table(monkeypatch):
     assert len(series.block_lmn) == 7
     assert all(hi - lo < 7 for pieces in passes for i, lo, hi in pieces if i == 1)
     batch = eval_parts(parts, tables)
-    for values, own in zip(batch, alone):
+    for exp, values, own in zip(parts, batch, alone):
         assert values.tobytes() == own.tobytes()
-    assert [_bits(v) for v in batch[1]] == [_bits(v) for v in expected]
+        assert [_bits(v) for v in values] == [_bits(v) for v in exp.eval_many(points)]
 
 
 def test_kernel_passes_keep_groups_whole(monkeypatch):
-    # A function is one group: over the bound it takes a pass alone, and
-    # whatever follows starts a new pass.  At 10 points a bound of 2,048
-    # term-points holds 204 terms.
+    # A group over the bound takes a pass alone, and whatever follows
+    # starts a new pass: big is one group of 299 terms, each a power of z1
+    # alone.  At 10 points a bound of 2,048 term-points holds 204 terms.
     monkeypatch.setattr(logfun, "_PASS_TERM_POINTS", 2048)
-    big = LogFunction([LogMonomial(1.0, r=0.5 * k) for k in range(1, 300)])
-    series = expand_region(LOG_HEAVY, "product", BranchTriple(0, 0, 0), 40)
-    passes = list(logfun._passes([MIXED, big, series, LogFunction(), MIXED], 10))
+    bt = BranchTriple(0, 0, 0)
+    small = expand_region(MIXED, "product", bt, 0)
+    big = expand_region(LogFunction([LogMonomial(1.0, r=0.5 * k) for k in range(1, 300)]),
+                        "product", bt, 0)
+    assert (small.coeffs.size, big.coeffs.size, big.keys) == (2, 299, [0j])
+    series = expand_region(LOG_HEAVY, "product", bt, 40)
+    passes = list(logfun._passes([small, big, series, RegionExpansion("product", bt, 0), small],
+                                 10))
     assert passes[:2] == [[(0, 0, 2)], [(1, 0, 299)]]
     assert all(hi - lo <= 204 for pieces in passes[2:] for _, lo, hi in pieces)
     ends = {0, *series.starts, series.coeffs.size}
@@ -1356,13 +1365,17 @@ def test_function_columns_are_packed_once_and_leave_equality_alone():
     digest, pickled = hash(f), pickle.dumps(f)
     logs = point_logs([(BranchTriple(0, 1, -1), 1.5 + 0.2j, -0.4 + 0.3j)])
     eval_parts([f], [logs])
-    assert f.coeffs.tolist() == [1.0 - 2.0j, 0.5j]
-    assert [_bits(v) for v in f.exps.ravel()] == [
-        _bits(complex(v)) for v in (0.5, -0.0, 3.0, complex(0.25, -0.0), 0.0, 0.0)]
-    assert f.lmn.dtype == np.int64 and f.lmn.tolist() == [[1, 0, 0], [0, 2, 3]]
-    assert {"coeffs", "exps", "lmn"} <= set(vars(f))
+    rows = vars(f)["rows"]
+    eval_parts([f], [logs])
+    assert f.rows is rows
+    # Whole exponents as ints (-0.0 and 3 alike), others complex with their
+    # zero signs; coefficients complex, log powers ints.
+    assert [(a, r.__class__, s, t, l, m, n) for a, r, s, t, l, m, n in rows] == [
+        (1.0 - 2.0j, complex, 0, 3, 1, 0, 0), (0.5j, complex, 0, 0, 0, 2, 3)]
+    assert [_bits(row[1]) for row in rows] == [_bits(0.5 + 0.0j), _bits(complex(0.25, -0.0))]
+    assert [[v.__class__ for v in row[2:]] for row in rows] == [[int] * 5] * 2
     assert f == LogFunction(f.terms) and hash(f) == digest and pickle.dumps(f) == pickled
-    assert LogFunction().exps.shape == LogFunction().lmn.shape == (0, 3)
+    assert LogFunction().rows == []
 
 
 # Exponents: complex, whole and small, whole past the 100 where z ** k
@@ -1395,10 +1408,8 @@ def test_kernel_on_functions_matches_eval_branch2(functions, samples, data):
     which = [data.draw(st.integers(0, len(tables) - 1)) for _ in functions]
     batch = eval_parts(functions, [tables[u] for u in which])
     for f, u, values in zip(functions, which, batch):
-        assert values.tobytes() == eval_parts([f], [tables[u]])[0].tobytes()
-        for (bt, (z1, z2)), value in zip(samples[u], values.tolist()):
-            logs = logfun._point_logs(bt, z1, z2)
-            assert abs(value - eval_branch2(f, bt, z1, z2)) <= _rounding_bound(f.rows, logs)
+        assert [_bits(v) for v in values.tolist()] == [
+            _bits(eval_branch2(f, bt, z1, z2)) for bt, (z1, z2) in samples[u]]
 
 
 def test_point_logs_names_the_first_bad_point():
@@ -1422,6 +1433,22 @@ def test_kernel_raises_where_a_function_value_overflows():
     match = re.escape("function value at z1 = (2.5+0j), z2 = (0.8+0j) is not finite")
     with pytest.raises(OverflowError, match=match):
         eval_parts([MIXED, f], [logs, logs])
+
+
+def test_kernel_names_the_first_part_not_finite_across_both_evaluators():
+    # The series overflows at point 1 only (2.5 ** 800.5), the function at
+    # point 0 only (0.5 ** -1200.5): the first such part's first such point
+    # is named, whichever evaluator sums that part.
+    bt = BranchTriple(0, 0, 0)
+    logs = point_logs([(bt, 1.1 + 0.0j, 0.5 + 0.0j), (bt, 2.5 + 0.0j, 0.8 + 0.0j)])
+    series = expand_region(LogFunction([LogMonomial(1.0, r=800.5)]), "product", bt, 0)
+    f = LogFunction([LogMonomial(1.0, s=-1200.5)])
+    at_series = re.escape("series value at z1 = (2.5+0j), z2 = (0.8+0j) is not finite")
+    at_function = re.escape("function value at z1 = (1.1+0j), z2 = (0.5+0j) is not finite")
+    with pytest.raises(OverflowError, match=at_series):
+        eval_parts([series, f], [logs, logs])
+    with pytest.raises(OverflowError, match=at_function):
+        eval_parts([f, series], [logs, logs])
 
 
 def test_region_expansion_equality_and_repr():
@@ -1461,14 +1488,14 @@ def test_series_group_bounds_are_one_int64_array():
     # groups splits the terms at the bounds, one group per key in order.
     sizes = np.diff([0, *built.starts.tolist(), built.coeffs.size]).tolist()
     assert [len(built.groups[key].terms) for key in built.keys] == sizes
-    assert np.concatenate([built.groups[key].coeffs for key in built.keys]).tobytes() == \
-        built.coeffs.tobytes()
-    assert np.concatenate([built.groups[key].exps for key in built.keys]).tobytes() == \
-        built.exps.tobytes()
+    terms = [u for key in built.keys for u in built.groups[key].terms]
+    assert [_bits(u.coeff) for u in terms] == [_bits(a) for a in built.coeffs.tolist()]
+    assert [[_bits(complex(v)) for v in (u.r, u.s, u.t)] for u in terms] == \
+        [[_bits(v) for v in rst] for rst in built.exps.tolist()]
 
 
-# eval_parts' passes over LOG_HEAVY's order-200 series and MIXED at five
-# points, at bounds of 64, 257 and 1,000 term-points.
+# eval_parts' passes over LOG_HEAVY's order-200 series at five points, at
+# bounds of 64, 257 and 1,000 term-points.
 SPLIT_PASSES = {"product": [101, 24, 7], "reversed": [101, 24, 7], "iterate": [134, 29, 8]}
 
 
@@ -1476,7 +1503,7 @@ SPLIT_PASSES = {"product": [101, 24, 7], "reversed": [101, 24, 7], "iterate": [1
 def test_series_split_into_many_passes_keeps_the_bits_of_one_pass(region, monkeypatch):
     # Each pass finds the series' group bounds inside its piece and shifts
     # them into the pass; each pass after the first carries the series'
-    # running sum, and the function on its own logs comes last.
+    # running sum.  The function, on its own logs, takes no pass.
     bt = BranchTriple(1, -1, 0)
     series = expand_region(LOG_HEAVY, region, bt, 200)
     assert len(series.keys) == len(series.starts) + 1 == 603
@@ -1484,12 +1511,12 @@ def test_series_split_into_many_passes_keeps_the_bits_of_one_pass(region, monkey
     logs = point_logs((series.designated, z1, z2) for z1, z2 in points)
     other = point_logs((bt, z1, z2) for z1, z2 in points)
     parts, tables = [series, MIXED], [logs, other]
-    assert len(list(logfun._passes(parts, len(points)))) == 1
+    assert len(list(logfun._passes([series], len(points)))) == 1
     whole = eval_parts(parts, tables)
     counts = []
     for bound in (64, 257, 1000):
         monkeypatch.setattr(logfun, "_PASS_TERM_POINTS", bound)
-        counts.append(len(list(logfun._passes(parts, len(points)))))
+        counts.append(len(list(logfun._passes([series], len(points)))))
         assert eval_parts(parts, tables).tobytes() == whole.tobytes()
     assert counts == SPLIT_PASSES[region]
 

@@ -77,8 +77,7 @@ def _composed_in_reverse(monkeypatch):
                         lambda self: float(np.max(np.abs(self.g3 - self.g2 @ self.g1))))
     # the check's own g1 @ g2, rewritten in a copy of its source
     source = inspect.getsource(verify.check_monodromy_composition)
-    mutated = source.replace("sc.fam.action.g1 @ sc.fam.action.g2",
-                             "sc.fam.action.g2 @ sc.fam.action.g1")
+    mutated = source.replace("act.g1 @ act.g2", "act.g2 @ act.g1")
     if mutated == source:
         raise RuntimeError("check_monodromy_composition no longer composes g1 @ g2")
     namespace = dict(vars(verify))

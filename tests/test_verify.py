@@ -346,8 +346,8 @@ def test_run_suite_makes_one_kernel_call_per_check_and_point_count(monkeypatch):
     for module in (logfun, verify):
         monkeypatch.setattr(module, "eval_branch2", counted)
     passes_of = logfun._passes
-    monkeypatch.setattr(logfun, "_passes", lambda *args: passes.append(list(passes_of(*args)))
-                        or passes[-1])
+    monkeypatch.setattr(logfun, "_passes", lambda parts, points: passes.append(
+        (parts, list(passes_of(parts, points)))) or passes[-1][1])
     reports = run_suite()
     assert len(reports) == 124 and suite_ok(reports)
     assert series_reads == []
@@ -369,9 +369,16 @@ def test_run_suite_makes_one_kernel_call_per_check_and_point_count(monkeypatch):
     # Point by point: monodromy-composition's three values per function
     # and continue_along's end values; region-swap's control is batched.
     assert len(pointwise) == 290
-    # Kernel passes of at most 16,384 term-points: one per call.
-    assert sum(map(len, passes)) == 142
-    assert sum(map(len, passes)) == len(verify_calls) + len(shift_calls)
+    # Kernel passes of at most 16,384 term-points, series only: one per
+    # call that holds a series.  Shift-identities and the 6-point stages of
+    # omega- and contragredient-duality hold functions only, which
+    # eval_branch2's loop sums, so they make none.
+    assert len(passes) == len(verify_calls) + len(shift_calls)
+    pieces = [parts[i] for parts, made in passes for pieces in made for i, _, _ in pieces]
+    assert len(pieces) == 643 and all(isinstance(p, RegionExpansion) for p in pieces)
+    with_series = [parts for parts in verify_calls
+                   if any(isinstance(p, RegionExpansion) for p in parts)]
+    assert sum(len(made) for _, made in passes) == len(with_series) == 21 + 20 + 2 * 20
 
 
 def test_run_suite_refuses_an_unknown_check():
